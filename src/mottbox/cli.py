@@ -43,7 +43,7 @@ def _number(config: dict, key: str, default=None) -> float:
         raise ConfigError(f"missing required key '{key}'")
     try:
         value = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"key '{key}' must be a number, got {config[key]!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"key '{key}' must be finite, got {value}")
@@ -59,16 +59,23 @@ def _integer(config: dict, key: str, default=None) -> int:
     return value
 
 
-def _direction(config: dict, key: str) -> np.ndarray:
-    value = _need(config, key)
+def _vector(config: dict, key: str, default=None) -> np.ndarray:
+    value = config.get(key, default)
+    if value is None:
+        raise ConfigError(f"missing required key '{key}'")
     try:
         v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}' must be a 3-vector, got {value!r}") from None
-    if v.shape != (3,):
-        raise ConfigError(f"key '{key}' must be a 3-vector, got {value!r}")
+        ok = v.shape == (3,) and bool(np.all(np.isfinite(v)))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"key '{key}' must be a finite 3-vector, got {value!r}")
+    return v
+
+
+def _direction(config: dict, key: str) -> np.ndarray:
     try:
-        return unit(v)
+        return unit(_vector(config, key))
     except ValueError as exc:
         raise ConfigError(f"key '{key}': {exc}") from None
 
@@ -139,7 +146,7 @@ def _build_context(config: dict) -> mott.ScatteringContext:
 def _run_scatter(config: dict, out_dir: Path) -> str:
     ctx = _build_context(config)
     if "position" in config:
-        position = np.asarray(_need(config, "position"), dtype=float)
+        position = _vector(config, "position")
     else:
         position = np.array([0.0, 0.0, _number(config, "distance")])
     obstacle = _domain(
@@ -264,7 +271,7 @@ def _run_render(config: dict, out_dir: Path) -> str:
         raise ConfigError("key 'plane' must be an object")
     plane = _domain(
         render.PlaneSpec,
-        origin=np.asarray(plane_cfg.get("origin", [0.0, 0.0, 0.0]), dtype=float),
+        origin=_vector(plane_cfg, "origin", [0.0, 0.0, 0.0]),
         u_axis=_direction(plane_cfg, "u_axis"),
         v_axis=_direction(plane_cfg, "v_axis"),
         half_extent=_number(plane_cfg, "half_extent"),
@@ -280,17 +287,13 @@ def _run_render(config: dict, out_dir: Path) -> str:
             raise ConfigError("key 'obstacle' must be an object")
         obstacle = _domain(
             mott.Obstacle,
-            position=np.asarray(_need(ob, "position"), dtype=float),
+            position=_vector(ob, "position"),
             width=_number(ob, "width"),
             g0=_number(ob, "g0"),
             g1=_number(ob, "g1"),
             delta_e=_number(ob, "delta_e", ctx.delta_e),
         )
-
-    def field(point):
-        return mott.wave_field(ctx, obstacle, point)
-
-    grid = render.sample_plane(field, plane)
+    grid = render.sample_plane(lambda p: mott.wave_field(ctx, obstacle, p), plane)
     image = render.colorize(grid, scale)
     out_path = out_dir / config.get("output", "field.ppm")
     render.write_ppm(image, out_path)

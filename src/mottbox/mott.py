@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import angle_between, gauss_legendre, norm, quad_1d, unit
+from .numerics import norm, quad_1d, unit
 
 __all__ = [
-    "SingularPointError",
     "ScatteringContext",
     "Obstacle",
     "AngularAmplitude",
@@ -33,24 +32,20 @@ __all__ = [
     "angular_amplitude",
     "angular_table",
     "flux_free",
-    "flux_free_numeric",
     "flux_total",
     "normalization_c2",
     "wave_field",
     "quadrature_convergence_check",
 ]
 
-# below this distance from the emitter or the obstacle the 1/R fields blow up
+# below this distance from the emitter or the obstacle the 1/R fields blow up,
+# so wave_field returns NaN there
 SINGULAR_RADIUS = 1e-9
 
 # far-field formulas need the obstacle many widths away from the emitter
 MIN_DISTANCE_WIDTHS = 10.0
 
 DEFAULT_QUAD_NODES = 128
-
-
-class SingularPointError(ValueError):
-    """Field evaluation requested at a singular point (emitter or obstacle)."""
 
 
 @dataclass(frozen=True)
@@ -114,8 +109,8 @@ class Obstacle:
 
     def __post_init__(self):
         p = np.asarray(self.position, dtype=float)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
-            raise ValueError(f"position must be a finite 3-vector, got {self.position}")
+        if p.shape != (3,) or not math.isfinite(norm(p)):
+            raise ValueError(f"position must be a 3-vector of finite norm, got {self.position}")
         object.__setattr__(self, "position", p)
         if not (self.width > 0.0 and math.isfinite(self.width)):
             raise ValueError(f"width must be positive, got {self.width}")
@@ -223,51 +218,6 @@ def flux_free(ctx: ScatteringContext) -> float:
     return 4.0 * math.pi * ctx.v_alpha
 
 
-def _radial_derivative(field, point: np.ndarray, direction: np.ndarray, h: float) -> complex:
-    # five-point central stencil, O(h^4)
-    def at(offset: float) -> complex:
-        return field(point + offset * direction)
-
-    return (-at(2 * h) + 8.0 * at(h) - 8.0 * at(-h) + at(-2 * h)) / (12.0 * h)
-
-
-def flux_free_numeric(
-    ctx: ScatteringContext,
-    radius: float = 3.7,
-    n_theta: int = 24,
-    n_phi: int = 48,
-    rel_step: float = 1e-3,
-) -> float:
-    """Cross-check of :func:`flux_free` from the probability current.
-
-    Samples the bare spherical wave, takes the radial derivative with a
-    five-point stencil of step ``rel_step / k``, forms the radial current
-    J_r = Im(psi* dpsi/dR) and integrates J_r R^2 over the sphere with a
-    Gauss-Legendre rule in cos(theta) and a uniform rule in phi.
-    """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    h = rel_step / ctx.k
-
-    def field(p: np.ndarray) -> complex:
-        return wave_field(ctx, None, p)
-
-    cos_nodes, cos_weights = gauss_legendre(n_theta)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    phi_weight = 2.0 * math.pi / n_phi
-    total = 0.0
-    for c, w in zip(cos_nodes, cos_weights):
-        sin_t = math.sqrt(max(0.0, 1.0 - c * c))
-        for phi in phis:
-            direction = np.array([sin_t * math.cos(phi), sin_t * math.sin(phi), c])
-            point = radius * direction
-            psi = field(point)
-            dpsi = _radial_derivative(field, point, direction, h)
-            j_r = (np.conj(psi) * dpsi).imag
-            total += w * phi_weight * j_r * radius * radius
-    return float(total)
-
-
 @functools.lru_cache(maxsize=4096)
 def _intensity_integrals(
     k: float, a: float, s: float, g0: float, g1: float, n: int
@@ -320,29 +270,42 @@ def normalization_c2(ctx: ScatteringContext, obstacle: Obstacle, n: int = DEFAUL
     return 1.0 / (1.0 + 0.5 * a0 + 0.5 * ratio * a1)
 
 
-def wave_field(ctx: ScatteringContext, obstacle: Obstacle | None, point) -> complex:
-    """Elastic-channel field value at ``point``.
+def _dot(u, v):
+    # batched matmul sums in the same order as np.dot on one 3-vector pair
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
-    Without an obstacle this is the bare spherical wave e^{ikR}/R.  With one
-    it is C [e^{ikR}/R + (e^{ik|R-a|}/|R-a|) I_0(theta)], the flux-normalized
-    sum of the unscattered wave and the once-scattered elastic wave, with C
-    taken real positive (only |C|^2 is fixed by flux conservation).
+
+def wave_field(ctx: ScatteringContext, obstacle: Obstacle | None, points) -> np.ndarray:
+    """Elastic-channel field values at ``points``, an array of shape (..., 3).
+
+    Returns a complex array of shape (...).  Without an obstacle this is the
+    bare spherical wave e^{ikR}/R.  With one it is
+    C [e^{ikR}/R + (e^{ik|R-a|}/|R-a|) I_0(theta)], the flux-normalized sum of
+    the unscattered wave and the once-scattered elastic wave, with C taken
+    real positive (only |C|^2 is fixed by flux conservation).  Points within
+    SINGULAR_RADIUS of the emitter or of the obstacle centre give NaN.
     """
-    p = np.asarray(point, dtype=float)
-    r = norm(p)
-    if r < SINGULAR_RADIUS:
-        raise SingularPointError(f"field is singular at the emitter, |R|={r!r}")
-    free = complex(np.exp(1j * ctx.k * r) / r)
-    if obstacle is None:
-        return free
-    rel = p - obstacle.position
-    d = norm(rel)
-    if d < SINGULAR_RADIUS:
-        raise SingularPointError(f"field is singular at the obstacle, |R-a|={d!r}")
-    theta = angle_between(obstacle.direction, rel / d)
-    scattered = complex(np.exp(1j * ctx.k * d) / d) * angular_amplitude(ctx, obstacle, 0, theta)
-    c = math.sqrt(normalization_c2(ctx, obstacle))
-    return c * (free + scattered)
+    p = np.asarray(points, dtype=float)
+    k = ctx.k
+    r = np.sqrt(_dot(p, p))
+    singular = r < SINGULAR_RADIUS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        field = np.exp(1j * k * r) / r
+        if obstacle is not None:
+            rel = p - obstacle.position
+            d = np.sqrt(_dot(rel, rel))
+            singular |= d < SINGULAR_RADIUS
+            theta = np.arccos(np.clip(_dot(rel / d[..., None], obstacle.direction), -1.0, 1.0))
+            # I_0(theta) of angular_amplitude in array form.  angular_amplitude
+            # stays scalar: array np.exp differs from math.exp in the last
+            # bit, which would move 7 of the 181 rows of the README angular.csv
+            q = 2.0 * k * np.sin(0.5 * theta)
+            a, s = obstacle.distance, obstacle.width
+            ft = obstacle.g0 * (2.0 * math.pi) ** 1.5 * s**3 * np.exp(-0.5 * q * q * s * s)
+            amplitude = np.exp(1j * k * a) / a * ft / (2.0 * math.pi)
+            field += np.exp(1j * k * d) / d * amplitude
+            field *= math.sqrt(normalization_c2(ctx, obstacle))
+    return np.where(singular, np.nan, field)
 
 
 def quadrature_convergence_check(

@@ -12,7 +12,6 @@ __all__ = [
     "norm",
     "unit",
     "require_unit",
-    "angle_between",
     "gauss_legendre",
     "quad_1d",
     "quad_3d",
@@ -52,22 +51,6 @@ def require_unit(v, tol: float = UNIT_TOL) -> np.ndarray:
     if abs(n - 1.0) > tol:
         raise ValueError(f"expected a unit vector, got norm {n!r}")
     return v
-
-
-def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two unit vectors.
-
-    The dot product is clamped to [-1, 1] before the arccos so that rounding
-    just outside the interval cannot produce a NaN.
-    """
-    u = require_unit(u)
-    v = require_unit(v)
-    d = float(np.dot(u, v))
-    if d > 1.0:
-        d = 1.0
-    elif d < -1.0:
-        d = -1.0
-    return float(np.arccos(d))
 
 
 @functools.lru_cache(maxsize=64)

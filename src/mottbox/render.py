@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mott import SingularPointError
 from .numerics import require_unit
 
 __all__ = [
     "PlaneSpec",
     "FieldImage",
     "sample_plane",
-    "colormap",
     "colorize",
     "render_field",
     "write_ppm",
@@ -32,6 +30,7 @@ logger = logging.getLogger(__name__)
 
 ORTHOGONALITY_TOL = 1e-10
 MIN_RESOLUTION = 16
+MAX_RESOLUTION = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +42,11 @@ class PlaneSpec:
     doubling the resolution keeps every existing sample point.  Pixel (row r,
     col c) of the rendered image maps to origin + u_axis*offset[c] +
     v_axis*offset[r].
+
+    The resolution lies in [MIN_RESOLUTION, MAX_RESOLUTION].  A render
+    allocates about 176 bytes of arrays per pixel at its peak (traced numpy
+    allocations of obstacle renders from 384^2 to 2048^2), so the largest
+    accepted render needs about 704 MiB.
     """
 
     origin: np.ndarray
@@ -52,15 +56,20 @@ class PlaneSpec:
     resolution: int
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
+        origin = np.asarray(self.origin, dtype=float)
+        if origin.shape != (3,) or not np.all(np.isfinite(origin)):
+            raise ValueError(f"origin must be a finite 3-vector, got {self.origin}")
+        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "u_axis", require_unit(self.u_axis))
         object.__setattr__(self, "v_axis", require_unit(self.v_axis))
         if abs(float(np.dot(self.u_axis, self.v_axis))) > ORTHOGONALITY_TOL:
             raise ValueError("plane axes must be orthogonal")
         if self.half_extent <= 0.0:
             raise ValueError(f"half_extent must be positive, got {self.half_extent}")
-        if self.resolution < MIN_RESOLUTION:
-            raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {self.resolution}")
+        if not MIN_RESOLUTION <= self.resolution <= MAX_RESOLUTION:
+            raise ValueError(
+                f"resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {self.resolution}"
+            )
 
     def offsets(self) -> np.ndarray:
         i = np.arange(self.resolution, dtype=float)
@@ -85,23 +94,25 @@ class FieldImage:
 def sample_plane(field, plane: PlaneSpec) -> np.ndarray:
     """Complex field values on the plane lattice, indexed grid[col, row].
 
-    Points where the field raises :class:`SingularPointError` (the emitter or
-    an obstacle centre on the plane) are set to zero and their indices logged.
+    ``field`` is called once with all lattice points, an array of shape
+    (resolution, resolution, 3), and returns the complex values at them.
+    Non-finite values (the field is NaN at the emitter and at an obstacle
+    centre on the plane) are set to zero, so those pixels render black, and
+    their indices are logged.
     """
     offs = plane.offsets()
     res = plane.resolution
-    grid = np.zeros((res, res), dtype=complex)
-    masked: list[tuple[int, int]] = []
-    for i, du in enumerate(offs):
-        base = plane.origin + du * plane.u_axis
-        for j, dv in enumerate(offs):
-            point = base + dv * plane.v_axis
-            try:
-                grid[i, j] = field(point)
-            except SingularPointError:
-                masked.append((i, j))
-    if masked:
-        logger.info("masked %d singular pixel(s), first few: %s", len(masked), masked[:8])
+    # the same two additions per point as origin + du*u + dv*v, so bit-equal
+    base = plane.origin + offs[:, None] * plane.u_axis
+    points = base[:, None, :] + offs[None, :, None] * plane.v_axis
+    grid = np.asarray(field(points), dtype=complex)
+    if grid.shape != (res, res):
+        raise ValueError(f"field returned shape {grid.shape}, expected {(res, res)}")
+    masked = ~np.isfinite(grid)
+    if masked.any():
+        grid[masked] = 0.0
+        first = [tuple(map(int, ij)) for ij in np.argwhere(masked)[:8]]
+        logger.info("masked %d singular pixel(s), first few: %s", int(masked.sum()), first)
     return grid
 
 
@@ -120,23 +131,13 @@ def _hsv_to_rgb_bytes(hue_turns: np.ndarray, value: np.ndarray) -> np.ndarray:
     return np.floor(np.clip(rgb, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
-def colormap(z: complex, modulus_scale: float) -> tuple[int, int, int]:
-    """Map one complex value to an (r, g, b) byte triple.
+def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
+    """Domain-colour a sampled grid; grid columns become image rows.
 
     Hue encodes the phase (0 degrees at phase 0, increasing linearly around
     the circle); brightness is the modulus clipped at ``modulus_scale``;
     saturation is fixed at 1.  Zero maps to black.
     """
-    if modulus_scale <= 0.0:
-        raise ValueError(f"modulus_scale must be positive, got {modulus_scale}")
-    hue = np.array([np.angle(z) / (2.0 * np.pi)])
-    value = np.array([min(1.0, abs(z) / modulus_scale)])
-    rgb = _hsv_to_rgb_bytes(hue, value)[0]
-    return int(rgb[0]), int(rgb[1]), int(rgb[2])
-
-
-def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
-    """Apply :func:`colormap` to a sampled grid; grid columns become image rows."""
     if modulus_scale <= 0.0:
         raise ValueError(f"modulus_scale must be positive, got {modulus_scale}")
     hue = np.angle(grid) / (2.0 * np.pi)

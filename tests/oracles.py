@@ -1,0 +1,79 @@
+"""Reference implementations that the tests compare the package against.
+
+None of these is shipped: each restates one piece of the physics or the
+colouring in its plainest form, so that the array code in ``mottbox`` can be
+checked against it.
+"""
+
+import colorsys
+import math
+
+import numpy as np
+
+from mottbox.mott import angular_amplitude, normalization_c2, wave_field
+from mottbox.numerics import gauss_legendre, norm
+
+
+def wave_field_scalar(ctx, obstacle, point) -> complex:
+    """The elastic-channel field at one non-singular point, one formula at a time.
+
+    C [e^{ikR}/R + (e^{ik|R-a|}/|R-a|) I_0(theta)] with the scattering angle
+    theta taken from a clamped arccos; without an obstacle just e^{ikR}/R.
+    """
+    p = np.asarray(point, dtype=float)
+    r = norm(p)
+    free = complex(np.exp(1j * ctx.k * r) / r)
+    if obstacle is None:
+        return free
+    rel = p - obstacle.position
+    d = norm(rel)
+    cos_theta = min(1.0, max(-1.0, float(np.dot(obstacle.direction, rel / d))))
+    theta = math.acos(cos_theta)
+    scattered = complex(np.exp(1j * ctx.k * d) / d) * angular_amplitude(ctx, obstacle, 0, theta)
+    return math.sqrt(normalization_c2(ctx, obstacle)) * (free + scattered)
+
+
+def flux_free_numeric(ctx, radius=3.7, n_theta=24, n_phi=48, rel_step=1e-3) -> float:
+    """Flux of the bare spherical wave from its probability current.
+
+    Samples the wave on a sphere and at four radial offsets of step
+    ``rel_step / k`` in one ``wave_field`` call, takes the radial derivative
+    with the five-point stencil, forms J_r = Im(psi* dpsi/dR) and integrates
+    J_r R^2 with a Gauss-Legendre rule in cos(theta) and a uniform rule in phi.
+    The closed form is 4 pi v.
+    """
+    h = rel_step / ctx.k
+    cos_nodes, cos_weights = gauss_legendre(n_theta)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_nodes * cos_nodes))
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    directions = np.stack(
+        [
+            sin_t[:, None] * np.cos(phis),
+            sin_t[:, None] * np.sin(phis),
+            np.broadcast_to(cos_nodes[:, None], (n_theta, n_phi)),
+        ],
+        axis=-1,
+    )
+    offsets = np.array([0.0, 2.0 * h, h, -h, -2.0 * h])[:, None, None, None]
+    psi, plus2, plus1, minus1, minus2 = wave_field(
+        ctx, None, radius * directions + offsets * directions
+    )
+    dpsi = (-plus2 + 8.0 * plus1 - 8.0 * minus1 + minus2) / (12.0 * h)
+    j_r = (np.conj(psi) * dpsi).imag
+    phi_weight = 2.0 * math.pi / n_phi
+    return float(np.sum(cos_weights[:, None] * phi_weight * j_r * radius * radius))
+
+
+def colormap(z: complex, modulus_scale: float) -> tuple[int, int, int]:
+    """Map one complex value to an (r, g, b) byte triple with ``colorsys``.
+
+    Hue encodes the phase (0 degrees at phase 0, increasing linearly around
+    the circle); brightness is the modulus clipped at ``modulus_scale``;
+    saturation is fixed at 1.  Zero maps to black.
+    """
+    if modulus_scale <= 0.0:
+        raise ValueError(f"modulus_scale must be positive, got {modulus_scale}")
+    hue = (np.angle(z) / (2.0 * np.pi)) % 1.0
+    value = min(1.0, abs(z) / modulus_scale)
+    rgb = colorsys.hsv_to_rgb(hue, 1.0, value)
+    return tuple(math.floor(c * 255.0 + 0.5) for c in rgb)

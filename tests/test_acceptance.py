@@ -29,7 +29,6 @@ from mottbox.mott import (
     ScatteringContext,
     angular_amplitude,
     flux_free,
-    flux_free_numeric,
     flux_total,
     normalization_c2,
     transferred_momentum,
@@ -37,6 +36,7 @@ from mottbox.mott import (
 )
 from mottbox.numerics import RngStream, quad_3d, unit
 from mottbox.render import PlaneSpec, render_field, write_ppm
+from oracles import flux_free_numeric
 
 CHAMBER_CTX = ScatteringContext.from_wavenumber(10.0, 0.01)
 CHAMBER_SPECIES = AtomSpecies(width=1.0, g0=0.5, g1=0.5, delta_e=0.01)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from mottbox.chamber import (
     AtomSpecies,
@@ -326,6 +327,7 @@ def test_isotropy_experiment_uniform_gas():
     )
     assert result.counts.sum() + result.n_empty == 300
     assert result.p_value > 0.001
+    assert result.p_value == chi2.sf(result.chi_square, len(result.counts) - 1)
     assert result.directions.shape[1] == 3
     assert np.all(result.chain_lengths >= 1)
     assert np.all(result.flux_ratios <= 1.0)
@@ -355,6 +357,7 @@ def test_isotropy_experiment_octant_gas_fails_uniformity():
         config_factory=octant_factory,
     )
     assert result.p_value < 1e-6
+    assert result.p_value == chi2.sf(result.chi_square, len(result.counts) - 1)
     octant_bins = {20, 21, 28, 29}  # z > 0 bands, phi in [0, pi/2)
     for b, count in enumerate(result.counts):
         if b not in octant_bins:

@@ -3,12 +3,19 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mottbox.cli import main
+from mottbox.render import MAX_RESOLUTION
 
 GOLDEN_FREE_RENDER_SHA256 = "881d49d7ab127aad7154bc702a48d7a1f8cfb44acd32b42ac3bead5c2ed34666"
+# the README obstacle render at 384^2, frozen before the field path was vectorized
+OBSTACLE_RENDER_SHA256 = "e697248f30d3caa6a353b772a5615f7093762f5c56f19f85c8363af4057a4b3a"
 
 
 def write_config(tmp_path, name, payload):
@@ -62,6 +69,12 @@ def test_missing_key_names_it(tmp_path, capsys):
     )
     assert main([config, "--out-dir", str(tmp_path)]) == 2
     assert "'k'" in capsys.readouterr().err
+
+
+def test_oversized_number_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, "scatter.json", {"experiment": "scatter", "k": 10**400})
+    assert main([config, "--out-dir", str(tmp_path)]) == 2
+    assert "'k' must be a number" in capsys.readouterr().err
 
 
 def test_invalid_json_is_config_error(tmp_path, capsys):
@@ -236,30 +249,89 @@ def test_render_run_matches_golden(tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_FREE_RENDER_SHA256
 
 
-def test_render_run_with_obstacle(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        "render_atom.json",
-        {
-            "experiment": "render",
-            "k": 10.0,
-            "delta_e": 0.01,
-            "obstacle": {"position": [12.0, 0.0, 0.0], "width": 1.0, "g0": 20.0, "g1": 0.0},
-            "plane": {
-                "u_axis": [1.0, 0.0, 0.0],
-                "v_axis": [0.0, 1.0, 0.0],
-                "half_extent": 20.0,
-                "resolution": 32,
-            },
-            "modulus_scale": 0.1,
-            "grid_csv": "grid.csv",
+def render_config(**overrides):
+    payload = {
+        "experiment": "render",
+        "k": 10.0,
+        "delta_e": 0.01,
+        "obstacle": {"position": [12.0, 0.0, 0.0], "width": 1.0, "g0": 50.0, "g1": 0.0},
+        "plane": {
+            "origin": [0.0, 0.0, 0.0],
+            "u_axis": [1.0, 0.0, 0.0],
+            "v_axis": [0.0, 1.0, 0.0],
+            "half_extent": 20.0,
+            "resolution": 384,
         },
-    )
+        "modulus_scale": 0.08,
+    }
+    payload.update(overrides)
+    return payload
+
+
+def test_render_run_with_obstacle(tmp_path, capsys):
+    config = write_config(tmp_path, "render_atom.json", render_config(grid_csv="grid.csv"))
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    assert (out / "field.ppm").exists()
-    assert (out / "grid.csv").exists()
+    assert hashlib.sha256((out / "field.ppm").read_bytes()).hexdigest() == OBSTACLE_RENDER_SHA256
+    assert len((out / "grid.csv").read_text().splitlines()) == 1 + 384 * 384
+
+
+def test_render_resolution_guard(tmp_path, capsys):
+    payload = render_config()
+    payload["plane"]["resolution"] = MAX_RESOLUTION + 1
+    config = write_config(tmp_path, "huge.json", payload)
+    assert main([config, "--out-dir", str(tmp_path)]) == 2
+    assert f"resolution must lie in [16, {MAX_RESOLUTION}]" in capsys.readouterr().err
+
+
+def _scatter_with(value):
+    return {"experiment": "scatter", "k": 10.0, "s": 1.0, "g0": 0.5, "g1": 0.5, "n_theta": 3,
+            "position": value}
+
+
+def _render_with_origin(value):
+    payload = render_config(modulus_scale=0.1)
+    payload["plane"].update(resolution=16, origin=value)
+    return payload
+
+
+def _render_with_obstacle_at(value):
+    payload = render_config(modulus_scale=0.1)
+    payload["plane"]["resolution"] = 16
+    payload["obstacle"]["position"] = value
+    return payload
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["nan", "inf", "1e400", "12"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+vector_values = st.lists(json_scalars, min_size=3, max_size=3) | json_values
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([_scatter_with, _render_with_origin, _render_with_obstacle_at]), vector_values)
+@example(_scatter_with, "abc")
+@example(_render_with_origin, [0, 0])
+@example(_render_with_origin, [0, 0, "nan"])
+@example(_render_with_obstacle_at, [1e308, 1e308, 0.0])
+@example(_scatter_with, [10**400, 0, 0])
+def test_malformed_vectors_exit_2(build, value):
+    # any value of a vector key is either accepted (exit 0) or a config error
+    # (exit 2); a runtime error (exit 1) means validation missed it
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), "config.json", build(value))
+        assert main([config, "--out-dir", tmp]) in (0, 2)
 
 
 def test_module_entry_point(tmp_path):

@@ -8,11 +8,9 @@ from mottbox.mott import (
     AngularAmplitude,
     Obstacle,
     ScatteringContext,
-    SingularPointError,
     angular_amplitude,
     angular_table,
     flux_free,
-    flux_free_numeric,
     flux_total,
     form_factor,
     normalization_c2,
@@ -20,7 +18,8 @@ from mottbox.mott import (
     transferred_momentum,
     wave_field,
 )
-from mottbox.numerics import quad_3d
+from mottbox.numerics import quad_3d, unit
+from oracles import flux_free_numeric, wave_field_scalar
 
 # frozen before the build from an independent 1024-node quadrature of the
 # closed-form angular intensity (a=10, s=1, k=10, g0=g1=0.5, delta_e=0.01)
@@ -36,6 +35,11 @@ def make_obstacle(a=10.0, s=1.0, g0=0.5, g1=0.5, delta_e=0.01, axis=None):
     if axis is None:
         axis = np.array([0.0, 0.0, 1.0])
     return Obstacle(position=a * np.asarray(axis, dtype=float), width=s, g0=g0, g1=g1, delta_e=delta_e)
+
+
+def unit_rows(rng, n):
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def closed_form_intensity_integral(k, a, s, g):
@@ -305,10 +309,31 @@ def test_wave_field_forward_beam_brighter_than_off_cone():
 def test_wave_field_singularities():
     ctx = ScatteringContext.from_wavenumber(10.0)
     ob = make_obstacle(delta_e=0.0)
-    with pytest.raises(SingularPointError):
-        wave_field(ctx, None, [0.0, 0.0, 0.0])
-    with pytest.raises(SingularPointError):
-        wave_field(ctx, ob, ob.position)
+    assert np.isnan(wave_field(ctx, None, [0.0, 0.0, 0.0]))
+    values = wave_field(ctx, ob, [[0.0, 0.0, 0.0], ob.position, ob.position + 5e-10, [1.0, 2.0, 3.0]])
+    assert values.shape == (4,)
+    assert np.isnan(values[:3]).all()
+    assert np.isfinite(values[3])
+
+
+def test_wave_field_array_matches_scalar_formula():
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    rng = np.random.default_rng(2024)
+    # on this axis rounding pushes cos(theta) past +-1 at on-axis points
+    for ob in (None, make_obstacle(a=12.0, g0=20.0, g1=0.0, axis=unit([2.0, -1.0, 3.0]))):
+        a = np.zeros(3) if ob is None else ob.position
+        axis = np.array([1.0, 0.0, 0.0]) if ob is None else ob.direction
+        points = np.concatenate(
+            [
+                rng.uniform(-30.0, 30.0, size=(200, 3)),
+                np.linspace(0.5, 40.0, 50)[:, None] * axis,  # on the obstacle axis
+                rng.choice([2e-9, 1e-6, 1e-3], size=(30, 1)) * unit_rows(rng, 30),
+                a + rng.choice([2e-9, 1e-6, 1e-3], size=(30, 1)) * unit_rows(rng, 30),
+            ]
+        )
+        got = wave_field(ctx, ob, points.reshape(10, -1, 3)).ravel()
+        expected = np.array([wave_field_scalar(ctx, ob, p) for p in points])
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
 def test_quadrature_convergence_check_passes():

@@ -4,7 +4,6 @@ from scipy.stats import chisquare
 
 from mottbox.numerics import (
     RngStream,
-    angle_between,
     gauss_legendre,
     quad_1d,
     quad_3d,
@@ -12,9 +11,6 @@ from mottbox.numerics import (
     unit,
     vec3,
 )
-
-X = np.array([1.0, 0.0, 0.0])
-Y = np.array([0.0, 1.0, 0.0])
 
 # frozen from the radial oracles below before the 3D rule was written
 GAUSSIAN_3D = 15.749609945722419  # (2 pi)^{3/2}
@@ -51,25 +47,6 @@ def test_unit_and_require_unit():
         require_unit([1.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         unit([0.0, 0.0, 0.0])
-
-
-def test_angle_between_identity():
-    assert angle_between(X, X) == 0.0
-
-
-def test_angle_between_antipodal():
-    assert angle_between(X, -X) == pytest.approx(np.pi, abs=1e-15)
-
-
-def test_angle_between_orthogonal():
-    assert angle_between(X, Y) == pytest.approx(np.pi / 2, abs=1e-15)
-
-
-def test_angle_between_clamps_rounding():
-    # a normalized vector whose self-dot can land just above 1
-    v = unit([0.1, 0.2, 0.97])
-    assert angle_between(v, v) == 0.0
-    assert angle_between(v, -v) == pytest.approx(np.pi, abs=1e-12)
 
 
 def test_quad_1d_sin():

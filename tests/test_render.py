@@ -8,15 +8,16 @@ import pytest
 
 from mottbox.mott import Obstacle, ScatteringContext, normalization_c2, wave_field
 from mottbox.render import (
+    MAX_RESOLUTION,
     FieldImage,
     PlaneSpec,
     colorize,
-    colormap,
     render_field,
     sample_plane,
     write_grid_csv,
     write_ppm,
 )
+from oracles import colormap
 
 # frozen after the first verified render (phase rings spaced 2 pi / k plus
 # 1/R radial dimming, singular centre pixel masked to black)
@@ -50,6 +51,17 @@ def test_plane_spec_validation():
         )
     with pytest.raises(ValueError, match="resolution"):
         xy_plane(resolution=8)
+    with pytest.raises(ValueError, match="resolution"):
+        xy_plane(resolution=MAX_RESOLUTION + 1)
+    for origin in ([0.0, 0.0], [0.0, 0.0, np.nan], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="origin"):
+            PlaneSpec(
+                origin=origin,
+                u_axis=np.array([1.0, 0.0, 0.0]),
+                v_axis=np.array([0.0, 1.0, 0.0]),
+                half_extent=1.0,
+                resolution=32,
+            )
     with pytest.raises(ValueError, match="unit"):
         PlaneSpec(
             origin=np.zeros(3),
@@ -70,8 +82,32 @@ def test_plane_offsets_lattice():
 
 
 def test_sample_plane_constant_field():
-    grid = sample_plane(lambda p: 1.0 + 0.0j, xy_plane(resolution=16))
+    grid = sample_plane(lambda p: np.full(p.shape[:-1], 1.0 + 0.0j), xy_plane(resolution=16))
     assert np.all(grid == 1.0 + 0.0j)
+    with pytest.raises(ValueError, match="shape"):
+        sample_plane(lambda p: 1.0 + 0.0j, xy_plane(resolution=16))
+
+
+def test_sample_plane_lattice_matches_point_loop():
+    plane = PlaneSpec(
+        origin=np.array([0.3, -1.7, 2.9]),
+        u_axis=np.array([0.6, 0.8, 0.0]),
+        v_axis=np.array([0.0, 0.0, 1.0]),
+        half_extent=7.3,
+        resolution=24,
+    )
+    seen = []
+
+    def field(points):
+        seen.append(points)
+        return np.zeros(points.shape[:-1], dtype=complex)
+
+    sample_plane(field, plane)
+    assert len(seen) == 1
+    offs = plane.offsets()
+    for i, du in enumerate(offs):
+        for j, dv in enumerate(offs):
+            assert np.array_equal(seen[0][i, j], plane.origin + du * plane.u_axis + dv * plane.v_axis)
 
 
 def test_sample_plane_free_wave_rings():
@@ -94,7 +130,7 @@ def test_sample_plane_free_wave_rings():
 
 
 def test_sample_plane_resolution_refinement_shares_points():
-    field = lambda p: complex(np.exp(-np.dot(p, p) / 9.0) * np.exp(1j * p[0]))
+    field = lambda p: np.exp(-np.sum(p * p, axis=-1) / 9.0) * np.exp(1j * p[..., 0])
     coarse = sample_plane(field, xy_plane(half_extent=5.0, resolution=16))
     fine = sample_plane(field, xy_plane(half_extent=5.0, resolution=32))
     assert np.array_equal(coarse, fine[::2, ::2])
@@ -234,7 +270,7 @@ def test_obstacle_render_off_cone_brightness_ratio():
 
 def test_write_grid_csv(tmp_path):
     plane = xy_plane(half_extent=1.0, resolution=16)
-    grid = sample_plane(lambda p: complex(p[0], p[1]), plane)
+    grid = sample_plane(lambda p: p[..., 0] + 1j * p[..., 1], plane)
     path = tmp_path / "grid.csv"
     write_grid_csv(grid, plane, path)
     lines = path.read_text().splitlines()
