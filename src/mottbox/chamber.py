@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,10 +23,13 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import chdtrc
 
-from .mott import Obstacle, ScatteringContext, angular_amplitude, flux_free, normalization_c2
-from .numerics import RngStream, norm, unit
+from .mott import (
+    MIN_DISTANCE_WIDTHS, Obstacle, ScatteringContext, angular_amplitude, flux_free, normalization_c2
+)
+from .numerics import RngStream, dot, norm
 
 __all__ = [
+    "ATOM_DTYPE",
     "AtomSpecies",
     "GasConfiguration",
     "AlignmentChain",
@@ -50,6 +54,19 @@ WIDE_CONE_ANGLE = math.pi / 6.0
 
 # chained far-field form needs the atoms many widths apart
 SEPARATION_WIDTHS = 10.0
+
+_SPECIES_FIELDS = ("width", "g0", "g1", "delta_e")
+# one record per gas atom, the fields of one gas.json atom entry
+ATOM_DTYPE = np.dtype([("position", float, 3), *((f, float) for f in _SPECIES_FIELDS)])
+_JSON_KEYS = ("x", "y", "z", "s", "g0", "g1", "delta_e")
+
+
+def _records(positions, width, g0, g1, delta_e) -> np.ndarray:
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    atoms = np.empty(len(positions), ATOM_DTYPE)
+    atoms["position"] = positions
+    atoms["width"], atoms["g0"], atoms["g1"], atoms["delta_e"] = width, g0, g1, delta_e
+    return atoms
 
 
 @dataclass(frozen=True)
@@ -78,6 +95,10 @@ class AtomSpecies:
             delta_e=self.delta_e,
         )
 
+    def records(self, positions) -> np.ndarray:
+        """ATOM_DTYPE records of this species, one per row of ``positions``."""
+        return _records(positions, self.width, self.g0, self.g1, self.delta_e)
+
 
 @dataclass(frozen=True, eq=False)
 class GasConfiguration:
@@ -85,42 +106,57 @@ class GasConfiguration:
 
     Atoms live in the shell inner_radius <= |a| <= chamber_radius; the
     exclusion zone around the emitter keeps every atom in the far field of
-    the source.  ``seed``/``stream_id`` record the stream that produced the
-    sample, for provenance and replay.
+    the source.  ``atoms`` is a read-only 1-d ATOM_DTYPE array, checked with
+    the rules an Obstacle applies to one atom.  ``seed``/``stream_id`` record
+    the stream that produced the sample, for provenance and replay.
     """
 
-    atoms: tuple[Obstacle, ...]
+    atoms: np.ndarray
     chamber_radius: float
     inner_radius: float
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+        atoms = np.array(self.atoms if len(self.atoms) else np.empty(0, ATOM_DTYPE))
+        if atoms.dtype != ATOM_DTYPE or atoms.ndim != 1:
+            raise ValueError(f"atoms must be a 1-d ATOM_DTYPE array, got {atoms.dtype}{atoms.shape}")
+        atoms.setflags(write=False)
+        object.__setattr__(self, "atoms", atoms)
         if not (0.0 < self.inner_radius < self.chamber_radius):
             raise ValueError(
                 f"need 0 < inner_radius < chamber_radius, got {self.inner_radius}, {self.chamber_radius}"
             )
-        if self.atoms:
-            max_width = max(a.width for a in self.atoms)
-            if self.inner_radius < 10.0 * max_width:
-                raise ValueError(
-                    f"inner_radius must be >= 10 * max atom width, got {self.inner_radius} < {10 * max_width}"
-                )
-            for i, atom in enumerate(self.atoms):
-                r = atom.distance
-                if not (self.inner_radius <= r <= self.chamber_radius):
-                    raise ValueError(
-                        f"atom {i} at radius {r!r} lies outside the shell "
-                        f"[{self.inner_radius}, {self.chamber_radius}]"
-                    )
+        width = atoms["width"]
+        with np.errstate(all="ignore"):  # bad records are reported below
+            radii = np.sqrt(dot(atoms["position"], atoms["position"]))  # bits of Obstacle.distance
+            far = radii / width >= MIN_DISTANCE_WIDTHS
+        for bad, rule in (
+            (~np.isfinite(radii), "position must have a finite norm"),
+            (~((width > 0.0) & np.isfinite(width)), "width must be positive"),
+            ((atoms["g0"] < 0.0) | (atoms["g1"] < 0.0), "couplings must be non-negative"),
+            (atoms["delta_e"] < 0.0, "excitation energy must be non-negative"),
+            (~far, f"far-field amplitudes need |position| >= {MIN_DISTANCE_WIDTHS:g} * width"),
+            (~((radii >= self.inner_radius) & (radii <= self.chamber_radius)),
+             f"radius must lie in the shell [{self.inner_radius}, {self.chamber_radius}]"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"atom {i}: {rule}, got {atoms[i]}")
+        max_width = float(width.max(initial=0.0))
+        if self.inner_radius < 10.0 * max_width:
+            raise ValueError(
+                f"inner_radius must be >= 10 * max atom width, got {self.inner_radius} < {10 * max_width}"
+            )
 
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    def positions(self) -> np.ndarray:
-        return np.array([a.position for a in self.atoms], dtype=float).reshape(-1, 3)
+    def obstacle(self, i: int) -> Obstacle:
+        """Atom ``i`` as an Obstacle, for the single-atom formulas of ``mott``."""
+        atom = self.atoms[i]
+        return Obstacle(atom["position"], *(float(atom[f]) for f in _SPECIES_FIELDS))
 
 
 def sample_gas(
@@ -148,16 +184,12 @@ def sample_gas(
     if expected > MAX_EXPECTED_ATOMS:
         raise ValueError(f"expected atom count {expected:g} exceeds guard {MAX_EXPECTED_ATOMS:g}")
     count = rng.poisson(expected) if expected > 0.0 else 0
-    atoms = []
-    if count > 0:
-        normals = rng.standard_normal(size=(count, 3))
-        u = rng.uniform(size=count)
-        radii = np.cbrt(inner_radius**3 + u * (chamber_radius**3 - inner_radius**3))
-        for i in range(count):
-            direction = unit(normals[i])
-            atoms.append(species.at(radii[i] * direction))
+    normals = rng.standard_normal(size=(count, 3))
+    u = rng.uniform(size=count)
+    radii = np.cbrt(inner_radius**3 + u * (chamber_radius**3 - inner_radius**3))
+    positions = radii[:, None] * (normals / np.sqrt(dot(normals, normals))[:, None])
     return GasConfiguration(
-        atoms=tuple(atoms),
+        atoms=species.records(positions),
         chamber_radius=chamber_radius,
         inner_radius=inner_radius,
         seed=rng.seed,
@@ -279,11 +311,11 @@ def build_chains(
     n = config.n_atoms
     if n == 0:
         return []
-    pos = config.positions()
+    pos = np.ascontiguousarray(config.atoms["position"])
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     dirs = pos / radii[:, None]
     cos_c = math.cos(theta_c)
-    order = sorted(range(n), key=lambda i: (radii[i], i))
+    order = np.argsort(radii, kind="stable").tolist()  # ascending radius, ties by index
     absorbed: set[int] = set()
     chains: list[AlignmentChain] = []
     for head in order:
@@ -310,18 +342,12 @@ def build_chains(
 
 
 def _uniform_species(config: GasConfiguration) -> bool:
-    first = config.atoms[0]
-    return all(
-        (a.width, a.g0, a.g1, a.delta_e) == (first.width, first.g0, first.g1, first.delta_e)
-        for a in config.atoms[1:]
-    )
+    atoms = config.atoms
+    return all(bool(np.all(atoms[f] == atoms[f][0])) for f in _SPECIES_FIELDS)
 
 
 def select_track(
-    config: GasConfiguration,
-    ctx: ScatteringContext,
-    envelope_drop: float = 0.5,
-    n_quad: int = 128,
+    config: GasConfiguration, ctx: ScatteringContext, envelope_drop: float = 0.5
 ) -> Optional[TrackResult]:
     """Deterministic track selected by the atom configuration.
 
@@ -333,7 +359,7 @@ def select_track(
     """
     if config.n_atoms == 0:
         return None
-    theta_c = cone_half_angle(ctx, max(a.width for a in config.atoms), envelope_drop)
+    theta_c = cone_half_angle(ctx, float(config.atoms["width"].max()), envelope_drop)
     chains = build_chains(config, ctx, theta_c)
     best_n = max(c.n for c in chains)
     tied = [c for c in chains if c.n == best_n]
@@ -341,17 +367,17 @@ def select_track(
         if _uniform_species(config):
             # |C|^2 grows with head distance for a shared species, so head
             # distance orders the surviving flux without recomputing it
-            tied.sort(key=lambda c: (config.atoms[c.head].distance, c.head))
+            distance = np.sqrt(dot(config.atoms["position"], config.atoms["position"]))
+            tied.sort(key=lambda c: (distance[c.head], c.head))
         else:
             tied.sort(
                 key=lambda c: (
-                    flux_free(ctx)
-                    * normalization_c2(ctx, config.atoms[c.head], n_quad) ** c.n,
+                    flux_free(ctx) * normalization_c2(ctx, config.obstacle(c.head)) ** c.n,
                     c.head,
                 )
             )
     winner = tied[0]
-    c2 = normalization_c2(ctx, config.atoms[winner.head], n_quad)
+    c2 = normalization_c2(ctx, config.obstacle(winner.head))
     flux = flux_free(ctx) * c2**winner.n
     return TrackResult(
         direction=winner.direction,
@@ -362,10 +388,7 @@ def select_track(
 
 
 def off_chain_c2_product(
-    config: GasConfiguration,
-    ctx: ScatteringContext,
-    chain: AlignmentChain,
-    n_quad: int = 128,
+    config: GasConfiguration, ctx: ScatteringContext, chain: AlignmentChain
 ) -> float:
     """Diagnostic: combined |C|^2 of the atoms not on the selected chain.
 
@@ -375,9 +398,9 @@ def off_chain_c2_product(
     """
     members = set(chain.indices)
     product = 1.0
-    for i, atom in enumerate(config.atoms):
+    for i in range(config.n_atoms):
         if i not in members:
-            product *= normalization_c2(ctx, atom, n_quad)
+            product *= normalization_c2(ctx, config.obstacle(i))
     return product
 
 
@@ -474,43 +497,43 @@ def isotropy_experiment(
 
 
 def configuration_to_dict(config: GasConfiguration) -> dict:
+    columns = [config.atoms[f].tolist() for f in _SPECIES_FIELDS]
     return {
         "seed": config.seed,
         "stream_id": config.stream_id,
         "inner_radius": config.inner_radius,
         "chamber_radius": config.chamber_radius,
         "atoms": [
-            {
-                "x": float(a.position[0]),
-                "y": float(a.position[1]),
-                "z": float(a.position[2]),
-                "s": a.width,
-                "g0": a.g0,
-                "g1": a.g1,
-                "delta_e": a.delta_e,
-            }
-            for a in config.atoms
+            dict(zip(_JSON_KEYS, (*position, *species)))
+            for position, *species in zip(config.atoms["position"].tolist(), *columns)
         ],
     }
 
 
+def _json_number(value, what: str, kind=(int, float)):
+    # bools, strings, NaN and numbers beyond float range are malformed
+    if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite {'integer' if kind is int else 'number'}, got {value!r}")
+    return value
+
+
 def configuration_from_dict(data: dict) -> GasConfiguration:
-    atoms = tuple(
-        Obstacle(
-            position=np.array([entry["x"], entry["y"], entry["z"]], dtype=float),
-            width=entry["s"],
-            g0=entry["g0"],
-            g1=entry["g1"],
-            delta_e=entry.get("delta_e", 0.0),
-        )
-        for entry in data["atoms"]
-    )
+    """Inverse of configuration_to_dict; a malformed document raises ValueError."""
+    if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
+        raise ValueError("a gas configuration is an object with an 'atoms' list")
+    rows = []
+    for i, entry in enumerate(data["atoms"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"atom {i} must be an object, got {entry!r}")
+        entry = {"delta_e": 0.0, **entry}
+        rows.append([_json_number(entry[key], f"atom {i} {key!r}") for key in _JSON_KEYS])
+    table = np.array(rows, dtype=float).reshape(-1, 7)
     return GasConfiguration(
-        atoms=atoms,
-        chamber_radius=data["chamber_radius"],
-        inner_radius=data["inner_radius"],
-        seed=data["seed"],
-        stream_id=data.get("stream_id", 0),
+        atoms=_records(table[:, :3], *table[:, 3:].T),
+        chamber_radius=_json_number(data["chamber_radius"], "chamber_radius"),
+        inner_radius=_json_number(data["inner_radius"], "inner_radius"),
+        seed=_json_number(data["seed"], "seed", int),
+        stream_id=_json_number(data.get("stream_id", 0), "stream_id", int),
     )
 
 

@@ -197,8 +197,9 @@ def _track_lines(tracks) -> list[str]:
 
 
 def _check_flux_quadrature(ctx: mott.ScatteringContext, gas: chamber.GasConfiguration) -> None:
-    if gas.n_atoms and (gas.atoms[0].g0 > 0.0 or gas.atoms[0].g1 > 0.0):
-        mott.quadrature_convergence_check(ctx, gas.atoms[0])
+    probe = gas.obstacle(0) if gas.n_atoms else None
+    if probe is not None and (probe.g0 > 0.0 or probe.g1 > 0.0):
+        mott.quadrature_convergence_check(ctx, probe)
 
 
 def _run_track(config: dict, out_dir: Path) -> str:
@@ -228,8 +229,9 @@ def _run_track(config: dict, out_dir: Path) -> str:
     if track is None:
         _write_lines(out_dir / config.get("output", "track.csv"), _track_lines([]))
         return "no track (empty configuration)"
-    off_chain = chamber.off_chain_c2_product(gas, ctx, track.chain)
-    logger.info("off-chain |C|^2 product: %r over %d atoms", off_chain, gas.n_atoms - track.chain.n)
+    if logger.isEnabledFor(logging.INFO):  # one |C|^2 per atom, only for a line someone reads
+        off_chain = chamber.off_chain_c2_product(gas, ctx, track.chain)
+        logger.info("off-chain |C|^2 product: %r over %d atoms", off_chain, gas.n_atoms - track.chain.n)
     _write_lines(
         out_dir / config.get("output", "track.csv"),
         _track_lines([(track.direction, track.chain.n, track.flux_ratio)]),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import norm, quad_1d, unit
+from .numerics import dot, norm, quad_1d, unit
 
 __all__ = [
     "ScatteringContext",
@@ -270,11 +270,6 @@ def normalization_c2(ctx: ScatteringContext, obstacle: Obstacle, n: int = DEFAUL
     return 1.0 / (1.0 + 0.5 * a0 + 0.5 * ratio * a1)
 
 
-def _dot(u, v):
-    # batched matmul sums in the same order as np.dot on one 3-vector pair
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
 def wave_field(ctx: ScatteringContext, obstacle: Obstacle | None, points) -> np.ndarray:
     """Elastic-channel field values at ``points``, an array of shape (..., 3).
 
@@ -287,15 +282,15 @@ def wave_field(ctx: ScatteringContext, obstacle: Obstacle | None, points) -> np.
     """
     p = np.asarray(points, dtype=float)
     k = ctx.k
-    r = np.sqrt(_dot(p, p))
+    r = np.sqrt(dot(p, p))
     singular = r < SINGULAR_RADIUS
     with np.errstate(divide="ignore", invalid="ignore"):
         field = np.exp(1j * k * r) / r
         if obstacle is not None:
             rel = p - obstacle.position
-            d = np.sqrt(_dot(rel, rel))
+            d = np.sqrt(dot(rel, rel))
             singular |= d < SINGULAR_RADIUS
-            theta = np.arccos(np.clip(_dot(rel / d[..., None], obstacle.direction), -1.0, 1.0))
+            theta = np.arccos(np.clip(dot(rel / d[..., None], obstacle.direction), -1.0, 1.0))
             # I_0(theta) of angular_amplitude in array form.  angular_amplitude
             # stays scalar: array np.exp differs from math.exp in the last
             # bit, which would move 7 of the 181 rows of the README angular.csv

@@ -1,5 +1,5 @@
-"""Shared numerical substrate: 3-vectors, Gauss-Legendre quadrature in one
-and three dimensions, and reproducible counter-based random streams."""
+"""Shared numerical substrate: 3-vectors, one-dimensional Gauss-Legendre
+quadrature and reproducible counter-based random streams."""
 
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ import numpy as np
 
 __all__ = [
     "vec3",
+    "dot",
     "norm",
     "unit",
     "require_unit",
     "gauss_legendre",
     "quad_1d",
-    "quad_3d",
     "RngStream",
 ]
 
@@ -27,6 +27,14 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"vector components must be finite, got {v}")
     return v
+
+
+def dot(u, v) -> np.ndarray:
+    """Row-wise dot product, shape (..., 3) -> (...), bit-equal to ``np.dot`` per row.
+
+    Batched matmul sums in np.dot's order; ``einsum`` and ``sum(axis=-1)`` do not.
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def norm(v) -> float:
@@ -82,35 +90,6 @@ def quad_1d(f, lo: float, hi: float, n: int) -> float:
             raise ValueError(f"integrand returned non-finite value {val!r} at x={t!r}")
         total += wi * val
     return half * total
-
-
-def quad_3d(f, half_width: float, n_per_axis: int, vectorized: bool = False) -> complex:
-    """Tensor-product Gauss-Legendre estimate of a complex volume integral.
-
-    Integrates ``f`` over the cube [-half_width, half_width]^3; the integrand
-    must decay inside the cube.  By default ``f`` maps one 3-vector to one
-    complex value.  With ``vectorized=True`` it receives an (m, 3) array of
-    points and must return m values, which is much faster for large grids.
-    """
-    if half_width <= 0.0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    x, w = gauss_legendre(n_per_axis)
-    x = half_width * x
-    w = half_width * w
-    gx, gy, gz = np.meshgrid(x, x, x, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    wts = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
-    if vectorized:
-        vals = np.asarray(f(pts), dtype=complex)
-        if vals.shape != (len(pts),):
-            raise ValueError(f"vectorized integrand returned shape {vals.shape}, expected ({len(pts)},)")
-    else:
-        vals = np.fromiter((complex(f(p)) for p in pts), dtype=complex, count=len(pts))
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"integrand returned non-finite value {vals[i]!r} at R={pts[i]}")
-    return complex(np.dot(wts, vals))
 
 
 class RngStream:

@@ -1,8 +1,8 @@
 """Reference implementations that the tests compare the package against.
 
 None of these is shipped: each restates one piece of the physics or the
-colouring in its plainest form, so that the array code in ``mottbox`` can be
-checked against it.
+colouring in its plainest form, or integrates by brute force, so that the
+array code in ``mottbox`` can be checked against it.
 """
 
 import colorsys
@@ -77,3 +77,32 @@ def colormap(z: complex, modulus_scale: float) -> tuple[int, int, int]:
     value = min(1.0, abs(z) / modulus_scale)
     rgb = colorsys.hsv_to_rgb(hue, 1.0, value)
     return tuple(math.floor(c * 255.0 + 0.5) for c in rgb)
+
+
+def quad_3d(f, half_width: float, n_per_axis: int, vectorized: bool = False) -> complex:
+    """Tensor-product Gauss-Legendre estimate of a complex volume integral.
+
+    Integrates ``f`` over the cube [-half_width, half_width]^3; the integrand
+    must decay inside the cube.  By default ``f`` maps one 3-vector to one
+    complex value.  With ``vectorized=True`` it receives an (m, 3) array of
+    points and must return m values, which is much faster for large grids.
+    """
+    if half_width <= 0.0:
+        raise ValueError(f"half_width must be positive, got {half_width}")
+    x, w = gauss_legendre(n_per_axis)
+    x = half_width * x
+    w = half_width * w
+    gx, gy, gz = np.meshgrid(x, x, x, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    wts = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+    if vectorized:
+        vals = np.asarray(f(pts), dtype=complex)
+        if vals.shape != (len(pts),):
+            raise ValueError(f"vectorized integrand returned shape {vals.shape}, expected ({len(pts)},)")
+    else:
+        vals = np.fromiter((complex(f(p)) for p in pts), dtype=complex, count=len(pts))
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"integrand returned non-finite value {vals[i]!r} at R={pts[i]}")
+    return complex(np.dot(wts, vals))

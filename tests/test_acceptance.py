@@ -34,9 +34,9 @@ from mottbox.mott import (
     transferred_momentum,
     wave_field,
 )
-from mottbox.numerics import RngStream, quad_3d, unit
+from mottbox.numerics import RngStream, unit
 from mottbox.render import PlaneSpec, render_field, write_ppm
-from oracles import flux_free_numeric
+from oracles import flux_free_numeric, quad_3d
 
 CHAMBER_CTX = ScatteringContext.from_wavenumber(10.0, 0.01)
 CHAMBER_SPECIES = AtomSpecies(width=1.0, g0=0.5, g1=0.5, delta_e=0.01)
@@ -187,11 +187,11 @@ def test_criterion_6_fourier_oracle():
 
 
 def test_criterion_7_aligned_chain_reduction():
-    atoms = tuple(CHAMBER_SPECIES.at([0.0, 0.0, r]) for r in (10.0, 20.0, 30.0, 40.0, 50.0))
+    atoms = CHAMBER_SPECIES.records([[0.0, 0.0, r] for r in (10.0, 20.0, 30.0, 40.0, 50.0)])
     gas = GasConfiguration(atoms=atoms, chamber_radius=60.0, inner_radius=10.0, seed=0)
     track = select_track(gas, CHAMBER_CTX)
     assert track.chain.n == 5
-    c2 = normalization_c2(CHAMBER_CTX, gas.atoms[track.chain.head])
+    c2 = normalization_c2(CHAMBER_CTX, gas.obstacle(track.chain.head))
     assert track.surviving_spherical_flux == flux_free(CHAMBER_CTX) * c2**5
     assert track.flux_ratio == c2**5
     # fifty aligned steps at |C|^2 = 0.9 drive the spherical wave toward zero

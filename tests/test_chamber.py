@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from mottbox import chamber
 from mottbox.chamber import (
     AtomSpecies,
     GasConfiguration,
@@ -63,9 +64,8 @@ def collinear_fixture(n_background=20, seed=1717):
         candidate = radius * direction
         if links_nothing(candidate):
             positions.append(candidate)
-    atoms = tuple(SPECIES.at(p) for p in positions)
     return GasConfiguration(
-        atoms=atoms, chamber_radius=60.0, inner_radius=10.0, seed=seed, stream_id=0
+        atoms=SPECIES.records(positions), chamber_radius=60.0, inner_radius=10.0, seed=seed, stream_id=0
     )
 
 
@@ -85,12 +85,12 @@ def test_sample_gas_deterministic():
     a = sample_gas(1e-4, 12.0, 40.0, SPECIES, RngStream(5, 7))
     b = sample_gas(1e-4, 12.0, 40.0, SPECIES, RngStream(5, 7))
     assert a.n_atoms == b.n_atoms
-    assert np.array_equal(a.positions(), b.positions())
+    assert np.array_equal(a.atoms, b.atoms)
 
 
 def test_sample_gas_atoms_inside_shell():
     gas = sample_gas(2e-4, 12.0, 40.0, SPECIES, RngStream(11, 0))
-    radii = np.linalg.norm(gas.positions(), axis=1)
+    radii = np.linalg.norm(gas.atoms["position"], axis=1)
     assert gas.n_atoms > 0
     assert np.all(radii >= 12.0) and np.all(radii <= 40.0)
 
@@ -106,6 +106,45 @@ def test_sample_gas_poisson_count_bounds():
     ]
     assert all(50 <= c <= 160 for c in counts)
     assert 80 <= np.mean(counts) <= 120
+
+
+# the benchmark's seeds (1 and 201-210) and a few more
+SAMPLING_SEEDS = (0, 1, 2, 7, 99, *range(201, 211), 2**63 + 5)
+
+
+def per_atom_positions(density, inner, outer, rng):
+    """The sampler's positions as one radii[i] * unit(normals[i]) per atom."""
+    volume = 4.0 * math.pi / 3.0 * (outer**3 - inner**3)
+    count = rng.poisson(density * volume)
+    normals = rng.standard_normal(size=(count, 3))
+    u = rng.uniform(size=count)
+    radii = np.cbrt(inner**3 + u * (outer**3 - inner**3))
+    return np.array([radii[i] * unit(normals[i]) for i in range(count)]).reshape(-1, 3)
+
+
+def test_sample_gas_positions_bit_equal_to_per_atom_form():
+    # stored gases and pinned outputs rely on these exact bits; an einsum or
+    # sum(axis=1) norm moves the last bit of most configurations
+    n_atoms = 0
+    for seed in SAMPLING_SEEDS:
+        cases = [(1e-4, stream) for stream in range(1, 21)] + [(2e-2, 0)]
+        for density, stream in cases:
+            gas = sample_gas(density, 12.0, 40.0, SPECIES, RngStream(seed, stream))
+            expected = per_atom_positions(density, 12.0, 40.0, RngStream(seed, stream))
+            assert gas.atoms["position"].tobytes() == expected.tobytes(), (seed, stream)
+            n_atoms += gas.n_atoms
+    assert n_atoms > 50_000
+
+
+def test_gas_paths_build_no_obstacle(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an Obstacle was built")
+
+    monkeypatch.setattr(chamber, "Obstacle", forbidden)
+    gas = sample_gas(3e-4, 12.0, 40.0, SPECIES, RngStream(23, 0))
+    save_configuration(gas, tmp_path / "gas.json")
+    loaded = load_configuration(tmp_path / "gas.json")
+    assert len(build_chains(loaded, CTX, cone_half_angle(CTX, SPECIES.width))) > 1
 
 
 def test_sample_gas_resource_guard():
@@ -206,7 +245,7 @@ def test_build_chains_cone_boundary():
         theta = theta_c + delta
         second = head + 6.0 * np.array([math.sin(theta), 0.0, math.cos(theta)])
         gas = GasConfiguration(
-            atoms=(SPECIES.at(head), SPECIES.at(second)),
+            atoms=SPECIES.records([head, second]),
             chamber_radius=40.0,
             inner_radius=10.0,
             seed=0,
@@ -221,7 +260,7 @@ def test_build_chains_cone_boundary():
 def test_build_chains_radii_strictly_increase():
     gas = sample_gas(3e-4, 12.0, 40.0, SPECIES, RngStream(23, 0))
     theta_c = cone_half_angle(CTX, SPECIES.width)
-    radii = np.linalg.norm(gas.positions(), axis=1)
+    radii = np.linalg.norm(gas.atoms["position"], axis=1)
     for chain in build_chains(gas, CTX, theta_c):
         chain_radii = radii[list(chain.indices)]
         assert np.all(np.diff(chain_radii) > 0.0)
@@ -230,7 +269,7 @@ def test_build_chains_radii_strictly_increase():
 def test_build_chains_members_inside_head_cone():
     gas = sample_gas(3e-4, 12.0, 40.0, SPECIES, RngStream(29, 0))
     theta_c = cone_half_angle(CTX, SPECIES.width)
-    pos = gas.positions()
+    pos = gas.atoms["position"]
     for chain in build_chains(gas, CTX, theta_c):
         axis = chain.direction
         for prev, nxt in zip(chain.indices, chain.indices[1:]):
@@ -246,7 +285,9 @@ def test_select_track_empty_configuration():
 
 def test_select_track_single_atom():
     atom = SPECIES.at([0.0, 15.0, 0.0])
-    gas = GasConfiguration(atoms=(atom,), chamber_radius=40.0, inner_radius=10.0, seed=0)
+    gas = GasConfiguration(
+        atoms=SPECIES.records([atom.position]), chamber_radius=40.0, inner_radius=10.0, seed=0
+    )
     track = select_track(gas, CTX)
     assert track.chain.n == 1
     assert np.allclose(track.direction, [0.0, 1.0, 0.0], atol=1e-15)
@@ -257,7 +298,7 @@ def test_select_track_collinear_fixture():
     gas = collinear_fixture()
     track = select_track(gas, CTX)
     assert track.chain.indices == (0, 1, 2, 3, 4)
-    c2 = normalization_c2(CTX, gas.atoms[0])
+    c2 = normalization_c2(CTX, gas.obstacle(0))
     assert track.c2_per_step == c2
     assert track.surviving_spherical_flux == flux_free(CTX) * c2**5
     assert track.flux_ratio == c2**5
@@ -292,19 +333,86 @@ def test_select_track_tie_break_prefers_smaller_flux():
     # two singletons: the nearer atom has the smaller |C|^2, hence smaller flux
     near = SPECIES.at([0.0, 15.0, 0.0])
     far = SPECIES.at([0.0, 0.0, -25.0])
-    gas = GasConfiguration(atoms=(far, near), chamber_radius=40.0, inner_radius=10.0, seed=0)
+    gas = GasConfiguration(
+        atoms=SPECIES.records([far.position, near.position]),
+        chamber_radius=40.0,
+        inner_radius=10.0,
+        seed=0,
+    )
     track = select_track(gas, CTX)
     assert track.chain.head == 1
     assert normalization_c2(CTX, near) < normalization_c2(CTX, far)
+
+
+def test_select_track_mixed_species_tie_break_orders_by_flux():
+    # two singletons: the nearer atom couples weakly, so it has the larger
+    # |C|^2; ordering by flux and ordering by distance pick different heads
+    weak = AtomSpecies(width=1.0, g0=0.05, g1=0.05, delta_e=0.01)
+    near, far = [0.0, 15.0, 0.0], [0.0, 0.0, -25.0]
+    gas = GasConfiguration(
+        atoms=np.concatenate([weak.records([near]), SPECIES.records([far])]),
+        chamber_radius=40.0,
+        inner_radius=10.0,
+        seed=0,
+    )
+    c2_near, c2_far = normalization_c2(CTX, weak.at(near)), normalization_c2(CTX, SPECIES.at(far))
+    assert c2_near > c2_far
+    track = select_track(gas, CTX)
+    assert track.chain.head == 1
+    assert track.c2_per_step == c2_far
+    assert track.surviving_spherical_flux == flux_free(CTX) * c2_far
+
+
+def test_mixed_species_json_roundtrip_byte_identical(tmp_path):
+    heavy = AtomSpecies(width=0.8, g0=0.3, g1=0.7, delta_e=0.02)
+    a = sample_gas(2e-4, 12.0, 40.0, SPECIES, RngStream(61, 5))
+    b = sample_gas(2e-4, 12.0, 40.0, heavy, RngStream(61, 6))
+    gas = GasConfiguration(
+        atoms=np.concatenate([a.atoms, b.atoms]), chamber_radius=40.0, inner_radius=12.0, seed=61
+    )
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_configuration(gas, first)
+    loaded = load_configuration(first)
+    save_configuration(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert loaded.atoms.tobytes() == gas.atoms.tobytes()
+    assert {entry["s"] for entry in json.loads(first.read_text())["atoms"]} == {1.0, 0.8}
+
+
+def test_gas_configuration_rejects_bad_records():
+    def gas_with(**fields):
+        atoms = SPECIES.records([[0.0, 0.0, 20.0], [0.0, 30.0, 0.0]])
+        for name, value in fields.items():
+            atoms[name][1] = value
+        return GasConfiguration(atoms=atoms, chamber_radius=40.0, inner_radius=12.0, seed=0)
+
+    for fields, message in (
+        ({"position": [np.inf, 0.0, 0.0]}, "finite norm"),
+        ({"position": [1e200, 1e200, 0.0]}, "finite norm"),
+        ({"width": 0.0}, "width"),
+        ({"width": np.nan}, "width"),
+        ({"g1": -0.1}, "couplings"),
+        ({"delta_e": -0.01}, "excitation"),
+        ({"position": [0.0, 0.0, 12.0], "width": 1.25}, "far-field"),
+    ):
+        with pytest.raises(ValueError, match=f"atom 1: .*{message}"):
+            gas_with(**fields)
+    with pytest.raises(ValueError, match="ATOM_DTYPE"):
+        GasConfiguration(
+            atoms=(SPECIES.at([0.0, 0.0, 20.0]),), chamber_radius=40.0, inner_radius=12.0, seed=0
+        )
+    gas = gas_with()
+    with pytest.raises(ValueError, match="read-only"):
+        gas.atoms["g0"][0] = 1.0
 
 
 def test_off_chain_c2_product():
     gas = collinear_fixture(n_background=3)
     track = select_track(gas, CTX)
     expected = 1.0
-    for i, atom in enumerate(gas.atoms):
+    for i in range(gas.n_atoms):
         if i not in track.chain.indices:
-            expected *= normalization_c2(CTX, atom)
+            expected *= normalization_c2(CTX, gas.obstacle(i))
     assert off_chain_c2_product(gas, CTX, track.chain) == pytest.approx(expected, rel=1e-14)
     assert expected < 1.0
 
@@ -339,9 +447,7 @@ def test_isotropy_experiment_octant_gas_fails_uniformity():
         n = 1 + draw.poisson(8.0)
         directions = np.abs(draw.standard_normal(size=(n, 3)))
         radii = 12.0 + 25.0 * draw.uniform(size=n)
-        atoms = tuple(
-            SPECIES.at(radii[j] * unit(directions[j])) for j in range(n)
-        )
+        atoms = SPECIES.records([radii[j] * unit(directions[j]) for j in range(n)])
         return GasConfiguration(
             atoms=atoms, chamber_radius=40.0, inner_radius=12.0, seed=55, stream_id=i
         )
@@ -377,7 +483,7 @@ def test_configuration_json_roundtrip(tmp_path):
     save_configuration(gas, path)
     loaded = load_configuration(path)
     assert loaded.seed == gas.seed and loaded.stream_id == gas.stream_id
-    assert np.array_equal(loaded.positions(), gas.positions())
+    assert np.array_equal(loaded.atoms, gas.atoms)
     first, second = select_track(gas, CTX), select_track(loaded, CTX)
     assert np.array_equal(first.direction, second.direction)
     assert first.surviving_spherical_flux == second.surviving_spherical_flux
@@ -393,20 +499,20 @@ def test_configuration_dict_roundtrip_without_stream_id():
     del data["stream_id"]
     loaded = configuration_from_dict(data)
     assert loaded.stream_id == 0
-    assert np.array_equal(loaded.positions(), gas.positions())
+    assert np.array_equal(loaded.atoms, gas.atoms)
 
 
 def test_gas_configuration_invariants():
     with pytest.raises(ValueError, match="shell"):
         GasConfiguration(
-            atoms=(SPECIES.at([0.0, 0.0, 50.0]),),
+            atoms=SPECIES.records([[0.0, 0.0, 50.0]]),
             chamber_radius=40.0,
             inner_radius=12.0,
             seed=0,
         )
     with pytest.raises(ValueError, match="10"):
         GasConfiguration(
-            atoms=(SPECIES.at([0.0, 0.0, 11.0]),),
+            atoms=SPECIES.records([[0.0, 0.0, 11.0]]),
             chamber_radius=40.0,
             inner_radius=5.0,
             seed=0,

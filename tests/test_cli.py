@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mottbox import chamber
 from mottbox.cli import main
+from mottbox.mott import ScatteringContext
 from mottbox.render import MAX_RESOLUTION
 
 GOLDEN_FREE_RENDER_SHA256 = "881d49d7ab127aad7154bc702a48d7a1f8cfb44acd32b42ac3bead5c2ed34666"
@@ -194,6 +197,31 @@ def test_track_run_and_replay(tmp_path, capsys):
     assert (out2 / "gas.json").read_bytes() == (out / "gas.json").read_bytes()
 
 
+def test_track_logs_off_chain_product_at_info(tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="mottbox.cli")
+    out = tmp_path / "out"
+    assert main([track_config(tmp_path), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    (record,) = [r for r in caplog.records if r.msg.startswith("off-chain")]
+    gas = chamber.load_configuration(out / "gas.json")
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    track = chamber.select_track(gas, ctx)
+    assert record.args == (
+        chamber.off_chain_c2_product(gas, ctx, track.chain),
+        gas.n_atoms - track.chain.n,
+    )
+
+
+def test_track_skips_off_chain_product_when_info_is_off(tmp_path, capsys, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("off-chain product computed for a suppressed log line")
+
+    monkeypatch.setattr(chamber, "off_chain_c2_product", unexpected)
+    assert not logging.getLogger("mottbox.cli").isEnabledFor(logging.INFO)
+    assert main([track_config(tmp_path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("track N=")
+
+
 def test_isotropy_run(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -332,6 +360,66 @@ def test_malformed_vectors_exit_2(build, value):
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), "config.json", build(value))
         assert main([config, "--out-dir", tmp]) in (0, 2)
+
+
+SMALL_GAS = {
+    "seed": 3,
+    "stream_id": 0,
+    "inner_radius": 12.0,
+    "chamber_radius": 40.0,
+    "atoms": [
+        {"x": 0.0, "y": 0.0, "z": 15.0, "s": 1.0, "g0": 0.5, "g1": 0.5, "delta_e": 0.01},
+        {"x": 0.0, "y": 0.0, "z": 25.0, "s": 1.0, "g0": 0.5, "g1": 0.5, "delta_e": 0.01},
+        {"x": 20.0, "y": 0.0, "z": 0.0, "s": 0.8, "g0": 0.3, "g1": 0.7},
+    ],
+}
+
+
+def _gas_with(slot, value):
+    """SMALL_GAS with ``value`` at ``slot``; the "document" slot is the whole file."""
+    if slot == "document":
+        return value
+    gas = json.loads(json.dumps(SMALL_GAS))
+    if slot == "atom":
+        gas["atoms"][1] = value
+    elif slot.startswith("atom."):
+        gas["atoms"][1][slot[5:]] = value
+    else:
+        gas[slot] = value
+    return gas
+
+
+def _replay_config(directory: Path, gas) -> str:
+    gas_path = directory / "gas.json"
+    gas_path.write_text(json.dumps(gas), encoding="utf-8")
+    return write_config(
+        directory, "replay.json",
+        {"experiment": "track", "k": 10.0, "delta_e": 0.01, "gas_file": str(gas_path)},
+    )
+
+
+GAS_SLOTS = ("document", "atoms", "atom", "atom.x", "atom.s", "atom.g1", "atom.delta_e",
+             "inner_radius", "chamber_radius", "seed", "stream_id")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(GAS_SLOTS), json_values)
+def test_malformed_gas_file_exits_2(slot, value):
+    # a gas_file value is either replayed (exit 0) or a config error (exit 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _replay_config(Path(tmp), _gas_with(slot, value))
+        assert main([config, "--out-dir", tmp]) in (0, 2)
+
+
+def test_malformed_gas_file_examples_exit_2(tmp_path, capsys):
+    assert main([_replay_config(tmp_path, SMALL_GAS), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for slot, value in (("document", None), ("document", []), ("atoms", None),
+                        ("atom", [0.0, 0.0, 25.0]), ("inner_radius", "12"), ("seed", "x"),
+                        ("seed", 1.5), ("atom.g0", True), ("atom.s", 10**400)):
+        config = _replay_config(tmp_path, _gas_with(slot, value))
+        assert main([config, "--out-dir", str(tmp_path)]) == 2, (slot, value)
+        assert "cannot load gas_file" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -18,8 +18,8 @@ from mottbox.mott import (
     transferred_momentum,
     wave_field,
 )
-from mottbox.numerics import quad_3d, unit
-from oracles import flux_free_numeric, wave_field_scalar
+from mottbox.numerics import unit
+from oracles import flux_free_numeric, quad_3d, wave_field_scalar
 
 # frozen before the build from an independent 1024-node quadrature of the
 # closed-form angular intensity (a=10, s=1, k=10, g0=g1=0.5, delta_e=0.01)

