@@ -47,7 +47,12 @@ __all__ = [
     "load_configuration",
 ]
 
-MAX_EXPECTED_ATOMS = 10_000_000
+# largest mean atom count sample_gas accepts.  select_track on 10^5 atoms,
+# one thread of a 2-vCPU VM: 12 s and 114 MB peak RSS for the README gas
+# (k s = 10), 108 s and 388 MB at the widest cone that lists candidates
+# (k s = 1.94); wider cones scan every atom in O(n^2) time and O(n) memory
+# (271 s and 80 MB at 5 * 10^4 atoms)
+MAX_EXPECTED_ATOMS = 100_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
 WIDE_CONE_ANGLE = math.pi / 6.0
@@ -127,15 +132,17 @@ class GasConfiguration:
             raise ValueError(
                 f"need 0 < inner_radius < chamber_radius, got {self.inner_radius}, {self.chamber_radius}"
             )
-        width = atoms["width"]
+        width, g0, g1 = atoms["width"], atoms["g0"], atoms["g1"]
         with np.errstate(all="ignore"):  # bad records are reported below
             radii = np.sqrt(dot(atoms["position"], atoms["position"]))  # bits of Obstacle.distance
             far = radii / width >= MIN_DISTANCE_WIDTHS
         for bad, rule in (
             (~np.isfinite(radii), "position must have a finite norm"),
             (~((width > 0.0) & np.isfinite(width)), "width must be positive"),
-            ((atoms["g0"] < 0.0) | (atoms["g1"] < 0.0), "couplings must be non-negative"),
-            (atoms["delta_e"] < 0.0, "excitation energy must be non-negative"),
+            (~((g0 >= 0.0) & (g1 >= 0.0) & np.isfinite(g0) & np.isfinite(g1)),
+             "couplings must be finite and non-negative"),
+            (~((atoms["delta_e"] >= 0.0) & np.isfinite(atoms["delta_e"])),
+             "excitation energy must be finite and non-negative"),
             (~far, f"far-field amplitudes need |position| >= {MIN_DISTANCE_WIDTHS:g} * width"),
             (~((radii >= self.inner_radius) & (radii <= self.chamber_radius)),
              f"radius must lie in the shell [{self.inner_radius}, {self.chamber_radius}]"),
@@ -296,6 +303,57 @@ class TrackResult:
         return self.c2_per_step**self.chain.n
 
 
+# rows of dirs @ dirs.T formed at once when listing chain candidates; up to
+# ~10^4 atoms a block stays below the size at which OpenBLAS splits a product
+# over threads, which stalled for ~0.3 s in about one process in six on a
+# 2-vCPU VM
+CANDIDATE_BLOCK = 64
+
+# the candidate cone is wider than the chain cone by this much in cos: more
+# than the rounding of the chain predicate and of dirs @ dirs.T for atoms
+# over ~1e-5 chamber radii apart, and too little to add measurable work
+CANDIDATE_COS_SLACK = 1e-10
+
+
+def _cone_candidates(
+    pos: np.ndarray, radii: np.ndarray, dirs: np.ndarray, cos_m: float
+) -> list[np.ndarray]:
+    """Each atom with the atoms that may join a chain it heads.
+
+    Atom j is a candidate of head h when it lies farther out and the step
+    h -> j is within arccos(cos_m) of the head direction.  Entry h of the
+    returned list holds h and its candidates in ascending index.  A
+    candidate also lies within that angle of the head direction as seen from
+    the emitter, so pairs are first found among nearby directions:
+    directions are sorted by z and compared in row blocks of dirs @ dirs.T,
+    each against the atoms whose z lies within the chord of that angle,
+    since |dz| <= |d_i - d_j|.  The lists of a block are views of one array
+    of its pairs, 8 bytes per pair.
+    """
+    n = len(dirs)
+    by_z = np.argsort(dirs[:, 2], kind="stable")
+    z = dirs[by_z, 2]
+    # the 1e-7 covers the rounding of the dot product inside the square root
+    reach = math.sqrt(2.0 * (1.0 - cos_m)) + 1e-7
+    lists = [None] * n
+    for lo in range(0, n, CANDIDATE_BLOCK):
+        rows = np.sort(by_z[lo:lo + CANDIDATE_BLOCK])
+        first = np.searchsorted(z, z[lo] - reach, side="left")
+        last = np.searchsorted(z, z[lo + len(rows) - 1] + reach, side="right")
+        cols = by_z[first:last]
+        r, c = np.nonzero((dirs[rows] @ dirs[cols].T >= cos_m) & (radii[cols] >= radii[rows, None]))
+        heads, cands = rows[r], cols[c]
+        step = pos[cands] - pos[heads]
+        inside = dot(step, dirs[heads]) >= cos_m * np.sqrt(dot(step, step))
+        keys = np.sort(heads[inside] * n + cands[inside])  # by head, then by candidate index
+        # every head is its own candidate, so no list is empty
+        bounds = np.searchsorted(keys, rows * n).tolist() + [len(keys)]
+        members = keys % n
+        for head, start, end in zip(rows.tolist(), bounds, bounds[1:]):
+            lists[head] = members[start:end]
+    return lists
+
+
 def build_chains(
     config: GasConfiguration, ctx: ScatteringContext, theta_c: float
 ) -> list[AlignmentChain]:
@@ -307,6 +365,13 @@ def build_chains(
     within ``theta_c`` of the head's emitter direction; distance ties go to
     the smallest index.  Atoms already absorbed into an earlier chain do not
     start their own, so the returned chains are the maximal ones.
+
+    Every step of a chain points into the cone of half-angle ``theta_c``
+    around the head direction.  Up to ``WIDE_CONE_ANGLE`` that cone is
+    convex, so every member lies inside it as seen from the head, and each
+    chain scans only the atoms in a slightly wider cone at its head.  A wider
+    cone scans every atom at every step: its candidate lists would hold a
+    fixed share of all n^2 atom pairs, and beyond pi/2 it is not convex.
     """
     n = config.n_atoms
     if n == 0:
@@ -315,29 +380,37 @@ def build_chains(
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     dirs = pos / radii[:, None]
     cos_c = math.cos(theta_c)
+    if theta_c <= WIDE_CONE_ANGLE:
+        candidates = _cone_candidates(pos, radii, dirs, cos_c - CANDIDATE_COS_SLACK)
+    else:
+        candidates = [np.arange(n)] * n
     order = np.argsort(radii, kind="stable").tolist()  # ascending radius, ties by index
     absorbed: set[int] = set()
     chains: list[AlignmentChain] = []
-    for head in order:
-        if head in absorbed:
-            continue
-        axis = dirs[head]
-        members = [head]
-        current = head
-        while True:
-            rel = pos - pos[current]
-            dist = np.sqrt(np.sum(rel * rel, axis=1))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cos_angle = (rel @ axis) / dist
-            eligible = (radii > radii[current]) & (dist > 0.0) & (cos_angle >= cos_c)
-            if not np.any(eligible):
-                break
-            dist = np.where(eligible, dist, np.inf)
-            nxt = int(np.argmin(dist))  # first minimum = smallest index on ties
-            members.append(nxt)
-            current = nxt
-        absorbed.update(members[1:])
-        chains.append(AlignmentChain(indices=tuple(members), direction=dirs[head]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for head in order:
+            if head in absorbed:
+                continue
+            members = [head]
+            # the head never qualifies but keeps the scan off a single row:
+            # numpy rounds rel @ axis for one row unlike for several
+            idx = candidates[head]  # ascending: argmin ties keep the smallest index
+            if len(idx) > 1:
+                cpos, cradii = pos[idx], radii[idx]
+                axis = dirs[head]
+                current = head
+                while True:
+                    rel = cpos - pos[current]
+                    dist = np.sqrt((rel * rel).sum(axis=1))
+                    cos_angle = (rel @ axis) / dist
+                    eligible = (cradii > radii[current]) & (dist > 0.0) & (cos_angle >= cos_c)
+                    if not eligible.any():
+                        break
+                    dist = np.where(eligible, dist, np.inf)
+                    current = int(idx[dist.argmin()])
+                    members.append(current)
+            absorbed.update(members[1:])
+            chains.append(AlignmentChain(indices=tuple(members), direction=dirs[head]))
     return chains
 
 
@@ -496,20 +569,6 @@ def isotropy_experiment(
     )
 
 
-def configuration_to_dict(config: GasConfiguration) -> dict:
-    columns = [config.atoms[f].tolist() for f in _SPECIES_FIELDS]
-    return {
-        "seed": config.seed,
-        "stream_id": config.stream_id,
-        "inner_radius": config.inner_radius,
-        "chamber_radius": config.chamber_radius,
-        "atoms": [
-            dict(zip(_JSON_KEYS, (*position, *species)))
-            for position, *species in zip(config.atoms["position"].tolist(), *columns)
-        ],
-    }
-
-
 def _json_number(value, what: str, kind=(int, float)):
     # bools, strings, NaN and numbers beyond float range are malformed
     if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) <= sys.float_info.max:
@@ -518,7 +577,7 @@ def _json_number(value, what: str, kind=(int, float)):
 
 
 def configuration_from_dict(data: dict) -> GasConfiguration:
-    """Inverse of configuration_to_dict; a malformed document raises ValueError."""
+    """The gas of a parsed gas.json document; a malformed document raises ValueError."""
     if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
         raise ValueError("a gas configuration is an object with an 'atoms' list")
     rows = []
@@ -537,11 +596,31 @@ def configuration_from_dict(data: dict) -> GasConfiguration:
     )
 
 
+# one atom entry as json.dump(..., indent=1) lays it out; atom fields are
+# finite floats, and json writes a finite float as its repr
+_ATOM_JSON = "  {\n" + ",\n".join(f'   "{key}": %r' for key in _JSON_KEYS) + "\n  }"
+
+
 def save_configuration(config: GasConfiguration, path) -> None:
-    """Write the configuration as JSON; floats round-trip exactly."""
+    """Write the configuration as JSON; floats round-trip exactly.
+
+    The text is what ``json.dump(..., indent=1)`` writes, plus a newline,
+    for the object with keys seed, stream_id, inner_radius, chamber_radius
+    and atoms, a list of objects with keys x, y, z, s, g0, g1, delta_e.  It
+    is formatted here, one atom entry at a time, because json's indenting
+    encoder runs in pure Python and a joined text would hold the whole file
+    in memory.
+    """
+    header = "".join(f' "{key}": {json.dumps(value)},\n' for key, value in (
+        ("seed", config.seed), ("stream_id", config.stream_id),
+        ("inner_radius", config.inner_radius), ("chamber_radius", config.chamber_radius),
+    ))
+    atoms = config.atoms
+    rows = np.column_stack([atoms["position"], *(atoms[f] for f in _SPECIES_FIELDS)]).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(configuration_to_dict(config), fh, indent=1)
-        fh.write("\n")
+        fh.write("{\n" + header + ' "atoms": [')
+        fh.writelines((",\n" if i else "\n") + _ATOM_JSON % tuple(row) for i, row in enumerate(rows))
+        fh.write("\n ]\n}\n" if rows else "]\n}\n")
 
 
 def load_configuration(path) -> GasConfiguration:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import dot, norm, quad_1d, unit
+from .numerics import dot, gauss_legendre, norm, unit
 
 __all__ = [
     "ScatteringContext",
@@ -218,24 +218,42 @@ def flux_free(ctx: ScatteringContext) -> float:
     return 4.0 * math.pi * ctx.v_alpha
 
 
+@functools.lru_cache(maxsize=64)
+def _node_factors(k: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # the n-node Gauss-Legendre rule on [0, pi] with sin(theta) and the
+    # envelope exp(-q^2 s^2 / 2) at each node, by the scalar math calls so
+    # every factor has the bits of the per-node integrand
+    x, w = gauss_legendre(n)
+    half = 0.5 * math.pi
+    thetas = half + half * x
+    sin_t = np.array([math.sin(t) for t in thetas.tolist()])
+    q = [2.0 * k * math.sin(0.5 * t) for t in thetas.tolist()]
+    envelope = np.array([math.exp(-0.5 * qi * qi * s * s) for qi in q])
+    for table in (thetas, sin_t, envelope):
+        table.setflags(write=False)
+    return thetas, w, sin_t, envelope
+
+
 @functools.lru_cache(maxsize=4096)
 def _intensity_integrals(
     k: float, a: float, s: float, g0: float, g1: float, n: int
 ) -> tuple[float, float]:
     # shared by flux_total and normalization_c2 so the flux identity holds bitwise
-    def intensity(g: float):
-        def f(theta: float) -> float:
-            q = 2.0 * k * math.sin(0.5 * theta)
-            amp = g * (2.0 * math.pi) ** 1.5 * s**3 * math.exp(-0.5 * q * q * s * s) / (
-                2.0 * math.pi * a
-            )
-            return math.sin(theta) * amp * amp
+    thetas, w, sin_t, envelope = _node_factors(k, s, n)
 
-        return f
+    def integral(g: float) -> float:
+        # int_0^pi sin(theta) |I_g(theta)|^2 dtheta; the cumulative sum adds
+        # the weighted nodes one by one, in the order of a scalar loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            amp = g * (2.0 * math.pi) ** 1.5 * s**3 * envelope / (2.0 * math.pi * a)
+            val = sin_t * amp * amp
+        bad = ~np.isfinite(val)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"integrand returned non-finite value {float(val[i])!r} at x={float(thetas[i])!r}")
+        return 0.5 * math.pi * float(np.cumsum(w * val)[-1])
 
-    a0 = quad_1d(intensity(g0), 0.0, math.pi, n) if g0 > 0.0 else 0.0
-    a1 = quad_1d(intensity(g1), 0.0, math.pi, n) if g1 > 0.0 else 0.0
-    return a0, a1
+    return integral(g0) if g0 > 0.0 else 0.0, integral(g1) if g1 > 0.0 else 0.0
 
 
 def flux_total(ctx: ScatteringContext, obstacle: Obstacle, n: int = DEFAULT_QUAD_NODES) -> float:

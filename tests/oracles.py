@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 
+from mottbox.chamber import AlignmentChain
 from mottbox.mott import angular_amplitude, normalization_c2, wave_field
-from mottbox.numerics import gauss_legendre, norm
+from mottbox.numerics import gauss_legendre, norm, quad_1d
 
 
 def wave_field_scalar(ctx, obstacle, point) -> complex:
@@ -106,3 +107,86 @@ def quad_3d(f, half_width: float, n_per_axis: int, vectorized: bool = False) -> 
         i = int(np.argmax(bad))
         raise ValueError(f"integrand returned non-finite value {vals[i]!r} at R={pts[i]}")
     return complex(np.dot(wts, vals))
+
+
+def intensity_integrals_scalar(k, a, s, g0, g1, n) -> tuple[float, float]:
+    """int_0^pi sin(theta) |I_j(theta)|^2 dtheta for both channels, one node at a time.
+
+    The n-node Gauss-Legendre sum of ``numerics.quad_1d`` over a scalar
+    integrand; ``mott`` forms the same sum from a table of node factors.
+    """
+
+    def intensity(g: float):
+        def f(theta: float) -> float:
+            q = 2.0 * k * math.sin(0.5 * theta)
+            amp = g * (2.0 * math.pi) ** 1.5 * s**3 * math.exp(-0.5 * q * q * s * s) / (
+                2.0 * math.pi * a
+            )
+            return math.sin(theta) * amp * amp
+
+        return f
+
+    a0 = quad_1d(intensity(g0), 0.0, math.pi, n) if g0 > 0.0 else 0.0
+    a1 = quad_1d(intensity(g1), 0.0, math.pi, n) if g1 > 0.0 else 0.0
+    return a0, a1
+
+
+def build_chains_scan(config, ctx, theta_c) -> list:
+    """``chamber.build_chains`` by scanning every atom at every chain step.
+
+    Atoms are visited in ascending radius (ties by index); each chain grows
+    greedily to the nearest atom strictly farther out whose step lies within
+    ``theta_c`` of the head direction, distance ties to the smallest index,
+    and absorbed atoms start no chain.  O(n^2) per configuration.
+    """
+    n = config.n_atoms
+    if n == 0:
+        return []
+    pos = np.ascontiguousarray(config.atoms["position"])
+    radii = np.sqrt(np.sum(pos * pos, axis=1))
+    dirs = pos / radii[:, None]
+    cos_c = math.cos(theta_c)
+    order = np.argsort(radii, kind="stable").tolist()  # ascending radius, ties by index
+    absorbed: set[int] = set()
+    chains: list[AlignmentChain] = []
+    for head in order:
+        if head in absorbed:
+            continue
+        axis = dirs[head]
+        members = [head]
+        current = head
+        while True:
+            rel = pos - pos[current]
+            dist = np.sqrt(np.sum(rel * rel, axis=1))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                cos_angle = (rel @ axis) / dist
+            eligible = (radii > radii[current]) & (dist > 0.0) & (cos_angle >= cos_c)
+            if not np.any(eligible):
+                break
+            dist = np.where(eligible, dist, np.inf)
+            nxt = int(np.argmin(dist))  # first minimum = smallest index on ties
+            members.append(nxt)
+            current = nxt
+        absorbed.update(members[1:])
+        chains.append(AlignmentChain(indices=tuple(members), direction=dirs[head]))
+    return chains
+
+
+def configuration_to_dict(config) -> dict:
+    """The gas.json document of ``config``, as ``json.dump`` takes it.
+
+    ``chamber.save_configuration`` writes ``json.dumps(document, indent=1)``
+    plus a newline, formatted by hand.
+    """
+    atoms = config.atoms
+    fields = [atoms["position"].tolist()] + [atoms[f].tolist() for f in ("width", "g0", "g1", "delta_e")]
+    return {
+        "seed": config.seed,
+        "stream_id": config.stream_id,
+        "inner_radius": config.inner_radius,
+        "chamber_radius": config.chamber_radius,
+        "atoms": [
+            {"x": x, "y": y, "z": z, "s": s, "g0": g0, "g1": g1, "delta_e": delta_e}
+            for (x, y, z), s, g0, g1, delta_e in zip(*fields)
+        ],
+    }

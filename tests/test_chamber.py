@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from mottbox.chamber import (
     build_chains,
     cone_half_angle,
     configuration_from_dict,
-    configuration_to_dict,
     direction_bin,
     isotropy_experiment,
     load_configuration,
@@ -24,6 +24,7 @@ from mottbox.chamber import (
 )
 from mottbox.mott import ScatteringContext, flux_free, normalization_c2
 from mottbox.numerics import RngStream, unit
+from oracles import build_chains_scan, configuration_to_dict
 
 CTX = ScatteringContext.from_wavenumber(10.0, 0.01)
 SPECIES = AtomSpecies(width=1.0, g0=0.5, g1=0.5, delta_e=0.01)
@@ -278,6 +279,109 @@ def test_build_chains_members_inside_head_cone():
             assert math.acos(min(1.0, max(-1.0, cos_angle))) <= theta_c + 1e-12
 
 
+def assert_chains_match_scan(gas, theta_c):
+    chains = build_chains(gas, CTX, theta_c)
+    expected = build_chains_scan(gas, CTX, theta_c)
+    assert [c.indices for c in chains] == [c.indices for c in expected]
+    for chain, reference in zip(chains, expected):
+        assert chain.direction.tobytes() == reference.direction.tobytes()
+    return chains
+
+
+def test_build_chains_matches_scan_on_sampled_gases():
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    cases = [(1e-4, stream) for stream in range(1, 221)] + [(2e-3, stream) for stream in range(5)]
+    longest = 0
+    for density, stream in cases + [(2e-2, 0)]:
+        gas = sample_gas(density, 12.0, 40.0, SPECIES, RngStream(4242, stream))
+        longest = max(longest, max((c.n for c in assert_chains_match_scan(gas, theta_c)), default=0))
+    assert longest >= 3
+
+
+def test_build_chains_matches_scan_in_wide_cone():
+    # k s = 0.6 puts the cone edge beyond pi/2, where it is no longer convex;
+    # k s = 1 (pi/3) and 1.94 (just inside WIDE_CONE_ANGLE) sit either side
+    # of the switch to scanning every atom
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        cones = {
+            k: cone_half_angle(ScatteringContext.from_wavenumber(k), SPECIES.width)
+            for k in (0.6, 1.0, 1.94)
+        }
+    assert cones[0.6] > math.pi / 2 and cones[1.94] <= chamber.WIDE_CONE_ANGLE < cones[1.0]
+    for k, density in ((0.6, 2e-3), (1.0, 2e-3), (1.94, 5e-3)):
+        for stream in range(3):
+            gas = sample_gas(density, 12.0, 40.0, SPECIES, RngStream(4243, stream))
+            assert max(c.n for c in assert_chains_match_scan(gas, cones[k])) > 1
+
+
+def test_build_chains_lists_candidates_only_up_to_wide_cone(monkeypatch):
+    calls = []
+    listing = chamber._cone_candidates
+    monkeypatch.setattr(chamber, "_cone_candidates", lambda *args: calls.append(args) or listing(*args))
+    gas = sample_gas(2e-3, 12.0, 40.0, SPECIES, RngStream(4243, 0))
+    build_chains(gas, CTX, chamber.WIDE_CONE_ANGLE)
+    assert len(calls) == 1
+    build_chains(gas, CTX, math.nextafter(chamber.WIDE_CONE_ANGLE, 1.0))
+    assert len(calls) == 1
+
+
+def test_build_chains_matches_scan_on_mixed_widths():
+    narrow = AtomSpecies(width=0.4, g0=0.5, g1=0.5, delta_e=0.01)
+    a = sample_gas(2e-3, 12.0, 40.0, SPECIES, RngStream(4244, 1))
+    b = sample_gas(2e-3, 12.0, 40.0, narrow, RngStream(4244, 2))
+    gas = GasConfiguration(
+        atoms=np.concatenate([b.atoms, a.atoms]), chamber_radius=40.0, inner_radius=12.0, seed=4244
+    )
+    for width in (SPECIES.width, narrow.width):
+        assert_chains_match_scan(gas, cone_half_angle(CTX, width))
+
+
+def test_build_chains_equal_distance_tie_goes_to_smallest_index():
+    # two mirror-image atoms at exactly the same distance from the head, both
+    # inside its cone: the chain continues with the smaller index
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    head = np.array([0.0, 0.0, 12.0])
+    step = 5.0 * np.array([math.sin(0.5 * theta_c), 0.0, math.cos(0.5 * theta_c)])
+    plus, minus = head + step, head + step * np.array([-1.0, 1.0, 1.0])
+    for positions, expected in (([head, plus, minus], (0, 1)), ([minus, head, plus], (1, 0))):
+        gas = GasConfiguration(
+            atoms=SPECIES.records(positions), chamber_radius=40.0, inner_radius=10.0, seed=0
+        )
+        chains = assert_chains_match_scan(gas, theta_c)
+        assert chains[0].indices == expected
+
+
+def test_build_chains_matches_scan_on_cone_edge():
+    # the second atom sits on the cone edge as seen from the first, so
+    # whether the two link comes down to the last bit of the predicate; four
+    # atoms on the far side of the shell, at shifting list positions, make
+    # the scan run over more rows than the head's candidates
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    draw = RngStream(4245, 0)
+    linked = 0
+    for trial in range(300):
+        axis = unit(draw.standard_normal(3))
+        side = unit(np.cross(axis, draw.standard_normal(3)))
+        head = (12.0 + 5.0 * float(draw.uniform())) * axis
+        edge = head + (3.0 + 10.0 * float(draw.uniform())) * (
+            math.cos(theta_c) * axis + math.sin(theta_c) * side
+        )
+        positions = [
+            (20.0 + 15.0 * float(draw.uniform())) * unit(0.3 * draw.standard_normal(3) - axis)
+            for _ in range(4)
+        ]
+        i = trial % 5
+        j = i + 1 + (trial // 5) % (5 - i)
+        positions.insert(i, head)
+        positions.insert(j, edge)
+        gas = GasConfiguration(
+            atoms=SPECIES.records(positions), chamber_radius=40.0, inner_radius=10.0, seed=0
+        )
+        linked += (i, j) in [c.indices for c in assert_chains_match_scan(gas, theta_c)]
+    assert 0 < linked < 300
+
+
 def test_select_track_empty_configuration():
     gas = GasConfiguration(atoms=(), chamber_radius=40.0, inner_radius=12.0, seed=0)
     assert select_track(gas, CTX) is None
@@ -379,6 +483,22 @@ def test_mixed_species_json_roundtrip_byte_identical(tmp_path):
     assert {entry["s"] for entry in json.loads(first.read_text())["atoms"]} == {1.0, 0.8}
 
 
+def test_save_configuration_writes_json_dump_text(tmp_path):
+    heavy = AtomSpecies(width=0.8, g0=0.3, g1=0.7, delta_e=0.02)
+    mixed = np.concatenate([
+        sample_gas(2e-4, 12.0, 40.0, SPECIES, RngStream(62, 1)).atoms,
+        sample_gas(2e-4, 12.0, 40.0, heavy, RngStream(62, 2)).atoms,
+    ])
+    for gas in (
+        sample_gas(2e-3, 12.0, 40.0, SPECIES, RngStream(62, 0)),
+        GasConfiguration(atoms=(), chamber_radius=40, inner_radius=12, seed=2**64 - 1, stream_id=3),
+        GasConfiguration(atoms=mixed, chamber_radius=40.0, inner_radius=12.0, seed=62),
+    ):
+        path = tmp_path / "gas.json"
+        save_configuration(gas, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(configuration_to_dict(gas), indent=1) + "\n"
+
+
 def test_gas_configuration_rejects_bad_records():
     def gas_with(**fields):
         atoms = SPECIES.records([[0.0, 0.0, 20.0], [0.0, 30.0, 0.0]])
@@ -392,7 +512,10 @@ def test_gas_configuration_rejects_bad_records():
         ({"width": 0.0}, "width"),
         ({"width": np.nan}, "width"),
         ({"g1": -0.1}, "couplings"),
+        ({"g0": np.inf}, "couplings"),
+        ({"g1": np.nan}, "couplings"),
         ({"delta_e": -0.01}, "excitation"),
+        ({"delta_e": np.nan}, "excitation"),
         ({"position": [0.0, 0.0, 12.0], "width": 1.25}, "far-field"),
     ):
         with pytest.raises(ValueError, match=f"atom 1: .*{message}"):
@@ -401,6 +524,9 @@ def test_gas_configuration_rejects_bad_records():
         GasConfiguration(
             atoms=(SPECIES.at([0.0, 0.0, 20.0]),), chamber_radius=40.0, inner_radius=12.0, seed=0
         )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # finite couplings whose sum overflows are valid
+        gas_with(g0=1e308, g1=1e308)
     gas = gas_with()
     with pytest.raises(ValueError, match="read-only"):
         gas.atoms["g0"][0] = 1.0

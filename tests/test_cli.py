@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mottbox import chamber
+from mottbox import chamber, numerics
 from mottbox.cli import main
 from mottbox.mott import ScatteringContext
 from mottbox.render import MAX_RESOLUTION
@@ -220,6 +220,19 @@ def test_track_skips_off_chain_product_when_info_is_off(tmp_path, capsys, monkey
     assert not logging.getLogger("mottbox.cli").isEnabledFor(logging.INFO)
     assert main([track_config(tmp_path), "--out-dir", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.startswith("track N=")
+
+
+def test_atom_guard_exits_2_without_sampling(tmp_path, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a gas was sampled above the atom guard")
+
+    monkeypatch.setattr(numerics.RngStream, "poisson", forbidden)
+    volume = 4.0 * math.pi / 3.0 * (40.0**3 - 12.0**3)
+    density = chamber.MAX_EXPECTED_ATOMS * (1.0 + 1e-9) / volume
+    for experiment, extra in (("track", {}), ("isotropy", {"n_configs": 100})):
+        config = track_config(tmp_path, experiment=experiment, density=density, **extra)
+        assert main([config, "--out-dir", str(tmp_path / experiment)]) == 2
+        assert "exceeds guard" in capsys.readouterr().err
 
 
 def test_isotropy_run(tmp_path, capsys):

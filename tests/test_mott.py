@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from mottbox import mott
 from mottbox.mott import (
     AngularAmplitude,
     Obstacle,
@@ -19,7 +20,7 @@ from mottbox.mott import (
     wave_field,
 )
 from mottbox.numerics import unit
-from oracles import flux_free_numeric, quad_3d, wave_field_scalar
+from oracles import flux_free_numeric, intensity_integrals_scalar, quad_3d, wave_field_scalar
 
 # frozen before the build from an independent 1024-node quadrature of the
 # closed-form angular intensity (a=10, s=1, k=10, g0=g1=0.5, delta_e=0.01)
@@ -339,3 +340,38 @@ def test_wave_field_array_matches_scalar_formula():
 def test_quadrature_convergence_check_passes():
     ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
     quadrature_convergence_check(ctx, make_obstacle())
+
+
+def test_intensity_integrals_bit_equal_to_scalar_sum():
+    # the node-factor table must reproduce the per-node Python sum to the
+    # bit, so |C|^2, flux_total and every output built on them stay fixed
+    cases = 0
+    for s in (1.0, 0.37):
+        for ks in np.logspace(-1.0, 3.0, 9):
+            k = ks / s
+            ctx = ScatteringContext.from_wavenumber(k, 0.01 * k * k)
+            for a in (10.0 * s, 10.5 * s, 123.456 * s, 1e3 * s):
+                for g0, g1 in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.7), (0.5, 0.5)):
+                    for n in (128, 256):
+                        ob = make_obstacle(a=a, s=s, g0=g0, g1=g1)
+                        a0, a1 = intensity_integrals_scalar(ctx.k, ob.distance, s, g0, g1, n)
+                        ratio = ctx.v_alpha_prime / ctx.v_alpha
+                        assert normalization_c2(ctx, ob, n) == 1.0 / (1.0 + 0.5 * a0 + 0.5 * ratio * a1)
+                        assert flux_total(ctx, ob, n) == (
+                            4.0 * math.pi * ctx.v_alpha
+                            + 2.0 * math.pi * ctx.v_alpha * a0
+                            + 2.0 * math.pi * ctx.v_alpha_prime * a1
+                        )
+                        cases += 1
+    assert cases == 2 * 9 * 4 * 4 * 2
+
+
+def test_intensity_integrals_overflow_raises():
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    with pytest.raises(ValueError, match="non-finite"):
+        normalization_c2(ctx, make_obstacle(g0=1e200))
+    with pytest.raises(ValueError, match="non-finite"):
+        flux_total(ctx, make_obstacle(g0=0.0, g1=1e200), 256)
+    assert mott._intensity_integrals(ctx.k, 10.0, 1.0, 0.5, 0.5, 128) == intensity_integrals_scalar(
+        ctx.k, 10.0, 1.0, 0.5, 0.5, 128
+    )
