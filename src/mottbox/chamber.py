@@ -54,6 +54,12 @@ __all__ = [
 # (271 s and 80 MB at 5 * 10^4 atoms)
 MAX_EXPECTED_ATOMS = 100_000
 
+# most configurations isotropy_experiment accepts.  At the README gas (~37
+# atoms) one thread of a 2-vCPU VM takes 0.49 ms and keeps about 1 kB per
+# configuration: 10^5 configurations ran in 49 s at 163 MB peak RSS, so
+# 10^6 need about 8 min and 1.1 GB
+MAX_CONFIGS = 1_000_000
+
 # cone wider than pi/6 means the forward peak is no longer narrow
 WIDE_CONE_ANGLE = math.pi / 6.0
 
@@ -527,6 +533,8 @@ def isotropy_experiment(
     """
     if n_configs < 100:
         raise ValueError(f"need at least 100 configurations, got {n_configs}")
+    if n_configs > MAX_CONFIGS:
+        raise ValueError(f"configuration count {n_configs} exceeds guard {MAX_CONFIGS}")
     n_bins = n_z_bands * n_phi_sectors
     counts = np.zeros(n_bins, dtype=int)
     directions = []

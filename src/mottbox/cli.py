@@ -98,8 +98,8 @@ def _write_lines(path: Path, lines) -> None:
 
 def _run_bell(config: dict, out_dir: Path) -> str:
     n = _integer(config, "n_trials")
-    if n < 1:
-        raise ConfigError(f"key 'n_trials' must be positive, got {n}")
+    if not 1 <= n <= bell.MAX_TRIALS:
+        raise ConfigError(f"key 'n_trials' must lie in [1, {bell.MAX_TRIALS}], got {n}")
     seed = _integer(config, "seed")
     a = _domain(bell.ApparatusSetting, _direction(config, "a"))
     b = _domain(bell.ApparatusSetting, _direction(config, "b"))

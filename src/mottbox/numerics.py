@@ -15,10 +15,14 @@ __all__ = [
     "require_unit",
     "gauss_legendre",
     "quad_1d",
+    "pairwise_sum",
     "RngStream",
 ]
 
 UNIT_TOL = 1e-12
+
+# ranges up to this length are summed by one np.add.reduce call
+PAIRWISE_LEAF = 2**16
 
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
@@ -90,6 +94,23 @@ def quad_1d(f, lo: float, hi: float, n: int) -> float:
             raise ValueError(f"integrand returned non-finite value {val!r} at x={t!r}")
         total += wi * val
     return half * total
+
+
+def pairwise_sum(leaf_sum, n: int, start: int = 0) -> float:
+    """Sum of ``n`` terms from ``start`` in the order of ``np.add.reduce``.
+
+    numpy sums a contiguous float64 array pairwise, splitting a range of
+    more than 128 terms at half its length rounded down to a multiple of 8.
+    This follows the same splits down to ranges of at most PAIRWISE_LEAF
+    terms and calls ``leaf_sum(start, m)``, which must return
+    ``np.add.reduce`` over terms start .. start + m - 1, so the terms never
+    need to exist as one array.  Every leaf starts at a multiple of 8.
+    """
+    if n <= PAIRWISE_LEAF:
+        return leaf_sum(start, n)
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(leaf_sum, half, start) + pairwise_sum(leaf_sum, n - half, start + half)
 
 
 class RngStream:

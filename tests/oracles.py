@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from mottbox.bell import CorrelationEstimate, _plus_threshold
 from mottbox.chamber import AlignmentChain
 from mottbox.mott import angular_amplitude, normalization_c2, wave_field
 from mottbox.numerics import gauss_legendre, norm, quad_1d
@@ -190,3 +191,42 @@ def configuration_to_dict(config) -> dict:
             for (x, y, z), s, g0, g1, delta_e in zip(*fields)
         ],
     }
+
+
+def response_batch(state, setting, lams) -> np.ndarray:
+    """Vectorized :func:`response` over an array of internal variables.
+
+    Element i equals ``response(state, setting, HiddenVariable(lams[i]))``;
+    the threshold expression is shared with the scalar path.
+    """
+    lams = np.asarray(lams, dtype=float)
+    t = _plus_threshold(state.axis, setting.orientation)
+    return np.where(lams < t, float(state.sign), float(-state.sign))
+
+
+def trial_products(a, b, lam1, lam2) -> np.ndarray:
+    """Vectorized outcome products r1*r2 for arrays of internal variables.
+
+    Bit-identical to looping :func:`epr_trial` over (lam1[i], lam2[i]); the
+    threshold expressions are shared with the scalar path.
+    """
+    lam1 = np.asarray(lam1, dtype=float)
+    lam2 = np.asarray(lam2, dtype=float)
+    r1 = np.where(lam1 < 0.5, 1.0, -1.0)
+    t = _plus_threshold(a.orientation, b.orientation)
+    r2 = -r1 * np.where(lam2 < t, 1.0, -1.0)
+    return r1 * r2
+
+
+def correlation_mc_array(a, b, n, rng) -> CorrelationEstimate:
+    """``bell.correlation_mc`` over one ``(n, 2)`` array of uniforms and one of products.
+
+    The streamed estimator must give the same mean and std_error bits.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one trial, got n={n}")
+    u = rng.uniform(size=(n, 2))
+    products = trial_products(a, b, u[:, 0], u[:, 1])
+    mean = float(products.mean())
+    std_error = float(products.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return CorrelationEstimate(mean=mean, std_error=std_error, n_trials=n)

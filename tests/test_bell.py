@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mottbox import numerics
 from mottbox.bell import (
+    MAX_TRIALS,
     ApparatusSetting,
     CorrelationEstimate,
     HiddenVariable,
@@ -11,15 +15,19 @@ from mottbox.bell import (
     correlation_quantum,
     epr_trial,
     response,
-    response_batch,
-    trial_products,
 )
 from mottbox.numerics import RngStream, unit
+
+from oracles import correlation_mc_array, response_batch, trial_products
 
 X = ApparatusSetting([1.0, 0.0, 0.0])
 Y = ApparatusSetting([0.0, 1.0, 0.0])
 Z = ApparatusSetting([0.0, 0.0, 1.0])
 DIAG_XY = ApparatusSetting(unit([1.0, 1.0, 0.0]))  # pi/4 from X, pi/4 from Y
+MINUS_X = ApparatusSetting([-1.0, 0.0, 0.0])
+
+# around the draw block (2^16 trial pairs), the byte (8) and numpy's unrolled sum (128)
+ORACLE_SIZES = (1, 2, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 10**6 + 3)
 
 
 def random_direction(rng):
@@ -154,6 +162,39 @@ def test_correlation_mc_orthogonal():
 def test_correlation_mc_rejects_zero_trials():
     with pytest.raises(ValueError):
         correlation_mc(X, Y, 0, RngStream(1, 0))
+
+
+def test_correlation_mc_rejects_trials_above_guard(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("uniforms were drawn above the trial guard")
+
+    monkeypatch.setattr(numerics.RngStream, "uniform", forbidden)
+    with pytest.raises(ValueError, match="n_trials must lie in"):
+        correlation_mc(X, Y, MAX_TRIALS + 1, RngStream(1, 0))
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_correlation_mc_bit_equal_to_array_oracle(n):
+    # the README pairs (a, b), (a, c), (b, c), then every product -1 and every product +1
+    pairs = [(X, DIAG_XY), (X, Y), (DIAG_XY, Y), (X, X), (X, MINUS_X)]
+    for seed in (1, 2, 3):
+        for stream_id, (a, b) in enumerate(pairs):
+            got = correlation_mc(a, b, n, RngStream(seed, stream_id))
+            want = correlation_mc_array(a, b, n, RngStream(seed, stream_id))
+            assert (got.mean.hex(), got.std_error.hex()) == (want.mean.hex(), want.std_error.hex())
+    assert correlation_mc(X, X, n, RngStream(1, 0)) == CorrelationEstimate(-1.0, 0.0, n)
+    assert correlation_mc(X, MINUS_X, n, RngStream(1, 0)) == CorrelationEstimate(1.0, 0.0, n)
+
+
+def test_correlation_mc_memory_is_one_bit_per_trial():
+    # 250 kB of bits and one 1 MiB block of uniforms; one (n, 2) array alone is 32 MB
+    tracemalloc.start()
+    try:
+        correlation_mc(X, DIAG_XY, 2_000_000, RngStream(3, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_correlation_mc_deterministic():

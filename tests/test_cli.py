@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mottbox import chamber, numerics
+from mottbox import bell, chamber, numerics
 from mottbox.cli import main
 from mottbox.mott import ScatteringContext
 from mottbox.render import MAX_RESOLUTION
@@ -233,6 +233,27 @@ def test_atom_guard_exits_2_without_sampling(tmp_path, capsys, monkeypatch):
         config = track_config(tmp_path, experiment=experiment, density=density, **extra)
         assert main([config, "--out-dir", str(tmp_path / experiment)]) == 2
         assert "exceeds guard" in capsys.readouterr().err
+
+
+def test_trial_guard_exits_2_without_drawing(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("uniforms were drawn above the trial guard")
+
+    monkeypatch.setattr(numerics.RngStream, "uniform", forbidden)
+    for extra in ({}, {"c": [0.0, 1.0, 0.0]}):
+        config = bell_config(tmp_path, n_trials=bell.MAX_TRIALS + 1, **extra)
+        assert main([config, "--out-dir", str(tmp_path)]) == 2
+        assert f"must lie in [1, {bell.MAX_TRIALS}]" in capsys.readouterr().err
+
+
+def test_config_guard_exits_2_without_sampling(tmp_path, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a gas was sampled above the configuration guard")
+
+    monkeypatch.setattr(numerics.RngStream, "poisson", forbidden)
+    config = track_config(tmp_path, experiment="isotropy", n_configs=chamber.MAX_CONFIGS + 1)
+    assert main([config, "--out-dir", str(tmp_path)]) == 2
+    assert "exceeds guard" in capsys.readouterr().err
 
 
 def test_isotropy_run(tmp_path, capsys):

@@ -5,6 +5,7 @@ from scipy.stats import chisquare
 from mottbox.numerics import (
     RngStream,
     gauss_legendre,
+    pairwise_sum,
     quad_1d,
     require_unit,
     unit,
@@ -145,6 +146,21 @@ def test_quad_3d_nonfinite_reports_point():
 def test_gauss_legendre_validates():
     with pytest.raises(ValueError):
         gauss_legendre(1)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 10**6 + 3, 10**7]
+)
+def test_pairwise_sum_bit_equal_to_add_reduce(n):
+    # terms of both signs over ten decades, so a different summation order shows
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+
+    def leaf_sum(start, m):
+        assert start % 8 == 0
+        return np.add.reduce(x[start : start + m])
+
+    assert pairwise_sum(leaf_sum, n).hex() == np.add.reduce(x).hex()
 
 
 def test_rng_stream_reproducible():
