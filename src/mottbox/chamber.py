@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .mott import (
-    MIN_DISTANCE_WIDTHS, Obstacle, ScatteringContext, angular_amplitude, flux_free, normalization_c2
+    Obstacle, ScatteringContext, angular_amplitude, check_atoms, flux_free, normalization_c2
 )
 from .numerics import RngStream, dot, norm
 
@@ -55,9 +55,9 @@ __all__ = [
 MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  At the README gas (~37
-# atoms) one thread of a 2-vCPU VM takes 0.49 ms and keeps about 1 kB per
-# configuration: 10^5 configurations ran in 49 s at 163 MB peak RSS, so
-# 10^6 need about 8 min and 1.1 GB
+# atoms) one thread of a 2-vCPU VM takes about 0.5 ms per configuration and
+# keeps 40 bytes of it: the CLI ran 10^5 in 56 s at 92 MB peak RSS and 10^6
+# in 527 s at 388 MB, mostly the 80 MB tracks.csv text built in memory
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
@@ -90,12 +90,7 @@ class AtomSpecies:
     delta_e: float = 0.0
 
     def __post_init__(self):
-        if self.width <= 0.0:
-            raise ValueError(f"width must be positive, got {self.width}")
-        if self.g0 < 0.0 or self.g1 < 0.0:
-            raise ValueError(f"couplings must be non-negative, got g0={self.g0}, g1={self.g1}")
-        if self.delta_e < 0.0:
-            raise ValueError(f"excitation energy must be non-negative, got {self.delta_e}")
+        check_atoms(self.width, self.g0, self.g1, self.delta_e)
 
     def at(self, position) -> Obstacle:
         return Obstacle(
@@ -138,25 +133,15 @@ class GasConfiguration:
             raise ValueError(
                 f"need 0 < inner_radius < chamber_radius, got {self.inner_radius}, {self.chamber_radius}"
             )
-        width, g0, g1 = atoms["width"], atoms["g0"], atoms["g1"]
-        with np.errstate(all="ignore"):  # bad records are reported below
+        with np.errstate(all="ignore"):  # non-finite radii are reported below
             radii = np.sqrt(dot(atoms["position"], atoms["position"]))  # bits of Obstacle.distance
-            far = radii / width >= MIN_DISTANCE_WIDTHS
-        for bad, rule in (
-            (~np.isfinite(radii), "position must have a finite norm"),
-            (~((width > 0.0) & np.isfinite(width)), "width must be positive"),
-            (~((g0 >= 0.0) & (g1 >= 0.0) & np.isfinite(g0) & np.isfinite(g1)),
-             "couplings must be finite and non-negative"),
-            (~((atoms["delta_e"] >= 0.0) & np.isfinite(atoms["delta_e"])),
-             "excitation energy must be finite and non-negative"),
-            (~far, f"far-field amplitudes need |position| >= {MIN_DISTANCE_WIDTHS:g} * width"),
-            (~((radii >= self.inner_radius) & (radii <= self.chamber_radius)),
-             f"radius must lie in the shell [{self.inner_radius}, {self.chamber_radius}]"),
-        ):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"atom {i}: {rule}, got {atoms[i]}")
-        max_width = float(width.max(initial=0.0))
+        check_atoms(*(atoms[f] for f in _SPECIES_FIELDS), radius=radii)
+        outside = ~((radii >= self.inner_radius) & (radii <= self.chamber_radius))
+        if outside.any():
+            i = int(np.argmax(outside))
+            shell = f"[{self.inner_radius}, {self.chamber_radius}]"
+            raise ValueError(f"atom {i}: radius must lie in the shell {shell}, got {atoms[i]}")
+        max_width = float(atoms["width"].max(initial=0.0))
         if self.inner_radius < 10.0 * max_width:
             raise ValueError(
                 f"inner_radius must be >= 10 * max atom width, got {self.inner_radius} < {10 * max_width}"
@@ -537,10 +522,12 @@ def isotropy_experiment(
         raise ValueError(f"configuration count {n_configs} exceeds guard {MAX_CONFIGS}")
     n_bins = n_z_bands * n_phi_sectors
     counts = np.zeros(n_bins, dtype=int)
-    directions = []
-    chain_lengths = []
-    flux_ratios = []
-    n_empty = 0
+    # filled row by row: a track direction is a row view of its gas's
+    # direction array, and keeping the views would keep all those arrays
+    directions = np.empty((n_configs, 3))
+    chain_lengths = np.empty(n_configs, dtype=int)
+    flux_ratios = np.empty(n_configs)
+    n_tracks = 0
     for i in range(n_configs):
         if config_factory is not None:
             config = config_factory(i)
@@ -554,13 +541,12 @@ def isotropy_experiment(
             )
         track = select_track(config, ctx)
         if track is None:
-            n_empty += 1
             continue
         counts[direction_bin(track.direction, n_z_bands, n_phi_sectors)] += 1
-        directions.append(track.direction)
-        chain_lengths.append(track.chain.n)
-        flux_ratios.append(track.flux_ratio)
-    n_tracks = int(counts.sum())
+        directions[n_tracks] = track.direction
+        chain_lengths[n_tracks] = track.chain.n
+        flux_ratios[n_tracks] = track.flux_ratio
+        n_tracks += 1
     if n_tracks == 0:
         raise ValueError("no configuration produced a track; increase the density")
     expected = n_tracks / n_bins
@@ -570,10 +556,10 @@ def isotropy_experiment(
         counts=counts,
         chi_square=stat,
         p_value=p_value,
-        directions=np.array(directions).reshape(-1, 3),
-        chain_lengths=np.array(chain_lengths, dtype=int),
-        flux_ratios=np.array(flux_ratios, dtype=float),
-        n_empty=n_empty,
+        directions=directions[:n_tracks],
+        chain_lengths=chain_lengths[:n_tracks],
+        flux_ratios=flux_ratios[:n_tracks],
+        n_empty=n_configs - n_tracks,
     )
 
 

@@ -1,6 +1,6 @@
 """Command-line entry point: run one experiment described by a JSON config.
 
-Usage: mottbox <config.json> [--seed U64] [--out-dir PATH] [--threads N]
+Usage: mottbox <config.json> [--seed U64] [--out-dir PATH]
 
 The config names one experiment (bell, scatter, track, isotropy, render) plus
 its parameters; outputs are CSV/JSON/PPM files and a one-line summary on
@@ -23,8 +23,6 @@ from . import bell, chamber, mott, render
 from .numerics import RngStream, unit
 
 logger = logging.getLogger(__name__)
-
-EXPERIMENTS = ("bell", "scatter", "track", "isotropy", "render")
 
 
 class ConfigError(Exception):
@@ -160,14 +158,12 @@ def _run_scatter(config: dict, out_dir: Path) -> str:
     n_theta = _integer(config, "n_theta", 181)
     if n_theta < 2:
         raise ConfigError(f"key 'n_theta' must be >= 2, got {n_theta}")
-    mott.quadrature_convergence_check(ctx, obstacle)
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    table0 = mott.angular_table(ctx, obstacle, 0, thetas)
-    table1 = mott.angular_table(ctx, obstacle, 1, thetas)
+    _domain(mott.quadrature_convergence_check, ctx, obstacle)
     lines = ["theta,re_I0,im_I0,re_I1,im_I1,q"]
-    for i, theta in enumerate(thetas):
+    for theta in np.linspace(0.0, math.pi, n_theta):
         q = mott.transferred_momentum(ctx.k, theta)
-        i0, i1 = table0.values[i], table1.values[i]
+        i0 = mott.angular_amplitude(ctx, obstacle, 0, theta)
+        i1 = mott.angular_amplitude(ctx, obstacle, 1, theta)
         lines.append(
             ",".join([_fmt(theta), _fmt(i0.real), _fmt(i0.imag), _fmt(i1.real), _fmt(i1.imag), _fmt(q)])
         )
@@ -196,12 +192,6 @@ def _track_lines(tracks) -> list[str]:
     return lines
 
 
-def _check_flux_quadrature(ctx: mott.ScatteringContext, gas: chamber.GasConfiguration) -> None:
-    probe = gas.obstacle(0) if gas.n_atoms else None
-    if probe is not None and (probe.g0 > 0.0 or probe.g1 > 0.0):
-        mott.quadrature_convergence_check(ctx, probe)
-
-
 def _run_track(config: dict, out_dir: Path) -> str:
     ctx = _build_context(config)
     if "gas_file" in config:
@@ -223,7 +213,8 @@ def _run_track(config: dict, out_dir: Path) -> str:
             species,
             rng,
         )
-    _check_flux_quadrature(ctx, gas)
+    if gas.n_atoms:
+        _domain(mott.quadrature_convergence_check, ctx, gas.obstacle(0))
     chamber.save_configuration(gas, out_dir / config.get("gas_output", "gas.json"))
     track = chamber.select_track(gas, ctx) if gas.n_atoms else None
     if track is None:
@@ -246,8 +237,7 @@ def _run_isotropy(config: dict, out_dir: Path) -> str:
     density = _number(config, "density")
     rng = RngStream(_integer(config, "seed"))
     probe = _domain(species.at, [0.0, 0.0, _number(config, "inner_radius")])
-    if probe.g0 > 0.0 or probe.g1 > 0.0:
-        mott.quadrature_convergence_check(ctx, probe)
+    _domain(mott.quadrature_convergence_check, ctx, probe)
     result = _domain(
         chamber.isotropy_experiment,
         n_configs,
@@ -318,7 +308,7 @@ def run(config: dict, out_dir: Path) -> str:
     experiment = _need(config, "experiment")
     if experiment not in _RUNNERS:
         raise ConfigError(
-            f"unknown experiment {experiment!r}; valid names: {', '.join(EXPERIMENTS)}"
+            f"unknown experiment {experiment!r}; valid names: {', '.join(_RUNNERS)}"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[experiment](config, out_dir)
@@ -332,16 +322,8 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="JSON experiment configuration file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out-dir", default=".", help="directory for output files")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker threads; results never depend on it (current build runs sequentially)",
-    )
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)

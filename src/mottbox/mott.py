@@ -26,11 +26,9 @@ from .numerics import dot, gauss_legendre, norm, unit
 __all__ = [
     "ScatteringContext",
     "Obstacle",
-    "AngularAmplitude",
-    "form_factor",
+    "check_atoms",
     "transferred_momentum",
     "angular_amplitude",
-    "angular_table",
     "flux_free",
     "flux_total",
     "normalization_c2",
@@ -44,6 +42,38 @@ SINGULAR_RADIUS = 1e-9
 
 # far-field formulas need the obstacle many widths away from the emitter
 MIN_DISTANCE_WIDTHS = 10.0
+
+
+def check_atoms(width, g0, g1, delta_e, radius=None) -> None:
+    """Raise ValueError for the first atom that breaks a rule of the far-field model.
+
+    The one rule set of Obstacle, AtomSpecies and GasConfiguration, applied
+    to one atom's values or to equal-length arrays over a gas.  ``radius``
+    is the distance from the emitter; a species has none.  A NaN coupling
+    must not pass: it reads as zero in |C|^2, which then is 1.
+    """
+    fields = {"|position|": radius, "width": width, "g0": g0, "g1": g1, "delta_e": delta_e}
+
+    def require(ok, rule):
+        if ok is True or np.asarray(ok).all():  # plain floats of one atom give a plain bool
+            return
+        i = int(np.argmin(ok))
+        got = ", ".join(f"{name} = {float(np.ravel(v)[i]):g}" for name, v in fields.items() if v is not None)
+        raise ValueError(f"{f'atom {i}: ' if np.ndim(ok) else ''}{rule}, got {got}")
+
+    # every comparison with NaN is false, so "< inf" rejects NaN as well
+    if radius is not None:
+        require(radius < math.inf, "position must have a finite norm")
+    require((width > 0.0) & (width < math.inf), "width must be finite and positive")
+    require((g0 >= 0.0) & (g0 < math.inf) & (g1 >= 0.0) & (g1 < math.inf),
+            "couplings must be finite and non-negative")
+    require((delta_e >= 0.0) & (delta_e < math.inf), "excitation energy must be finite and non-negative")
+    if radius is not None:
+        with np.errstate(over="ignore"):
+            fields["a/s"] = radius / width
+        require(fields["a/s"] >= MIN_DISTANCE_WIDTHS,
+                f"far-field amplitudes need |position| >= {MIN_DISTANCE_WIDTHS:g} * width")
+
 
 DEFAULT_QUAD_NODES = 128
 
@@ -98,7 +128,7 @@ class Obstacle:
     ``g0`` couples the elastic channel, ``g1`` the inelastic one; ``delta_e``
     is the excitation energy the inelastic channel deposits.  The far-field
     amplitude formulas require the atom to sit many widths away from the
-    emitter, enforced here as |position| >= 10 width.
+    emitter, enforced with the other atom rules by :func:`check_atoms`.
     """
 
     position: np.ndarray
@@ -109,21 +139,10 @@ class Obstacle:
 
     def __post_init__(self):
         p = np.asarray(self.position, dtype=float)
-        if p.shape != (3,) or not math.isfinite(norm(p)):
-            raise ValueError(f"position must be a 3-vector of finite norm, got {self.position}")
+        if p.shape != (3,):
+            raise ValueError(f"position must be a 3-vector, got {self.position}")
         object.__setattr__(self, "position", p)
-        if not (self.width > 0.0 and math.isfinite(self.width)):
-            raise ValueError(f"width must be positive, got {self.width}")
-        if self.g0 < 0.0 or self.g1 < 0.0:
-            raise ValueError(f"couplings must be non-negative, got g0={self.g0}, g1={self.g1}")
-        if self.delta_e < 0.0:
-            raise ValueError(f"excitation energy must be non-negative, got {self.delta_e}")
-        ratio = self.distance / self.width
-        if ratio < MIN_DISTANCE_WIDTHS:
-            raise ValueError(
-                "far-field amplitudes need |position| >= "
-                f"{MIN_DISTANCE_WIDTHS:g} * width; got a/s = {ratio:g}"
-            )
+        check_atoms(self.width, self.g0, self.g1, self.delta_e, radius=self.distance)
 
     @property
     def distance(self) -> float:
@@ -139,17 +158,6 @@ class Obstacle:
         if channel == 1:
             return self.g1
         raise ValueError(f"channel must be 0 (elastic) or 1 (inelastic), got {channel}")
-
-
-def form_factor(obstacle: Obstacle, channel: int, r) -> float:
-    """Coupling matrix element g_j exp(-|r|^2 / (2 s^2)).
-
-    ``r`` is measured from the obstacle centre (obstacle-local coordinates).
-    """
-    g = obstacle.coupling(channel)
-    r = np.asarray(r, dtype=float)
-    s = obstacle.width
-    return g * math.exp(-float(np.dot(r, r)) / (2.0 * s * s))
 
 
 def transferred_momentum(k: float, theta: float) -> float:
@@ -178,39 +186,6 @@ def angular_amplitude(ctx: ScatteringContext, obstacle: Obstacle, channel: int, 
     q = transferred_momentum(ctx.k, theta)
     ft = g * (2.0 * math.pi) ** 1.5 * s**3 * math.exp(-0.5 * q * q * s * s)
     return complex(np.exp(1j * ctx.k * a) / a * ft / (2.0 * math.pi))
-
-
-@dataclass(frozen=True, eq=False)
-class AngularAmplitude:
-    """Tabulated scattered-wave amplitude I_j on an ascending angle grid."""
-
-    channel: int
-    thetas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        if thetas.ndim != 1 or thetas.shape != values.shape:
-            raise ValueError("thetas and values must be 1-d arrays of equal length")
-        if np.any(np.diff(thetas) <= 0.0):
-            raise ValueError("angle grid must be strictly ascending")
-        moduli = np.abs(values)
-        if np.any(np.diff(moduli) > 1e-12 * moduli[0]):
-            raise ValueError("|I(theta)| must be non-increasing for a Gaussian coupling")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "values", values)
-
-
-def angular_table(
-    ctx: ScatteringContext, obstacle: Obstacle, channel: int, thetas
-) -> AngularAmplitude:
-    """Evaluate :func:`angular_amplitude` on an angle grid."""
-    thetas = np.asarray(thetas, dtype=float)
-    values = np.array(
-        [angular_amplitude(ctx, obstacle, channel, t) for t in thetas], dtype=complex
-    )
-    return AngularAmplitude(channel=channel, thetas=thetas, values=values)
 
 
 def flux_free(ctx: ScatteringContext) -> float:
@@ -327,14 +302,19 @@ def quadrature_convergence_check(
     n: int = DEFAULT_QUAD_NODES,
     rel_tol: float = 1e-8,
 ) -> None:
-    """Verify the flux quadrature is converged by doubling the node count.
+    """Verify the scattered-intensity quadrature by doubling the node count.
 
-    Run once at the start of a computation; raises if the n-node and 2n-node
-    total fluxes disagree beyond ``rel_tol``.
+    Raises if either channel's n-node integral of sin(theta) |I|^2, which
+    alone sets 1 - |C|^2, differs from its 2n-node value by more than
+    ``rel_tol`` relative; the total flux would hide the error under its
+    4 pi v term.  The gap depends only on k s: at n = 128 it is about 3e-9
+    at k s = 100 and 2e-4 at k s = 300.
     """
-    f_n = flux_total(ctx, obstacle, n)
-    f_2n = flux_total(ctx, obstacle, 2 * n)
-    if abs(f_n - f_2n) > rel_tol * abs(f_2n):
-        raise ValueError(
-            f"flux quadrature not converged at n={n}: {f_n!r} vs {f_2n!r} at 2n"
-        )
+    args = (ctx.k, obstacle.distance, obstacle.width, obstacle.g0, obstacle.g1)
+    pairs = zip(_intensity_integrals(*args, n), _intensity_integrals(*args, 2 * n))
+    for channel, (at_n, at_2n) in enumerate(pairs):
+        if abs(at_n - at_2n) > rel_tol * abs(at_2n):
+            raise ValueError(
+                f"flux quadrature not converged at n={n} for k*s = {ctx.k * obstacle.width:g}: "
+                f"channel {channel} scattered integral {at_n!r} vs {at_2n!r} at 2n"
+            )

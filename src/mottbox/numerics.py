@@ -8,7 +8,6 @@ import functools
 import numpy as np
 
 __all__ = [
-    "vec3",
     "dot",
     "norm",
     "unit",
@@ -23,14 +22,6 @@ UNIT_TOL = 1e-12
 
 # ranges up to this length are summed by one np.add.reduce call
 PAIRWISE_LEAF = 2**16
-
-
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    """Build a finite 3-vector as a float64 array."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"vector components must be finite, got {v}")
-    return v
 
 
 def dot(u, v) -> np.ndarray:

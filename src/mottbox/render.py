@@ -21,7 +21,6 @@ __all__ = [
     "FieldImage",
     "sample_plane",
     "colorize",
-    "render_field",
     "write_ppm",
     "write_grid_csv",
 ]
@@ -146,11 +145,6 @@ def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
     image = np.transpose(rgb, (1, 0, 2))  # grid[i, j] -> pixel row j, col i
     h, w, _ = image.shape
     return FieldImage(width=w, height=h, rgb=image.tobytes())
-
-
-def render_field(field, plane: PlaneSpec, modulus_scale: float) -> FieldImage:
-    """Sample ``field`` on ``plane`` and colorize it."""
-    return colorize(sample_plane(field, plane), modulus_scale)
 
 
 def write_ppm(image: FieldImage, path) -> None:

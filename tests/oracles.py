@@ -14,6 +14,7 @@ from mottbox.bell import CorrelationEstimate, _plus_threshold
 from mottbox.chamber import AlignmentChain
 from mottbox.mott import angular_amplitude, normalization_c2, wave_field
 from mottbox.numerics import gauss_legendre, norm, quad_1d
+from mottbox.render import colorize, sample_plane
 
 
 def wave_field_scalar(ctx, obstacle, point) -> complex:
@@ -33,6 +34,17 @@ def wave_field_scalar(ctx, obstacle, point) -> complex:
     theta = math.acos(cos_theta)
     scattered = complex(np.exp(1j * ctx.k * d) / d) * angular_amplitude(ctx, obstacle, 0, theta)
     return math.sqrt(normalization_c2(ctx, obstacle)) * (free + scattered)
+
+
+def form_factor(obstacle, channel: int, r) -> float:
+    """Coupling matrix element g_j exp(-|r|^2 / (2 s^2)) of the Born volume integral.
+
+    ``r`` is measured from the obstacle centre (obstacle-local coordinates).
+    """
+    g = obstacle.coupling(channel)
+    r = np.asarray(r, dtype=float)
+    s = obstacle.width
+    return g * math.exp(-float(np.dot(r, r)) / (2.0 * s * s))
 
 
 def flux_free_numeric(ctx, radius=3.7, n_theta=24, n_phi=48, rel_step=1e-3) -> float:
@@ -79,6 +91,11 @@ def colormap(z: complex, modulus_scale: float) -> tuple[int, int, int]:
     value = min(1.0, abs(z) / modulus_scale)
     rgb = colorsys.hsv_to_rgb(hue, 1.0, value)
     return tuple(math.floor(c * 255.0 + 0.5) for c in rgb)
+
+
+def render_field(field, plane, modulus_scale: float):
+    """Sample ``field`` on ``plane`` and colorize it, as the render CLI does."""
+    return colorize(sample_plane(field, plane), modulus_scale)
 
 
 def quad_3d(f, half_width: float, n_per_axis: int, vectorized: bool = False) -> complex:

@@ -35,8 +35,8 @@ from mottbox.mott import (
     wave_field,
 )
 from mottbox.numerics import RngStream, unit
-from mottbox.render import PlaneSpec, render_field, write_ppm
-from oracles import flux_free_numeric, quad_3d
+from mottbox.render import PlaneSpec, write_ppm
+from oracles import flux_free_numeric, quad_3d, render_field
 
 CHAMBER_CTX = ScatteringContext.from_wavenumber(10.0, 0.01)
 CHAMBER_SPECIES = AtomSpecies(width=1.0, g0=0.5, g1=0.5, delta_e=0.01)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.stats import chi2
 
 from mottbox import chamber
 from mottbox.chamber import (
+    ATOM_DTYPE,
     AtomSpecies,
     GasConfiguration,
     build_chains,
@@ -22,7 +24,7 @@ from mottbox.chamber import (
     second_order_amplitude,
     select_track,
 )
-from mottbox.mott import ScatteringContext, flux_free, normalization_c2
+from mottbox.mott import Obstacle, ScatteringContext, flux_free, normalization_c2
 from mottbox.numerics import RngStream, unit
 from oracles import build_chains_scan, configuration_to_dict
 
@@ -532,6 +534,54 @@ def test_gas_configuration_rejects_bad_records():
         gas.atoms["g0"][0] = 1.0
 
 
+@pytest.mark.parametrize(
+    "radius, width, g0, g1, delta_e, verdict",
+    [
+        (20.0, 1.0, 0.5, 0.5, 0.01, "valid"),
+        (20.0, 1.2, 0.0, 0.0, 0.0, "valid"),
+        (12.0, 1.2, 1e308, 1e308, 0.0, "valid"),
+        (20.0, np.nan, 0.5, 0.5, 0.01, "invalid"),
+        (20.0, np.inf, 0.5, 0.5, 0.01, "invalid"),
+        (20.0, -np.inf, 0.5, 0.5, 0.01, "invalid"),
+        (20.0, 0.0, 0.5, 0.5, 0.01, "invalid"),
+        (20.0, -1.0, 0.5, 0.5, 0.01, "invalid"),
+        (20.0, 1.0, np.nan, 0.5, 0.01, "invalid"),
+        (20.0, 1.0, 0.5, np.nan, 0.01, "invalid"),
+        (20.0, 1.0, np.inf, 0.5, 0.01, "invalid"),
+        (20.0, 1.0, 0.5, np.inf, 0.01, "invalid"),
+        (20.0, 1.0, -np.inf, 0.5, 0.01, "invalid"),
+        (20.0, 1.0, -0.1, 0.5, 0.01, "invalid"),
+        (20.0, 1.0, 0.5, -0.1, 0.01, "invalid"),
+        (20.0, 1.0, 0.5, 0.5, np.nan, "invalid"),
+        (20.0, 1.0, 0.5, 0.5, np.inf, "invalid"),
+        (20.0, 1.0, 0.5, 0.5, -0.01, "invalid"),
+        (12.0, 1.25, 0.5, 0.5, 0.01, "near field"),  # a/s = 9.6
+    ],
+)
+def test_atom_rules_agree(radius, width, g0, g1, delta_e, verdict):
+    # Obstacle, AtomSpecies and GasConfiguration apply one rule set; a
+    # species has no position, so it alone accepts the near-field atom
+    position = [0.0, 0.0, radius]
+    atoms = np.zeros(1, ATOM_DTYPE)
+    atoms[0] = (position, width, g0, g1, delta_e)
+    builds = {
+        "Obstacle": lambda: Obstacle(position, width, g0, g1, delta_e),
+        "AtomSpecies": lambda: AtomSpecies(width, g0, g1, delta_e),
+        "GasConfiguration": lambda: GasConfiguration(
+            atoms=atoms, chamber_radius=40.0, inner_radius=12.0, seed=0
+        ),
+    }
+    verdicts = {}
+    for name, build in builds.items():
+        try:
+            build()
+            verdicts[name] = True
+        except ValueError:
+            verdicts[name] = False
+    valid = verdict == "valid"
+    assert verdicts == {"Obstacle": valid, "AtomSpecies": verdict != "invalid", "GasConfiguration": valid}
+
+
 def test_off_chain_c2_product():
     gas = collinear_fixture(n_background=3)
     track = select_track(gas, CTX)
@@ -594,6 +644,27 @@ def test_isotropy_experiment_octant_gas_fails_uniformity():
     for b, count in enumerate(result.counts):
         if b not in octant_bins:
             assert count == 0
+
+
+def test_isotropy_experiment_keeps_no_gas_per_track():
+    # a track direction is a row view of its gas's (n_atoms, 3) directions;
+    # keeping the views would hold 24 bytes per atom of every configuration
+    density = 1e-3
+    mean_atoms = density * 4.0 * math.pi / 3.0 * (40.0**3 - 12.0**3)
+    held = []
+
+    def factory(i):
+        if i == 50:
+            tracemalloc.start()
+        elif i == 99:
+            held.append(tracemalloc.get_traced_memory()[0])
+        return sample_gas(density, 12.0, 40.0, SPECIES, RngStream(63, 1 + i))
+
+    try:
+        isotropy_experiment(100, 0.0, 12.0, 40.0, SPECIES, CTX, RngStream(63, 0), config_factory=factory)
+    finally:
+        tracemalloc.stop()
+    assert held[0] / 49 < 0.5 * 24 * mean_atoms
 
 
 def test_isotropy_experiment_requires_enough_configs():

@@ -92,10 +92,13 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_threads_validation(tmp_path, capsys):
+def test_threads_flag_is_gone(tmp_path, capsys):
+    # the runs are sequential, so a thread cap would be a flag that does nothing
     config = bell_config(tmp_path, n_trials=100)
-    assert main([config, "--out-dir", str(tmp_path), "--threads", "0"]) == 2
-    assert "--threads" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([config, "--out-dir", str(tmp_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_bell_run_summary_and_csv(tmp_path, capsys):
@@ -171,6 +174,26 @@ def test_scatter_run(tmp_path, capsys):
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0 and first[5] == 0.0  # forward row: theta = q = 0
     assert math.hypot(first[1], first[2]) == pytest.approx(0.12533141373155, rel=1e-10)
+
+
+@pytest.mark.parametrize("experiment", ["scatter", "track", "isotropy"])
+def test_unconverged_quadrature_is_config_error(tmp_path, capsys, experiment):
+    # at k s = 300 the 128-node scattered integral is off by 2e-4 relative
+    if experiment == "track":
+        config = track_config(tmp_path, k=300.0)
+    else:
+        payload = {
+            "scatter": {"experiment": "scatter", "k": 300.0, "delta_e": 0.01, "s": 1.0, "g0": 0.5, "g1": 0.5,
+                        "distance": 10.0, "n_theta": 181},
+            "isotropy": {"experiment": "isotropy", "k": 300.0, "delta_e": 0.01, "n_configs": 100,
+                         "density": 1e-4, "inner_radius": 12.0, "chamber_radius": 40.0, "width": 1.0,
+                         "g0": 0.5, "g1": 0.5, "seed": 20260810},
+        }[experiment]
+        config = write_config(tmp_path, f"{experiment}.json", payload)
+    out = tmp_path / "out"
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert "flux quadrature not converged at n=128 for k*s = 300" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_track_run_and_replay(tmp_path, capsys):

@@ -6,21 +6,18 @@ from scipy.optimize import brentq
 
 from mottbox import mott
 from mottbox.mott import (
-    AngularAmplitude,
     Obstacle,
     ScatteringContext,
     angular_amplitude,
-    angular_table,
     flux_free,
     flux_total,
-    form_factor,
     normalization_c2,
     quadrature_convergence_check,
     transferred_momentum,
     wave_field,
 )
 from mottbox.numerics import unit
-from oracles import flux_free_numeric, intensity_integrals_scalar, quad_3d, wave_field_scalar
+from oracles import flux_free_numeric, form_factor, intensity_integrals_scalar, quad_3d, wave_field_scalar
 
 # frozen before the build from an independent 1024-node quadrature of the
 # closed-form angular intensity (a=10, s=1, k=10, g0=g1=0.5, delta_e=0.01)
@@ -160,10 +157,8 @@ def test_amplitude_matches_fourier_oracle():
 def test_angular_table_monotone_modulus():
     ctx = ScatteringContext.from_wavenumber(10.0)
     ob = make_obstacle()
-    table = angular_table(ctx, ob, 0, np.linspace(0.0, math.pi, 200))
-    moduli = np.abs(table.values)
+    moduli = np.abs([angular_amplitude(ctx, ob, 0, t) for t in np.linspace(0.0, math.pi, 200)])
     assert np.all(np.diff(moduli) <= 1e-12 * moduli[0])
-    assert table.channel == 0
 
 
 def test_angular_amplitude_half_width_scales_inversely_with_ks():
@@ -178,13 +173,6 @@ def test_angular_amplitude_half_width_scales_inversely_with_ks():
 
         width = brentq(drop, 1e-6, 1.0)
         assert width * ks == pytest.approx(1.0, rel=0.05)
-
-
-def test_angular_amplitude_table_rejects_increasing_modulus():
-    thetas = np.array([0.0, 0.5, 1.0])
-    values = np.array([1.0 + 0j, 0.5 + 0j, 0.8 + 0j])
-    with pytest.raises(ValueError, match="non-increasing"):
-        AngularAmplitude(channel=0, thetas=thetas, values=values)
 
 
 def test_flux_free_values():
@@ -340,6 +328,21 @@ def test_wave_field_array_matches_scalar_formula():
 def test_quadrature_convergence_check_passes():
     ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
     quadrature_convergence_check(ctx, make_obstacle())
+
+
+@pytest.mark.parametrize("ks, converged", [(10.0, True), (100.0, True), (300.0, False), (1e3, False), (3e3, False)])
+def test_quadrature_convergence_check_sees_scattered_error(ks, converged):
+    # the 128/256-node gap in the scattered integral, which sets 1 - |C|^2,
+    # is 3e-9 at k s = 100 and 2e-4 at 300; the total flux hides it
+    ctx = ScatteringContext.from_wavenumber(ks, 0.01)
+    for g0, g1 in ((0.5, 0.5), (0.0, 0.5), (0.5, 0.0)):
+        ob = make_obstacle(g0=g0, g1=g1)
+        if converged:
+            quadrature_convergence_check(ctx, ob)
+        else:
+            with pytest.raises(ValueError, match=f"not converged at n=128 for k\\*s = {ks:g}"):
+                quadrature_convergence_check(ctx, ob)
+    quadrature_convergence_check(ctx, make_obstacle(g0=0.0, g1=0.0))  # nothing scatters
 
 
 def test_intensity_integrals_bit_equal_to_scalar_sum():

@@ -9,7 +9,6 @@ from mottbox.numerics import (
     quad_1d,
     require_unit,
     unit,
-    vec3,
 )
 from oracles import quad_3d
 
@@ -31,13 +30,6 @@ def radial_fourier_oracle(q):
         / q
         * quad_1d(lambda r: r * np.sin(q * r) * np.exp(-r * r / 2.0), 0.0, 14.0, 200)
     )
-
-
-def test_vec3_rejects_non_finite():
-    with pytest.raises(ValueError):
-        vec3(1.0, np.nan, 0.0)
-    with pytest.raises(ValueError):
-        vec3(np.inf, 0.0, 0.0)
 
 
 def test_unit_and_require_unit():

@@ -12,12 +12,11 @@ from mottbox.render import (
     FieldImage,
     PlaneSpec,
     colorize,
-    render_field,
     sample_plane,
     write_grid_csv,
     write_ppm,
 )
-from oracles import colormap
+from oracles import colormap, render_field
 
 # frozen after the first verified render (phase rings spaced 2 pi / k plus
 # 1/R radial dimming, singular centre pixel masked to black)
