@@ -56,8 +56,8 @@ MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  At the README gas (~37
 # atoms) one thread of a 2-vCPU VM takes about 0.5 ms per configuration and
-# keeps 40 bytes of it: the CLI ran 10^5 in 56 s at 92 MB peak RSS and 10^6
-# in 527 s at 388 MB, mostly the 80 MB tracks.csv text built in memory
+# keeps 40 bytes of it; the CLI writes tracks.csv row by row and ran 10^5 in
+# 48 s at 63 MB peak RSS and 10^6 in 462 s at 97 MB, so time sets the guard
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
@@ -91,15 +91,6 @@ class AtomSpecies:
 
     def __post_init__(self):
         check_atoms(self.width, self.g0, self.g1, self.delta_e)
-
-    def at(self, position) -> Obstacle:
-        return Obstacle(
-            position=np.asarray(position, dtype=float),
-            width=self.width,
-            g0=self.g0,
-            g1=self.g1,
-            delta_e=self.delta_e,
-        )
 
     def records(self, positions) -> np.ndarray:
         """ATOM_DTYPE records of this species, one per row of ``positions``."""
@@ -266,10 +257,8 @@ class AlignmentChain:
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         if not self.indices:
             raise ValueError("a chain has at least its head atom")
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
 
     @property
     def n(self) -> int:
@@ -468,18 +457,20 @@ def off_chain_c2_product(
     return product
 
 
-def direction_bin(direction, n_z_bands: int = 4, n_phi_sectors: int = 8) -> int:
-    """Equal-solid-angle bin index of a unit direction.
+# isotropy bins: bands uniform in z = cos(theta) crossed with uniform phi
+# sectors, N_Z_BANDS * N_PHI_SECTORS bins of equal solid angle
+N_Z_BANDS = 4
+N_PHI_SECTORS = 8
 
-    Bands uniform in z = cos(theta) crossed with uniform phi sectors give
-    n_z_bands * n_phi_sectors bins of equal solid angle.
-    """
+
+def direction_bin(direction) -> int:
+    """Equal-solid-angle bin index of a unit direction, in [0, N_Z_BANDS * N_PHI_SECTORS)."""
     d = np.asarray(direction, dtype=float)
     z = min(1.0, max(-1.0, float(d[2])))
-    band = min(n_z_bands - 1, int((z + 1.0) * 0.5 * n_z_bands))
+    band = min(N_Z_BANDS - 1, int((z + 1.0) * 0.5 * N_Z_BANDS))
     phi = math.atan2(float(d[1]), float(d[0]))
-    sector = int((phi + math.pi) / (2.0 * math.pi) * n_phi_sectors) % n_phi_sectors
-    return band * n_phi_sectors + sector
+    sector = int((phi + math.pi) / (2.0 * math.pi) * N_PHI_SECTORS) % N_PHI_SECTORS
+    return band * N_PHI_SECTORS + sector
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,8 +494,6 @@ def isotropy_experiment(
     species: AtomSpecies,
     ctx: ScatteringContext,
     rng: RngStream,
-    n_z_bands: int = 4,
-    n_phi_sectors: int = 8,
     config_factory: Optional[Callable[[int], GasConfiguration]] = None,
 ) -> IsotropyResult:
     """Track directions over many independent gas configurations.
@@ -520,7 +509,7 @@ def isotropy_experiment(
         raise ValueError(f"need at least 100 configurations, got {n_configs}")
     if n_configs > MAX_CONFIGS:
         raise ValueError(f"configuration count {n_configs} exceeds guard {MAX_CONFIGS}")
-    n_bins = n_z_bands * n_phi_sectors
+    n_bins = N_Z_BANDS * N_PHI_SECTORS
     counts = np.zeros(n_bins, dtype=int)
     # filled row by row: a track direction is a row view of its gas's
     # direction array, and keeping the views would keep all those arrays
@@ -542,7 +531,7 @@ def isotropy_experiment(
         track = select_track(config, ctx)
         if track is None:
             continue
-        counts[direction_bin(track.direction, n_z_bands, n_phi_sectors)] += 1
+        counts[direction_bin(track.direction)] += 1
         directions[n_tracks] = track.direction
         chain_lengths[n_tracks] = track.chain.n
         flux_ratios[n_tracks] = track.flux_ratio

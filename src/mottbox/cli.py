@@ -90,8 +90,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_lines(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: str, rows) -> None:
+    # each row is a sequence of cell strings, written as it comes, so no
+    # file's text is ever held whole in memory
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _run_bell(config: dict, out_dir: Path) -> str:
@@ -104,11 +108,11 @@ def _run_bell(config: dict, out_dir: Path) -> str:
     c = _domain(bell.ApparatusSetting, _direction(config, "c")) if "c" in config else None
     rng = RngStream(seed)
     stream_ids = itertools.count(1)
-    rows = []
+    estimates = []
 
     def correlation(x: bell.ApparatusSetting, y: bell.ApparatusSetting):
         est = bell.correlation_mc(x, y, n, rng.substream(next(stream_ids)))
-        rows.append((x, y, est))
+        estimates.append((x, y, est))
         return est
 
     if c is None:
@@ -120,16 +124,12 @@ def _run_bell(config: dict, out_dir: Path) -> str:
             f"bell lhs={result.lhs:.4f} rhs={result.rhs:.4f} "
             f"violated={'true' if result.violated else 'false'}"
         )
-    lines = ["ax,ay,az,bx,by,bz,mean,std_error,n"]
-    for x, y, est in rows:
-        ox, oy = x.orientation, y.orientation
-        lines.append(
-            ",".join(
-                [_fmt(ox[0]), _fmt(ox[1]), _fmt(ox[2]), _fmt(oy[0]), _fmt(oy[1]), _fmt(oy[2]),
-                 _fmt(est.mean), _fmt(est.std_error), str(est.n_trials)]
-            )
-        )
-    _write_lines(out_dir / config.get("output", "bell.csv"), lines)
+    rows = (
+        [*map(_fmt, x.orientation), *map(_fmt, y.orientation), _fmt(est.mean), _fmt(est.std_error),
+         str(est.n_trials)]
+        for x, y, est in estimates
+    )
+    _write_csv(out_dir / config.get("output", "bell.csv"), "ax,ay,az,bx,by,bz,mean,std_error,n", rows)
     return summary
 
 
@@ -158,18 +158,18 @@ def _run_scatter(config: dict, out_dir: Path) -> str:
     n_theta = _integer(config, "n_theta", 181)
     if n_theta < 2:
         raise ConfigError(f"key 'n_theta' must be >= 2, got {n_theta}")
-    _domain(mott.quadrature_convergence_check, ctx, obstacle)
-    lines = ["theta,re_I0,im_I0,re_I1,im_I1,q"]
-    for theta in np.linspace(0.0, math.pi, n_theta):
-        q = mott.transferred_momentum(ctx.k, theta)
-        i0 = mott.angular_amplitude(ctx, obstacle, 0, theta)
-        i1 = mott.angular_amplitude(ctx, obstacle, 1, theta)
-        lines.append(
-            ",".join([_fmt(theta), _fmt(i0.real), _fmt(i0.imag), _fmt(i1.real), _fmt(i1.imag), _fmt(q)])
-        )
-    _write_lines(out_dir / config.get("output", "angular.csv"), lines)
-    c2 = mott.normalization_c2(ctx, obstacle)
+    _domain(mott.quadrature_convergence_check, ctx, obstacle.width, obstacle.g0, obstacle.g1)
+    c2 = _domain(mott.normalization_c2, ctx, obstacle)  # couplings whose intensity overflows raise
     total = mott.flux_total(ctx, obstacle)
+
+    def rows():
+        for theta in np.linspace(0.0, math.pi, n_theta):
+            i0 = mott.angular_amplitude(ctx, obstacle, 0, theta)
+            i1 = mott.angular_amplitude(ctx, obstacle, 1, theta)
+            q = mott.transferred_momentum(ctx.k, theta)
+            yield map(_fmt, (theta, i0.real, i0.imag, i1.real, i1.imag, q))
+
+    _write_csv(out_dir / config.get("output", "angular.csv"), "theta,re_I0,im_I0,re_I1,im_I1,q", rows())
     return f"|C|^2={c2:.6f} flux_total={total:.6f} flux_free={mott.flux_free(ctx):.6f}"
 
 
@@ -183,13 +183,11 @@ def _gas_species(config: dict) -> chamber.AtomSpecies:
     )
 
 
-def _track_lines(tracks) -> list[str]:
-    lines = ["dx,dy,dz,N,flux_ratio"]
-    for direction, n, ratio in tracks:
-        lines.append(
-            ",".join([_fmt(direction[0]), _fmt(direction[1]), _fmt(direction[2]), str(n), _fmt(ratio)])
-        )
-    return lines
+_TRACK_HEADER = "dx,dy,dz,N,flux_ratio"
+
+
+def _track_row(direction, n, ratio) -> list[str]:
+    return [_fmt(direction[0]), _fmt(direction[1]), _fmt(direction[2]), str(n), _fmt(ratio)]
 
 
 def _run_track(config: dict, out_dir: Path) -> str:
@@ -213,20 +211,19 @@ def _run_track(config: dict, out_dir: Path) -> str:
             species,
             rng,
         )
-    if gas.n_atoms:
-        _domain(mott.quadrature_convergence_check, ctx, gas.obstacle(0))
+    atoms = gas.atoms
+    _domain(mott.quadrature_convergence_check, ctx, atoms["width"], atoms["g0"], atoms["g1"])
+    # before any file: a gas too narrow for a forward cone, or couplings whose
+    # intensity overflows in |C|^2, raise here
+    track = _domain(chamber.select_track, gas, ctx)
     chamber.save_configuration(gas, out_dir / config.get("gas_output", "gas.json"))
-    track = chamber.select_track(gas, ctx) if gas.n_atoms else None
+    rows = [] if track is None else [_track_row(track.direction, track.chain.n, track.flux_ratio)]
+    _write_csv(out_dir / config.get("output", "track.csv"), _TRACK_HEADER, rows)
     if track is None:
-        _write_lines(out_dir / config.get("output", "track.csv"), _track_lines([]))
         return "no track (empty configuration)"
     if logger.isEnabledFor(logging.INFO):  # one |C|^2 per atom, only for a line someone reads
         off_chain = chamber.off_chain_c2_product(gas, ctx, track.chain)
         logger.info("off-chain |C|^2 product: %r over %d atoms", off_chain, gas.n_atoms - track.chain.n)
-    _write_lines(
-        out_dir / config.get("output", "track.csv"),
-        _track_lines([(track.direction, track.chain.n, track.flux_ratio)]),
-    )
     return f"track N={track.chain.n} flux_ratio={track.flux_ratio:.4f}"
 
 
@@ -236,8 +233,7 @@ def _run_isotropy(config: dict, out_dir: Path) -> str:
     n_configs = _integer(config, "n_configs")
     density = _number(config, "density")
     rng = RngStream(_integer(config, "seed"))
-    probe = _domain(species.at, [0.0, 0.0, _number(config, "inner_radius")])
-    _domain(mott.quadrature_convergence_check, ctx, probe)
+    _domain(mott.quadrature_convergence_check, ctx, species.width, species.g0, species.g1)
     result = _domain(
         chamber.isotropy_experiment,
         n_configs,
@@ -248,11 +244,10 @@ def _run_isotropy(config: dict, out_dir: Path) -> str:
         ctx,
         rng,
     )
-    lines = ["bin,count"]
-    lines.extend(f"{i},{count}" for i, count in enumerate(result.counts))
-    _write_lines(out_dir / config.get("output", "isotropy.csv"), lines)
-    tracks = zip(result.directions, result.chain_lengths, result.flux_ratios)
-    _write_lines(out_dir / config.get("tracks_output", "tracks.csv"), _track_lines(tracks))
+    counts = ([str(i), str(count)] for i, count in enumerate(result.counts))
+    _write_csv(out_dir / config.get("output", "isotropy.csv"), "bin,count", counts)
+    tracks = (_track_row(*t) for t in zip(result.directions, result.chain_lengths, result.flux_ratios))
+    _write_csv(out_dir / config.get("tracks_output", "tracks.csv"), _TRACK_HEADER, tracks)
     return f"isotropy n={n_configs} chi2={result.chi_square:.2f} p={result.p_value:.4f}"
 
 
@@ -285,6 +280,7 @@ def _run_render(config: dict, out_dir: Path) -> str:
             g1=_number(ob, "g1"),
             delta_e=_number(ob, "delta_e", ctx.delta_e),
         )
+        _domain(mott.quadrature_convergence_check, ctx, obstacle.width, obstacle.g0, obstacle.g1)
     grid = render.sample_plane(lambda p: mott.wave_field(ctx, obstacle, p), plane)
     image = render.colorize(grid, scale)
     out_path = out_dir / config.get("output", "field.ppm")

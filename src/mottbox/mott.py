@@ -75,9 +75,6 @@ def check_atoms(width, g0, g1, delta_e, radius=None) -> None:
                 f"far-field amplitudes need |position| >= {MIN_DISTANCE_WIDTHS:g} * width")
 
 
-DEFAULT_QUAD_NODES = 128
-
-
 @dataclass(frozen=True)
 class ScatteringContext:
     """Projectile kinematics: kinetic energy and obstacle excitation energy.
@@ -193,12 +190,17 @@ def flux_free(ctx: ScatteringContext) -> float:
     return 4.0 * math.pi * ctx.v_alpha
 
 
+# Gauss-Legendre nodes of the flux integrals; quadrature_convergence_check
+# says for which k s they are exact to 1e-8
+_QUAD_NODES = 128
+
+
 @functools.lru_cache(maxsize=64)
-def _node_factors(k: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # the n-node Gauss-Legendre rule on [0, pi] with sin(theta) and the
-    # envelope exp(-q^2 s^2 / 2) at each node, by the scalar math calls so
-    # every factor has the bits of the per-node integrand
-    x, w = gauss_legendre(n)
+def _node_factors(k: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # the Gauss-Legendre rule on [0, pi] with sin(theta) and the envelope
+    # exp(-q^2 s^2 / 2) at each node, by the scalar math calls so every
+    # factor has the bits of the per-node integrand
+    x, w = gauss_legendre(_QUAD_NODES)
     half = 0.5 * math.pi
     thetas = half + half * x
     sin_t = np.array([math.sin(t) for t in thetas.tolist()])
@@ -210,11 +212,9 @@ def _node_factors(k: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray, n
 
 
 @functools.lru_cache(maxsize=4096)
-def _intensity_integrals(
-    k: float, a: float, s: float, g0: float, g1: float, n: int
-) -> tuple[float, float]:
+def _intensity_integrals(k: float, a: float, s: float, g0: float, g1: float) -> tuple[float, float]:
     # shared by flux_total and normalization_c2 so the flux identity holds bitwise
-    thetas, w, sin_t, envelope = _node_factors(k, s, n)
+    thetas, w, sin_t, envelope = _node_factors(k, s)
 
     def integral(g: float) -> float:
         # int_0^pi sin(theta) |I_g(theta)|^2 dtheta; the cumulative sum adds
@@ -231,7 +231,7 @@ def _intensity_integrals(
     return integral(g0) if g0 > 0.0 else 0.0, integral(g1) if g1 > 0.0 else 0.0
 
 
-def flux_total(ctx: ScatteringContext, obstacle: Obstacle, n: int = DEFAULT_QUAD_NODES) -> float:
+def flux_total(ctx: ScatteringContext, obstacle: Obstacle) -> float:
     """Total flux through a large sphere around the emitter, obstacle included.
 
     F = 4 pi v + 2 pi v int sin(theta) |I_0|^2 + 2 pi v' int sin(theta) |I_1|^2.
@@ -239,9 +239,7 @@ def flux_total(ctx: ScatteringContext, obstacle: Obstacle, n: int = DEFAULT_QUAD
     when both couplings vanish.  Interference between the unscattered and
     scattered waves integrates to zero on a large sphere and is dropped.
     """
-    a0, a1 = _intensity_integrals(
-        ctx.k, obstacle.distance, obstacle.width, obstacle.g0, obstacle.g1, n
-    )
+    a0, a1 = _intensity_integrals(ctx.k, obstacle.distance, obstacle.width, obstacle.g0, obstacle.g1)
     return (
         4.0 * math.pi * ctx.v_alpha
         + 2.0 * math.pi * ctx.v_alpha * a0
@@ -249,16 +247,14 @@ def flux_total(ctx: ScatteringContext, obstacle: Obstacle, n: int = DEFAULT_QUAD
     )
 
 
-def normalization_c2(ctx: ScatteringContext, obstacle: Obstacle, n: int = DEFAULT_QUAD_NODES) -> float:
+def normalization_c2(ctx: ScatteringContext, obstacle: Obstacle) -> float:
     """Squared normalization |C|^2 in (0, 1] restoring flux conservation.
 
     |C|^2 = [1 + (1/2) int sin |I_0|^2 + (1/2)(v'/v) int sin |I_1|^2]^{-1},
     so |C|^2 * flux_total == flux_free identically and the unscattered
     spherical amplitude is reduced whenever either coupling is non-zero.
     """
-    a0, a1 = _intensity_integrals(
-        ctx.k, obstacle.distance, obstacle.width, obstacle.g0, obstacle.g1, n
-    )
+    a0, a1 = _intensity_integrals(ctx.k, obstacle.distance, obstacle.width, obstacle.g0, obstacle.g1)
     ratio = ctx.v_alpha_prime / ctx.v_alpha
     return 1.0 / (1.0 + 0.5 * a0 + 0.5 * ratio * a1)
 
@@ -296,25 +292,26 @@ def wave_field(ctx: ScatteringContext, obstacle: Obstacle | None, points) -> np.
     return np.where(singular, np.nan, field)
 
 
-def quadrature_convergence_check(
-    ctx: ScatteringContext,
-    obstacle: Obstacle,
-    n: int = DEFAULT_QUAD_NODES,
-    rel_tol: float = 1e-8,
-) -> None:
-    """Verify the scattered-intensity quadrature by doubling the node count.
+def quadrature_convergence_check(ctx: ScatteringContext, width, g0, g1) -> None:
+    """Verify the flux quadrature against its closed form.
 
-    Raises if either channel's n-node integral of sin(theta) |I|^2, which
-    alone sets 1 - |C|^2, differs from its 2n-node value by more than
-    ``rel_tol`` relative; the total flux would hide the error under its
-    4 pi v term.  The gap depends only on k s: at n = 128 it is about 3e-9
-    at k s = 100 and 2e-4 at k s = 300.
+    1 - |C|^2 is set by int_0^pi sin(theta) exp(-q^2 s^2) dtheta, which
+    equals (1 - exp(-4 k^2 s^2)) / (2 k^2 s^2).  Raises ValueError if the
+    128-node value that |C|^2 uses differs from it by more than 1e-8
+    relative, at any distinct width among the atoms with a non-zero
+    coupling.  ``width``, ``g0`` and ``g1`` are one atom's values or
+    equal-length arrays over a gas.  The error depends only on k s: the
+    check first fails at k s = 101.7, passes again from 112.7 to 114.1,
+    where the error changes sign, and fails beyond.
     """
-    args = (ctx.k, obstacle.distance, obstacle.width, obstacle.g0, obstacle.g1)
-    pairs = zip(_intensity_integrals(*args, n), _intensity_integrals(*args, 2 * n))
-    for channel, (at_n, at_2n) in enumerate(pairs):
-        if abs(at_n - at_2n) > rel_tol * abs(at_2n):
+    coupled = (np.asarray(g0) > 0.0) | (np.asarray(g1) > 0.0)
+    for s in np.unique(np.asarray(width, dtype=float)[coupled]).tolist():
+        _, w, sin_t, envelope = _node_factors(ctx.k, s)
+        quad = 0.5 * math.pi * float(np.sum(w * sin_t * envelope * envelope))
+        x = 2.0 * (ctx.k * s) ** 2
+        exact = -math.expm1(-2.0 * x) / x if x > 0.0 else 2.0  # x is 0 below k s ~ 1e-162
+        if abs(quad - exact) > 1e-8 * exact:
             raise ValueError(
-                f"flux quadrature not converged at n={n} for k*s = {ctx.k * obstacle.width:g}: "
-                f"channel {channel} scattered integral {at_n!r} vs {at_2n!r} at 2n"
+                f"flux quadrature not converged at n={_QUAD_NODES} for k*s = {ctx.k * s:g}: "
+                f"scattered integral {quad!r} vs closed form {exact!r}"
             )

@@ -12,7 +12,7 @@ import numpy as np
 
 from mottbox.bell import CorrelationEstimate, _plus_threshold
 from mottbox.chamber import AlignmentChain
-from mottbox.mott import angular_amplitude, normalization_c2, wave_field
+from mottbox.mott import Obstacle, angular_amplitude, normalization_c2, wave_field
 from mottbox.numerics import gauss_legendre, norm, quad_1d
 from mottbox.render import colorize, sample_plane
 
@@ -147,6 +147,17 @@ def intensity_integrals_scalar(k, a, s, g0, g1, n) -> tuple[float, float]:
     a0 = quad_1d(intensity(g0), 0.0, math.pi, n) if g0 > 0.0 else 0.0
     a1 = quad_1d(intensity(g1), 0.0, math.pi, n) if g1 > 0.0 else 0.0
     return a0, a1
+
+
+def species_at(species, position) -> Obstacle:
+    """One atom of ``species`` at ``position``, as an Obstacle."""
+    return Obstacle(
+        position=np.asarray(position, dtype=float),
+        width=species.width,
+        g0=species.g0,
+        g1=species.g1,
+        delta_e=species.delta_e,
+    )
 
 
 def build_chains_scan(config, ctx, theta_c) -> list:

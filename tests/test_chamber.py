@@ -26,7 +26,7 @@ from mottbox.chamber import (
 )
 from mottbox.mott import Obstacle, ScatteringContext, flux_free, normalization_c2
 from mottbox.numerics import RngStream, unit
-from oracles import build_chains_scan, configuration_to_dict
+from oracles import build_chains_scan, configuration_to_dict, species_at
 
 CTX = ScatteringContext.from_wavenumber(10.0, 0.01)
 SPECIES = AtomSpecies(width=1.0, g0=0.5, g1=0.5, delta_e=0.01)
@@ -178,30 +178,31 @@ def test_cone_half_angle_no_cone_error():
 
 
 def test_second_order_amplitude_peaks_on_ray():
-    atom_a = SPECIES.at([0.0, 0.0, 12.0])
+    atom_a = species_at(SPECIES, [0.0, 0.0, 12.0])
     separation = 20.0
     moduli = []
     for theta in (0.0, 0.05, 0.2, 0.5):
         offset = separation * np.array([math.sin(theta), 0.0, math.cos(theta)])
-        atom_b = SPECIES.at(atom_a.position + offset)
+        atom_b = species_at(SPECIES, atom_a.position + offset)
         moduli.append(abs(second_order_amplitude(CTX, atom_a, atom_b)))
     assert moduli[0] == max(moduli)
     assert np.all(np.diff(moduli) < 0.0)
 
 
 def test_second_order_amplitude_perpendicular_suppressed():
-    atom_a = SPECIES.at([0.0, 0.0, 12.0])
-    atom_b = SPECIES.at([20.0, 0.0, 12.0])  # quarter-turn off the a-direction
+    atom_a = species_at(SPECIES, [0.0, 0.0, 12.0])
+    atom_b = species_at(SPECIES, [20.0, 0.0, 12.0])  # quarter-turn off the a-direction
     assert abs(second_order_amplitude(CTX, atom_a, atom_b)) < 1e-40
 
 
 def test_second_order_amplitude_selectivity_factor():
     # on-ray amplitude beats the 3-theta_c amplitude by at least e^4 at k s >= 10
     theta_c = cone_half_angle(CTX, SPECIES.width)
-    atom_a = SPECIES.at([0.0, 0.0, 12.0])
+    atom_a = species_at(SPECIES, [0.0, 0.0, 12.0])
     separation = 20.0
-    on_ray = SPECIES.at(atom_a.position + separation * np.array([0.0, 0.0, 1.0]))
-    off = SPECIES.at(
+    on_ray = species_at(SPECIES, atom_a.position + separation * np.array([0.0, 0.0, 1.0]))
+    off = species_at(
+        SPECIES,
         atom_a.position
         + separation * np.array([math.sin(3 * theta_c), 0.0, math.cos(3 * theta_c)])
     )
@@ -213,14 +214,14 @@ def test_second_order_amplitude_selectivity_factor():
 
 def test_second_order_amplitude_vanishes_without_inelastic_coupling():
     quiet = AtomSpecies(width=1.0, g0=0.5, g1=0.0, delta_e=0.01)
-    atom_a = quiet.at([0.0, 0.0, 12.0])
-    atom_b = quiet.at([0.0, 0.0, 32.0])
+    atom_a = species_at(quiet, [0.0, 0.0, 12.0])
+    atom_b = species_at(quiet, [0.0, 0.0, 32.0])
     assert second_order_amplitude(CTX, atom_a, atom_b) == 0.0
 
 
 def test_second_order_amplitude_requires_outward_order():
-    atom_a = SPECIES.at([0.0, 0.0, 30.0])
-    atom_b = SPECIES.at([0.0, 0.0, 12.0])
+    atom_a = species_at(SPECIES, [0.0, 0.0, 30.0])
+    atom_b = species_at(SPECIES, [0.0, 0.0, 12.0])
     with pytest.raises(ValueError, match="farther"):
         second_order_amplitude(CTX, atom_a, atom_b)
 
@@ -390,7 +391,7 @@ def test_select_track_empty_configuration():
 
 
 def test_select_track_single_atom():
-    atom = SPECIES.at([0.0, 15.0, 0.0])
+    atom = species_at(SPECIES, [0.0, 15.0, 0.0])
     gas = GasConfiguration(
         atoms=SPECIES.records([atom.position]), chamber_radius=40.0, inner_radius=10.0, seed=0
     )
@@ -437,8 +438,8 @@ def test_select_track_threshold_stability():
 
 def test_select_track_tie_break_prefers_smaller_flux():
     # two singletons: the nearer atom has the smaller |C|^2, hence smaller flux
-    near = SPECIES.at([0.0, 15.0, 0.0])
-    far = SPECIES.at([0.0, 0.0, -25.0])
+    near = species_at(SPECIES, [0.0, 15.0, 0.0])
+    far = species_at(SPECIES, [0.0, 0.0, -25.0])
     gas = GasConfiguration(
         atoms=SPECIES.records([far.position, near.position]),
         chamber_radius=40.0,
@@ -461,7 +462,8 @@ def test_select_track_mixed_species_tie_break_orders_by_flux():
         inner_radius=10.0,
         seed=0,
     )
-    c2_near, c2_far = normalization_c2(CTX, weak.at(near)), normalization_c2(CTX, SPECIES.at(far))
+    c2_near = normalization_c2(CTX, species_at(weak, near))
+    c2_far = normalization_c2(CTX, species_at(SPECIES, far))
     assert c2_near > c2_far
     track = select_track(gas, CTX)
     assert track.chain.head == 1
@@ -524,7 +526,7 @@ def test_gas_configuration_rejects_bad_records():
             gas_with(**fields)
     with pytest.raises(ValueError, match="ATOM_DTYPE"):
         GasConfiguration(
-            atoms=(SPECIES.at([0.0, 0.0, 20.0]),), chamber_radius=40.0, inner_radius=12.0, seed=0
+            atoms=(species_at(SPECIES, [0.0, 0.0, 20.0]),), chamber_radius=40.0, inner_radius=12.0, seed=0
         )
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # finite couplings whose sum overflows are valid

@@ -5,13 +5,14 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mottbox import bell, chamber, numerics
+from mottbox import bell, chamber, mott, numerics
 from mottbox.cli import main
 from mottbox.mott import ScatteringContext
 from mottbox.render import MAX_RESOLUTION
@@ -19,6 +20,38 @@ from mottbox.render import MAX_RESOLUTION
 GOLDEN_FREE_RENDER_SHA256 = "881d49d7ab127aad7154bc702a48d7a1f8cfb44acd32b42ac3bead5c2ed34666"
 # the README obstacle render at 384^2, frozen before the field path was vectorized
 OBSTACLE_RENDER_SHA256 = "e697248f30d3caa6a353b772a5615f7093762f5c56f19f85c8363af4057a4b3a"
+
+# the README configs of the CSV-writing experiments, bell at 10^5 trials and
+# isotropy at 200 configurations so that they run in a few seconds
+README_CONFIGS = {
+    "bell": {"experiment": "bell", "a": [1, 0, 0], "b": [1, 1, 0], "c": [0, 1, 0], "n_trials": 100_000,
+             "seed": 42},
+    "scatter": {"experiment": "scatter", "k": 10.0, "delta_e": 0.01, "s": 1.0, "g0": 0.5, "g1": 0.5,
+                "distance": 10.0, "n_theta": 181},
+    "track": {"experiment": "track", "k": 10.0, "delta_e": 0.01, "density": 3e-4, "inner_radius": 12.0,
+              "chamber_radius": 40.0, "width": 1.0, "g0": 0.5, "g1": 0.5, "seed": 7},
+    "isotropy": {"experiment": "isotropy", "k": 10.0, "delta_e": 0.01, "n_configs": 200, "density": 1e-4,
+                 "inner_radius": 12.0, "chamber_radius": 40.0, "width": 1.0, "g0": 0.5, "g1": 0.5,
+                 "seed": 20260810},
+}
+
+# SHA-256 of every file README_CONFIGS writes at --seed 1 and 2, frozen
+# before the flux quadrature was checked against its closed form and before
+# the CSV rows were streamed
+OUTPUT_SHA256 = {
+    ("bell", 1): {"bell.csv": "b872f156d6022d14773908019b2f6bfab5e6f6d1d8350fb61d1ca180e5ad3135"},
+    ("bell", 2): {"bell.csv": "87bdfe784e1dc16abba721a5ddcb081a8f24c82c9edfd3cf06227e38c6cb9c0f"},
+    ("scatter", 1): {"angular.csv": "b2c4947d15116edfb8416ee839e7890d189fcd54a9c79bfd4cf4c19264e5cad0"},
+    ("scatter", 2): {"angular.csv": "b2c4947d15116edfb8416ee839e7890d189fcd54a9c79bfd4cf4c19264e5cad0"},
+    ("track", 1): {"gas.json": "5f3fd181d9f4f0b5a80452c6a6221a700f001a0f806048ef04b9c51b380e8f41",
+                   "track.csv": "801693b1ed288a20d9ffd647a24e8db2e2665cb819f8114a2959b93f1810f9e6"},
+    ("track", 2): {"gas.json": "7de3a63aafa31db49b68c144db6d6e31e67ea10054af65857c6c1dbd57e4e60d",
+                   "track.csv": "8455eb640732ab33a64e996522549394d7c0b274cf06d808fa0214b02a0e2f56"},
+    ("isotropy", 1): {"isotropy.csv": "86a07cc087d786cc8c1be229c54b76804967b21fccc23a0e97187fcefb85a5a7",
+                      "tracks.csv": "7cf4fadd34d6824baeff0be785a8d8850d3f3492cd98b69cba764d2c946503d3"},
+    ("isotropy", 2): {"isotropy.csv": "d3f0ae296598cb997b3b1aa7d4cc58a90d493cf99b11873ecf24a8909dec04f2",
+                      "tracks.csv": "3c8cc7ff34328e90106e4750fb31e30919643f72956b98615ecf43a53b9ab7f5"},
+}
 
 
 def write_config(tmp_path, name, payload):
@@ -40,20 +73,7 @@ def bell_config(tmp_path, **overrides):
 
 
 def track_config(tmp_path, **overrides):
-    payload = {
-        "experiment": "track",
-        "k": 10.0,
-        "delta_e": 0.01,
-        "density": 3e-4,
-        "inner_radius": 12.0,
-        "chamber_radius": 40.0,
-        "width": 1.0,
-        "g0": 0.5,
-        "g1": 0.5,
-        "seed": 7,
-    }
-    payload.update(overrides)
-    return write_config(tmp_path, "track.json", payload)
+    return write_config(tmp_path, "track.json", {**README_CONFIGS["track"], **overrides})
 
 
 def test_unknown_experiment_lists_names(tmp_path, capsys):
@@ -176,24 +196,81 @@ def test_scatter_run(tmp_path, capsys):
     assert math.hypot(first[1], first[2]) == pytest.approx(0.12533141373155, rel=1e-10)
 
 
-@pytest.mark.parametrize("experiment", ["scatter", "track", "isotropy"])
+@pytest.mark.parametrize("experiment, seed", sorted(OUTPUT_SHA256))
+def test_readme_outputs_keep_their_bytes(tmp_path, capsys, experiment, seed):
+    config = write_config(tmp_path, f"{experiment}.json", README_CONFIGS[experiment])
+    out = tmp_path / "out"
+    assert main([config, "--seed", str(seed), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert hashes == OUTPUT_SHA256[experiment, seed]
+
+
+MIXED_WIDTH_GAS = {
+    "seed": 3, "stream_id": 0, "inner_radius": 60.0, "chamber_radius": 100.0,
+    "atoms": [{"x": 0.0, "y": 0.0, "z": 70.0, "s": 1.0, "g0": 0.5, "g1": 0.5},
+              {"x": 0.0, "y": 80.0, "z": 0.0, "s": 5.0, "g0": 0.5, "g1": 0.5}],
+}
+
+
+@pytest.mark.parametrize("experiment", ["scatter", "track", "isotropy", "render", "gas_file"])
 def test_unconverged_quadrature_is_config_error(tmp_path, capsys, experiment):
-    # at k s = 300 the 128-node scattered integral is off by 2e-4 relative
-    if experiment == "track":
-        config = track_config(tmp_path, k=300.0)
+    # at k s = 300 the 128-node scattered integral is off by 2e-4 relative;
+    # the gas file's second atom has k s = 150 at k = 30, its first k s = 30
+    if experiment == "render":
+        payload = render_config(k=300.0)
+    elif experiment == "gas_file":
+        gas_path = tmp_path / "gas.json"
+        gas_path.write_text(json.dumps(MIXED_WIDTH_GAS), encoding="utf-8")
+        payload = {"experiment": "track", "k": 30.0, "delta_e": 0.01, "gas_file": str(gas_path)}
     else:
-        payload = {
-            "scatter": {"experiment": "scatter", "k": 300.0, "delta_e": 0.01, "s": 1.0, "g0": 0.5, "g1": 0.5,
-                        "distance": 10.0, "n_theta": 181},
-            "isotropy": {"experiment": "isotropy", "k": 300.0, "delta_e": 0.01, "n_configs": 100,
-                         "density": 1e-4, "inner_radius": 12.0, "chamber_radius": 40.0, "width": 1.0,
-                         "g0": 0.5, "g1": 0.5, "seed": 20260810},
-        }[experiment]
-        config = write_config(tmp_path, f"{experiment}.json", payload)
+        payload = {**README_CONFIGS[experiment], "k": 300.0}
+    config = write_config(tmp_path, "config.json", payload)
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 2
-    assert "flux quadrature not converged at n=128 for k*s = 300" in capsys.readouterr().err
+    ks = 150 if experiment == "gas_file" else 300
+    assert f"flux quadrature not converged at n=128 for k*s = {ks}:" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("experiment", ["scatter", "track", "isotropy"])
+def test_overflowing_intensity_is_config_error(tmp_path, capsys, experiment):
+    # valid finite couplings whose scattered intensity overflows in |C|^2
+    payload = {**README_CONFIGS[experiment], "g0": 1e200}
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 2
+    assert "integrand returned non-finite value" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_cli_asks_only_for_the_128_node_rule(tmp_path, capsys, monkeypatch):
+    asked = []
+
+    def recording(n):
+        asked.append(n)
+        return numerics.gauss_legendre(n)
+
+    monkeypatch.setattr(mott, "gauss_legendre", recording)
+    mott._node_factors.cache_clear()
+    mott._intensity_integrals.cache_clear()
+    payloads = {**README_CONFIGS, "bell": {**README_CONFIGS["bell"], "n_trials": 1000}, "render": render_config()}
+    payloads["render"]["plane"]["resolution"] = 16
+    for experiment, payload in payloads.items():
+        config = write_config(tmp_path, f"{experiment}.json", payload)
+        assert main([config, "--out-dir", str(tmp_path / experiment)]) == 0
+        capsys.readouterr()
+    assert set(asked) == {128}
+
+
+def test_track_without_forward_cone_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([track_config(tmp_path, k=0.4), "--out-dir", str(out)]) == 2
+    assert "no forward cone: k*s = 0.4 too small" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([track_config(tmp_path, k=1.5), "--out-dir", str(out)]) == 0
+    assert [str(w.message).startswith("wide-cone regime") for w in caught] == [True]
 
 
 def test_track_run_and_replay(tmp_path, capsys):

@@ -327,22 +327,59 @@ def test_wave_field_array_matches_scalar_formula():
 
 def test_quadrature_convergence_check_passes():
     ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
-    quadrature_convergence_check(ctx, make_obstacle())
+    quadrature_convergence_check(ctx, 1.0, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("ks, converged", [(10.0, True), (100.0, True), (300.0, False), (1e3, False), (3e3, False)])
 def test_quadrature_convergence_check_sees_scattered_error(ks, converged):
-    # the 128/256-node gap in the scattered integral, which sets 1 - |C|^2,
-    # is 3e-9 at k s = 100 and 2e-4 at 300; the total flux hides it
+    # the 128-node scattered integral, which sets 1 - |C|^2, is off by 3e-9
+    # at k s = 100 and 2e-4 at 300; the total flux hides it
     ctx = ScatteringContext.from_wavenumber(ks, 0.01)
     for g0, g1 in ((0.5, 0.5), (0.0, 0.5), (0.5, 0.0)):
-        ob = make_obstacle(g0=g0, g1=g1)
         if converged:
-            quadrature_convergence_check(ctx, ob)
+            quadrature_convergence_check(ctx, 1.0, g0, g1)
         else:
             with pytest.raises(ValueError, match=f"not converged at n=128 for k\\*s = {ks:g}"):
-                quadrature_convergence_check(ctx, ob)
-    quadrature_convergence_check(ctx, make_obstacle(g0=0.0, g1=0.0))  # nothing scatters
+                quadrature_convergence_check(ctx, 1.0, g0, g1)
+    quadrature_convergence_check(ctx, 1.0, 0.0, 0.0)  # nothing scatters
+
+
+def _converged_128_vs_256(k, s, g0, g1):
+    # the verdict of doubling the node count, from the per-node scalar sums
+    pairs = zip(*(intensity_integrals_scalar(k, 10.0 * s, s, g0, g1, n) for n in (128, 256)))
+    return all(abs(at_n - at_2n) <= 1e-8 * abs(at_2n) for at_n, at_2n in pairs)
+
+
+def test_quadrature_check_verdict_equals_node_doubling():
+    # the closed form gives the verdict the 128/256-node comparison gave,
+    # over the accepted range and through both edges near k s = 101.7 and 113
+    grid = np.concatenate(
+        [np.logspace(-1.0, 4.0, 201), np.arange(100.0, 103.0, 0.05), np.arange(112.0, 115.0, 0.05)]
+    )
+    verdicts = set()
+    for ks in grid.tolist():
+        ctx = ScatteringContext.from_wavenumber(ks)
+        for g0, g1 in ((0.5, 0.5), (0.0, 0.5), (0.5, 0.0)):
+            try:
+                quadrature_convergence_check(ctx, 1.0, g0, g1)
+                converged = True
+            except ValueError:
+                converged = False
+            assert converged == _converged_128_vs_256(ks, 1.0, g0, g1), (ks, g0, g1)
+            verdicts.add((ks > 105.0, converged))
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_quadrature_check_covers_every_coupled_width():
+    ctx = ScatteringContext.from_wavenumber(1.0)
+    # k s = 113.5 lies where the 128-node rule is exact again; 105 does not
+    with pytest.raises(ValueError, match="k\\*s = 105:"):
+        quadrature_convergence_check(ctx, np.array([113.5, 105.0]), np.array([0.5, 0.5]), np.zeros(2))
+    quadrature_convergence_check(ctx, 113.5, 0.5, 0.0)
+    # atoms without a coupling scatter nothing, at any width
+    quadrature_convergence_check(ctx, np.array([10.0, 105.0, 1e3]), np.array([0.5, 0.0, 0.0]), np.zeros(3))
+    quadrature_convergence_check(ctx, 1e4, 0.0, 0.0)
+    quadrature_convergence_check(ctx, np.empty(0), np.empty(0), np.empty(0))
 
 
 def test_intensity_integrals_bit_equal_to_scalar_sum():
@@ -355,18 +392,17 @@ def test_intensity_integrals_bit_equal_to_scalar_sum():
             ctx = ScatteringContext.from_wavenumber(k, 0.01 * k * k)
             for a in (10.0 * s, 10.5 * s, 123.456 * s, 1e3 * s):
                 for g0, g1 in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.7), (0.5, 0.5)):
-                    for n in (128, 256):
-                        ob = make_obstacle(a=a, s=s, g0=g0, g1=g1)
-                        a0, a1 = intensity_integrals_scalar(ctx.k, ob.distance, s, g0, g1, n)
-                        ratio = ctx.v_alpha_prime / ctx.v_alpha
-                        assert normalization_c2(ctx, ob, n) == 1.0 / (1.0 + 0.5 * a0 + 0.5 * ratio * a1)
-                        assert flux_total(ctx, ob, n) == (
-                            4.0 * math.pi * ctx.v_alpha
-                            + 2.0 * math.pi * ctx.v_alpha * a0
-                            + 2.0 * math.pi * ctx.v_alpha_prime * a1
-                        )
-                        cases += 1
-    assert cases == 2 * 9 * 4 * 4 * 2
+                    ob = make_obstacle(a=a, s=s, g0=g0, g1=g1)
+                    a0, a1 = intensity_integrals_scalar(ctx.k, ob.distance, s, g0, g1, 128)
+                    ratio = ctx.v_alpha_prime / ctx.v_alpha
+                    assert normalization_c2(ctx, ob) == 1.0 / (1.0 + 0.5 * a0 + 0.5 * ratio * a1)
+                    assert flux_total(ctx, ob) == (
+                        4.0 * math.pi * ctx.v_alpha
+                        + 2.0 * math.pi * ctx.v_alpha * a0
+                        + 2.0 * math.pi * ctx.v_alpha_prime * a1
+                    )
+                    cases += 1
+    assert cases == 2 * 9 * 4 * 4
 
 
 def test_intensity_integrals_overflow_raises():
@@ -374,7 +410,7 @@ def test_intensity_integrals_overflow_raises():
     with pytest.raises(ValueError, match="non-finite"):
         normalization_c2(ctx, make_obstacle(g0=1e200))
     with pytest.raises(ValueError, match="non-finite"):
-        flux_total(ctx, make_obstacle(g0=0.0, g1=1e200), 256)
-    assert mott._intensity_integrals(ctx.k, 10.0, 1.0, 0.5, 0.5, 128) == intensity_integrals_scalar(
+        flux_total(ctx, make_obstacle(g0=0.0, g1=1e200))
+    assert mott._intensity_integrals(ctx.k, 10.0, 1.0, 0.5, 0.5) == intensity_integrals_scalar(
         ctx.k, 10.0, 1.0, 0.5, 0.5, 128
     )
