@@ -24,7 +24,13 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .mott import (
-    Obstacle, ScatteringContext, angular_amplitude, check_atoms, flux_free, normalization_c2
+    Obstacle,
+    ScatteringContext,
+    angular_amplitude,
+    check_atoms,
+    flux_free,
+    normalization_c2,
+    normalization_c2_atoms,
 )
 from .numerics import RngStream, dot, norm
 
@@ -54,10 +60,10 @@ __all__ = [
 # (271 s and 80 MB at 5 * 10^4 atoms)
 MAX_EXPECTED_ATOMS = 100_000
 
-# most configurations isotropy_experiment accepts.  At the README gas (~37
-# atoms) one thread of a 2-vCPU VM takes about 0.5 ms per configuration and
+# most configurations isotropy_experiment accepts.  At the README gas (~26
+# atoms) one thread of a 2-vCPU VM takes about 0.1 ms per configuration and
 # keeps 40 bytes of it; the CLI writes tracks.csv row by row and ran 10^5 in
-# 48 s at 63 MB peak RSS and 10^6 in 462 s at 97 MB, so time sets the guard
+# 10 s at 62 MB peak RSS and 10^6 in 93 s at 96 MB, so time sets the guard
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
@@ -148,6 +154,34 @@ class GasConfiguration:
         return Obstacle(atom["position"], *(float(atom[f]) for f in _SPECIES_FIELDS))
 
 
+def _expected_atoms(density: float, inner_radius: float, chamber_radius: float) -> float:
+    # mean atom count of a gas, checked before any atom is drawn
+    if density < 0.0:
+        raise ValueError(f"density must be non-negative, got {density}")
+    if not (0.0 < inner_radius < chamber_radius):
+        raise ValueError(
+            f"need 0 < inner_radius < chamber_radius, got {inner_radius}, {chamber_radius}"
+        )
+    volume = 4.0 * math.pi / 3.0 * (chamber_radius**3 - inner_radius**3)
+    expected = density * volume
+    if expected > MAX_EXPECTED_ATOMS:
+        raise ValueError(f"expected atom count {expected:g} exceeds guard {MAX_EXPECTED_ATOMS:g}")
+    return expected
+
+
+def _draw_atoms(rng: RngStream, expected: float) -> tuple[np.ndarray, np.ndarray]:
+    # the draws of one gas in their fixed order: the count, then all
+    # direction normals, then all radius uniforms
+    count = rng.poisson(expected) if expected > 0.0 else 0
+    return rng.standard_normal(size=(count, 3)), rng.uniform(size=count)
+
+
+def _shell_positions(normals, u, inner_radius: float, chamber_radius: float) -> np.ndarray:
+    # row by row, so the rows of several gases at once have the bits of each gas alone
+    radii = np.cbrt(inner_radius**3 + u * (chamber_radius**3 - inner_radius**3))
+    return radii[:, None] * (normals / np.sqrt(dot(normals, normals))[:, None])
+
+
 def sample_gas(
     density: float,
     inner_radius: float,
@@ -162,21 +196,8 @@ def sample_gas(
     all direction normals, then all radii), so a given stream reproduces the
     configuration bitwise.
     """
-    if density < 0.0:
-        raise ValueError(f"density must be non-negative, got {density}")
-    if not (0.0 < inner_radius < chamber_radius):
-        raise ValueError(
-            f"need 0 < inner_radius < chamber_radius, got {inner_radius}, {chamber_radius}"
-        )
-    volume = 4.0 * math.pi / 3.0 * (chamber_radius**3 - inner_radius**3)
-    expected = density * volume
-    if expected > MAX_EXPECTED_ATOMS:
-        raise ValueError(f"expected atom count {expected:g} exceeds guard {MAX_EXPECTED_ATOMS:g}")
-    count = rng.poisson(expected) if expected > 0.0 else 0
-    normals = rng.standard_normal(size=(count, 3))
-    u = rng.uniform(size=count)
-    radii = np.cbrt(inner_radius**3 + u * (chamber_radius**3 - inner_radius**3))
-    positions = radii[:, None] * (normals / np.sqrt(dot(normals, normals))[:, None])
+    expected = _expected_atoms(density, inner_radius, chamber_radius)
+    positions = _shell_positions(*_draw_atoms(rng, expected), inner_radius, chamber_radius)
     return GasConfiguration(
         atoms=species.records(positions),
         chamber_radius=chamber_radius,
@@ -197,7 +218,8 @@ def cone_half_angle(ctx: ScatteringContext, s: float, envelope_drop: float = 0.5
     """
     if envelope_drop <= 0.0:
         raise ValueError(f"envelope_drop must be positive, got {envelope_drop}")
-    x = math.sqrt(2.0 * envelope_drop) / (2.0 * ctx.k * s)
+    two_ks = 2.0 * ctx.k * s  # 0 once k s underflows, which leaves no cone either
+    x = math.sqrt(2.0 * envelope_drop) / two_ks if two_ks > 0.0 else math.inf
     if x >= 1.0:
         raise ValueError(
             f"no forward cone: k*s = {ctx.k * s:g} too small for envelope drop {envelope_drop:g}"
@@ -289,49 +311,135 @@ class TrackResult:
 # 2-vCPU VM
 CANDIDATE_BLOCK = 64
 
+# candidate pairs formed at once where the z windows are narrow
+CANDIDATE_PAIRS = 2**16
+
 # the candidate cone is wider than the chain cone by this much in cos: more
 # than the rounding of the chain predicate and of dirs @ dirs.T for atoms
 # over ~1e-5 chamber radii apart, and too little to add measurable work
 CANDIDATE_COS_SLACK = 1e-10
 
 
-def _cone_candidates(
-    pos: np.ndarray, radii: np.ndarray, dirs: np.ndarray, cos_m: float
-) -> list[np.ndarray]:
-    """Each atom with the atoms that may join a chain it heads.
+def _gas_of_atoms(offsets: np.ndarray) -> np.ndarray:
+    # index of the gas that owns each row of a segmented gas
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
-    Atom j is a candidate of head h when it lies farther out and the step
-    h -> j is within arccos(cos_m) of the head direction.  Entry h of the
-    returned list holds h and its candidates in ascending index.  A
-    candidate also lies within that angle of the head direction as seen from
-    the emitter, so pairs are first found among nearby directions:
-    directions are sorted by z and compared in row blocks of dirs @ dirs.T,
-    each against the atoms whose z lies within the chord of that angle,
-    since |dz| <= |d_i - d_j|.  The lists of a block are views of one array
-    of its pairs, 8 bytes per pair.
+
+def _cone_candidates(
+    pos: np.ndarray, radii: np.ndarray, dirs: np.ndarray, gas: np.ndarray, cos_m: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each atom with the atoms of its gas that may join a chain it heads.
+
+    ``gas`` numbers the gas of each atom, in ascending order.  Atom j is a
+    candidate of head h when it belongs to the same gas, lies farther out
+    and the step h -> j is within arccos(cos_m) of the head direction.  The
+    lists come as CSR arrays: members[start[h]:end[h]] holds h and its
+    candidates in ascending index, 8 bytes per pair.  A candidate also lies
+    within that angle of the head direction as seen from the emitter, so
+    pairs are first found among nearby directions: atoms are sorted by gas
+    and then z, and each is compared with the atoms whose z lies within the
+    chord of that angle, since |dz| <= |d_i - d_j|; pair by pair where these
+    windows are narrow, else in row blocks of dirs @ dirs.T against the
+    union of the block's windows.
     """
     n = len(dirs)
-    by_z = np.argsort(dirs[:, 2], kind="stable")
-    z = dirs[by_z, 2]
+    by_z = np.lexsort((dirs[:, 2], gas))
+    # gases lie 4 apart on this key and every z window is narrower than 2,
+    # so a window holds only the atoms of its own gas
+    key = 4.0 * gas[by_z] + dirs[by_z, 2]
     # the 1e-7 covers the rounding of the dot product inside the square root
     reach = math.sqrt(2.0 * (1.0 - cos_m)) + 1e-7
-    lists = [None] * n
-    for lo in range(0, n, CANDIDATE_BLOCK):
-        rows = np.sort(by_z[lo:lo + CANDIDATE_BLOCK])
-        first = np.searchsorted(z, z[lo] - reach, side="left")
-        last = np.searchsorted(z, z[lo + len(rows) - 1] + reach, side="right")
-        cols = by_z[first:last]
-        r, c = np.nonzero((dirs[rows] @ dirs[cols].T >= cos_m) & (radii[cols] >= radii[rows, None]))
-        heads, cands = rows[r], cols[c]
+    window_start = np.searchsorted(key, key - reach, side="left")
+    width = np.searchsorted(key, key + reach, side="right") - window_start
+    # where the windows hold a few atoms each, as in the small gases of an
+    # ensemble, each atom is paired with its own window only; a block of
+    # dirs @ dirs.T would mostly pair atoms of different gases
+    narrow = width.sum() <= CANDIDATE_BLOCK * n
+    paired = np.cumsum(width)  # pairs of the rows up to each row
+    start, end = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    members, base, lo = [], 0, 0
+    while lo < n:
+        if narrow:
+            budget = paired[lo] - width[lo] + CANDIDATE_PAIRS
+            hi = max(lo + 1, int(np.searchsorted(paired, budget, side="right")))
+            rows, count = by_z[lo:hi], width[lo:hi]
+            heads = np.repeat(rows, count)
+            # pair p of a row's first pair f pairs it with column window_start + p - f
+            shift = np.repeat(window_start[lo:hi] - (np.cumsum(count) - count), count)
+            cands = by_z[np.arange(len(heads)) + shift]
+            near = (dot(dirs[heads], dirs[cands]) >= cos_m) & (radii[cands] >= radii[heads])
+            heads, cands = heads[near], cands[near]
+        else:
+            hi = min(n, lo + CANDIDATE_BLOCK)
+            rows = np.sort(by_z[lo:hi])
+            cols = by_z[window_start[lo]:window_start[hi - 1] + width[hi - 1]]
+            near = (dirs[rows] @ dirs[cols].T >= cos_m) & (radii[cols] >= radii[rows, None])
+            r, c = np.nonzero(near & (gas[cols] == gas[rows, None]))
+            heads, cands = rows[r], cols[c]
         step = pos[cands] - pos[heads]
         inside = dot(step, dirs[heads]) >= cos_m * np.sqrt(dot(step, step))
         keys = np.sort(heads[inside] * n + cands[inside])  # by head, then by candidate index
         # every head is its own candidate, so no list is empty
-        bounds = np.searchsorted(keys, rows * n).tolist() + [len(keys)]
-        members = keys % n
-        for head, start, end in zip(rows.tolist(), bounds, bounds[1:]):
-            lists[head] = members[start:end]
-    return lists
+        start[rows] = base + np.searchsorted(keys, rows * n)
+        end[rows] = base + np.searchsorted(keys, rows * n + n)
+        members.append(keys % n)
+        base += len(keys)
+        lo = hi
+    return np.concatenate(members), start, end
+
+
+def _chains(
+    pos: np.ndarray, offsets: np.ndarray, theta_c: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, list[int]]]:
+    """All maximal alignment chains of each gas of a segmented gas.
+
+    Gas j owns rows offsets[j]:offsets[j + 1] of ``pos``; there is at least
+    one atom.  Chains follow the rules of ``build_chains`` within each gas.
+    Returns the atom directions, the chain heads in visiting order (gas by
+    gas), the chain lengths, and the members of each chain longer than one
+    atom, keyed by head.
+    """
+    n = len(pos)
+    gas = _gas_of_atoms(offsets)
+    radii = np.sqrt(np.sum(pos * pos, axis=1))
+    dirs = pos / radii[:, None]
+    cos_c = math.cos(theta_c)
+    if theta_c <= WIDE_CONE_ANGLE:
+        members, start, end = _cone_candidates(pos, radii, dirs, gas, cos_c - CANDIDATE_COS_SLACK)
+    else:
+        members, start, end = np.arange(n), offsets[gas], offsets[gas + 1]
+    order = np.lexsort((radii, gas))  # each gas in ascending radius, ties by index
+    absorbed = np.zeros(n, dtype=bool)
+    length = np.ones(n, dtype=int)  # of the chain each atom heads
+    grown: dict[int, list[int]] = {}
+    # only a head with a candidate besides itself can grow, and only such a
+    # chain absorbs atoms.  The head never qualifies but keeps the scan off a
+    # single row: numpy rounds rel @ axis for one row unlike for several
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for head in order[end[order] - start[order] > 1].tolist():
+            if absorbed[head]:
+                continue
+            idx = members[start[head]:end[head]]  # ascending: argmin ties keep the smallest index
+            cpos, cradii = pos[idx], radii[idx]
+            axis = dirs[head]
+            chain = [head]
+            current = head
+            while True:
+                rel = cpos - pos[current]
+                dist = np.sqrt((rel * rel).sum(axis=1))
+                cos_angle = (rel @ axis) / dist
+                eligible = (cradii > radii[current]) & (dist > 0.0) & (cos_angle >= cos_c)
+                if not eligible.any():
+                    break
+                dist = np.where(eligible, dist, np.inf)
+                current = int(idx[dist.argmin()])
+                chain.append(current)
+            if len(chain) > 1:
+                grown[head] = chain
+                absorbed[chain[1:]] = True
+                length[head] = len(chain)
+    heads = order[~absorbed[order]]
+    return dirs, heads, length[heads], grown
 
 
 def build_chains(
@@ -357,46 +465,57 @@ def build_chains(
     if n == 0:
         return []
     pos = np.ascontiguousarray(config.atoms["position"])
-    radii = np.sqrt(np.sum(pos * pos, axis=1))
-    dirs = pos / radii[:, None]
-    cos_c = math.cos(theta_c)
-    if theta_c <= WIDE_CONE_ANGLE:
-        candidates = _cone_candidates(pos, radii, dirs, cos_c - CANDIDATE_COS_SLACK)
-    else:
-        candidates = [np.arange(n)] * n
-    order = np.argsort(radii, kind="stable").tolist()  # ascending radius, ties by index
-    absorbed: set[int] = set()
-    chains: list[AlignmentChain] = []
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for head in order:
-            if head in absorbed:
-                continue
-            members = [head]
-            # the head never qualifies but keeps the scan off a single row:
-            # numpy rounds rel @ axis for one row unlike for several
-            idx = candidates[head]  # ascending: argmin ties keep the smallest index
-            if len(idx) > 1:
-                cpos, cradii = pos[idx], radii[idx]
-                axis = dirs[head]
-                current = head
-                while True:
-                    rel = cpos - pos[current]
-                    dist = np.sqrt((rel * rel).sum(axis=1))
-                    cos_angle = (rel @ axis) / dist
-                    eligible = (cradii > radii[current]) & (dist > 0.0) & (cos_angle >= cos_c)
-                    if not eligible.any():
-                        break
-                    dist = np.where(eligible, dist, np.inf)
-                    current = int(idx[dist.argmin()])
-                    members.append(current)
-            absorbed.update(members[1:])
-            chains.append(AlignmentChain(indices=tuple(members), direction=dirs[head]))
-    return chains
+    dirs, heads, _, grown = _chains(pos, np.array([0, n]), theta_c)
+    return [
+        AlignmentChain(indices=tuple(grown.get(head, (head,))), direction=dirs[head])
+        for head in heads.tolist()
+    ]
 
 
-def _uniform_species(config: GasConfiguration) -> bool:
-    atoms = config.atoms
-    return all(bool(np.all(atoms[f] == atoms[f][0])) for f in _SPECIES_FIELDS)
+def _uniform_species(atoms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    # per gas: do all its atoms share the species fields of its first atom
+    gas = _gas_of_atoms(offsets)
+    differs = np.zeros(len(atoms), dtype=bool)
+    for f in _SPECIES_FIELDS:
+        differs |= atoms[f] != atoms[f][offsets[gas]]
+    return np.bincount(gas[differs], minlength=len(offsets) - 1) == 0
+
+
+def _tracks(atoms: np.ndarray, offsets, ctx: ScatteringContext, theta_c: float):
+    """The track of every non-empty gas of a segmented gas, as arrays.
+
+    Gas j owns rows offsets[j]:offsets[j + 1] of the ATOM_DTYPE records
+    ``atoms``; there is at least one atom, and every gas has ``theta_c``.
+    Each gas keeps its longest chain; ties go to the chain with the smallest
+    surviving spherical flux, then the smallest head index.  Returns, per
+    non-empty gas in gas order, the chain head, chain length and the head's
+    |C|^2, then the atom directions and the members of the longer chains
+    from ``_chains``.
+    """
+    offsets = np.asarray(offsets)
+    pos = np.ascontiguousarray(atoms["position"])
+    dirs, heads, lengths, grown = _chains(pos, offsets, theta_c)
+    n_gases = len(offsets) - 1
+    gas = _gas_of_atoms(offsets)[heads]
+    best = np.zeros(n_gases, dtype=int)
+    np.maximum.at(best, gas, lengths)
+    tied = lengths == best[gas]
+    distance = np.sqrt(dot(pos, pos))  # bits of Obstacle.distance
+
+    def c2_of(i):
+        return normalization_c2_atoms(ctx, distance[i], *(atoms[f][i] for f in ("width", "g0", "g1")))
+
+    # |C|^2 grows with head distance for a shared species, so head distance
+    # orders the surviving flux of tied chains without computing it
+    order_key = distance[heads]
+    mixed = tied & ~_uniform_species(atoms, offsets)[gas]
+    mixed &= np.bincount(gas[tied], minlength=n_gases)[gas] > 1
+    if mixed.any():
+        fluxes = zip(c2_of(heads[mixed]).tolist(), lengths[mixed].tolist())
+        order_key[mixed] = [flux_free(ctx) * c2**n for c2, n in fluxes]
+    order = np.lexsort((heads, order_key, -lengths, gas))
+    won = order[np.flatnonzero(np.diff(gas[order], prepend=-1))]
+    return heads[won], lengths[won], c2_of(heads[won]), dirs, grown
 
 
 def select_track(
@@ -413,29 +532,13 @@ def select_track(
     if config.n_atoms == 0:
         return None
     theta_c = cone_half_angle(ctx, float(config.atoms["width"].max()), envelope_drop)
-    chains = build_chains(config, ctx, theta_c)
-    best_n = max(c.n for c in chains)
-    tied = [c for c in chains if c.n == best_n]
-    if len(tied) > 1:
-        if _uniform_species(config):
-            # |C|^2 grows with head distance for a shared species, so head
-            # distance orders the surviving flux without recomputing it
-            distance = np.sqrt(dot(config.atoms["position"], config.atoms["position"]))
-            tied.sort(key=lambda c: (distance[c.head], c.head))
-        else:
-            tied.sort(
-                key=lambda c: (
-                    flux_free(ctx) * normalization_c2(ctx, config.obstacle(c.head)) ** c.n,
-                    c.head,
-                )
-            )
-    winner = tied[0]
-    c2 = normalization_c2(ctx, config.obstacle(winner.head))
-    flux = flux_free(ctx) * c2**winner.n
+    (head,), (n,), (c2,), dirs, grown = _tracks(config.atoms, [0, config.n_atoms], ctx, theta_c)
+    head, n, c2 = int(head), int(n), float(c2)
+    chain = AlignmentChain(indices=tuple(grown.get(head, (head,))), direction=dirs[head])
     return TrackResult(
-        direction=winner.direction,
-        chain=winner,
-        surviving_spherical_flux=flux,
+        direction=chain.direction,
+        chain=chain,
+        surviving_spherical_flux=flux_free(ctx) * c2**n,
         c2_per_step=c2,
     )
 
@@ -486,6 +589,42 @@ class IsotropyResult:
     n_empty: int
 
 
+# isotropy_experiment samples and selects consecutive configurations
+# together: a chunk closes after this many configurations, or once it holds
+# _CHUNK_ATOMS atoms, so its arrays stay small at every density
+_CHUNK_CONFIGS = 64
+_CHUNK_ATOMS = 2**14
+
+
+def _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, rng):
+    # consecutive sampled configurations as one ATOM_DTYPE array and the
+    # offsets of each configuration's rows; configuration i has the draws and
+    # the positions that sample_gas gives on the sub-stream rng.stream_id + 1 + i
+    expected = _expected_atoms(density, inner_radius, chamber_radius)
+    i = 0
+    while i < n_configs:
+        normals, uniforms, offsets = [], [], [0]
+        while i < n_configs and len(normals) < _CHUNK_CONFIGS and offsets[-1] < _CHUNK_ATOMS:
+            normal, u = _draw_atoms(rng.substream(rng.stream_id + 1 + i), expected)
+            normals.append(normal)
+            uniforms.append(u)
+            offsets.append(offsets[-1] + len(u))
+            i += 1
+        positions = _shell_positions(
+            np.concatenate(normals), np.concatenate(uniforms), inner_radius, chamber_radius
+        )
+        atoms = species.records(positions)
+        try:
+            # the rules of one gas hold for all rows exactly when they hold
+            # for each configuration's rows
+            GasConfiguration(atoms, chamber_radius, inner_radius, rng.seed)
+        except ValueError:
+            for lo, hi in zip(offsets, offsets[1:]):  # the first failing configuration's own error
+                GasConfiguration(atoms[lo:hi], chamber_radius, inner_radius, rng.seed)
+            raise
+        yield atoms, np.array(offsets)
+
+
 def isotropy_experiment(
     n_configs: int,
     density: float,
@@ -499,11 +638,15 @@ def isotropy_experiment(
     """Track directions over many independent gas configurations.
 
     Configuration i is sampled from the sub-stream ``rng.stream_id + 1 + i``,
-    so runs parallelize over configurations without changing results.  Bins
-    are equal-solid-angle; the chi-square statistic is against the uniform
-    distribution with n_bins - 1 degrees of freedom.  ``config_factory``
-    overrides the gas sampler (it receives the configuration index), which is
-    how degenerate, non-isotropic gases are injected in tests.
+    so runs parallelize over configurations without changing results.  Its
+    track is the one ``select_track`` finds in ``sample_gas``'s gas on that
+    stream; consecutive configurations are sampled and selected together in
+    array passes.  Bins are equal-solid-angle; the chi-square statistic is
+    against the uniform distribution with n_bins - 1 degrees of freedom.
+    ``config_factory`` overrides the gas sampler (it receives the
+    configuration index), which is how degenerate, non-isotropic gases are
+    injected in tests; a factory's gas has no size guard, so each is
+    selected alone and not kept.
     """
     if n_configs < 100:
         raise ValueError(f"need at least 100 configurations, got {n_configs}")
@@ -511,31 +654,27 @@ def isotropy_experiment(
         raise ValueError(f"configuration count {n_configs} exceeds guard {MAX_CONFIGS}")
     n_bins = N_Z_BANDS * N_PHI_SECTORS
     counts = np.zeros(n_bins, dtype=int)
-    # filled row by row: a track direction is a row view of its gas's
-    # direction array, and keeping the views would keep all those arrays
+    # filled chunk by chunk: a track direction is a row of its chunk's
+    # direction array, and keeping views would keep all those arrays
     directions = np.empty((n_configs, 3))
     chain_lengths = np.empty(n_configs, dtype=int)
     flux_ratios = np.empty(n_configs)
     n_tracks = 0
-    for i in range(n_configs):
-        if config_factory is not None:
-            config = config_factory(i)
-        else:
-            config = sample_gas(
-                density,
-                inner_radius,
-                chamber_radius,
-                species,
-                rng.substream(rng.stream_id + 1 + i),
-            )
-        track = select_track(config, ctx)
-        if track is None:
+    if config_factory is None:
+        chunks = _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, rng)
+    else:
+        chunks = ((gas.atoms, [0, gas.n_atoms]) for gas in map(config_factory, range(n_configs)))
+    for atoms, offsets in chunks:
+        if not len(atoms):
             continue
-        counts[direction_bin(track.direction)] += 1
-        directions[n_tracks] = track.direction
-        chain_lengths[n_tracks] = track.chain.n
-        flux_ratios[n_tracks] = track.flux_ratio
-        n_tracks += 1
+        theta_c = cone_half_angle(ctx, float(atoms["width"].max()))
+        heads, lengths, c2, dirs, _ = _tracks(atoms, offsets, ctx, theta_c)
+        found = slice(n_tracks, n_tracks + len(heads))
+        directions[found] = dirs[heads]
+        counts += np.bincount([direction_bin(d) for d in directions[found]], minlength=n_bins)
+        chain_lengths[found] = lengths
+        flux_ratios[found] = [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())]
+        n_tracks += len(heads)
     if n_tracks == 0:
         raise ValueError("no configuration produced a track; increase the density")
     expected = n_tracks / n_bins

@@ -281,6 +281,7 @@ def _run_render(config: dict, out_dir: Path) -> str:
             delta_e=_number(ob, "delta_e", ctx.delta_e),
         )
         _domain(mott.quadrature_convergence_check, ctx, obstacle.width, obstacle.g0, obstacle.g1)
+        _domain(mott.normalization_c2, ctx, obstacle)  # couplings whose intensity overflows raise
     grid = render.sample_plane(lambda p: mott.wave_field(ctx, obstacle, p), plane)
     image = render.colorize(grid, scale)
     out_path = out_dir / config.get("output", "field.ppm")

@@ -32,6 +32,7 @@ __all__ = [
     "flux_free",
     "flux_total",
     "normalization_c2",
+    "normalization_c2_atoms",
     "wave_field",
     "quadrature_convergence_check",
 ]
@@ -211,24 +212,47 @@ def _node_factors(k: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return thetas, w, sin_t, envelope
 
 
+def _intensity_rows(k: float, a, s, g0, g1) -> tuple[np.ndarray, np.ndarray]:
+    # int_0^pi sin(theta) |I_g(theta)|^2 dtheta of both channels for arrays
+    # of atoms, 0 where the coupling is 0.  Each node value is rounded as the
+    # per-node formula of angular_amplitude's envelope rounds it, and the
+    # cumulative sum along the nodes adds them one by one, in the order of a
+    # scalar loop, so a row's bits do not depend on the other rows.  The
+    # first non-finite integrand in the order (atom, channel g0 then g1,
+    # node) raises.
+    a, s = np.asarray(a, dtype=float), np.asarray(s, dtype=float)
+    g = np.stack([np.asarray(g0, dtype=float), np.asarray(g1, dtype=float)], axis=1)
+    if not len(s):
+        return np.empty(0), np.empty(0)
+    widths, which = np.unique(s, return_inverse=True)
+    tables = [_node_factors(k, width) for width in widths.tolist()]
+    thetas, w, sin_t = tables[0][:3]  # the same for every width
+    envelope = np.stack([table[3] for table in tables])[which]
+    s3 = np.array([width**3 for width in s.tolist()])  # float ** int, as the scalar formula rounds it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # in place, so that at most two (atoms, 2, nodes) arrays are alive
+        amp = (g * (2.0 * math.pi) ** 1.5 * s3[:, None])[:, :, None] * envelope[:, None, :]
+        amp /= (2.0 * math.pi * a)[:, None, None]
+        val = sin_t * amp
+        val *= amp
+    del amp
+    bad = ~np.isfinite(val) & (g > 0.0)[:, :, None]
+    if bad.any():
+        i = int(np.argmax(bad))
+        node = i % len(thetas)
+        raise ValueError(
+            f"integrand returned non-finite value {float(val.flat[i])!r} at x={float(thetas[node])!r}"
+        )
+    val *= w
+    sums = np.where(g > 0.0, 0.5 * math.pi * np.cumsum(val, axis=2)[:, :, -1], 0.0)
+    return sums[:, 0], sums[:, 1]
+
+
 @functools.lru_cache(maxsize=4096)
 def _intensity_integrals(k: float, a: float, s: float, g0: float, g1: float) -> tuple[float, float]:
     # shared by flux_total and normalization_c2 so the flux identity holds bitwise
-    thetas, w, sin_t, envelope = _node_factors(k, s)
-
-    def integral(g: float) -> float:
-        # int_0^pi sin(theta) |I_g(theta)|^2 dtheta; the cumulative sum adds
-        # the weighted nodes one by one, in the order of a scalar loop
-        with np.errstate(over="ignore", invalid="ignore"):
-            amp = g * (2.0 * math.pi) ** 1.5 * s**3 * envelope / (2.0 * math.pi * a)
-            val = sin_t * amp * amp
-        bad = ~np.isfinite(val)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"integrand returned non-finite value {float(val[i])!r} at x={float(thetas[i])!r}")
-        return 0.5 * math.pi * float(np.cumsum(w * val)[-1])
-
-    return integral(g0) if g0 > 0.0 else 0.0, integral(g1) if g1 > 0.0 else 0.0
+    a0, a1 = _intensity_rows(k, [a], [s], [g0], [g1])
+    return float(a0[0]), float(a1[0])
 
 
 def flux_total(ctx: ScatteringContext, obstacle: Obstacle) -> float:
@@ -247,6 +271,11 @@ def flux_total(ctx: ScatteringContext, obstacle: Obstacle) -> float:
     )
 
 
+def _c2(ctx: ScatteringContext, a0, a1):
+    ratio = ctx.v_alpha_prime / ctx.v_alpha
+    return 1.0 / (1.0 + 0.5 * a0 + 0.5 * ratio * a1)
+
+
 def normalization_c2(ctx: ScatteringContext, obstacle: Obstacle) -> float:
     """Squared normalization |C|^2 in (0, 1] restoring flux conservation.
 
@@ -254,9 +283,17 @@ def normalization_c2(ctx: ScatteringContext, obstacle: Obstacle) -> float:
     so |C|^2 * flux_total == flux_free identically and the unscattered
     spherical amplitude is reduced whenever either coupling is non-zero.
     """
-    a0, a1 = _intensity_integrals(ctx.k, obstacle.distance, obstacle.width, obstacle.g0, obstacle.g1)
-    ratio = ctx.v_alpha_prime / ctx.v_alpha
-    return 1.0 / (1.0 + 0.5 * a0 + 0.5 * ratio * a1)
+    return _c2(ctx, *_intensity_integrals(ctx.k, obstacle.distance, obstacle.width, obstacle.g0, obstacle.g1))
+
+
+def normalization_c2_atoms(ctx: ScatteringContext, distance, width, g0, g1) -> np.ndarray:
+    """|C|^2 of many atoms at once, from 1-d arrays of their obstacle fields.
+
+    Element i has the bits of ``normalization_c2`` for the Obstacle with
+    those values, and a non-finite integrand raises the ValueError that the
+    first such atom raises there.  Atoms are taken as valid Obstacles.
+    """
+    return _c2(ctx, *_intensity_rows(ctx.k, distance, width, g0, g1))
 
 
 def wave_field(ctx: ScatteringContext, obstacle: Obstacle | None, points) -> np.ndarray:

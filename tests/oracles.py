@@ -9,11 +9,22 @@ import colorsys
 import math
 
 import numpy as np
+from scipy.special import chdtrc
 
 from mottbox.bell import CorrelationEstimate, _plus_threshold
-from mottbox.chamber import AlignmentChain
-from mottbox.mott import Obstacle, angular_amplitude, normalization_c2, wave_field
-from mottbox.numerics import gauss_legendre, norm, quad_1d
+from mottbox.chamber import (
+    N_PHI_SECTORS,
+    N_Z_BANDS,
+    AlignmentChain,
+    IsotropyResult,
+    TrackResult,
+    cone_half_angle,
+    direction_bin,
+    sample_gas,
+    select_track,
+)
+from mottbox.mott import Obstacle, angular_amplitude, flux_free, normalization_c2, wave_field
+from mottbox.numerics import dot, gauss_legendre, norm, quad_1d
 from mottbox.render import colorize, sample_plane
 
 
@@ -199,6 +210,77 @@ def build_chains_scan(config, ctx, theta_c) -> list:
         absorbed.update(members[1:])
         chains.append(AlignmentChain(indices=tuple(members), direction=dirs[head]))
     return chains
+
+
+def select_track_scan(config, ctx, envelope_drop=0.5):
+    """``chamber.select_track`` over ``build_chains_scan``, one tied chain at a time.
+
+    The longest chain wins.  Tied chains of a gas whose atoms share one
+    species go to the smallest head distance, since |C|^2 grows with it;
+    otherwise to the smallest surviving flux flux_free * |C|^2(head)^N, with
+    one ``normalization_c2`` per tied head; then to the smallest head index.
+    """
+    if config.n_atoms == 0:
+        return None
+    theta_c = cone_half_angle(ctx, float(config.atoms["width"].max()), envelope_drop)
+    chains = build_chains_scan(config, ctx, theta_c)
+    best_n = max(c.n for c in chains)
+    tied = [c for c in chains if c.n == best_n]
+    atoms = config.atoms
+    if all(bool(np.all(atoms[f] == atoms[f][0])) for f in ("width", "g0", "g1", "delta_e")):
+        distance = np.sqrt(dot(atoms["position"], atoms["position"]))
+        tied.sort(key=lambda c: (distance[c.head], c.head))
+    else:
+        def flux(c):
+            return flux_free(ctx) * normalization_c2(ctx, config.obstacle(c.head)) ** c.n
+
+        tied.sort(key=lambda c: (flux(c), c.head))
+    winner = tied[0]
+    c2 = normalization_c2(ctx, config.obstacle(winner.head))
+    return TrackResult(
+        direction=winner.direction,
+        chain=winner,
+        surviving_spherical_flux=flux_free(ctx) * c2**winner.n,
+        c2_per_step=c2,
+    )
+
+
+def isotropy_per_config(
+    n_configs, density, inner_radius, chamber_radius, species, ctx, rng, config_factory=None
+):
+    """``chamber.isotropy_experiment`` one configuration at a time.
+
+    Configuration i is ``sample_gas`` on the sub-stream rng.stream_id + 1 + i
+    (or ``config_factory(i)``), and its track is ``select_track`` of that gas
+    alone; the counts, chi-square and p-value follow from the tracks.
+    """
+    n_bins = N_Z_BANDS * N_PHI_SECTORS
+    counts = np.zeros(n_bins, dtype=int)
+    directions, chain_lengths, flux_ratios = [], [], []
+    for i in range(n_configs):
+        if config_factory is not None:
+            config = config_factory(i)
+        else:
+            stream = rng.substream(rng.stream_id + 1 + i)
+            config = sample_gas(density, inner_radius, chamber_radius, species, stream)
+        track = select_track(config, ctx)
+        if track is None:
+            continue
+        counts[direction_bin(track.direction)] += 1
+        directions.append(track.direction)
+        chain_lengths.append(track.chain.n)
+        flux_ratios.append(track.flux_ratio)
+    expected = len(directions) / n_bins
+    stat = float(np.sum((counts - expected) ** 2) / expected)
+    return IsotropyResult(
+        counts=counts,
+        chi_square=stat,
+        p_value=float(chdtrc(n_bins - 1, stat)),
+        directions=np.array(directions).reshape(-1, 3),
+        chain_lengths=np.array(chain_lengths, dtype=int),
+        flux_ratios=np.array(flux_ratios),
+        n_empty=n_configs - len(directions),
+    )
 
 
 def configuration_to_dict(config) -> dict:

@@ -26,7 +26,13 @@ from mottbox.chamber import (
 )
 from mottbox.mott import Obstacle, ScatteringContext, flux_free, normalization_c2
 from mottbox.numerics import RngStream, unit
-from oracles import build_chains_scan, configuration_to_dict, species_at
+from oracles import (
+    build_chains_scan,
+    configuration_to_dict,
+    isotropy_per_config,
+    select_track_scan,
+    species_at,
+)
 
 CTX = ScatteringContext.from_wavenumber(10.0, 0.01)
 SPECIES = AtomSpecies(width=1.0, g0=0.5, g1=0.5, delta_e=0.01)
@@ -619,17 +625,39 @@ def test_isotropy_experiment_uniform_gas():
     assert np.all(result.flux_ratios <= 1.0)
 
 
-def test_isotropy_experiment_octant_gas_fails_uniformity():
-    def octant_factory(i):
-        draw = RngStream(55, 10_000 + i)
+def octant_factory(seed):
+    """Gases whose atoms all lie in the octant x, y, z > 0."""
+
+    def factory(i):
+        draw = RngStream(seed, 10_000 + i)
         n = 1 + draw.poisson(8.0)
         directions = np.abs(draw.standard_normal(size=(n, 3)))
         radii = 12.0 + 25.0 * draw.uniform(size=n)
         atoms = SPECIES.records([radii[j] * unit(directions[j]) for j in range(n)])
         return GasConfiguration(
-            atoms=atoms, chamber_radius=40.0, inner_radius=12.0, seed=55, stream_id=i
+            atoms=atoms, chamber_radius=40.0, inner_radius=12.0, seed=seed, stream_id=i
         )
 
+    return factory
+
+
+def mixed_factory(seed):
+    """Gases of two species, most of whose chains are one atom long, so that
+    the longest chains tie and the surviving flux picks among them."""
+    heavy = AtomSpecies(width=0.8, g0=0.3, g1=0.7, delta_e=0.02)
+    weak = AtomSpecies(width=1.0, g0=0.05, g1=0.05, delta_e=0.01)
+
+    def factory(i):
+        a = sample_gas(1e-4, 12.0, 40.0, SPECIES, RngStream(seed, 2 * i + 1))
+        b = sample_gas(1e-4, 12.0, 40.0, weak if i % 2 else heavy, RngStream(seed, 2 * i + 2))
+        return GasConfiguration(
+            atoms=np.concatenate([a.atoms, b.atoms]), chamber_radius=40.0, inner_radius=12.0, seed=seed
+        )
+
+    return factory
+
+
+def test_isotropy_experiment_octant_gas_fails_uniformity():
     result = isotropy_experiment(
         n_configs=150,
         density=0.0,
@@ -638,7 +666,7 @@ def test_isotropy_experiment_octant_gas_fails_uniformity():
         species=SPECIES,
         ctx=CTX,
         rng=RngStream(55, 0),
-        config_factory=octant_factory,
+        config_factory=octant_factory(55),
     )
     assert result.p_value < 1e-6
     assert result.p_value == chi2.sf(result.chi_square, len(result.counts) - 1)
@@ -646,6 +674,90 @@ def test_isotropy_experiment_octant_gas_fails_uniformity():
     for b, count in enumerate(result.counts):
         if b not in octant_bins:
             assert count == 0
+
+
+ISOTROPY_CASES = {
+    # n_configs, density, factory
+    "chunk_remainder": (2 * chamber._CHUNK_CONFIGS + 37, 1e-4, None),
+    "mostly_empty": (150, 3e-6, None),
+    "atom_capped_chunks": (100, 1.5e-3, None),
+    "mixed_species_ties": (120, 0.0, mixed_factory),
+    "octant": (100, 0.0, octant_factory),
+}
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+@pytest.mark.parametrize("case", sorted(ISOTROPY_CASES))
+def test_isotropy_experiment_bit_equal_to_per_config_loop(case, seed):
+    n_configs, density, factory = ISOTROPY_CASES[case]
+    args = (n_configs, density, 12.0, 40.0, SPECIES, CTX, RngStream(seed, 5))
+    factory = factory and factory(seed)
+    result = isotropy_experiment(*args, config_factory=factory)
+    expected = isotropy_per_config(*args, config_factory=factory)
+    for field in ("directions", "chain_lengths", "flux_ratios", "counts"):
+        assert getattr(result, field).tobytes() == getattr(expected, field).tobytes(), field
+    assert result.n_empty == expected.n_empty
+    assert (result.chi_square, result.p_value) == (expected.chi_square, expected.p_value)
+    if case == "mostly_empty":
+        assert result.n_empty > n_configs // 3
+    if case == "atom_capped_chunks":
+        assert result.chain_lengths.max() > 2
+
+
+def test_isotropy_chunks_close_on_configs_and_on_atoms():
+    def chunk_sizes(density):
+        chunks = chamber._sampled_chunks(300, density, 12.0, 40.0, SPECIES, RngStream(3, 0))
+        return [(len(offsets) - 1, int(offsets[-1])) for _, offsets in chunks]
+
+    full, rest = divmod(300, chamber._CHUNK_CONFIGS)
+    assert [n for n, _ in chunk_sizes(1e-4)] == [chamber._CHUNK_CONFIGS] * full + [rest] * (rest > 0)
+    dense = chunk_sizes(1.5e-3)
+    assert sum(n for n, _ in dense) == 300
+    assert all(n < chamber._CHUNK_CONFIGS and atoms >= chamber._CHUNK_ATOMS for n, atoms in dense[:-1])
+
+
+@pytest.mark.parametrize("k", [10.0, 1.94, 1.0])
+def test_segmented_tracks_match_each_gas_alone(k):
+    # gases of mixed species with tied chains, and empty gases, selected in
+    # one pass, against the every-atom scan of each gas alone.  At k = 1.94
+    # the z windows are wide enough for blocks of dirs @ dirs.T that span
+    # several gases; at k = 1 the cone is wider than WIDE_CONE_ANGLE
+    ctx = ScatteringContext.from_wavenumber(k, 0.01)
+    empty = GasConfiguration(atoms=(), chamber_radius=40.0, inner_radius=12.0, seed=0)
+    factory = mixed_factory(77)
+    gases = [empty, *map(factory, range(30)), empty, empty, collinear_fixture(n_background=5)]
+    gases += [sample_gas(3e-3, 12.0, 40.0, SPECIES, RngStream(78, i)) for i in range(3)]
+    atoms = np.concatenate([gas.atoms for gas in gases])
+    offsets = np.cumsum([0] + [gas.n_atoms for gas in gases])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        theta_c = cone_half_angle(ctx, float(atoms["width"].max()))
+        expected = [select_track_scan(gas, ctx) for gas in gases]
+    heads, lengths, c2, dirs, grown = chamber._tracks(atoms, offsets, ctx, theta_c)
+    found = np.searchsorted(offsets, heads, side="right") - 1
+    assert found.tolist() == [j for j, track in enumerate(expected) if track is not None]
+    for j, head, n, c2_head in zip(found.tolist(), heads.tolist(), lengths.tolist(), c2.tolist()):
+        track = expected[j]
+        assert [m - offsets[j] for m in grown.get(head, [head])] == list(track.chain.indices)
+        assert (n, c2_head) == (track.chain.n, track.c2_per_step)
+        assert dirs[head].tobytes() == track.direction.tobytes()
+    assert max(lengths) >= 5
+
+
+@pytest.mark.parametrize("k", [10.0, 1.94, 1.0])
+def test_select_track_matches_scan_reference(k):
+    ctx = ScatteringContext.from_wavenumber(k, 0.01)
+    gases = [sample_gas(1e-3, 12.0, 40.0, SPECIES, RngStream(79, i)) for i in range(20)]
+    gases += [mixed_factory(80)(i) for i in range(40)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        for gas in gases:
+            track, expected = select_track(gas, ctx), select_track_scan(gas, ctx)
+            assert track.chain.indices == expected.chain.indices
+            assert track.direction.tobytes() == expected.direction.tobytes()
+            assert (track.c2_per_step, track.surviving_spherical_flux, track.flux_ratio) == (
+                expected.c2_per_step, expected.surviving_spherical_flux, expected.flux_ratio
+            )
 
 
 def test_isotropy_experiment_keeps_no_gas_per_track():

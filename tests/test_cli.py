@@ -233,10 +233,14 @@ def test_unconverged_quadrature_is_config_error(tmp_path, capsys, experiment):
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("experiment", ["scatter", "track", "isotropy"])
+@pytest.mark.parametrize("experiment", ["scatter", "track", "isotropy", "render"])
 def test_overflowing_intensity_is_config_error(tmp_path, capsys, experiment):
     # valid finite couplings whose scattered intensity overflows in |C|^2
-    payload = {**README_CONFIGS[experiment], "g0": 1e200}
+    if experiment == "render":
+        payload = render_config()
+        payload["obstacle"]["g0"] = 1e200
+    else:
+        payload = {**README_CONFIGS[experiment], "g0": 1e200}
     out = tmp_path / "out"
     assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 2
     assert "integrand returned non-finite value" in capsys.readouterr().err
@@ -271,6 +275,40 @@ def test_track_without_forward_cone_is_config_error(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main([track_config(tmp_path, k=1.5), "--out-dir", str(out)]) == 0
     assert [str(w.message).startswith("wide-cone regime") for w in caught] == [True]
+
+
+@pytest.mark.parametrize("experiment", ["track", "isotropy"])
+def test_underflowing_k_s_has_no_forward_cone(tmp_path, capsys, experiment):
+    # 2 k s underflows to 0 for k = 1e-160 and width = 1e-170, valid inputs
+    payload = {**README_CONFIGS[experiment], "k": 1e-160, "delta_e": 0.0, "width": 1e-170}
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 2
+    assert "no forward cone: k*s = 0 too small" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+# SHA-256 of the isotropy outputs of the README config at 300 configurations,
+# which spans several chunks and ends inside one, frozen before the
+# configurations were selected in chunks
+ISOTROPY_300_SHA256 = {
+    1: ("474f63f3a7ef06aa4446c5e2b2941a90281b5215623e62c97ee8654781bf0703",
+        "8c8acc55b8b281cf1f2787c61d98ced227bb87cc225cdaaf15faa5beb907b26a"),
+    2: ("380810fab9bd551df98d4bfb5f36dd3f362e9da2c27a03361a97472abcdcc2e3",
+        "fab7e9260190d2cc7e0095f62323739003445279ff5b9e6d4122e95a96da4d64"),
+    3: ("b2a78d25f10c58294c0be1a0e823e309680d4fc3e0a4a4d836b95fd35bf745f2",
+        "c6f017d3be70ff0d3dfd8cb6a0e6cc3ee5690eea26193604fb675398a305594f"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ISOTROPY_300_SHA256))
+def test_isotropy_ensemble_keeps_its_bytes(tmp_path, capsys, seed):
+    payload = {**README_CONFIGS["isotropy"], "n_configs": 300}
+    out = tmp_path / "out"
+    config = write_config(tmp_path, "isotropy.json", payload)
+    assert main([config, "--seed", str(seed), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    hashes = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("isotropy.csv", "tracks.csv"))
+    assert hashes == ISOTROPY_300_SHA256[seed]
 
 
 def test_track_run_and_replay(tmp_path, capsys):

@@ -405,6 +405,43 @@ def test_intensity_integrals_bit_equal_to_scalar_sum():
     assert cases == 2 * 9 * 4 * 4
 
 
+def test_normalization_c2_atoms_bit_equal_to_each_obstacle():
+    # one quadrature over atoms of several widths and couplings gives each
+    # atom the bits of its own normalization_c2
+    rng = np.random.default_rng(12)
+    for k in (0.7, 10.0, 60.0):
+        ctx = ScatteringContext.from_wavenumber(k, 0.01)
+        obstacles = [
+            make_obstacle(a=ratio * s, s=s, g0=g0, g1=g1, axis=unit_rows(rng, 1)[0])
+            for s in (0.05, 0.37, 1.0, 2.5)
+            for ratio in (10.001, 10.5, 37.0, 400.0)
+            for g0, g1 in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.7), (0.5, 0.5), (50.0, 2.0), (1e-8, 1e3))
+        ]
+        fields = [np.array([getattr(ob, f) for ob in obstacles]) for f in ("distance", "width", "g0", "g1")]
+        expected = [normalization_c2(ctx, ob) for ob in obstacles]
+        assert mott.normalization_c2_atoms(ctx, *fields).tolist() == expected
+
+
+def test_normalization_c2_atoms_raises_what_the_first_failing_obstacle_raises():
+    # the batch raises the error of its first failing atom, channel g0
+    # before g1, as that atom alone raises it
+    ctx = ScatteringContext.from_wavenumber(0.7, 0.01)
+    fine = make_obstacle()
+    g1_over = make_obstacle(g0=0.0, g1=1e155)
+    g0_over = make_obstacle(g0=2e155, g1=1e155, axis=[1.0, 0.0, 0.0])
+    messages = []
+    for ob in (g1_over, g0_over):
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            normalization_c2(ctx, ob)
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
+    for atoms, message in (((fine, g1_over, g0_over), messages[0]), ((fine, g0_over, g1_over), messages[1])):
+        fields = [np.array([getattr(ob, f) for ob in atoms]) for f in ("distance", "width", "g0", "g1")]
+        with pytest.raises(ValueError) as exc:
+            mott.normalization_c2_atoms(ctx, *fields)
+        assert str(exc.value) == message
+
+
 def test_intensity_integrals_overflow_raises():
     ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
     with pytest.raises(ValueError, match="non-finite"):
