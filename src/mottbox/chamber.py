@@ -61,9 +61,9 @@ __all__ = [
 MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  At the README gas (~26
-# atoms) one thread of a 2-vCPU VM takes about 0.1 ms per configuration and
+# atoms) one thread of a 2-vCPU VM takes about 0.12 ms per configuration and
 # keeps 40 bytes of it; the CLI writes tracks.csv row by row and ran 10^5 in
-# 10 s at 62 MB peak RSS and 10^6 in 93 s at 96 MB, so time sets the guard
+# 11 s at 62 MB peak RSS and 10^6 in 118 s at 96 MB, so time sets the guard
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
@@ -311,9 +311,6 @@ class TrackResult:
 # 2-vCPU VM
 CANDIDATE_BLOCK = 64
 
-# candidate pairs formed at once where the z windows are narrow
-CANDIDATE_PAIRS = 2**16
-
 # the candidate cone is wider than the chain cone by this much in cos: more
 # than the rounding of the chain predicate and of dirs @ dirs.T for atoms
 # over ~1e-5 chamber radii apart, and too little to add measurable work
@@ -338,9 +335,8 @@ def _cone_candidates(
     within that angle of the head direction as seen from the emitter, so
     pairs are first found among nearby directions: atoms are sorted by gas
     and then z, and each is compared with the atoms whose z lies within the
-    chord of that angle, since |dz| <= |d_i - d_j|; pair by pair where these
-    windows are narrow, else in row blocks of dirs @ dirs.T against the
-    union of the block's windows.
+    chord of that angle, since |dz| <= |d_i - d_j|, in row blocks of
+    dirs @ dirs.T against the union of the block's windows.
     """
     n = len(dirs)
     by_z = np.lexsort((dirs[:, 2], gas))
@@ -349,33 +345,17 @@ def _cone_candidates(
     key = 4.0 * gas[by_z] + dirs[by_z, 2]
     # the 1e-7 covers the rounding of the dot product inside the square root
     reach = math.sqrt(2.0 * (1.0 - cos_m)) + 1e-7
-    window_start = np.searchsorted(key, key - reach, side="left")
-    width = np.searchsorted(key, key + reach, side="right") - window_start
-    # where the windows hold a few atoms each, as in the small gases of an
-    # ensemble, each atom is paired with its own window only; a block of
-    # dirs @ dirs.T would mostly pair atoms of different gases
-    narrow = width.sum() <= CANDIDATE_BLOCK * n
-    paired = np.cumsum(width)  # pairs of the rows up to each row
+    first = np.searchsorted(key, key - reach, side="left")
+    last = np.searchsorted(key, key + reach, side="right")
     start, end = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    members, base, lo = [], 0, 0
-    while lo < n:
-        if narrow:
-            budget = paired[lo] - width[lo] + CANDIDATE_PAIRS
-            hi = max(lo + 1, int(np.searchsorted(paired, budget, side="right")))
-            rows, count = by_z[lo:hi], width[lo:hi]
-            heads = np.repeat(rows, count)
-            # pair p of a row's first pair f pairs it with column window_start + p - f
-            shift = np.repeat(window_start[lo:hi] - (np.cumsum(count) - count), count)
-            cands = by_z[np.arange(len(heads)) + shift]
-            near = (dot(dirs[heads], dirs[cands]) >= cos_m) & (radii[cands] >= radii[heads])
-            heads, cands = heads[near], cands[near]
-        else:
-            hi = min(n, lo + CANDIDATE_BLOCK)
-            rows = np.sort(by_z[lo:hi])
-            cols = by_z[window_start[lo]:window_start[hi - 1] + width[hi - 1]]
-            near = (dirs[rows] @ dirs[cols].T >= cos_m) & (radii[cols] >= radii[rows, None])
-            r, c = np.nonzero(near & (gas[cols] == gas[rows, None]))
-            heads, cands = rows[r], cols[c]
+    members, base = [], 0
+    for lo in range(0, n, CANDIDATE_BLOCK):
+        hi = min(n, lo + CANDIDATE_BLOCK)
+        rows = np.sort(by_z[lo:hi])
+        cols = by_z[first[lo]:last[hi - 1]]
+        near = (dirs[rows] @ dirs[cols].T >= cos_m) & (radii[cols] >= radii[rows, None])
+        r, c = np.nonzero(near & (gas[cols] == gas[rows, None]))
+        heads, cands = rows[r], cols[c]
         step = pos[cands] - pos[heads]
         inside = dot(step, dirs[heads]) >= cos_m * np.sqrt(dot(step, step))
         keys = np.sort(heads[inside] * n + cands[inside])  # by head, then by candidate index
@@ -384,7 +364,6 @@ def _cone_candidates(
         end[rows] = base + np.searchsorted(keys, rows * n + n)
         members.append(keys % n)
         base += len(keys)
-        lo = hi
     return np.concatenate(members), start, end
 
 

@@ -246,13 +246,14 @@ def select_track_scan(config, ctx, envelope_drop=0.5):
 
 
 def isotropy_per_config(
-    n_configs, density, inner_radius, chamber_radius, species, ctx, rng, config_factory=None
+    n_configs, density, inner_radius, chamber_radius, species, ctx, rng, config_factory=None,
+    select=select_track,
 ):
     """``chamber.isotropy_experiment`` one configuration at a time.
 
     Configuration i is ``sample_gas`` on the sub-stream rng.stream_id + 1 + i
-    (or ``config_factory(i)``), and its track is ``select_track`` of that gas
-    alone; the counts, chi-square and p-value follow from the tracks.
+    (or ``config_factory(i)``), and its track is ``select(gas, ctx)`` of that
+    gas alone; the counts, chi-square and p-value follow from the tracks.
     """
     n_bins = N_Z_BANDS * N_PHI_SECTORS
     counts = np.zeros(n_bins, dtype=int)
@@ -263,7 +264,7 @@ def isotropy_per_config(
         else:
             stream = rng.substream(rng.stream_id + 1 + i)
             config = sample_gas(density, inner_radius, chamber_radius, species, stream)
-        track = select_track(config, ctx)
+        track = select(config, ctx)
         if track is None:
             continue
         counts[direction_bin(track.direction)] += 1
