@@ -580,11 +580,13 @@ def _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, r
     # offsets of each configuration's rows; configuration i has the draws and
     # the positions that sample_gas gives on the sub-stream rng.stream_id + 1 + i
     expected = _expected_atoms(density, inner_radius, chamber_radius)
+    draw = rng.substream(rng.stream_id + 1)
     i = 0
     while i < n_configs:
         normals, uniforms, offsets = [], [], [0]
         while i < n_configs and len(normals) < _CHUNK_CONFIGS and offsets[-1] < _CHUNK_ATOMS:
-            normal, u = _draw_atoms(rng.substream(rng.stream_id + 1 + i), expected)
+            draw.rekey(rng.stream_id + 1 + i)
+            normal, u = _draw_atoms(draw, expected)
             normals.append(normal)
             uniforms.append(u)
             offsets.append(offsets[-1] + len(u))

@@ -308,9 +308,9 @@ def wave_field(ctx: ScatteringContext, obstacle: Obstacle | None, points) -> np.
     """
     p = np.asarray(points, dtype=float)
     k = ctx.k
-    r = np.sqrt(dot(p, p))
-    singular = r < SINGULAR_RADIUS
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.sqrt(dot(p, p))
+        singular = r < SINGULAR_RADIUS
         field = np.exp(1j * k * r) / r
         if obstacle is not None:
             rel = p - obstacle.position

@@ -33,7 +33,8 @@ def dot(u, v) -> np.ndarray:
 
 
 def norm(v) -> float:
-    return float(np.sqrt(np.dot(v, v)))
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, which callers reject
+        return float(np.sqrt(np.dot(v, v)))
 
 
 def unit(v) -> np.ndarray:
@@ -110,21 +111,54 @@ class RngStream:
     Backed by the counter-based Philox generator, so equal keys give
     bitwise-equal draw sequences on every platform.  Streams are meant to be
     single-owner: give each logical trial or configuration its own stream_id
-    instead of sharing one stream across threads.
+    instead of sharing one stream across threads.  Philox can start at any
+    counter, so work split over threads does not share a stream either: each
+    span opens its own generator on the key at the span's counter offset
+    (:meth:`words_at`), and the words it draws are the ones a single stream
+    would have drawn there.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) % 2**64
         self.stream_id = int(stream_id) % 2**64
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.Philox(key=self._key()))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
+    def _key(self) -> np.ndarray:
+        return np.array([self.seed, self.stream_id], dtype=np.uint64)
+
     def substream(self, stream_id: int) -> "RngStream":
         """Fresh stream with the same seed and a different stream id."""
         return RngStream(self.seed, stream_id)
+
+    def rekey(self, stream_id: int) -> None:
+        """Restart this stream as (seed, stream_id): the draws of a fresh stream with that key.
+
+        Re-keys the one Philox in place, at about a third of the cost of
+        building a new generator.
+        """
+        self.stream_id = int(stream_id) % 2**64
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key()},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def words_at(self, step: int) -> np.random.Philox:
+        """New Philox on this stream's key, ``step`` counter steps from its start.
+
+        Its ``random_raw`` gives the key's 64-bit words from word ``4 * step``
+        on, whatever this stream has drawn; :meth:`uniform` turns each word w
+        into ``(w >> 11) * 2**-53``.
+        """
+        words = np.random.Philox(key=self._key())
+        words.advance(step)
+        return words
 
     def uniform(self, size=None):
         """Uniform draws from [0, 1)."""

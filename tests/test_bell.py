@@ -1,11 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mottbox import numerics
+from mottbox import bell, numerics
 from mottbox.bell import (
     MAX_TRIALS,
+    SPAN_TRIALS,
     ApparatusSetting,
     CorrelationEstimate,
     HiddenVariable,
@@ -26,8 +30,14 @@ Z = ApparatusSetting([0.0, 0.0, 1.0])
 DIAG_XY = ApparatusSetting(unit([1.0, 1.0, 0.0]))  # pi/4 from X, pi/4 from Y
 MINUS_X = ApparatusSetting([-1.0, 0.0, 0.0])
 
-# around the draw block (2^16 trial pairs), the byte (8) and numpy's unrolled sum (128)
-ORACLE_SIZES = (1, 2, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 10**6 + 3)
+# around the byte (8), numpy's unrolled sum (128), the draw block (2^15
+# trials) and the pairwise leaf (2^16 terms)
+ORACLE_SIZES = (
+    1, 2, 7, 8, 9, 127, 128, 129, 2**15 - 1, 2**15, 2**15 + 1,
+    2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 10**6 + 3,
+)
+# around one span, and a non-multiple of 8 over four spans
+SPAN_SIZES = (SPAN_TRIALS - 1, SPAN_TRIALS, SPAN_TRIALS + 1, 3 * SPAN_TRIALS + 5)
 
 
 def random_direction(rng):
@@ -166,9 +176,10 @@ def test_correlation_mc_rejects_zero_trials():
 
 def test_correlation_mc_rejects_trials_above_guard(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("uniforms were drawn above the trial guard")
+        raise AssertionError("words were drawn above the trial guard")
 
     monkeypatch.setattr(numerics.RngStream, "uniform", forbidden)
+    monkeypatch.setattr(numerics.RngStream, "words_at", forbidden)
     with pytest.raises(ValueError, match="n_trials must lie in"):
         correlation_mc(X, Y, MAX_TRIALS + 1, RngStream(1, 0))
 
@@ -186,8 +197,70 @@ def test_correlation_mc_bit_equal_to_array_oracle(n):
     assert correlation_mc(X, MINUS_X, n, RngStream(1, 0)) == CorrelationEstimate(1.0, 0.0, n)
 
 
+def uniform_below(word: int, t: float) -> bool:
+    # numpy's uniform of the word, compared as bell.response compares it
+    return (word >> 11) * 2.0**-53 < t
+
+
+def assert_word_limit_exact(t):
+    limit = bell._word_limit(t)
+    words = {0, 2**64 - 1} | {w for w in (limit - 1, limit, limit + 1) if 0 <= w < 2**64}
+    for w in words:
+        assert uniform_below(w, t) == (w <= limit), (t.hex(), w)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 0.5, 3 * 2.0**-53, 1 - 2.0**-53, 0.25 + 2.0**-53])
+def test_word_limit_is_the_uniform_threshold(t):
+    # at t = 0 no word is below and at t = 1 every word is; t * 2^53 integral,
+    # and the doubles either side of each t
+    for s in (np.nextafter(t, -1.0), t, np.nextafter(t, 2.0)):
+        if 0.0 <= s <= 1.0:
+            assert_word_limit_exact(float(s))
+    assert bell._word_limit(0.0) == -1
+    assert bell._word_limit(1.0) == 2**64 - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+@example(math.sqrt(0.5), 0)
+def test_word_limit_sweep(t, word):
+    assert uniform_below(word, t) == (word <= bell._word_limit(t))
+    assert_word_limit_exact(t)
+
+
+@pytest.mark.parametrize("n", SPAN_SIZES)
+def test_correlation_mc_spans_bit_equal_to_array_oracle(n):
+    for stream_id, (a, b) in enumerate([(X, DIAG_XY), (DIAG_XY, Y)]):
+        got = correlation_mc(a, b, n, RngStream(4, stream_id))
+        want = correlation_mc_array(a, b, n, RngStream(4, stream_id))
+        assert (got.mean.hex(), got.std_error.hex()) == (want.mean.hex(), want.std_error.hex())
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_correlation_mc_same_bits_at_any_worker_count(monkeypatch, cpus):
+    n = SPAN_SIZES[-1]
+    want = correlation_mc(X, DIAG_XY, n, RngStream(6, 1))
+    bitsets = []
+
+    def recording_span(rng, limit, minus, start, stop):
+        bitsets.append(minus)
+        return minus_span(rng, limit, minus, start, stop)
+
+    minus_span = bell._minus_span
+    monkeypatch.setattr(bell, "_cpus", lambda: cpus)
+    monkeypatch.setattr(bell, "_minus_span", recording_span)
+    got = correlation_mc(X, DIAG_XY, n, RngStream(6, 1))
+    assert (got.mean.hex(), got.std_error.hex()) == (want.mean.hex(), want.std_error.hex())
+    # every trial's bit, not only the sums
+    u = RngStream(6, 1).uniform(size=(n, 2))[:, 1]
+    t = bell._plus_threshold(X.orientation, DIAG_XY.orientation)
+    assert len(bitsets) == 4
+    assert np.array_equal(bitsets[0], np.packbits(u < t))
+
+
 def test_correlation_mc_memory_is_one_bit_per_trial():
-    # 250 kB of bits and one 1 MiB block of uniforms; one (n, 2) array alone is 32 MB
+    # 250 kB of bits and one 512 KiB block of words on each of at most two
+    # spans; one (n, 2) array of uniforms alone is 32 MB
     tracemalloc.start()
     try:
         correlation_mc(X, DIAG_XY, 2_000_000, RngStream(3, 1))

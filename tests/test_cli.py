@@ -375,9 +375,10 @@ def test_atom_guard_exits_2_without_sampling(tmp_path, capsys, monkeypatch):
 
 def test_trial_guard_exits_2_without_drawing(tmp_path, capsys, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("uniforms were drawn above the trial guard")
+        raise AssertionError("words were drawn above the trial guard")
 
     monkeypatch.setattr(numerics.RngStream, "uniform", forbidden)
+    monkeypatch.setattr(numerics.RngStream, "words_at", forbidden)
     for extra in ({}, {"c": [0.0, 1.0, 0.0]}):
         config = bell_config(tmp_path, n_trials=bell.MAX_TRIALS + 1, **extra)
         assert main([config, "--out-dir", str(tmp_path)]) == 2
@@ -525,7 +526,9 @@ vector_values = st.lists(json_scalars, min_size=3, max_size=3) | json_values
 @example(_render_with_origin, [0, 0])
 @example(_render_with_origin, [0, 0, "nan"])
 @example(_render_with_obstacle_at, [1e308, 1e308, 0.0])
+@example(_render_with_origin, [1e308, 1e308, 0.0])
 @example(_scatter_with, [10**400, 0, 0])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_vectors_exit_2(build, value):
     # any value of a vector key is either accepted (exit 0) or a config error
     # (exit 2); a runtime error (exit 1) means validation missed it

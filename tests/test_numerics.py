@@ -185,3 +185,33 @@ def test_rng_stream_seed_wraps_to_uint64():
     s = RngStream(-1, 2**64 + 5)
     assert s.seed == 2**64 - 1
     assert s.stream_id == 5
+
+
+def test_rng_stream_rekey_draws_as_a_fresh_stream():
+    # three uniforms leave Philox mid-way through its four-word buffer
+    stream = RngStream(42, 0)
+    stream.poisson(30.0)
+    stream.standard_normal(size=(5, 3))
+    stream.uniform(size=3)
+    stream.rekey(2**64 + 7)
+    fresh = RngStream(42, 7)
+    assert stream.stream_id == 7
+    assert stream.poisson(30.0) == fresh.poisson(30.0)
+    assert np.array_equal(stream.standard_normal(size=(5, 3)), fresh.standard_normal(size=(5, 3)))
+    assert np.array_equal(stream.uniform(size=11), fresh.uniform(size=11))
+
+
+def test_uniform_is_the_top_53_bits_of_the_raw_word():
+    # numpy's contract that bell.correlation_mc compares raw words by
+    for seed, stream_id in ((1, 0), (42, 3), (2**64 - 1, 2**63)):
+        stream = RngStream(seed, stream_id)
+        stream.uniform(size=5)  # words_at starts at the key's start, whatever was drawn
+        words = stream.words_at(0).random_raw(1001)
+        want = (words >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(RngStream(seed, stream_id).uniform(size=1001), want)
+
+
+@pytest.mark.parametrize("step", [0, 1, 3, 5, 2**19])
+def test_words_at_skips_four_words_per_counter_step(step):
+    words = RngStream(9, 4).words_at(0).random_raw(4 * step + 9)
+    assert np.array_equal(RngStream(9, 4).words_at(step).random_raw(9), words[4 * step :])
