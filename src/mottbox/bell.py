@@ -7,8 +7,6 @@ therefore violate the three-direction Bell inequality."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
@@ -30,17 +28,13 @@ __all__ = [
 ]
 
 # largest n_trials correlation_mc accepts.  One setting pair on a 2-vCPU VM:
-# 1.1 s and 68 MB peak RSS at 10^8 trials, 13 s and 176 MB (125 MB of it the
-# one-bit-per-trial bitset) at 10^9, 20 s at 10^9 with one CPU
+# 1.4 s and 67 MB peak RSS at 10^8 trials, 16 s and 174 MB (125 MB of it the
+# one-bit-per-trial bitset) at 10^9
 MAX_TRIALS = 10**9
 
-# trials per raw draw: 512 KiB of Philox words in flight per thread, and a
-# multiple of 8 so that every block starts on a byte of the outcome bitset
+# trials per raw draw: 512 KiB of Philox words in flight, and a multiple of 8
+# so that every block starts on a byte of the outcome bitset
 BLOCK_TRIALS = 2**15
-
-# trials per span, the unit of work of one thread: a fixed length, so the
-# spans, and every bit they write, do not depend on the number of CPUs
-SPAN_TRIALS = 2**20
 
 
 @dataclass(frozen=True)
@@ -157,78 +151,55 @@ def _word_limit(t: float) -> int:
     return math.ceil(t * 2**53) * 2**11 - 1
 
 
-def _cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _minus_span(rng: RngStream, limit: int, minus: np.ndarray, start: int, stop: int) -> int:
-    # trials start .. stop - 1: trial i reads words 2i and 2i + 1, so the span
-    # starts start / 2 counter steps into the key, and its bits are whole
-    # bytes of ``minus`` that no other span writes
-    words = rng.words_at(start // 2)
-    limit = np.uint64(limit)
-    n_minus = 0
-    for lo in range(start, stop, BLOCK_TRIALS):
-        m = min(BLOCK_TRIALS, stop - lo)
-        below = words.random_raw(2 * m)[1::2] <= limit
-        n_minus += int(np.count_nonzero(below))
-        minus[lo // 8 : (lo + m + 7) // 8] = np.packbits(below)
-    return n_minus
-
-
 def correlation_mc(
     a: ApparatusSetting, b: ApparatusSetting, n: int, rng: RngStream
 ) -> CorrelationEstimate:
     """Sample mean of the outcome product over ``n`` singlet trials.
 
-    Each trial draws a fresh pair of internal variables, two consecutive
-    uniforms of the stream's key from its start (whatever ``rng`` has drawn
-    before), so a fixed (seed, stream_id) reproduces the estimate bitwise.
-    The product r1*r2 of :func:`epr_trial` is -1 exactly when the second
-    uniform lies below the threshold t of b on the axis of a: r2 is -r1 times
-    that response and r1*r1 is exactly 1.  The first uniform is never read,
-    and the second is compared as its raw Philox word (:func:`_word_limit`).
+    Each trial draws a fresh pair of internal variables (two consecutive
+    uniforms from ``rng``), so a fixed (seed, stream_id) reproduces the
+    estimate bitwise.  The product r1*r2 of :func:`epr_trial` is -1 exactly
+    when the second uniform lies below the threshold t of b on the axis of a:
+    r2 is -r1 times that response and r1*r1 is exactly 1.  The first uniform
+    is never read, and the second is compared as its raw Philox word
+    (:func:`_word_limit`); at t = 0 nothing is drawn.
 
-    Trials are cut into spans of SPAN_TRIALS, which run on a thread pool with
-    one worker per CPU.  Each span opens Philox at its own counter offset,
-    draws BLOCK_TRIALS trials at a time and keeps one bit per trial, so
-    memory is n/8 bytes plus one block per worker.  ``mean`` and
+    Words are drawn BLOCK_TRIALS pairs at a time (Philox continues across
+    calls, so this is the sequence of one ``(n, 2)`` draw) and each trial
+    keeps one bit, so memory is n/8 bytes plus one block.  ``mean`` and
     ``std_error`` are bit-equal to ``products.mean()`` and
-    ``products.std(ddof=1) / sqrt(n)`` over the array of products of one
-    ``(n, 2)`` draw, at any number of CPUs: a sum of +-1 values is an exact
-    integer, and the squared deviations are summed in numpy's pairwise order.
+    ``products.std(ddof=1) / sqrt(n)`` over the array of products: a sum of
+    +-1 values is an exact integer, and the squared deviations are summed in
+    numpy's pairwise order.
     """
     if not 1 <= n <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n}")
     limit = _word_limit(_plus_threshold(a.orientation, b.orientation))
     minus = np.zeros((n + 7) // 8, dtype=np.uint8)  # bit i: trial i gave -1
     n_minus = 0
-    if limit >= 0:  # at t = 0 every product is +1 and nothing is drawn
-        starts = range(0, n, SPAN_TRIALS)
-        with ThreadPoolExecutor(max_workers=min(_cpus(), len(starts))) as pool:
-            counts = pool.map(
-                lambda start: _minus_span(rng, limit, minus, start, min(start + SPAN_TRIALS, n)),
-                starts,
-            )
-            n_minus = sum(counts)
+    if limit >= 0:
+        for start in range(0, n, BLOCK_TRIALS):
+            m = min(BLOCK_TRIALS, n - start)
+            below = rng.raw_words(2 * m)[1::2] <= np.uint64(limit)
+            n_minus += int(np.count_nonzero(below))
+            minus[start // 8 : (start + m + 7) // 8] = np.packbits(below)
     mean = (n - 2 * n_minus) / n
     if n == 1:
         return CorrelationEstimate(mean=mean, std_error=0.0, n_trials=n)
-    # (p - mean)**2 for p = +1 and p = -1, formed as np.std forms them
+    # (p - mean)**2 for p = +1 and p = -1, formed as np.std forms them; row b
+    # of ``squares`` holds them for the 8 trials of a bitset byte b
     plus_sq = (1.0 - mean) * (1.0 - mean)
     minus_sq = (-1.0 - mean) * (-1.0 - mean)
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)).reshape(256, 8)
+    squares = np.where(byte_bits.view(bool), minus_sq, plus_sq)
 
     def leaf_sum(start: int, m: int) -> float:
         # every leaf starts at a multiple of 8, on a byte of the bitset
-        bits = np.unpackbits(minus[start // 8 : (start + m + 7) // 8], count=m)
-        return np.add.reduce(np.where(bits.view(bool), minus_sq, plus_sq))
+        rows = np.take(squares, minus[start // 8 : (start + m + 7) // 8], axis=0)
+        return np.add.reduce(rows.reshape(-1)[:m])
 
-    squares = pairwise_sum(leaf_sum, n)
-    std_error = math.sqrt(squares / (n - 1)) / math.sqrt(n)
+    sum_sq = pairwise_sum(leaf_sum, n)
+    std_error = math.sqrt(sum_sq / (n - 1)) / math.sqrt(n)
     return CorrelationEstimate(mean=mean, std_error=std_error, n_trials=n)
 
 

@@ -111,11 +111,7 @@ class RngStream:
     Backed by the counter-based Philox generator, so equal keys give
     bitwise-equal draw sequences on every platform.  Streams are meant to be
     single-owner: give each logical trial or configuration its own stream_id
-    instead of sharing one stream across threads.  Philox can start at any
-    counter, so work split over threads does not share a stream either: each
-    span opens its own generator on the key at the span's counter offset
-    (:meth:`words_at`), and the words it draws are the ones a single stream
-    would have drawn there.
+    instead of sharing one stream across threads.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -149,16 +145,13 @@ class RngStream:
             "uinteger": 0,
         }
 
-    def words_at(self, step: int) -> np.random.Philox:
-        """New Philox on this stream's key, ``step`` counter steps from its start.
+    def raw_words(self, size: int) -> np.ndarray:
+        """The next ``size`` 64-bit Philox words of this stream.
 
-        Its ``random_raw`` gives the key's 64-bit words from word ``4 * step``
-        on, whatever this stream has drawn; :meth:`uniform` turns each word w
-        into ``(w >> 11) * 2**-53``.
+        :meth:`uniform` draws one word w per value and returns
+        ``(w >> 11) * 2**-53``, so words and uniforms continue one sequence.
         """
-        words = np.random.Philox(key=self._key())
-        words.advance(step)
-        return words
+        return self._gen.bit_generator.random_raw(size)
 
     def uniform(self, size=None):
         """Uniform draws from [0, 1)."""

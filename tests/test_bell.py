@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mottbox import bell, numerics
 from mottbox.bell import (
     MAX_TRIALS,
-    SPAN_TRIALS,
     ApparatusSetting,
     CorrelationEstimate,
     HiddenVariable,
@@ -36,8 +35,6 @@ ORACLE_SIZES = (
     1, 2, 7, 8, 9, 127, 128, 129, 2**15 - 1, 2**15, 2**15 + 1,
     2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 10**6 + 3,
 )
-# around one span, and a non-multiple of 8 over four spans
-SPAN_SIZES = (SPAN_TRIALS - 1, SPAN_TRIALS, SPAN_TRIALS + 1, 3 * SPAN_TRIALS + 5)
 
 
 def random_direction(rng):
@@ -179,7 +176,7 @@ def test_correlation_mc_rejects_trials_above_guard(monkeypatch):
         raise AssertionError("words were drawn above the trial guard")
 
     monkeypatch.setattr(numerics.RngStream, "uniform", forbidden)
-    monkeypatch.setattr(numerics.RngStream, "words_at", forbidden)
+    monkeypatch.setattr(numerics.RngStream, "raw_words", forbidden)
     with pytest.raises(ValueError, match="n_trials must lie in"):
         correlation_mc(X, Y, MAX_TRIALS + 1, RngStream(1, 0))
 
@@ -228,39 +225,9 @@ def test_word_limit_sweep(t, word):
     assert_word_limit_exact(t)
 
 
-@pytest.mark.parametrize("n", SPAN_SIZES)
-def test_correlation_mc_spans_bit_equal_to_array_oracle(n):
-    for stream_id, (a, b) in enumerate([(X, DIAG_XY), (DIAG_XY, Y)]):
-        got = correlation_mc(a, b, n, RngStream(4, stream_id))
-        want = correlation_mc_array(a, b, n, RngStream(4, stream_id))
-        assert (got.mean.hex(), got.std_error.hex()) == (want.mean.hex(), want.std_error.hex())
-
-
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_correlation_mc_same_bits_at_any_worker_count(monkeypatch, cpus):
-    n = SPAN_SIZES[-1]
-    want = correlation_mc(X, DIAG_XY, n, RngStream(6, 1))
-    bitsets = []
-
-    def recording_span(rng, limit, minus, start, stop):
-        bitsets.append(minus)
-        return minus_span(rng, limit, minus, start, stop)
-
-    minus_span = bell._minus_span
-    monkeypatch.setattr(bell, "_cpus", lambda: cpus)
-    monkeypatch.setattr(bell, "_minus_span", recording_span)
-    got = correlation_mc(X, DIAG_XY, n, RngStream(6, 1))
-    assert (got.mean.hex(), got.std_error.hex()) == (want.mean.hex(), want.std_error.hex())
-    # every trial's bit, not only the sums
-    u = RngStream(6, 1).uniform(size=(n, 2))[:, 1]
-    t = bell._plus_threshold(X.orientation, DIAG_XY.orientation)
-    assert len(bitsets) == 4
-    assert np.array_equal(bitsets[0], np.packbits(u < t))
-
-
 def test_correlation_mc_memory_is_one_bit_per_trial():
-    # 250 kB of bits and one 512 KiB block of words on each of at most two
-    # spans; one (n, 2) array of uniforms alone is 32 MB
+    # 250 kB of bits and one 512 KiB block of words or of squared
+    # deviations; one (n, 2) array of uniforms alone is 32 MB
     tracemalloc.start()
     try:
         correlation_mc(X, DIAG_XY, 2_000_000, RngStream(3, 1))

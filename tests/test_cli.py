@@ -378,7 +378,7 @@ def test_trial_guard_exits_2_without_drawing(tmp_path, capsys, monkeypatch):
         raise AssertionError("words were drawn above the trial guard")
 
     monkeypatch.setattr(numerics.RngStream, "uniform", forbidden)
-    monkeypatch.setattr(numerics.RngStream, "words_at", forbidden)
+    monkeypatch.setattr(numerics.RngStream, "raw_words", forbidden)
     for extra in ({}, {"c": [0.0, 1.0, 0.0]}):
         config = bell_config(tmp_path, n_trials=bell.MAX_TRIALS + 1, **extra)
         assert main([config, "--out-dir", str(tmp_path)]) == 2

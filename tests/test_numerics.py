@@ -202,16 +202,13 @@ def test_rng_stream_rekey_draws_as_a_fresh_stream():
 
 
 def test_uniform_is_the_top_53_bits_of_the_raw_word():
-    # numpy's contract that bell.correlation_mc compares raw words by
+    # numpy's contract that bell.correlation_mc compares raw words by; words
+    # and uniforms continue one sequence
     for seed, stream_id in ((1, 0), (42, 3), (2**64 - 1, 2**63)):
         stream = RngStream(seed, stream_id)
-        stream.uniform(size=5)  # words_at starts at the key's start, whatever was drawn
-        words = stream.words_at(0).random_raw(1001)
+        stream.uniform(size=5)
+        words = stream.raw_words(1001)
         want = (words >> np.uint64(11)) * 2.0**-53
-        assert np.array_equal(RngStream(seed, stream_id).uniform(size=1001), want)
-
-
-@pytest.mark.parametrize("step", [0, 1, 3, 5, 2**19])
-def test_words_at_skips_four_words_per_counter_step(step):
-    words = RngStream(9, 4).words_at(0).random_raw(4 * step + 9)
-    assert np.array_equal(RngStream(9, 4).words_at(step).random_raw(9), words[4 * step :])
+        assert np.array_equal(RngStream(seed, stream_id).uniform(size=1006)[5:], want)
+        after = RngStream(seed, stream_id).uniform(size=1009)[1006:]
+        assert np.array_equal(stream.uniform(size=3), after)
