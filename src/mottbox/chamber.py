@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .mott import (
     Obstacle,
@@ -32,7 +31,7 @@ from .mott import (
     normalization_c2,
     normalization_c2_atoms,
 )
-from .numerics import RngStream, dot, norm
+from .numerics import RngStream, chi2_sf, dot, norm
 
 __all__ = [
     "ATOM_DTYPE",
@@ -660,7 +659,7 @@ def isotropy_experiment(
         raise ValueError("no configuration produced a track; increase the density")
     expected = n_tracks / n_bins
     stat = float(np.sum((counts - expected) ** 2) / expected)
-    p_value = float(chdtrc(n_bins - 1, stat))  # chi2.sf without importing scipy.stats
+    p_value = chi2_sf(n_bins - 1, stat)
     return IsotropyResult(
         counts=counts,
         chi_square=stat,

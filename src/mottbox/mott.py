@@ -342,7 +342,7 @@ def quadrature_convergence_check(ctx: ScatteringContext, width, g0, g1) -> None:
     where the error changes sign, and fails beyond.
     """
     coupled = (np.asarray(g0) > 0.0) | (np.asarray(g1) > 0.0)
-    for s in np.unique(np.asarray(width, dtype=float)[coupled]).tolist():
+    for s in sorted(set(np.asarray(width, dtype=float)[coupled].tolist())):
         _, w, sin_t, envelope = _node_factors(ctx.k, s)
         quad = 0.5 * math.pi * float(np.sum(w * sin_t * envelope * envelope))
         x = 2.0 * (ctx.k * s) ** 2

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mottbox
 from mottbox import bell, chamber, mott, numerics
 from mottbox.cli import main
 from mottbox.mott import ScatteringContext
@@ -606,3 +608,32 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip().startswith("E=")
+
+
+def test_cli_processes_never_import_scipy(tmp_path):
+    # the README bell, track, isotropy and render configs at small sizes, in
+    # one fresh interpreter; scipy is a test dependency only
+    configs = [
+        write_config(tmp_path, "bell.json", {**README_CONFIGS["bell"], "n_trials": 1000}),
+        write_config(tmp_path, "track.json", README_CONFIGS["track"]),
+        write_config(tmp_path, "isotropy.json", {**README_CONFIGS["isotropy"], "n_configs": 100}),
+        write_config(tmp_path, "render.json", {
+            "experiment": "render", "k": 10.0, "delta_e": 0.01,
+            "obstacle": {"position": [12, 0, 0], "width": 1.0, "g0": 50.0, "g1": 0.0},
+            "plane": {"origin": [0, 0, 0], "u_axis": [1, 0, 0], "v_axis": [0, 1, 0],
+                      "half_extent": 20.0, "resolution": 16},
+            "modulus_scale": 0.08}),
+    ]
+    script = (
+        "import sys\n"
+        "import mottbox.cli\n"
+        "for config in sys.argv[2:]:\n"
+        "    assert mottbox.cli.main([config, '--out-dir', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(mottbox.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"), *configs],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

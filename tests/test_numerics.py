@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 from scipy.stats import chisquare
 
 from mottbox.numerics import (
     RngStream,
+    chi2_sf,
     gauss_legendre,
     pairwise_sum,
     quad_1d,
@@ -212,3 +216,59 @@ def test_uniform_is_the_top_53_bits_of_the_raw_word():
         assert np.array_equal(RngStream(seed, stream_id).uniform(size=1006)[5:], want)
         after = RngStream(seed, stream_id).uniform(size=1009)[1006:]
         assert np.array_equal(stream.uniform(size=3), after)
+
+
+def _first_zero_tail(df):
+    # the smallest x at which chdtrc(df, x) is 0: there igamc's x^a e^-x / Gamma(a) underflows
+    lo, hi = 2.0 * df, 1e4
+    assert chdtrc(df, lo) > 0.0 and chdtrc(df, hi) == 0.0
+    while np.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if chdtrc(df, mid) == 0.0 else (mid, hi)
+    return hi
+
+
+def _chi2_probes(df, rng):
+    # random x over the bulk and the tails, and igamc's branch edges in x / 2:
+    # a (series | continued fraction), a -+ 0.4 a (Lanczos | lgam prefactor),
+    # 0.5 and 1.1, the underflow of the prefactor, each with its neighbours
+    a = df / 2.0
+    edges = [0.0, 2.0 * a, 2.0 * (a - 0.4 * a), 2.0 * (a + 0.4 * a), 1.0, 2.2, 1e-300,
+             _first_zero_tail(df)]
+    xs = [rng.uniform(0.0, 4.0 * df, 1000), rng.exponential(df, 500), 10.0 ** rng.uniform(-300, 4, 500)]
+    for edge in edges:
+        xs.append([np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf)])
+    return [*np.concatenate(xs).tolist(), 5e-324, 1e300, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("df", range(26, 41))
+def test_chi2_sf_bit_equal_to_scipy_chdtrc(df):
+    rng = np.random.default_rng(df)
+    for x in _chi2_probes(df, rng):
+        want = float(chdtrc(df, x))
+        got = chi2_sf(df, x)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (df, x, got, want)
+
+
+def test_chi2_sf_probes_cover_every_branch():
+    # the probes reach the 1 - series and continued-fraction results, both
+    # prefactor forms and the underflowed prefactor at both ends
+    a = 31 / 2.0
+    xs = [x / 2.0 for x in _chi2_probes(31, np.random.default_rng(31)) if x > 0.0 and x < math.inf]
+    assert any(x < a and abs(a - x) <= 0.4 * a for x in xs)
+    assert any(x >= a and abs(a - x) <= 0.4 * a for x in xs)
+    assert any(x < a and abs(a - x) > 0.4 * a and chi2_sf(31, 2.0 * x) < 1.0 for x in xs)
+    assert any(x >= a and abs(a - x) > 0.4 * a and chi2_sf(31, 2.0 * x) > 0.0 for x in xs)
+    assert chi2_sf(31, 1e-300) == 1.0 and chi2_sf(31, _first_zero_tail(31)) == 0.0
+
+
+def test_chi2_sf_is_nan_below_zero():
+    # as the chdtrc of scipy 1.17; older scipy releases returned 1
+    for x in (-5e-324, -1.0, -math.inf):
+        assert math.isnan(chi2_sf(31, x))
+
+
+@pytest.mark.parametrize("df", [25, 41, 0, -31])
+def test_chi2_sf_rejects_unported_degrees_of_freedom(df):
+    with pytest.raises(ValueError, match="26 <= df <= 40"):
+        chi2_sf(df, 31.0)
