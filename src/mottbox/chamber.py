@@ -53,10 +53,10 @@ __all__ = [
 ]
 
 # largest mean atom count sample_gas accepts.  select_track on 10^5 atoms,
-# one thread of a 2-vCPU VM: 12 s and 114 MB peak RSS for the README gas
-# (k s = 10), 108 s and 388 MB at the widest cone that lists candidates
+# one thread of a 2-vCPU VM: 5.7 s and 89 MB peak RSS for the README gas
+# (k s = 10), 78 s and 541 MB at the widest cone that lists candidates
 # (k s = 1.94); wider cones scan every atom in O(n^2) time and O(n) memory
-# (271 s and 80 MB at 5 * 10^4 atoms)
+# (248 s and 61 MB at 5 * 10^4 atoms)
 MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  At the README gas (~26
@@ -304,15 +304,14 @@ class TrackResult:
         return self.c2_per_step**self.chain.n
 
 
-# rows of dirs @ dirs.T formed at once when listing chain candidates; up to
-# ~10^4 atoms a block stays below the size at which OpenBLAS splits a product
-# over threads, which stalled for ~0.3 s in about one process in six on a
-# 2-vCPU VM
-CANDIDATE_BLOCK = 64
+# atom pairs tested at once when listing chain candidates: enough that
+# numpy's per-call cost stays small at the widest cone, few enough that the
+# pair arrays (about 1 MB) stay below the peak memory of a track run
+CANDIDATE_PAIRS = 2**14
 
 # the candidate cone is wider than the chain cone by this much in cos: more
-# than the rounding of the chain predicate and of dirs @ dirs.T for atoms
-# over ~1e-5 chamber radii apart, and too little to add measurable work
+# than the rounding of the chain predicate and of the direction dot product for
+# atoms over ~1e-5 chamber radii apart, and too little to add measurable work
 CANDIDATE_COS_SLACK = 1e-10
 
 
@@ -330,40 +329,55 @@ def _cone_candidates(
     candidate of head h when it belongs to the same gas, lies farther out
     and the step h -> j is within arccos(cos_m) of the head direction.  The
     lists come as CSR arrays: members[start[h]:end[h]] holds h and its
-    candidates in ascending index, 8 bytes per pair.  A candidate also lies
-    within that angle of the head direction as seen from the emitter, so
-    pairs are first found among nearby directions: atoms are sorted by gas
-    and then z, and each is compared with the atoms whose z lies within the
-    chord of that angle, since |dz| <= |d_i - d_j|, in row blocks of
-    dirs @ dirs.T against the union of the block's windows.
+    candidates in ascending index, 8 bytes per pair.  No component of d_j -
+    d_h then exceeds the chord ``reach`` of that angle, so once the atoms
+    are sorted by (gas, z band ``reach`` wide, x), atom i pairs only with
+    those after it in its band and those in the band above, within
+    ``reach`` of its x.  The pairs are tested CANDIDATE_PAIRS at a time from
+    the inner atom (both ways at equal radii): on the direction cosine, on
+    the step that it and the radii give, which drops only pairs 1e-6 outer
+    radii (ten times its rounding) outside the cone, and on the step itself.
     """
     n = len(dirs)
-    by_z = np.lexsort((dirs[:, 2], gas))
-    # gases lie 4 apart on this key and every z window is narrower than 2,
-    # so a window holds only the atoms of its own gas
-    key = 4.0 * gas[by_z] + dirs[by_z, 2]
     # the 1e-7 covers the rounding of the dot product inside the square root
+    # and of the key, which stays below 2^26 for 64 gases at any cone
     reach = math.sqrt(2.0 * (1.0 - cos_m)) + 1e-7
-    first = np.searchsorted(key, key - reach, side="left")
-    last = np.searchsorted(key, key + reach, side="right")
-    start, end = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    members, base = [], 0
-    for lo in range(0, n, CANDIDATE_BLOCK):
-        hi = min(n, lo + CANDIDATE_BLOCK)
-        rows = np.sort(by_z[lo:hi])
-        cols = by_z[first[lo]:last[hi - 1]]
-        near = (dirs[rows] @ dirs[cols].T >= cos_m) & (radii[cols] >= radii[rows, None])
-        r, c = np.nonzero(near & (gas[cols] == gas[rows, None]))
-        heads, cands = rows[r], cols[c]
+    n_bands = int(2.0 / reach)
+    band = np.minimum(((dirs[:, 2] + 1.0) * (0.5 * n_bands)).astype(np.intp), n_bands - 1)
+    # bands lie 4 apart on the key and x spans 2; each gas ends in an empty band
+    key = 4.0 * (gas * (n_bands + 1) + band) + dirs[:, 0]
+    by_key = np.argsort(key)
+    key, r, (x, y, z) = key[by_key], radii[by_key], dirs[by_key].T  # atoms in key order
+    # range k = 2 i + (0, 1) of atom i: pairs (i, shift[k] + p), ends[k] - count[k] <= p < ends[k]
+    shift = np.stack([np.arange(1, n + 1), np.searchsorted(key, key + (4.0 - reach))], 1).ravel()
+    count = np.searchsorted(key, key[:, None] + [reach, 4.0 + reach], "right").ravel() - shift
+    ends = np.cumsum(count)
+    shift += count - ends
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1], CANDIDATE_PAIRS), "right").tolist()
+    cuts = [*dict.fromkeys(cuts), len(ends)]  # a range longer than a batch is a batch
+    keys = [np.arange(n) * (n + 1)]  # every head is its own candidate
+    for k0, k1 in zip(cuts, cuts[1:]):
+        each = count[k0:k1]
+        i = np.repeat(np.arange(k0, k1) >> 1, each)
+        j = np.repeat(shift[k0:k1], each) + np.arange(ends[k0] - each[0], ends[k1 - 1])
+        cos = x[i] * x[j] + y[i] * y[j] + z[i] * z[j]
+        near = np.flatnonzero(cos >= cos_m)
+        i, j, cos = i[near], j[near], cos[near]
+        inner, outer = np.minimum(r[i], r[j]), np.maximum(r[i], r[j])
+        step2 = np.maximum(inner * inner + outer * (outer - 2.0 * inner * cos), 0.0)
+        near = np.flatnonzero(outer * cos - inner >= cos_m * np.sqrt(step2) - 1e-6 * outer)
+        i, j = i[near], j[near]
+        outward, tie = r[i] <= r[j], np.flatnonzero(r[i] == r[j])
+        heads = by_key[np.concatenate([np.where(outward, i, j), j[tie]])]
+        cands = by_key[np.concatenate([np.where(outward, j, i), i[tie]])]
         step = pos[cands] - pos[heads]
-        inside = dot(step, dirs[heads]) >= cos_m * np.sqrt(dot(step, step))
-        keys = np.sort(heads[inside] * n + cands[inside])  # by head, then by candidate index
-        # every head is its own candidate, so no list is empty
-        start[rows] = base + np.searchsorted(keys, rows * n)
-        end[rows] = base + np.searchsorted(keys, rows * n + n)
-        members.append(keys % n)
-        base += len(keys)
-    return np.concatenate(members), start, end
+        inside = np.flatnonzero(dot(step, dirs[heads]) >= cos_m * np.sqrt(dot(step, step)))
+        keys.append(heads[inside] * n + cands[inside])
+    keys = np.concatenate(keys)
+    keys.sort()  # by head, then by candidate index
+    bounds = np.searchsorted(keys, np.arange(n + 1) * n)
+    keys %= n
+    return keys, bounds[:-1], bounds[1:]
 
 
 def _chains(
@@ -435,9 +449,10 @@ def build_chains(
     Every step of a chain points into the cone of half-angle ``theta_c``
     around the head direction.  Up to ``WIDE_CONE_ANGLE`` that cone is
     convex, so every member lies inside it as seen from the head, and each
-    chain scans only the atoms in a slightly wider cone at its head.  A wider
-    cone scans every atom at every step: its candidate lists would hold a
-    fixed share of all n^2 atom pairs, and beyond pi/2 it is not convex.
+    chain scans only the atoms in a slightly wider cone at its head, listed
+    for all heads from one sort of the directions.  A wider cone scans every
+    atom at every step: its candidate lists would hold a fixed share of all
+    n^2 atom pairs, and beyond pi/2 it is not convex.
     """
     n = config.n_atoms
     if n == 0:
@@ -544,14 +559,20 @@ N_Z_BANDS = 4
 N_PHI_SECTORS = 8
 
 
-def direction_bin(direction) -> int:
-    """Equal-solid-angle bin index of a unit direction, in [0, N_Z_BANDS * N_PHI_SECTORS)."""
+def direction_bin(direction):
+    """Equal-solid-angle bin in [0, N_Z_BANDS * N_PHI_SECTORS) of a direction, or of (m, 3) rows."""
     d = np.asarray(direction, dtype=float)
-    z = min(1.0, max(-1.0, float(d[2])))
-    band = min(N_Z_BANDS - 1, int((z + 1.0) * 0.5 * N_Z_BANDS))
-    phi = math.atan2(float(d[1]), float(d[0]))
-    sector = int((phi + math.pi) / (2.0 * math.pi) * N_PHI_SECTORS) % N_PHI_SECTORS
-    return band * N_PHI_SECTORS + sector
+    x, y, z = d.reshape(-1, 3).T
+    band = np.minimum(N_Z_BANDS - 1, ((np.clip(z, -1.0, 1.0) + 1.0) * 0.5 * N_Z_BANDS).astype(int))
+    phi = np.arctan2(y, x)
+    # np.arctan2 and math.atan2 may differ in the last bit, which moves the
+    # sector only at its edges, whole numbers of u: there math.atan2 decides
+    u = phi * (N_PHI_SECTORS / (2.0 * math.pi))
+    edge = np.flatnonzero(np.abs(u - np.rint(u)) < 1e-9)
+    phi[edge] = [math.atan2(b, a) for a, b in zip(x[edge].tolist(), y[edge].tolist())]
+    sector = ((phi + math.pi) / (2.0 * math.pi) * N_PHI_SECTORS).astype(int) % N_PHI_SECTORS
+    bins = band * N_PHI_SECTORS + sector
+    return int(bins[0]) if d.ndim == 1 else bins
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,7 +672,7 @@ def isotropy_experiment(
         heads, lengths, c2, dirs, _ = _tracks(atoms, offsets, ctx, theta_c)
         found = slice(n_tracks, n_tracks + len(heads))
         directions[found] = dirs[heads]
-        counts += np.bincount([direction_bin(d) for d in directions[found]], minlength=n_bins)
+        counts += np.bincount(direction_bin(directions[found]), minlength=n_bins)
         chain_lengths[found] = lengths
         flux_ratios[found] = [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())]
         n_tracks += len(heads)
@@ -682,12 +703,19 @@ def configuration_from_dict(data: dict) -> GasConfiguration:
     """The gas of a parsed gas.json document; a malformed document raises ValueError."""
     if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
         raise ValueError("a gas configuration is an object with an 'atoms' list")
-    rows = []
-    for i, entry in enumerate(data["atoms"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"atom {i} must be an object, got {entry!r}")
-        entry = {"delta_e": 0.0, **entry}
-        rows.append([_json_number(entry[key], f"atom {i} {key!r}") for key in _JSON_KEYS])
+    entries = data["atoms"]
+    # atoms of finite floats, as save_configuration writes them, pass in one
+    # pass; others are checked value by value, naming the first bad atom and key
+    rows = [[*map(entry.get, _JSON_KEYS[:-1]), entry.get("delta_e", 0.0)]
+            for entry in entries if type(entry) is dict]
+    floats = len(rows) == len(entries) and {type(v) for row in rows for v in row} <= {float}
+    if not (floats and np.isfinite(rows).all()):
+        rows = []
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"atom {i} must be an object, got {entry!r}")
+            entry = {"delta_e": 0.0, **entry}
+            rows.append([_json_number(entry[key], f"atom {i} {key!r}") for key in _JSON_KEYS])
     table = np.array(rows, dtype=float).reshape(-1, 7)
     return GasConfiguration(
         atoms=_records(table[:, :3], *table[:, 3:].T),

@@ -19,7 +19,6 @@ from mottbox.chamber import (
     IsotropyResult,
     TrackResult,
     cone_half_angle,
-    direction_bin,
     sample_gas,
     select_track,
 )
@@ -212,6 +211,30 @@ def build_chains_scan(config, ctx, theta_c) -> list:
     return chains
 
 
+def cone_candidates_scan(pos, gas, cos_m) -> list:
+    """``chamber._cone_candidates`` as one all-atoms test per head.
+
+    Atom j is listed for head h when it is in the same gas, no nearer the
+    emitter, its direction has the three-term dot product >= cos_m with
+    h's, and the step h -> j passes the head-cone test of
+    ``_cone_candidates``.  Returns each head's ascending index list.
+    """
+    radii = np.sqrt(np.sum(pos * pos, axis=1))
+    dirs = pos / radii[:, None]
+    lists = []
+    for h in range(len(pos)):
+        d = dirs[h]
+        step = pos - pos[h]
+        listed = (
+            (gas == gas[h])
+            & (radii >= radii[h])
+            & (d[0] * dirs[:, 0] + d[1] * dirs[:, 1] + d[2] * dirs[:, 2] >= cos_m)
+            & (dot(step, dirs[np.full(len(pos), h)]) >= cos_m * np.sqrt(dot(step, step)))
+        )
+        lists.append(np.flatnonzero(listed).tolist())
+    return lists
+
+
 def select_track_scan(config, ctx, envelope_drop=0.5):
     """``chamber.select_track`` over ``build_chains_scan``, one tied chain at a time.
 
@@ -245,6 +268,15 @@ def select_track_scan(config, ctx, envelope_drop=0.5):
     )
 
 
+def direction_bin_scalar(x: float, y: float, z: float) -> int:
+    """``chamber.direction_bin`` of one direction, one float at a time."""
+    z = min(1.0, max(-1.0, z))
+    band = min(N_Z_BANDS - 1, int((z + 1.0) * 0.5 * N_Z_BANDS))
+    phi = math.atan2(y, x)
+    sector = int((phi + math.pi) / (2.0 * math.pi) * N_PHI_SECTORS) % N_PHI_SECTORS
+    return band * N_PHI_SECTORS + sector
+
+
 def isotropy_per_config(
     n_configs, density, inner_radius, chamber_radius, species, ctx, rng, config_factory=None,
     select=select_track,
@@ -267,7 +299,7 @@ def isotropy_per_config(
         track = select(config, ctx)
         if track is None:
             continue
-        counts[direction_bin(track.direction)] += 1
+        counts[direction_bin_scalar(*track.direction.tolist())] += 1
         directions.append(track.direction)
         chain_lengths.append(track.chain.n)
         flux_ratios.append(track.flux_ratio)

@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import mottbox
 from mottbox import chamber
 from mottbox.chamber import (
     ATOM_DTYPE,
@@ -28,7 +33,9 @@ from mottbox.mott import Obstacle, ScatteringContext, flux_free, normalization_c
 from mottbox.numerics import RngStream, unit
 from oracles import (
     build_chains_scan,
+    cone_candidates_scan,
     configuration_to_dict,
+    direction_bin_scalar,
     isotropy_per_config,
     select_track_scan,
     species_at,
@@ -335,6 +342,83 @@ def test_build_chains_lists_candidates_only_up_to_wide_cone(monkeypatch):
     assert len(calls) == 1
 
 
+def assert_candidates_match_scan(pos, offsets, theta_c):
+    # every head's candidate list against the all-atoms test; returns the lists
+    pos = np.ascontiguousarray(pos)
+    gas = chamber._gas_of_atoms(np.asarray(offsets))
+    radii = np.sqrt(np.sum(pos * pos, axis=1))
+    cos_m = math.cos(theta_c) - chamber.CANDIDATE_COS_SLACK
+    members, start, end = chamber._cone_candidates(pos, radii, pos / radii[:, None], gas, cos_m)
+    lists = [members[lo:hi].tolist() for lo, hi in zip(start, end)]
+    assert lists == cone_candidates_scan(pos, gas, cos_m)
+    return lists
+
+
+@pytest.mark.parametrize("k, density", [(10.0, 8e-3), (1.94, 4e-3)])
+def test_cone_candidates_match_scan_on_one_gas(k, density):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        theta_c = cone_half_angle(ScatteringContext.from_wavenumber(k, 0.01), SPECIES.width)
+    gas = sample_gas(density, 12.0, 40.0, SPECIES, RngStream(4245, 0))
+    lists = assert_candidates_match_scan(gas.atoms["position"], [0, gas.n_atoms], theta_c)
+    assert gas.n_atoms > 1000 and sum(map(len, lists)) > 1.2 * gas.n_atoms
+
+
+def test_cone_candidates_match_scan_across_gases_with_empty_ones():
+    theta_c = cone_half_angle(ScatteringContext.from_wavenumber(1.94, 0.01), SPECIES.width)
+    gases = [sample_gas(density, 12.0, 40.0, SPECIES, RngStream(4246, i))
+             for i, density in enumerate((3e-3, 0.0, 1e-4, 0.0, 0.0, 3e-3, 1e-4, 0.0))]
+    offsets = np.cumsum([0] + [gas.n_atoms for gas in gases])
+    pos = np.concatenate([gas.atoms["position"] for gas in gases])
+    assert_candidates_match_scan(pos, offsets, theta_c)
+
+
+def test_cone_candidates_at_band_edges_and_reach_apart():
+    # directions whose z sits on, or one ulp either side of, the edges of the
+    # z bands (the poles included), at x offsets of 0, reach / 2 and reach
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    reach = math.sqrt(2.0 * (1.0 - math.cos(theta_c) + chamber.CANDIDATE_COS_SLACK)) + 1e-7
+    n_bands = int(2.0 / reach)
+    edges = [2.0 * b / n_bands - 1.0 for b in (0, 1, n_bands // 2, n_bands - 1, n_bands)]
+    dirs = []
+    for edge in edges:
+        for z in (math.nextafter(edge, -1.0), edge, math.nextafter(edge, 1.0)):
+            rho = math.sqrt(1.0 - z * z)
+            for x in {min(rho, x) for x in (0.0, 0.5 * reach, reach, -0.5 * reach, -reach)}:
+                dirs.append([x, math.sqrt(max(0.0, rho * rho - x * x)), z])
+    pos = np.concatenate([r * np.array(dirs) for r in (15.0, 20.5, 26.0, 33.0)])
+    lists = assert_candidates_match_scan(pos, [0, len(pos)], theta_c)
+    z = pos[:, 2] / np.sqrt(np.sum(pos * pos, axis=1))
+    assert np.isin(z, edges).sum() > len(edges)
+    band = np.minimum(((z + 1.0) * (0.5 * n_bands)).astype(int), n_bands - 1)
+    assert any(band[j] != band[h] for h, listed in enumerate(lists) for j in listed)
+
+
+def test_cone_candidates_on_the_cone_edge():
+    # steps of several lengths at the candidate cone's edge angle and 1e-9
+    # rad either side of it: the lists keep exactly the pairs that the step
+    # test at the head keeps, however the rounding falls
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    edge = math.acos(math.cos(theta_c) - chamber.CANDIDATE_COS_SLACK)
+    heads = RngStream(4248, 0).standard_normal(size=(12, 3))
+    heads *= (np.linspace(13.0, 30.0, 12) / np.sqrt(np.sum(heads * heads, axis=1)))[:, None]
+    pos = []
+    for head in heads:
+        axis = head / np.linalg.norm(head)
+        side = np.cross(axis, [0.0, 0.0, 1.0])
+        side /= np.linalg.norm(side)
+        for turn in np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False):
+            across = math.cos(turn) * side + math.sin(turn) * np.cross(axis, side)
+            for angle in (edge - 1e-9, edge, edge + 1e-9):
+                for length in (0.01, 0.7, 6.0):
+                    pos.append(head + length * (math.cos(angle) * axis + math.sin(angle) * across))
+    pos = np.concatenate([heads, pos])
+    lists = assert_candidates_match_scan(pos, [0, len(pos)], theta_c)
+    per_head = np.arange(len(heads) * 45).reshape(len(heads), 5, 3, 3) + len(heads)
+    listed = [np.isin(per_head[h], lists[h]) for h in range(len(heads))]
+    assert all(inside[:, 0].all() and not inside[:, 2].any() for inside in listed)
+
+
 def test_build_chains_matches_scan_on_mixed_widths():
     narrow = AtomSpecies(width=0.4, g0=0.5, g1=0.5, delta_e=0.01)
     a = sample_gas(2e-3, 12.0, 40.0, SPECIES, RngStream(4244, 1))
@@ -607,6 +691,25 @@ def test_direction_bin_equal_area_layout():
     assert direction_bin([1.0, 0.1, 0.1]) != direction_bin([-1.0, -0.1, 0.1])
 
 
+def test_direction_bin_of_many_rows_matches_scalar_formula():
+    dirs = RngStream(4247, 0).standard_normal(size=(10**6, 3))
+    dirs /= np.sqrt(np.sum(dirs * dirs, axis=1))[:, None]
+    # one and two ulps either side of every sector edge, band edge and pole
+    near = []
+    for phi in np.linspace(-math.pi, math.pi, 2 * chamber.N_PHI_SECTORS + 1):
+        for x0, y0 in ((math.cos(phi), math.sin(phi)), (round(math.cos(phi)), round(math.sin(phi)))):
+            for dx in (-2, -1, 0, 1, 2):
+                for dy in (-2, -1, 0, 1, 2):
+                    x, y = x0 + dx * math.ulp(x0 or 1e-300), y0 + dy * math.ulp(y0 or 1e-300)
+                    for z in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                        for dz in (-2, -1, 0, 1, 2):
+                            near.append([x, y, z + dz * math.ulp(z or 1e-300)])
+    near += [[sx, sy, sz] for sx in (0.0, -0.0) for sy in (0.0, -0.0) for sz in (1.0, -1.0)]
+    for rows in np.array_split(np.concatenate([dirs, near]), 10):
+        assert direction_bin(rows).tolist() == [direction_bin_scalar(*d) for d in rows.tolist()]
+    assert type(direction_bin(near[7])) is int and direction_bin(near[7]) == direction_bin_scalar(*near[7])
+
+
 def test_isotropy_experiment_uniform_gas():
     result = isotropy_experiment(
         n_configs=300,
@@ -723,8 +826,8 @@ def test_isotropy_chunks_close_on_configs_and_on_atoms():
 def test_segmented_tracks_match_each_gas_alone(k):
     # gases of mixed species with tied chains, and empty gases, selected in
     # one pass, against the every-atom scan of each gas alone.  At k = 1.94
-    # the z windows are wide enough for blocks of dirs @ dirs.T that span
-    # several gases; at k = 1 the cone is wider than WIDE_CONE_ANGLE
+    # the z bands are widest, so one sort key orders the fewest bands per
+    # gas; at k = 1 the cone is wider than WIDE_CONE_ANGLE
     ctx = ScatteringContext.from_wavenumber(k, 0.01)
     empty = GasConfiguration(atoms=(), chamber_radius=40.0, inner_radius=12.0, seed=0)
     factory = mixed_factory(77)
@@ -816,6 +919,28 @@ def test_configuration_dict_roundtrip_without_stream_id():
     assert np.array_equal(loaded.atoms, gas.atoms)
 
 
+def test_configuration_from_dict_names_the_first_bad_value():
+    gas = sample_gas(2e-4, 12.0, 40.0, SPECIES, RngStream(61, 4))
+    data = configuration_to_dict(gas)
+    for key, value in (("g0", math.nan), ("z", -math.inf), ("s", True), ("x", 10**400), ("y", "1")):
+        bad = configuration_to_dict(gas)
+        bad["atoms"][3][key] = value
+        bad["atoms"][5][key] = value
+        with pytest.raises(ValueError, match=f"atom 3 '{key}' must be a finite number"):
+            configuration_from_dict(bad)
+    del data["atoms"][2]["g1"]
+    with pytest.raises(KeyError):
+        configuration_from_dict(data)
+    # ints are numbers, and atoms without delta_e have 0.0
+    data = configuration_to_dict(gas)
+    data["atoms"][0].update(x=0, y=0, z=20, delta_e=0)
+    del data["atoms"][1]["delta_e"]
+    loaded = configuration_from_dict(data)
+    assert loaded.atoms[0]["position"].tolist() == [0.0, 0.0, 20.0]
+    assert loaded.atoms[0]["delta_e"] == loaded.atoms[1]["delta_e"] == 0.0
+    assert np.array_equal(loaded.atoms[2:], gas.atoms[2:])
+
+
 def test_gas_configuration_invariants():
     with pytest.raises(ValueError, match="shell"):
         GasConfiguration(
@@ -831,3 +956,42 @@ def test_gas_configuration_invariants():
             inner_radius=5.0,
             seed=0,
         )
+
+
+THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from mottbox import chamber
+from mottbox.mott import ScatteringContext
+from mottbox.numerics import RngStream
+ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+species = chamber.AtomSpecies(width=1.0, g0=0.5, g1=0.5, delta_e=0.01)
+theta_c = chamber.cone_half_angle(ctx, species.width)
+digest = hashlib.sha256()
+gas = chamber.sample_gas(1.92e-2, 12.0, 40.0, species, RngStream(7, 0))
+chains = chamber.build_chains(gas, ctx, theta_c)
+for chain in chains:
+    digest.update(np.array(chain.indices).tobytes() + chain.direction.tobytes())
+atoms, offsets = next(chamber._sampled_chunks(100, 1e-4, 12.0, 40.0, species, RngStream(7, 0)))
+heads, lengths, c2, dirs, grown = chamber._tracks(atoms, offsets, ctx, theta_c)
+for part in (heads, lengths, c2, dirs[heads]):
+    digest.update(part.tobytes())
+print(gas.n_atoms, max(chain.n for chain in chains), len(heads), digest.hexdigest())
+"""
+
+
+def test_thread_count_never_changes_chains_or_tracks():
+    # the determinism contract's third part: a 5 * 10^3-atom README gas and
+    # one isotropy chunk give the same bytes on one and on two BLAS threads
+    src = str(Path(mottbox.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", THREADS_SCRIPT],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout.split())
+    n_atoms, longest, n_tracks, _ = outputs[0]
+    assert 4500 < int(n_atoms) < 5500 and int(longest) > 2 and int(n_tracks) > 50
+    assert outputs[0] == outputs[1]
