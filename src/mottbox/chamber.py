@@ -23,15 +23,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mott import (
-    Obstacle,
+    _SPECIES_FIELDS,
+    ATOM_DTYPE,
     ScatteringContext,
+    _records,
     angular_amplitude,
     check_atoms,
     flux_free,
-    normalization_c2,
     normalization_c2_atoms,
 )
-from .numerics import RngStream, chi2_sf, dot, norm
+from .numerics import RngStream, chi2_sf, dot, norm, unit
 
 __all__ = [
     "ATOM_DTYPE",
@@ -71,18 +72,7 @@ WIDE_CONE_ANGLE = math.pi / 6.0
 # chained far-field form needs the atoms many widths apart
 SEPARATION_WIDTHS = 10.0
 
-_SPECIES_FIELDS = ("width", "g0", "g1", "delta_e")
-# one record per gas atom, the fields of one gas.json atom entry
-ATOM_DTYPE = np.dtype([("position", float, 3), *((f, float) for f in _SPECIES_FIELDS)])
 _JSON_KEYS = ("x", "y", "z", "s", "g0", "g1", "delta_e")
-
-
-def _records(positions, width, g0, g1, delta_e) -> np.ndarray:
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    atoms = np.empty(len(positions), ATOM_DTYPE)
-    atoms["position"] = positions
-    atoms["width"], atoms["g0"], atoms["g1"], atoms["delta_e"] = width, g0, g1, delta_e
-    return atoms
 
 
 @dataclass(frozen=True)
@@ -108,8 +98,8 @@ class GasConfiguration:
 
     Atoms live in the shell inner_radius <= |a| <= chamber_radius; the
     exclusion zone around the emitter keeps every atom in the far field of
-    the source.  ``atoms`` is a read-only 1-d ATOM_DTYPE array, checked with
-    the rules an Obstacle applies to one atom.  ``seed``/``stream_id`` record
+    the source.  ``atoms`` is a read-only 1-d ATOM_DTYPE array whose records
+    pass ``check_atoms``, as ``mott.atom``'s do.  ``seed``/``stream_id`` record
     the stream that produced the sample, for provenance and replay.
     """
 
@@ -130,7 +120,7 @@ class GasConfiguration:
                 f"need 0 < inner_radius < chamber_radius, got {self.inner_radius}, {self.chamber_radius}"
             )
         with np.errstate(all="ignore"):  # non-finite radii are reported below
-            radii = np.sqrt(dot(atoms["position"], atoms["position"]))  # bits of Obstacle.distance
+            radii = np.sqrt(dot(atoms["position"], atoms["position"]))  # bits of norm(atom["position"])
         check_atoms(*(atoms[f] for f in _SPECIES_FIELDS), radius=radii)
         outside = ~((radii >= self.inner_radius) & (radii <= self.chamber_radius))
         if outside.any():
@@ -146,11 +136,6 @@ class GasConfiguration:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    def obstacle(self, i: int) -> Obstacle:
-        """Atom ``i`` as an Obstacle, for the single-atom formulas of ``mott``."""
-        atom = self.atoms[i]
-        return Obstacle(atom["position"], *(float(atom[f]) for f in _SPECIES_FIELDS))
 
 
 def _expected_atoms(density: float, inner_radius: float, chamber_radius: float) -> float:
@@ -232,10 +217,8 @@ def cone_half_angle(ctx: ScatteringContext, s: float, envelope_drop: float = 0.5
     return theta_c
 
 
-def second_order_amplitude(
-    ctx: ScatteringContext, atom_a: Obstacle, atom_b: Obstacle
-) -> complex:
-    """Chained twice-inelastic amplitude: excite atom a, then atom b.
+def second_order_amplitude(ctx: ScatteringContext, atom_a: np.void, atom_b: np.void) -> complex:
+    """Chained twice-inelastic amplitude: excite atom a, then atom b (ATOM_DTYPE records).
 
     The forward-peaked inelastic wave from atom a propagates to atom b and
     scatters once more there,
@@ -248,20 +231,21 @@ def second_order_amplitude(
     this chained form keeps the essential feature that both atoms are excited
     only when b lies in the narrow forward cone of a.
     """
-    rel = atom_b.position - atom_a.position
+    a, b = atom_a["position"], atom_b["position"]
+    rel = b - a
     d = norm(rel)
-    if not atom_b.distance > atom_a.distance:
+    if not norm(b) > norm(a):
         raise ValueError(
-            f"atom b must be farther from the emitter than atom a, got |b|={atom_b.distance!r}"
-            f" <= |a|={atom_a.distance!r}"
+            f"atom b must be farther from the emitter than atom a, got |b|={norm(b)!r}"
+            f" <= |a|={norm(a)!r}"
         )
-    if d < SEPARATION_WIDTHS * max(atom_a.width, atom_b.width):
+    if d < SEPARATION_WIDTHS * max(float(atom_a["width"]), float(atom_b["width"])):
         raise ValueError(
             f"atoms too close for the chained far-field form: |b-a| = {d!r}"
         )
-    theta_ab = float(np.arccos(np.clip(np.dot(atom_a.direction, rel / d), -1.0, 1.0)))
+    theta_ab = float(np.arccos(np.clip(np.dot(unit(a), rel / d), -1.0, 1.0)))
     first = angular_amplitude(ctx, atom_a, 1, theta_ab)
-    forward_b = math.sqrt(2.0 * math.pi) * atom_b.g1 * atom_b.width**3
+    forward_b = math.sqrt(2.0 * math.pi) * float(atom_b["g1"]) * float(atom_b["width"]) ** 3
     return complex(first * np.exp(1j * ctx.k * d) / d * forward_b)
 
 
@@ -493,22 +477,18 @@ def _tracks(atoms: np.ndarray, offsets, ctx: ScatteringContext, theta_c: float):
     best = np.zeros(n_gases, dtype=int)
     np.maximum.at(best, gas, lengths)
     tied = lengths == best[gas]
-    distance = np.sqrt(dot(pos, pos))  # bits of Obstacle.distance
-
-    def c2_of(i):
-        return normalization_c2_atoms(ctx, distance[i], *(atoms[f][i] for f in ("width", "g0", "g1")))
-
     # |C|^2 grows with head distance for a shared species, so head distance
     # orders the surviving flux of tied chains without computing it
-    order_key = distance[heads]
+    order_key = np.sqrt(dot(pos[heads], pos[heads]))  # bits of norm(atom["position"])
     mixed = tied & ~_uniform_species(atoms, offsets)[gas]
     mixed &= np.bincount(gas[tied], minlength=n_gases)[gas] > 1
     if mixed.any():
-        fluxes = zip(c2_of(heads[mixed]).tolist(), lengths[mixed].tolist())
-        order_key[mixed] = [flux_free(ctx) * c2**n for c2, n in fluxes]
+        c2 = normalization_c2_atoms(ctx, atoms[heads[mixed]])
+        fluxes = zip(c2.tolist(), lengths[mixed].tolist())
+        order_key[mixed] = [flux_free(ctx) * c2_i**n for c2_i, n in fluxes]
     order = np.lexsort((heads, order_key, -lengths, gas))
     won = order[np.flatnonzero(np.diff(gas[order], prepend=-1))]
-    return heads[won], lengths[won], c2_of(heads[won]), dirs, grown
+    return heads[won], lengths[won], normalization_c2_atoms(ctx, atoms[heads[won]]), dirs, grown
 
 
 def select_track(
@@ -519,7 +499,7 @@ def select_track(
     Builds all alignment chains and keeps the longest one; ties go to the
     chain with the smallest surviving spherical flux, then the smallest head
     index.  The surviving flux is flux_free * (|C|^2)^N with the chain-head
-    obstacle's |C|^2 used for every step.  Returns None for an empty
+    atom's |C|^2 used for every step.  Returns None for an empty
     configuration.
     """
     if config.n_atoms == 0:
@@ -545,12 +525,8 @@ def off_chain_c2_product(
     reports how much further reduction the remaining atoms would contribute
     if they fed back as well.
     """
-    members = set(chain.indices)
-    product = 1.0
-    for i in range(config.n_atoms):
-        if i not in members:
-            product *= normalization_c2(ctx, config.obstacle(i))
-    return product
+    off_chain = np.delete(config.atoms, chain.indices)
+    return math.prod(normalization_c2_atoms(ctx, off_chain).tolist(), start=1.0)
 
 
 # isotropy bins: bands uniform in z = cos(theta) crossed with uniform phi
@@ -692,8 +668,12 @@ def isotropy_experiment(
     )
 
 
-def _json_number(value, what: str, kind=(int, float)):
-    # bools, strings, NaN and numbers beyond float range are malformed
+def _json_number(data: dict, key: str, where: str = "", kind=(int, float)):
+    # a missing key, bools, strings, NaN and numbers beyond float range are malformed
+    what = f"{where}{key!r}"
+    if key not in data:
+        raise ValueError(f"{what} is missing")
+    value = data[key]
     if isinstance(value, bool) or not isinstance(value, kind) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{what} must be a finite {'integer' if kind is int else 'number'}, got {value!r}")
     return value
@@ -715,14 +695,14 @@ def configuration_from_dict(data: dict) -> GasConfiguration:
             if not isinstance(entry, dict):
                 raise ValueError(f"atom {i} must be an object, got {entry!r}")
             entry = {"delta_e": 0.0, **entry}
-            rows.append([_json_number(entry[key], f"atom {i} {key!r}") for key in _JSON_KEYS])
+            rows.append([_json_number(entry, key, f"atom {i} ") for key in _JSON_KEYS])
     table = np.array(rows, dtype=float).reshape(-1, 7)
     return GasConfiguration(
         atoms=_records(table[:, :3], *table[:, 3:].T),
-        chamber_radius=_json_number(data["chamber_radius"], "chamber_radius"),
-        inner_radius=_json_number(data["inner_radius"], "inner_radius"),
-        seed=_json_number(data["seed"], "seed", int),
-        stream_id=_json_number(data.get("stream_id", 0), "stream_id", int),
+        chamber_radius=_json_number(data, "chamber_radius"),
+        inner_radius=_json_number(data, "inner_radius"),
+        seed=_json_number(data, "seed", kind=int),
+        stream_id=_json_number({"stream_id": 0, **data}, "stream_id", kind=int),
     )
 
 

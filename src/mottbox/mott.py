@@ -25,7 +25,8 @@ from .numerics import dot, gauss_legendre, norm, unit
 
 __all__ = [
     "ScatteringContext",
-    "Obstacle",
+    "ATOM_DTYPE",
+    "atom",
     "check_atoms",
     "transferred_momentum",
     "angular_amplitude",
@@ -44,13 +45,25 @@ SINGULAR_RADIUS = 1e-9
 # far-field formulas need the obstacle many widths away from the emitter
 MIN_DISTANCE_WIDTHS = 10.0
 
+_SPECIES_FIELDS = ("width", "g0", "g1", "delta_e")
+# one record per gas atom, the fields of one gas.json atom entry
+ATOM_DTYPE = np.dtype([("position", float, 3), *((f, float) for f in _SPECIES_FIELDS)])
+
+
+def _records(positions, width, g0, g1, delta_e) -> np.ndarray:
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    atoms = np.empty(len(positions), ATOM_DTYPE)
+    atoms["position"] = positions
+    atoms["width"], atoms["g0"], atoms["g1"], atoms["delta_e"] = width, g0, g1, delta_e
+    return atoms
+
 
 def check_atoms(width, g0, g1, delta_e, radius=None) -> None:
     """Raise ValueError for the first atom that breaks a rule of the far-field model.
 
-    The one rule set of Obstacle, AtomSpecies and GasConfiguration, applied
-    to one atom's values or to equal-length arrays over a gas.  ``radius``
-    is the distance from the emitter; a species has none.  A NaN coupling
+    The one rule set of ``atom``, AtomSpecies and GasConfiguration, applied
+    to one record's fields or to the field arrays of a gas.  ``radius`` is
+    the distance from the emitter; a species has none.  A NaN coupling
     must not pass: it reads as zero in |C|^2, which then is 1.
     """
     fields = {"|position|": radius, "width": width, "g0": g0, "g1": g1, "delta_e": delta_e}
@@ -119,43 +132,21 @@ class ScatteringContext:
         return self.k_prime
 
 
-@dataclass(frozen=True, eq=False)
-class Obstacle:
-    """One gas atom: position, Gaussian coupling width and channel strengths.
+def atom(position, width: float, g0: float, g1: float, delta_e: float = 0.0) -> np.void:
+    """One gas atom as an ATOM_DTYPE record: position, coupling width and channel strengths.
 
     ``g0`` couples the elastic channel, ``g1`` the inelastic one; ``delta_e``
     is the excitation energy the inelastic channel deposits.  The far-field
     amplitude formulas require the atom to sit many widths away from the
     emitter, enforced with the other atom rules by :func:`check_atoms`.
     """
-
-    position: np.ndarray
-    width: float
-    g0: float
-    g1: float
-    delta_e: float = 0.0
-
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float)
-        if p.shape != (3,):
-            raise ValueError(f"position must be a 3-vector, got {self.position}")
-        object.__setattr__(self, "position", p)
-        check_atoms(self.width, self.g0, self.g1, self.delta_e, radius=self.distance)
-
-    @property
-    def distance(self) -> float:
-        return norm(self.position)
-
-    @property
-    def direction(self) -> np.ndarray:
-        return unit(self.position)
-
-    def coupling(self, channel: int) -> float:
-        if channel == 0:
-            return self.g0
-        if channel == 1:
-            return self.g1
-        raise ValueError(f"channel must be 0 (elastic) or 1 (inelastic), got {channel}")
+    p = np.asarray(position, dtype=float)
+    if p.shape != (3,):
+        raise ValueError(f"position must be a 3-vector, got {position}")
+    check_atoms(width, g0, g1, delta_e, radius=norm(p))
+    records = _records(p, width, g0, g1, delta_e)
+    records.setflags(write=False)  # read-only, as the records of a gas are
+    return records[0]
 
 
 def transferred_momentum(k: float, theta: float) -> float:
@@ -165,8 +156,8 @@ def transferred_momentum(k: float, theta: float) -> float:
     return 2.0 * k * math.sin(0.5 * theta)
 
 
-def angular_amplitude(ctx: ScatteringContext, obstacle: Obstacle, channel: int, theta: float) -> complex:
-    """Amplitude I_j(theta) of the wave scattered once by the obstacle.
+def angular_amplitude(ctx: ScatteringContext, atom: np.void, channel: int, theta: float) -> complex:
+    """Amplitude I_j(theta) of the wave scattered once by the ATOM_DTYPE record ``atom``.
 
     The scattered wave is (e^{ik|R-a|} / |R-a|) I_j(theta), with theta
     measured from the emitter-to-obstacle direction.  For the Gaussian
@@ -178,9 +169,11 @@ def angular_amplitude(ctx: ScatteringContext, obstacle: Obstacle, channel: int, 
     the excitation energy is negligible against the projectile energy; its
     distinct velocity only enters the flux bookkeeping.
     """
-    g = obstacle.coupling(channel)
-    a = obstacle.distance
-    s = obstacle.width
+    if channel not in (0, 1):
+        raise ValueError(f"channel must be 0 (elastic) or 1 (inelastic), got {channel}")
+    position, s, g0, g1, _ = atom.tolist()
+    g = g1 if channel else g0
+    a = norm(position)
     q = transferred_momentum(ctx.k, theta)
     ft = g * (2.0 * math.pi) ** 1.5 * s**3 * math.exp(-0.5 * q * q * s * s)
     return complex(np.exp(1j * ctx.k * a) / a * ft / (2.0 * math.pi))
@@ -255,15 +248,16 @@ def _intensity_integrals(k: float, a: float, s: float, g0: float, g1: float) -> 
     return float(a0[0]), float(a1[0])
 
 
-def flux_total(ctx: ScatteringContext, obstacle: Obstacle) -> float:
-    """Total flux through a large sphere around the emitter, obstacle included.
+def flux_total(ctx: ScatteringContext, atom: np.void) -> float:
+    """Total flux through a large sphere around the emitter, the atom included.
 
     F = 4 pi v + 2 pi v int sin(theta) |I_0|^2 + 2 pi v' int sin(theta) |I_1|^2.
     The scattered terms are non-negative, so F >= flux_free with equality only
     when both couplings vanish.  Interference between the unscattered and
     scattered waves integrates to zero on a large sphere and is dropped.
     """
-    a0, a1 = _intensity_integrals(ctx.k, obstacle.distance, obstacle.width, obstacle.g0, obstacle.g1)
+    position, s, g0, g1, _ = atom.tolist()
+    a0, a1 = _intensity_integrals(ctx.k, norm(position), s, g0, g1)
     return (
         4.0 * math.pi * ctx.v_alpha
         + 2.0 * math.pi * ctx.v_alpha * a0
@@ -276,35 +270,37 @@ def _c2(ctx: ScatteringContext, a0, a1):
     return 1.0 / (1.0 + 0.5 * a0 + 0.5 * ratio * a1)
 
 
-def normalization_c2(ctx: ScatteringContext, obstacle: Obstacle) -> float:
+def normalization_c2(ctx: ScatteringContext, atom: np.void) -> float:
     """Squared normalization |C|^2 in (0, 1] restoring flux conservation.
 
     |C|^2 = [1 + (1/2) int sin |I_0|^2 + (1/2)(v'/v) int sin |I_1|^2]^{-1},
     so |C|^2 * flux_total == flux_free identically and the unscattered
     spherical amplitude is reduced whenever either coupling is non-zero.
     """
-    return _c2(ctx, *_intensity_integrals(ctx.k, obstacle.distance, obstacle.width, obstacle.g0, obstacle.g1))
+    position, s, g0, g1, _ = atom.tolist()
+    return _c2(ctx, *_intensity_integrals(ctx.k, norm(position), s, g0, g1))
 
 
-def normalization_c2_atoms(ctx: ScatteringContext, distance, width, g0, g1) -> np.ndarray:
-    """|C|^2 of many atoms at once, from 1-d arrays of their obstacle fields.
+def normalization_c2_atoms(ctx: ScatteringContext, atoms: np.ndarray) -> np.ndarray:
+    """|C|^2 of every record of the 1-d ATOM_DTYPE array ``atoms`` at once.
 
-    Element i has the bits of ``normalization_c2`` for the Obstacle with
-    those values, and a non-finite integrand raises the ValueError that the
-    first such atom raises there.  Atoms are taken as valid Obstacles.
+    Element i has the bits of ``normalization_c2(ctx, atoms[i])``, and a
+    non-finite integrand raises the ValueError that the first such atom
+    raises there.  The records are taken as valid under ``check_atoms``.
     """
-    return _c2(ctx, *_intensity_rows(ctx.k, distance, width, g0, g1))
+    distance = np.sqrt(dot(atoms["position"], atoms["position"]))  # bits of norm(atom["position"])
+    return _c2(ctx, *_intensity_rows(ctx.k, distance, atoms["width"], atoms["g0"], atoms["g1"]))
 
 
-def wave_field(ctx: ScatteringContext, obstacle: Obstacle | None, points) -> np.ndarray:
+def wave_field(ctx: ScatteringContext, atom: np.void | None, points) -> np.ndarray:
     """Elastic-channel field values at ``points``, an array of shape (..., 3).
 
-    Returns a complex array of shape (...).  Without an obstacle this is the
-    bare spherical wave e^{ikR}/R.  With one it is
+    Returns a complex array of shape (...).  Without an atom (None) this is
+    the bare spherical wave e^{ikR}/R.  With an ATOM_DTYPE record it is
     C [e^{ikR}/R + (e^{ik|R-a|}/|R-a|) I_0(theta)], the flux-normalized sum of
     the unscattered wave and the once-scattered elastic wave, with C taken
     real positive (only |C|^2 is fixed by flux conservation).  Points within
-    SINGULAR_RADIUS of the emitter or of the obstacle centre give NaN.
+    SINGULAR_RADIUS of the emitter or of the atom centre give NaN.
     """
     p = np.asarray(points, dtype=float)
     k = ctx.k
@@ -312,20 +308,20 @@ def wave_field(ctx: ScatteringContext, obstacle: Obstacle | None, points) -> np.
         r = np.sqrt(dot(p, p))
         singular = r < SINGULAR_RADIUS
         field = np.exp(1j * k * r) / r
-        if obstacle is not None:
-            rel = p - obstacle.position
+        if atom is not None:
+            rel = p - atom["position"]
             d = np.sqrt(dot(rel, rel))
             singular |= d < SINGULAR_RADIUS
-            theta = np.arccos(np.clip(dot(rel / d[..., None], obstacle.direction), -1.0, 1.0))
+            theta = np.arccos(np.clip(dot(rel / d[..., None], unit(atom["position"])), -1.0, 1.0))
             # I_0(theta) of angular_amplitude in array form.  angular_amplitude
             # stays scalar: array np.exp differs from math.exp in the last
             # bit, which would move 7 of the 181 rows of the README angular.csv
             q = 2.0 * k * np.sin(0.5 * theta)
-            a, s = obstacle.distance, obstacle.width
-            ft = obstacle.g0 * (2.0 * math.pi) ** 1.5 * s**3 * np.exp(-0.5 * q * q * s * s)
+            a, s = norm(atom["position"]), float(atom["width"])
+            ft = float(atom["g0"]) * (2.0 * math.pi) ** 1.5 * s**3 * np.exp(-0.5 * q * q * s * s)
             amplitude = np.exp(1j * k * a) / a * ft / (2.0 * math.pi)
             field += np.exp(1j * k * d) / d * amplitude
-            field *= math.sqrt(normalization_c2(ctx, obstacle))
+            field *= math.sqrt(normalization_c2(ctx, atom))
     return np.where(singular, np.nan, field)
 
 

@@ -22,38 +22,40 @@ from mottbox.chamber import (
     sample_gas,
     select_track,
 )
-from mottbox.mott import Obstacle, angular_amplitude, flux_free, normalization_c2, wave_field
-from mottbox.numerics import dot, gauss_legendre, norm, quad_1d
+from mottbox.mott import angular_amplitude, atom, flux_free, normalization_c2, wave_field
+from mottbox.numerics import dot, gauss_legendre, norm, quad_1d, unit
 from mottbox.render import colorize, sample_plane
 
 
-def wave_field_scalar(ctx, obstacle, point) -> complex:
+def wave_field_scalar(ctx, record, point) -> complex:
     """The elastic-channel field at one non-singular point, one formula at a time.
 
     C [e^{ikR}/R + (e^{ik|R-a|}/|R-a|) I_0(theta)] with the scattering angle
-    theta taken from a clamped arccos; without an obstacle just e^{ikR}/R.
+    theta taken from a clamped arccos; without an atom record just e^{ikR}/R.
     """
     p = np.asarray(point, dtype=float)
     r = norm(p)
     free = complex(np.exp(1j * ctx.k * r) / r)
-    if obstacle is None:
+    if record is None:
         return free
-    rel = p - obstacle.position
+    rel = p - record["position"]
     d = norm(rel)
-    cos_theta = min(1.0, max(-1.0, float(np.dot(obstacle.direction, rel / d))))
+    cos_theta = min(1.0, max(-1.0, float(np.dot(unit(record["position"]), rel / d))))
     theta = math.acos(cos_theta)
-    scattered = complex(np.exp(1j * ctx.k * d) / d) * angular_amplitude(ctx, obstacle, 0, theta)
-    return math.sqrt(normalization_c2(ctx, obstacle)) * (free + scattered)
+    scattered = complex(np.exp(1j * ctx.k * d) / d) * angular_amplitude(ctx, record, 0, theta)
+    return math.sqrt(normalization_c2(ctx, record)) * (free + scattered)
 
 
-def form_factor(obstacle, channel: int, r) -> float:
+def form_factor(record, channel: int, r) -> float:
     """Coupling matrix element g_j exp(-|r|^2 / (2 s^2)) of the Born volume integral.
 
-    ``r`` is measured from the obstacle centre (obstacle-local coordinates).
+    ``r`` is measured from the atom centre (atom-local coordinates).
     """
-    g = obstacle.coupling(channel)
+    if channel not in (0, 1):
+        raise ValueError(f"channel must be 0 or 1, got {channel}")
+    g = float(record[("g0", "g1")[channel]])
     r = np.asarray(r, dtype=float)
-    s = obstacle.width
+    s = float(record["width"])
     return g * math.exp(-float(np.dot(r, r)) / (2.0 * s * s))
 
 
@@ -159,15 +161,19 @@ def intensity_integrals_scalar(k, a, s, g0, g1, n) -> tuple[float, float]:
     return a0, a1
 
 
-def species_at(species, position) -> Obstacle:
-    """One atom of ``species`` at ``position``, as an Obstacle."""
-    return Obstacle(
-        position=np.asarray(position, dtype=float),
-        width=species.width,
-        g0=species.g0,
-        g1=species.g1,
-        delta_e=species.delta_e,
-    )
+def species_at(species, position) -> np.void:
+    """One atom of ``species`` at ``position``, as a ``mott.atom`` record."""
+    return atom(position, species.width, species.g0, species.g1, species.delta_e)
+
+
+def off_chain_c2_product_loop(config, ctx, chain) -> float:
+    """``chamber.off_chain_c2_product`` as a loop: one ``normalization_c2`` per off-chain atom."""
+    members = set(chain.indices)
+    product = 1.0
+    for i in range(config.n_atoms):
+        if i not in members:
+            product *= normalization_c2(ctx, config.atoms[i])
+    return product
 
 
 def build_chains_scan(config, ctx, theta_c) -> list:
@@ -255,11 +261,11 @@ def select_track_scan(config, ctx, envelope_drop=0.5):
         tied.sort(key=lambda c: (distance[c.head], c.head))
     else:
         def flux(c):
-            return flux_free(ctx) * normalization_c2(ctx, config.obstacle(c.head)) ** c.n
+            return flux_free(ctx) * normalization_c2(ctx, config.atoms[c.head]) ** c.n
 
         tied.sort(key=lambda c: (flux(c), c.head))
     winner = tied[0]
-    c2 = normalization_c2(ctx, config.obstacle(winner.head))
+    c2 = normalization_c2(ctx, config.atoms[winner.head])
     return TrackResult(
         direction=winner.direction,
         chain=winner,

@@ -25,9 +25,9 @@ from mottbox.chamber import (
     select_track,
 )
 from mottbox.mott import (
-    Obstacle,
     ScatteringContext,
     angular_amplitude,
+    atom,
     flux_free,
     flux_total,
     normalization_c2,
@@ -143,7 +143,7 @@ def test_criterion_5_flux_normalization_identity():
         delta_e = rng.uniform(0.0, 0.05) * e_alpha
         ctx = ScatteringContext(e_alpha=e_alpha, delta_e=delta_e)
         axis = unit(rng.standard_normal(3))
-        obstacle = Obstacle(position=a * axis, width=s, g0=g0, g1=g1, delta_e=delta_e)
+        obstacle = atom(position=a * axis, width=s, g0=g0, g1=g1, delta_e=delta_e)
         c2 = normalization_c2(ctx, obstacle)
         rel = abs(c2 * flux_total(ctx, obstacle) - flux_free(ctx)) / flux_free(ctx)
         assert rel < 1e-10
@@ -165,9 +165,8 @@ def test_criterion_6_fourier_oracle():
         g0 = rng.uniform(0.2, 1.0)
         g1 = rng.uniform(0.2, 1.0)
         ctx = ScatteringContext.from_wavenumber(k)
-        obstacle = Obstacle(position=np.array([0.0, 0.0, a]), width=s, g0=g0, g1=g1)
-        for channel in (0, 1):
-            g = obstacle.coupling(channel)
+        obstacle = atom(position=np.array([0.0, 0.0, a]), width=s, g0=g0, g1=g1)
+        for channel, g in enumerate((g0, g1)):
             for theta in np.linspace(0.0, math.pi, 5):
                 q = transferred_momentum(k, theta)
 
@@ -191,7 +190,7 @@ def test_criterion_7_aligned_chain_reduction():
     gas = GasConfiguration(atoms=atoms, chamber_radius=60.0, inner_radius=10.0, seed=0)
     track = select_track(gas, CHAMBER_CTX)
     assert track.chain.n == 5
-    c2 = normalization_c2(CHAMBER_CTX, gas.obstacle(track.chain.head))
+    c2 = normalization_c2(CHAMBER_CTX, gas.atoms[track.chain.head])
     assert track.surviving_spherical_flux == flux_free(CHAMBER_CTX) * c2**5
     assert track.flux_ratio == c2**5
     # fifty aligned steps at |C|^2 = 0.9 drive the spherical wave toward zero
@@ -268,7 +267,7 @@ def test_criterion_10_render_morphology(tmp_path):
 
     # off-cone brightness drops by sqrt(|C|^2) when the obstacle is added
     ctx_atom = ScatteringContext.from_wavenumber(10.0, 0.01)
-    obstacle = Obstacle(
+    obstacle = atom(
         position=np.array([12.0, 0.0, 0.0]), width=1.0, g0=50.0, g1=0.0, delta_e=0.01
     )
     scale = 0.08

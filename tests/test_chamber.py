@@ -29,7 +29,7 @@ from mottbox.chamber import (
     second_order_amplitude,
     select_track,
 )
-from mottbox.mott import Obstacle, ScatteringContext, flux_free, normalization_c2
+from mottbox.mott import ScatteringContext, atom, flux_free, normalization_c2
 from mottbox.numerics import RngStream, unit
 from oracles import (
     build_chains_scan,
@@ -37,6 +37,7 @@ from oracles import (
     configuration_to_dict,
     direction_bin_scalar,
     isotropy_per_config,
+    off_chain_c2_product_loop,
     select_track_scan,
     species_at,
 )
@@ -152,17 +153,6 @@ def test_sample_gas_positions_bit_equal_to_per_atom_form():
     assert n_atoms > 50_000
 
 
-def test_gas_paths_build_no_obstacle(tmp_path, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an Obstacle was built")
-
-    monkeypatch.setattr(chamber, "Obstacle", forbidden)
-    gas = sample_gas(3e-4, 12.0, 40.0, SPECIES, RngStream(23, 0))
-    save_configuration(gas, tmp_path / "gas.json")
-    loaded = load_configuration(tmp_path / "gas.json")
-    assert len(build_chains(loaded, CTX, cone_half_angle(CTX, SPECIES.width))) > 1
-
-
 def test_sample_gas_resource_guard():
     with pytest.raises(ValueError, match="guard"):
         sample_gas(1e6, 12.0, 400.0, SPECIES, RngStream(1, 0))
@@ -196,7 +186,7 @@ def test_second_order_amplitude_peaks_on_ray():
     moduli = []
     for theta in (0.0, 0.05, 0.2, 0.5):
         offset = separation * np.array([math.sin(theta), 0.0, math.cos(theta)])
-        atom_b = species_at(SPECIES, atom_a.position + offset)
+        atom_b = species_at(SPECIES, atom_a["position"] + offset)
         moduli.append(abs(second_order_amplitude(CTX, atom_a, atom_b)))
     assert moduli[0] == max(moduli)
     assert np.all(np.diff(moduli) < 0.0)
@@ -213,10 +203,10 @@ def test_second_order_amplitude_selectivity_factor():
     theta_c = cone_half_angle(CTX, SPECIES.width)
     atom_a = species_at(SPECIES, [0.0, 0.0, 12.0])
     separation = 20.0
-    on_ray = species_at(SPECIES, atom_a.position + separation * np.array([0.0, 0.0, 1.0]))
+    on_ray = species_at(SPECIES, atom_a["position"] + separation * np.array([0.0, 0.0, 1.0]))
     off = species_at(
         SPECIES,
-        atom_a.position
+        atom_a["position"]
         + separation * np.array([math.sin(3 * theta_c), 0.0, math.cos(3 * theta_c)])
     )
     ratio = abs(second_order_amplitude(CTX, atom_a, on_ray)) / abs(
@@ -481,21 +471,19 @@ def test_select_track_empty_configuration():
 
 
 def test_select_track_single_atom():
-    atom = species_at(SPECIES, [0.0, 15.0, 0.0])
-    gas = GasConfiguration(
-        atoms=SPECIES.records([atom.position]), chamber_radius=40.0, inner_radius=10.0, seed=0
-    )
+    record = species_at(SPECIES, [0.0, 15.0, 0.0])
+    gas = GasConfiguration(atoms=np.array([record]), chamber_radius=40.0, inner_radius=10.0, seed=0)
     track = select_track(gas, CTX)
     assert track.chain.n == 1
     assert np.allclose(track.direction, [0.0, 1.0, 0.0], atol=1e-15)
-    assert track.c2_per_step == normalization_c2(CTX, atom)
+    assert track.c2_per_step == normalization_c2(CTX, record)
 
 
 def test_select_track_collinear_fixture():
     gas = collinear_fixture()
     track = select_track(gas, CTX)
     assert track.chain.indices == (0, 1, 2, 3, 4)
-    c2 = normalization_c2(CTX, gas.obstacle(0))
+    c2 = normalization_c2(CTX, gas.atoms[0])
     assert track.c2_per_step == c2
     assert track.surviving_spherical_flux == flux_free(CTX) * c2**5
     assert track.flux_ratio == c2**5
@@ -531,7 +519,7 @@ def test_select_track_tie_break_prefers_smaller_flux():
     near = species_at(SPECIES, [0.0, 15.0, 0.0])
     far = species_at(SPECIES, [0.0, 0.0, -25.0])
     gas = GasConfiguration(
-        atoms=SPECIES.records([far.position, near.position]),
+        atoms=np.array([far, near]),
         chamber_radius=40.0,
         inner_radius=10.0,
         seed=0,
@@ -615,9 +603,12 @@ def test_gas_configuration_rejects_bad_records():
         with pytest.raises(ValueError, match=f"atom 1: .*{message}"):
             gas_with(**fields)
     with pytest.raises(ValueError, match="ATOM_DTYPE"):
-        GasConfiguration(
-            atoms=(species_at(SPECIES, [0.0, 0.0, 20.0]),), chamber_radius=40.0, inner_radius=12.0, seed=0
-        )
+        GasConfiguration(atoms=np.zeros((1, 7)), chamber_radius=40.0, inner_radius=12.0, seed=0)
+    # a tuple of mott.atom records is a gas as it stands
+    single = GasConfiguration(
+        atoms=(species_at(SPECIES, [0.0, 0.0, 20.0]),), chamber_radius=40.0, inner_radius=12.0, seed=0
+    )
+    assert single.atoms.tobytes() == SPECIES.records([[0.0, 0.0, 20.0]]).tobytes()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # finite couplings whose sum overflows are valid
         gas_with(g0=1e308, g1=1e308)
@@ -651,13 +642,13 @@ def test_gas_configuration_rejects_bad_records():
     ],
 )
 def test_atom_rules_agree(radius, width, g0, g1, delta_e, verdict):
-    # Obstacle, AtomSpecies and GasConfiguration apply one rule set; a
+    # mott.atom, AtomSpecies and GasConfiguration apply one rule set; a
     # species has no position, so it alone accepts the near-field atom
     position = [0.0, 0.0, radius]
     atoms = np.zeros(1, ATOM_DTYPE)
     atoms[0] = (position, width, g0, g1, delta_e)
     builds = {
-        "Obstacle": lambda: Obstacle(position, width, g0, g1, delta_e),
+        "atom": lambda: atom(position, width, g0, g1, delta_e),
         "AtomSpecies": lambda: AtomSpecies(width, g0, g1, delta_e),
         "GasConfiguration": lambda: GasConfiguration(
             atoms=atoms, chamber_radius=40.0, inner_radius=12.0, seed=0
@@ -671,18 +662,21 @@ def test_atom_rules_agree(radius, width, g0, g1, delta_e, verdict):
         except ValueError:
             verdicts[name] = False
     valid = verdict == "valid"
-    assert verdicts == {"Obstacle": valid, "AtomSpecies": verdict != "invalid", "GasConfiguration": valid}
+    assert verdicts == {"atom": valid, "AtomSpecies": verdict != "invalid", "GasConfiguration": valid}
 
 
 def test_off_chain_c2_product():
-    gas = collinear_fixture(n_background=3)
-    track = select_track(gas, CTX)
-    expected = 1.0
-    for i in range(gas.n_atoms):
-        if i not in track.chain.indices:
-            expected *= normalization_c2(CTX, gas.obstacle(i))
-    assert off_chain_c2_product(gas, CTX, track.chain) == pytest.approx(expected, rel=1e-14)
-    assert expected < 1.0
+    # the array product has the bits of one normalization_c2 per off-chain
+    # atom, multiplied in index order
+    dense = sample_gas(2e-2, 12.0, 40.0, SPECIES, RngStream(29, 0))
+    for gas in (collinear_fixture(n_background=3), dense):
+        chain = select_track(gas, CTX).chain
+        expected = off_chain_c2_product_loop(gas, CTX, chain)
+        assert off_chain_c2_product(gas, CTX, chain) == expected
+        assert expected < 1.0
+    assert dense.n_atoms > 5000
+    aligned = collinear_fixture(n_background=0)  # every atom on the chain
+    assert off_chain_c2_product(aligned, CTX, select_track(aligned, CTX).chain) == 1.0
 
 
 def test_direction_bin_equal_area_layout():
@@ -929,8 +923,13 @@ def test_configuration_from_dict_names_the_first_bad_value():
         with pytest.raises(ValueError, match=f"atom 3 '{key}' must be a finite number"):
             configuration_from_dict(bad)
     del data["atoms"][2]["g1"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^atom 2 'g1' is missing$"):
         configuration_from_dict(data)
+    for key in ("chamber_radius", "inner_radius", "seed"):
+        top = configuration_to_dict(gas)
+        del top[key]
+        with pytest.raises(ValueError, match=f"^'{key}' is missing$"):
+            configuration_from_dict(top)
     # ints are numbers, and atoms without delta_e have 0.0
     data = configuration_to_dict(gas)
     data["atoms"][0].update(x=0, y=0, z=20, delta_e=0)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import mottbox
 from mottbox import bell, chamber, mott, numerics
-from mottbox.cli import main
+from mottbox.cli import MAX_ANGLES, main
 from mottbox.mott import ScatteringContext
 from mottbox.render import MAX_RESOLUTION
 
@@ -488,6 +488,16 @@ def test_render_resolution_guard(tmp_path, capsys):
     assert f"resolution must lie in [16, {MAX_RESOLUTION}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_theta", [1, MAX_ANGLES + 1])
+def test_scatter_angle_guard(tmp_path, capsys, n_theta):
+    # refused before any file; the guard value itself takes about half a minute, so it is not run
+    config = write_config(tmp_path, "angles.json", {**README_CONFIGS["scatter"], "n_theta": n_theta})
+    out = tmp_path / "out"
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert f"key 'n_theta' must lie in [2, {MAX_ANGLES}], got {n_theta}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def _scatter_with(value):
     return {"experiment": "scatter", "k": 10.0, "s": 1.0, "g0": 0.5, "g1": 0.5, "n_theta": 3,
             "position": value}
@@ -593,7 +603,8 @@ def test_malformed_gas_file_examples_exit_2(tmp_path, capsys):
     capsys.readouterr()
     for slot, value in (("document", None), ("document", []), ("atoms", None),
                         ("atom", [0.0, 0.0, 25.0]), ("inner_radius", "12"), ("seed", "x"),
-                        ("seed", 1.5), ("atom.g0", True), ("atom.s", 10**400)):
+                        ("seed", 1.5), ("atom.g0", True), ("atom.s", 10**400),
+                        ("atom", {"x": 0.0, "y": 0.0, "z": 25.0}), ("document", {"atoms": []})):
         config = _replay_config(tmp_path, _gas_with(slot, value))
         assert main([config, "--out-dir", str(tmp_path)]) == 2, (slot, value)
         assert "cannot load gas_file" in capsys.readouterr().err

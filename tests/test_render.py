@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mottbox.mott import Obstacle, ScatteringContext, normalization_c2, wave_field
+from mottbox.mott import ScatteringContext, atom, normalization_c2, wave_field
 from mottbox.render import (
     MAX_RESOLUTION,
     FieldImage,
@@ -246,7 +246,7 @@ def test_free_render_radially_dimming():
 
 def test_obstacle_render_off_cone_brightness_ratio():
     ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
-    obstacle = Obstacle(
+    obstacle = atom(
         position=np.array([12.0, 0.0, 0.0]), width=1.0, g0=50.0, g1=0.0, delta_e=0.01
     )
     plane = xy_plane(half_extent=20.0, resolution=128)
