@@ -54,10 +54,10 @@ __all__ = [
 ]
 
 # largest mean atom count sample_gas accepts.  select_track on 10^5 atoms,
-# one thread of a 2-vCPU VM: 5.7 s and 89 MB peak RSS for the README gas
-# (k s = 10), 78 s and 541 MB at the widest cone that lists candidates
-# (k s = 1.94); wider cones scan every atom in O(n^2) time and O(n) memory
-# (248 s and 61 MB at 5 * 10^4 atoms)
+# one thread of a 2-vCPU VM: 3.0 s and 89 MB peak RSS for the README gas
+# (k s = 10), 67 s and 536 MB at the widest cone that lists candidates
+# (k s = 1.94); wider cones list every atom farther out, in O(n^2) time and
+# O(n) memory (523 s and 82 MB at k s = 1.9)
 MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  At the README gas (~26
@@ -288,9 +288,9 @@ class TrackResult:
         return self.c2_per_step**self.chain.n
 
 
-# atom pairs tested at once when listing chain candidates: enough that
-# numpy's per-call cost stays small at the widest cone, few enough that the
-# pair arrays (about 1 MB) stay below the peak memory of a track run
+# atom pairs tested at once when listing chain candidates, and candidates of
+# the chains grown at once: enough that numpy's per-call cost stays small,
+# few enough that the arrays (about 1 MB) stay below a track run's peak memory
 CANDIDATE_PAIRS = 2**14
 
 # the candidate cone is wider than the chain cone by this much in cos: more
@@ -373,49 +373,72 @@ def _chains(
     one atom.  Chains follow the rules of ``build_chains`` within each gas.
     Returns the atom directions, the chain heads in visiting order (gas by
     gas), the chain lengths, and the members of each chain longer than one
-    atom, keyed by head.
+    atom, keyed by head.  No chain reads what others absorbed, so the heads
+    that have a candidate besides themselves grow in ``_grow`` in batches,
+    consecutive in visiting order with up to CANDIDATE_PAIRS candidates (a
+    longer list alone).  Each batch's chains are then taken in visiting
+    order; one whose head an earlier chain absorbed is dropped.
     """
     n = len(pos)
     gas = _gas_of_atoms(offsets)
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     dirs = pos / radii[:, None]
     cos_c = math.cos(theta_c)
+    order = np.lexsort((radii, gas))  # each gas in ascending radius, ties by index
     if theta_c <= WIDE_CONE_ANGLE:
         members, start, end = _cone_candidates(pos, radii, dirs, gas, cos_c - CANDIDATE_COS_SLACK)
-    else:
-        members, start, end = np.arange(n), offsets[gas], offsets[gas + 1]
-    order = np.lexsort((radii, gas))  # each gas in ascending radius, ties by index
+    else:  # each atom and every atom after it in visiting order
+        members, start, end = order, np.argsort(order), offsets[gas + 1]
+    growers = order[end[order] - start[order] > 1]
+    rows = np.cumsum(np.append(0, end[growers] - start[growers]))
     absorbed = np.zeros(n, dtype=bool)
     length = np.ones(n, dtype=int)  # of the chain each atom heads
     grown: dict[int, list[int]] = {}
-    # only a head with a candidate besides itself can grow, and only such a
-    # chain absorbs atoms.  The head never qualifies but keeps the scan off a
-    # single row: numpy rounds rel @ axis for one row unlike for several
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for head in order[end[order] - start[order] > 1].tolist():
-            if absorbed[head]:
-                continue
-            idx = members[start[head]:end[head]]  # ascending: argmin ties keep the smallest index
-            cpos, cradii = pos[idx], radii[idx]
-            axis = dirs[head]
-            chain = [head]
-            current = head
-            while True:
-                rel = cpos - pos[current]
-                dist = np.sqrt((rel * rel).sum(axis=1))
-                cos_angle = (rel @ axis) / dist
-                eligible = (cradii > radii[current]) & (dist > 0.0) & (cos_angle >= cos_c)
-                if not eligible.any():
-                    break
-                dist = np.where(eligible, dist, np.inf)
-                current = int(idx[dist.argmin()])
-                chain.append(current)
-            if len(chain) > 1:
-                grown[head] = chain
+    done = 0
+    while done < len(growers):
+        stop = max(done + 1, int(np.searchsorted(rows, rows[done] + CANDIDATE_PAIRS, "right")) - 1)
+        batch, done = growers[done:stop], stop
+        batch = batch[~absorbed[batch]]
+        for head, chain in zip(batch.tolist(), _grow(pos, radii, dirs, members, start, end, batch, cos_c)):
+            if len(chain) > 1 and not absorbed[head]:
+                grown[head], length[head] = chain, len(chain)
                 absorbed[chain[1:]] = True
-                length[head] = len(chain)
     heads = order[~absorbed[order]]
     return dirs, heads, length[heads], grown
+
+
+def _grow(pos, radii, dirs, members, start, end, heads, cos_c) -> list[list[int]]:
+    # the greedy chains of many heads, one array step per member over the rows
+    # of their CSR lists (row r: atom idx[r] of chain seg[r]); a step keeps
+    # the rows farther out than their chain's end, as no others can qualify
+    size = end[heads] - start[heads]
+    seg = np.repeat(np.arange(len(heads)), size)
+    idx = members[np.repeat(start[heads] - np.cumsum(size) + size, size) + np.arange(len(seg))]
+    (x, y, z), (ax, ay, az), axes = pos.T, dirs[heads].T, dirs[heads]
+    (cx, cy, cz), cr = pos[heads].T, radii[heads]  # each chain's end; cr = inf once it stops
+    chains = [[head] for head in heads.tolist()]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        while len(seg := seg[keep := radii[idx] > cr[seg]]):
+            idx = idx[keep]
+            dx, dy, dz = x[idx] - cx[seg], y[idx] - cy[seg], z[idx] - cz[seg]
+            dist = np.sqrt(dx * dx + dy * dy + dz * dz)  # the bits of (rel * rel).sum(axis=1)
+            cos = (dx * ax[seg] + dy * ay[seg] + dz * az[seg]) / dist
+            # the predicate's bits are those of rel @ axis, which rounds unlike
+            # this sum but alike for a row among any >= 2: redo rows near the edge
+            if len(edge := np.flatnonzero(abs(cos - cos_c) < 1e-12)):
+                rel = np.repeat(np.stack([dx[edge], dy[edge], dz[edge]], 1)[:, None], 2, 1)
+                cos[edge] = (rel @ axes[seg[edge], :, None])[:, 0, 0] / dist[edge]
+            e = np.flatnonzero((cos >= cos_c) & (dist > 0.0))
+            s = seg[e]
+            first = np.flatnonzero(s != np.concatenate(([-1], s[:-1])))
+            # complex numbers order by real part, then imaginary: the nearest
+            # eligible row of each chain, ties to the smallest atom index
+            s, j = s[first], np.minimum.reduceat(dist[e] + 1j * idx[e], first).imag.astype(int)
+            cr[:] = np.inf
+            cx[s], cy[s], cz[s], cr[s] = x[j], y[j], z[j], radii[j]
+            for chain, atom in zip(s.tolist(), j.tolist()):
+                chains[chain].append(atom)
+    return chains
 
 
 def build_chains(
@@ -430,13 +453,11 @@ def build_chains(
     the smallest index.  Atoms already absorbed into an earlier chain do not
     start their own, so the returned chains are the maximal ones.
 
-    Every step of a chain points into the cone of half-angle ``theta_c``
-    around the head direction.  Up to ``WIDE_CONE_ANGLE`` that cone is
-    convex, so every member lies inside it as seen from the head, and each
-    chain scans only the atoms in a slightly wider cone at its head, listed
-    for all heads from one sort of the directions.  A wider cone scans every
-    atom at every step: its candidate lists would hold a fixed share of all
-    n^2 atom pairs, and beyond pi/2 it is not convex.
+    Up to ``WIDE_CONE_ANGLE`` the cone is convex, so every member lies in
+    the cone at its head, and each head's candidates in a slightly wider
+    cone are listed for all heads from one sort of the directions; a wider
+    cone lists every atom farther out.  Many chains grow at once, one array
+    step over all their lists per member.
     """
     n = config.n_atoms
     if n == 0:
@@ -689,14 +710,13 @@ def configuration_from_dict(data: dict) -> GasConfiguration:
     rows = [[*map(entry.get, _JSON_KEYS[:-1]), entry.get("delta_e", 0.0)]
             for entry in entries if type(entry) is dict]
     floats = len(rows) == len(entries) and {type(v) for row in rows for v in row} <= {float}
-    if not (floats and np.isfinite(rows).all()):
-        rows = []
+    if not (floats and np.isfinite(table := np.array(rows, dtype=float).reshape(-1, 7)).all()):
+        table = np.empty((len(entries), 7))
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValueError(f"atom {i} must be an object, got {entry!r}")
             entry = {"delta_e": 0.0, **entry}
-            rows.append([_json_number(entry, key, f"atom {i} ") for key in _JSON_KEYS])
-    table = np.array(rows, dtype=float).reshape(-1, 7)
+            table[i] = [_json_number(entry, key, f"atom {i} ") for key in _JSON_KEYS]
     return GasConfiguration(
         atoms=_records(table[:, :3], *table[:, 3:].T),
         chamber_radius=_json_number(data, "chamber_radius"),

@@ -198,8 +198,8 @@ def _run_track(config: dict, out_dir: Path) -> str:
     ctx = _build_context(config)
     if "gas_file" in config:
         try:
-            gas = chamber.load_configuration(config["gas_file"])
-        except (OSError, ValueError) as exc:
+            gas = chamber.load_configuration(Path(config["gas_file"]))  # open() reads ints as fds
+        except (OSError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot load gas_file {config['gas_file']!r}: {exc}") from None
     else:
         species = _gas_species(config)
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
                 config = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")

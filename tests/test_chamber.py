@@ -435,14 +435,25 @@ def test_build_chains_equal_distance_tie_goes_to_smallest_index():
         assert chains[0].indices == expected
 
 
-def test_build_chains_matches_scan_on_cone_edge():
-    # the second atom sits on the cone edge as seen from the first, so
-    # whether the two link comes down to the last bit of the predicate; four
-    # atoms on the far side of the shell, at shifting list positions, make
-    # the scan run over more rows than the head's candidates
-    theta_c = cone_half_angle(CTX, SPECIES.width)
+def test_build_chains_wide_cone_distance_tie_goes_to_smallest_index():
+    # both atoms lie 5 from the head, exactly, inside a pi/3 cone; the farther
+    # one has the smaller index, so the tie does not follow radius order
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        theta_c = cone_half_angle(ScatteringContext.from_wavenumber(1.0), SPECIES.width)
+    assert theta_c > chamber.WIDE_CONE_ANGLE
+    positions = [[0.0, 0.0, 17.0], [3.0, 0.0, 16.0], [0.0, 0.0, 12.0]]
+    gas = GasConfiguration(atoms=SPECIES.records(positions), chamber_radius=40.0, inner_radius=10.0, seed=0)
+    assert [c.indices for c in assert_chains_match_scan(gas, theta_c)] == [(2, 0), (1,)]
+
+
+def cone_edge_gases(theta_c):
+    """300 gases of six atoms whose second atom sits on the cone edge as seen
+    from the first, so whether the two link comes down to the last bit of the
+    predicate.  The four atoms on the far side of the shell, at shifting list
+    positions, make a scan run over more rows than the head's candidates.
+    Yields the head's index, the edge atom's index and the gas."""
     draw = RngStream(4245, 0)
-    linked = 0
     for trial in range(300):
         axis = unit(draw.standard_normal(3))
         side = unit(np.cross(axis, draw.standard_normal(3)))
@@ -458,11 +469,93 @@ def test_build_chains_matches_scan_on_cone_edge():
         j = i + 1 + (trial // 5) % (5 - i)
         positions.insert(i, head)
         positions.insert(j, edge)
-        gas = GasConfiguration(
+        yield i, j, GasConfiguration(
             atoms=SPECIES.records(positions), chamber_radius=40.0, inner_radius=10.0, seed=0
         )
+
+
+def test_build_chains_matches_scan_on_cone_edge():
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    linked = 0
+    for i, j, gas in cone_edge_gases(theta_c):
         linked += (i, j) in [c.indices for c in assert_chains_match_scan(gas, theta_c)]
     assert 0 < linked < 300
+
+
+def segmented_chains(gases, theta_c):
+    # the chains of each gas from one _chains call over all gases, as tuples
+    # of indices into that gas, gas by gas in visiting order
+    offsets = np.cumsum([0] + [gas.n_atoms for gas in gases])
+    pos = np.concatenate([gas.atoms["position"] for gas in gases])
+    _, heads, lengths, grown = chamber._chains(pos, offsets, theta_c)
+    gas = np.searchsorted(offsets, heads, side="right") - 1
+    chains = [[] for _ in gases]
+    for g, head in zip(gas.tolist(), heads.tolist()):
+        chains[g].append(tuple(m - offsets[g] for m in grown.get(head, [head])))
+    assert lengths.tolist() == [len(c) for per_gas in chains for c in per_gas]
+    return chains
+
+
+def test_segmented_chains_on_cone_edges_grow_in_one_batch(monkeypatch):
+    # every head of the 300 cone-edge gases grows in one batch, so the edge
+    # steps of many chains share each array step and its recomputed rows
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    edges = list(cone_edge_gases(theta_c))
+    batches = []
+    grow = chamber._grow
+    monkeypatch.setattr(chamber, "_grow", lambda *args: batches.append(len(args[6])) or grow(*args))
+    chains = segmented_chains([gas for _, _, gas in edges], theta_c)
+    assert len(batches) == 1 and batches[0] >= 300
+    assert chains == [[c.indices for c in build_chains_scan(gas, CTX, theta_c)] for _, _, gas in edges]
+    linked = sum((i, j) in per_gas for (i, j, _), per_gas in zip(edges, chains))
+    assert 0 < linked < 300
+
+
+@pytest.mark.parametrize("pairs", [1, 2**30])
+def test_chains_do_not_depend_on_the_batch_size(monkeypatch, pairs):
+    # a batch per head, or one batch for every head (candidate listing
+    # included), against the default batches: a dense README gas, an
+    # isotropy chunk of 64 gases and a gas at k s = 1.9, which lists every atom
+    wide = ScatteringContext.from_wavenumber(1.9, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        wide_cone = cone_half_angle(wide, SPECIES.width)
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    atoms, offsets = next(chamber._sampled_chunks(200, 3e-4, 12.0, 40.0, SPECIES, RngStream(4250, 0)))
+    chunk = [GasConfiguration(atoms[lo:hi], 40.0, 12.0, 0) for lo, hi in zip(offsets, offsets[1:])]
+    cases = [
+        ([sample_gas(2e-2, 12.0, 40.0, SPECIES, RngStream(4250, 1))], theta_c),
+        (chunk, theta_c),
+        ([sample_gas(2e-3, 12.0, 40.0, SPECIES, RngStream(4250, 2))], wide_cone),
+    ]
+    expected = [segmented_chains(*case) for case in cases]
+    monkeypatch.setattr(chamber, "CANDIDATE_PAIRS", pairs)
+    for case, chains in zip(cases, expected):
+        assert segmented_chains(*case) == chains
+    assert len(chunk) == chamber._CHUNK_CONFIGS and cases[0][0][0].n_atoms > 5000
+    assert max(len(c) for per_gas in expected for chains in per_gas for c in chains) > 3
+    assert wide_cone > chamber.WIDE_CONE_ANGLE
+    assert expected[2] == [[c.indices for c in build_chains_scan(cases[2][0][0], CTX, wide_cone)]]
+
+
+def test_head_absorbed_within_its_batch_starts_no_chain(monkeypatch):
+    # b lies in a's cone, so a's chain absorbs it; d lies in b's own cone but
+    # outside a's, so b's chain, grown in the same batch as a's, would take
+    # it.  That chain is dropped and d is a chain of its own
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    a = np.array([0.0, 0.0, 12.0])
+    b = a + 8.0 * np.array([math.sin(0.5 * theta_c), 0.0, math.cos(0.5 * theta_c)])
+    tilt = math.atan2(b[0], b[2]) + 0.9 * theta_c
+    d = b + 5.0 * np.array([math.sin(tilt), 0.0, math.cos(tilt)])
+    gas = GasConfiguration(atoms=SPECIES.records([d, b, a]), chamber_radius=40.0, inner_radius=10.0, seed=0)
+    batches = []
+    grow = chamber._grow
+    monkeypatch.setattr(chamber, "_grow", lambda *args: batches.append(args[6].tolist()) or grow(*args))
+    chains = assert_chains_match_scan(gas, theta_c)
+    assert batches == [[2, 1]]
+    assert [c.indices for c in chains] == [(2, 1), (0,)]
+    alone = GasConfiguration(atoms=SPECIES.records([d, b]), chamber_radius=40.0, inner_radius=10.0, seed=0)
+    assert [c.indices for c in build_chains(alone, CTX, theta_c)] == [(1, 0)]
 
 
 def test_select_track_empty_configuration():

@@ -109,6 +109,30 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+NOT_UTF8 = b"\xff\xfe" + json.dumps(README_CONFIGS["bell"]).encode("utf-8")
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("text", [NOT_UTF8, TOO_DEEP], ids=["not_utf8", "too_deep"])
+def test_unreadable_config_text_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main([str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "runtime error" not in err
+
+
+@pytest.mark.parametrize("text", [NOT_UTF8, TOO_DEEP], ids=["not_utf8", "too_deep"])
+def test_unreadable_gas_file_text_is_config_error(tmp_path, capsys, text):
+    gas_path = tmp_path / "gas.json"
+    gas_path.write_bytes(text)
+    config = write_config(tmp_path, "replay.json",
+                          {"experiment": "track", "k": 10.0, "delta_e": 0.01, "gas_file": str(gas_path)})
+    assert main([config, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot load gas_file" in err and "runtime error" not in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main([str(tmp_path / "absent.json"), "--out-dir", str(tmp_path)]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -608,6 +632,15 @@ def test_malformed_gas_file_examples_exit_2(tmp_path, capsys):
         config = _replay_config(tmp_path, _gas_with(slot, value))
         assert main([config, "--out-dir", str(tmp_path)]) == 2, (slot, value)
         assert "cannot load gas_file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [2, True, 1.5, None, ["gas.json"], {"path": "gas.json"}])
+def test_gas_file_that_is_not_a_path_exits_2(tmp_path, capsys, value):
+    # open() would take an integer for a file descriptor of this process
+    config = write_config(tmp_path, "replay.json",
+                          {"experiment": "track", "k": 10.0, "delta_e": 0.01, "gas_file": value})
+    assert main([config, "--out-dir", str(tmp_path)]) == 2
+    assert "cannot load gas_file" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):
