@@ -726,31 +726,34 @@ def configuration_from_dict(data: dict) -> GasConfiguration:
     )
 
 
-# one atom entry as json.dump(..., indent=1) lays it out; atom fields are
-# finite floats, and json writes a finite float as its repr
-_ATOM_JSON = "  {\n" + ",\n".join(f'   "{key}": %r' for key in _JSON_KEYS) + "\n  }"
-
-
 def save_configuration(config: GasConfiguration, path) -> None:
     """Write the configuration as JSON; floats round-trip exactly.
 
     The text is what ``json.dump(..., indent=1)`` writes, plus a newline,
     for the object with keys seed, stream_id, inner_radius, chamber_radius
     and atoms, a list of objects with keys x, y, z, s, g0, g1, delta_e.  It
-    is formatted here, one atom entry at a time, because json's indenting
-    encoder runs in pure Python and a joined text would hold the whole file
-    in memory.
+    is formatted here, a few thousand atom entries at a time, because json's
+    indenting encoder runs in pure Python and a joined text would hold the
+    whole file in memory.
     """
     header = "".join(f' "{key}": {json.dumps(value)},\n' for key, value in (
         ("seed", config.seed), ("stream_id", config.stream_id),
         ("inner_radius", config.inner_radius), ("chamber_radius", config.chamber_radius),
     ))
     atoms = config.atoms
-    rows = np.column_stack([atoms["position"], *(atoms[f] for f in _SPECIES_FIELDS)]).tolist()
+    columns = dict(zip(_JSON_KEYS, [*atoms["position"].T, *(atoms[f] for f in _SPECIES_FIELDS)]))
+    fields = dict.fromkeys(_JSON_KEYS, "%r")  # atom fields are finite floats; json writes their repr
+    for key in _JSON_KEYS[3:]:  # a species field of one bit pattern (-0.0 is not 0.0) is formatted once
+        if len(bits := columns[key].view(np.int64)) and (bits == bits[0]).all():
+            fields[key] = repr(columns.pop(key)[0].item())
+    entry = "  {\n" + ",\n".join(f'   "{key}": {fields[key]}' for key in _JSON_KEYS) + "\n  }"
+    table = np.column_stack(list(columns.values()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n" + header + ' "atoms": [')
-        fh.writelines((",\n" if i else "\n") + _ATOM_JSON % tuple(row) for i, row in enumerate(rows))
-        fh.write("\n ]\n}\n" if rows else "]\n}\n")
+        for start in range(0, len(table), 2048):
+            rows = table[start:start + 2048].tolist()
+            fh.write((",\n" if start else "\n") + ",\n".join([entry % tuple(row) for row in rows]))
+        fh.write("\n ]\n}\n" if len(table) else "]\n}\n")
 
 
 def load_configuration(path) -> GasConfiguration:

@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 # most angles scatter accepts: 10^6 rows took 31 s, 46 MB peak RSS and a
 # 128 MB angular.csv on one thread of a 2-vCPU VM
 MAX_ANGLES = 1_000_000
+SEEDS = (0, 2**64 - 1)  # the documented --seed U64; RngStream would alias a seed outside it
 
 
 class ConfigError(Exception):
@@ -52,12 +53,14 @@ def _number(config: dict, key: str, default=None) -> float:
     return value
 
 
-def _integer(config: dict, key: str, default=None) -> int:
+def _integer(config: dict, key: str, default=None, bounds=None) -> int:
     value = config.get(key, default)
     if value is None:
         raise ConfigError(f"missing required key '{key}'")
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"key '{key}' must be an integer, got {config[key]!r}")
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        raise ConfigError(f"key '{key}' must lie in [{bounds[0]}, {bounds[1]}], got {value}")
     return value
 
 
@@ -103,10 +106,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _run_bell(config: dict, out_dir: Path) -> str:
-    n = _integer(config, "n_trials")
-    if not 1 <= n <= bell.MAX_TRIALS:
-        raise ConfigError(f"key 'n_trials' must lie in [1, {bell.MAX_TRIALS}], got {n}")
-    seed = _integer(config, "seed")
+    n = _integer(config, "n_trials", bounds=(1, bell.MAX_TRIALS))
+    seed = _integer(config, "seed", bounds=SEEDS)
     a = _domain(bell.ApparatusSetting, _direction(config, "a"))
     b = _domain(bell.ApparatusSetting, _direction(config, "b"))
     c = _domain(bell.ApparatusSetting, _direction(config, "c")) if "c" in config else None
@@ -159,9 +160,7 @@ def _run_scatter(config: dict, out_dir: Path) -> str:
         g1=_number(config, "g1"),
         delta_e=_number(config, "delta_e", 0.0),
     )
-    n_theta = _integer(config, "n_theta", 181)
-    if not 2 <= n_theta <= MAX_ANGLES:
-        raise ConfigError(f"key 'n_theta' must lie in [2, {MAX_ANGLES}], got {n_theta}")
+    n_theta = _integer(config, "n_theta", 181, bounds=(2, MAX_ANGLES))
     _domain(mott.quadrature_convergence_check, ctx, atom["width"], atom["g0"], atom["g1"])
     c2 = _domain(mott.normalization_c2, ctx, atom)  # couplings whose intensity overflows raise
     total = mott.flux_total(ctx, atom)
@@ -206,7 +205,7 @@ def _run_track(config: dict, out_dir: Path) -> str:
         density = _number(config, "density")
         if density < 0.0:
             raise ConfigError(f"key 'density' must be non-negative, got {density}")
-        rng = RngStream(_integer(config, "seed"))
+        rng = RngStream(_integer(config, "seed", bounds=SEEDS))
         gas = _domain(
             chamber.sample_gas,
             density,
@@ -236,7 +235,7 @@ def _run_isotropy(config: dict, out_dir: Path) -> str:
     species = _gas_species(config)
     n_configs = _integer(config, "n_configs")
     density = _number(config, "density")
-    rng = RngStream(_integer(config, "seed"))
+    rng = RngStream(_integer(config, "seed", bounds=SEEDS))
     _domain(mott.quadrature_convergence_check, ctx, species.width, species.g0, species.g1)
     result = _domain(
         chamber.isotropy_experiment,
@@ -312,6 +311,9 @@ def run(config: dict, out_dir: Path) -> str:
             f"unknown experiment {experiment!r}; valid names: {', '.join(_RUNNERS)}"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
+    for key in ("output", "gas_output", "tracks_output", "grid_csv"):
+        if key in config and not (folder := (out_dir / config[key]).parent).is_dir():
+            raise ConfigError(f"key '{key}': directory {str(folder)!r} does not exist")
     return _RUNNERS[experiment](config, out_dir)
 
 
@@ -336,6 +338,7 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object")
         if args.seed is not None:
             config["seed"] = args.seed
+            _integer(config, "seed", bounds=SEEDS)
         summary = run(config, Path(args.out_dir))
     except ConfigError as exc:
         print(f"mottbox: error: {exc}", file=sys.stderr)

@@ -30,6 +30,10 @@ logger = logging.getLogger(__name__)
 ORTHOGONALITY_TOL = 1e-10
 MIN_RESOLUTION = 16
 MAX_RESOLUTION = 2048
+# pixels per block of whole rows in sample_plane and colorize: temporaries stay in cache
+BLOCK_PIXELS = 8192
+# which levels (0, value, value * (1 - f), value * f) feed r, g, b in each sixth of the hue circle
+_SECTOR_LEVELS = np.array([[1, 3, 0], [2, 1, 0], [0, 1, 3], [0, 2, 1], [3, 0, 1], [1, 0, 2]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +46,9 @@ class PlaneSpec:
     col c) of the rendered image maps to origin + u_axis*offset[c] +
     v_axis*offset[r].
 
-    The resolution lies in [MIN_RESOLUTION, MAX_RESOLUTION].  A render
-    allocates about 176 bytes of arrays per pixel at its peak (traced numpy
-    allocations of obstacle renders from 384^2 to 2048^2), so the largest
-    accepted render needs about 704 MiB.
+    The resolution lies in [MIN_RESOLUTION, MAX_RESOLUTION].  At its peak a
+    render holds about 22 bytes of numpy arrays per pixel (traced at 1024^2
+    and 2048^2), so the largest accepted render needs about 89 MiB.
     """
 
     origin: np.ndarray
@@ -90,23 +93,31 @@ class FieldImage:
             )
 
 
+def _row_blocks(n_rows: int, row_length: int):
+    # slices of whole rows, in order, of at most max(BLOCK_PIXELS, row_length) pixels each
+    step = max(1, BLOCK_PIXELS // max(1, row_length))
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
 def sample_plane(field, plane: PlaneSpec) -> np.ndarray:
     """Complex field values on the plane lattice, indexed grid[col, row].
 
-    ``field`` is called once with all lattice points, an array of shape
-    (resolution, resolution, 3), and returns the complex values at them.
-    Non-finite values (the field is NaN at the emitter and at an obstacle
-    centre on the plane) are set to zero, so those pixels render black, and
-    their indices are logged.
+    ``field`` is called once per block of whole lattice rows, in order, with
+    the block's points, an array of shape (rows, resolution, 3) holding about
+    BLOCK_PIXELS points, and returns the complex values at them.  Non-finite
+    values (the field is NaN at the emitter and at an obstacle centre on the
+    plane) are set to zero, so those pixels render black, and their indices
+    are logged.
     """
     offs = plane.offsets()
-    res = plane.resolution
     # the same two additions per point as origin + du*u + dv*v, so bit-equal
     base = plane.origin + offs[:, None] * plane.u_axis
-    points = base[:, None, :] + offs[None, :, None] * plane.v_axis
-    grid = np.asarray(field(points), dtype=complex)
-    if grid.shape != (res, res):
-        raise ValueError(f"field returned shape {grid.shape}, expected {(res, res)}")
+    grid = np.empty((plane.resolution,) * 2, dtype=complex)
+    for rows in _row_blocks(*grid.shape):
+        values = np.asarray(field(base[rows, None, :] + offs[:, None] * plane.v_axis), dtype=complex)
+        if values.shape != grid[rows].shape:
+            raise ValueError(f"field returned shape {values.shape}, expected {grid[rows].shape}")
+        grid[rows] = values
     masked = ~np.isfinite(grid)
     if masked.any():
         grid[masked] = 0.0
@@ -115,35 +126,33 @@ def sample_plane(field, plane: PlaneSpec) -> np.ndarray:
     return grid
 
 
-def _hsv_to_rgb_bytes(hue_turns: np.ndarray, value: np.ndarray) -> np.ndarray:
-    # standard HSV->RGB at saturation 1, hue in turns
-    h6 = (hue_turns % 1.0) * 6.0
-    sector = np.floor(h6).astype(int) % 6
-    f = h6 - np.floor(h6)
-    p = np.zeros_like(value)
-    q = value * (1.0 - f)
-    t = value * f
-    r = np.choose(sector, [value, q, p, p, t, value])
-    g = np.choose(sector, [t, value, value, q, p, p])
-    b = np.choose(sector, [p, p, t, value, value, q])
-    rgb = np.stack([r, g, b], axis=-1)
-    return np.floor(np.clip(rgb, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-
-
 def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
     """Domain-colour a sampled grid; grid columns become image rows.
 
     Hue encodes the phase (0 degrees at phase 0, increasing linearly around
     the circle); brightness is the modulus clipped at ``modulus_scale``;
-    saturation is fixed at 1.  Zero maps to black.
+    saturation is fixed at 1.  Zero maps to black.  A channel at level x in
+    [0, 1] of the HSV->RGB map is the byte floor(x * 255 + 0.5).
     """
     if modulus_scale <= 0.0:
         raise ValueError(f"modulus_scale must be positive, got {modulus_scale}")
-    hue = np.angle(grid) / (2.0 * np.pi)
-    value = np.minimum(1.0, np.abs(grid) / modulus_scale)
-    rgb = _hsv_to_rgb_bytes(hue, value)
-    image = np.transpose(rgb, (1, 0, 2))  # grid[i, j] -> pixel row j, col i
-    h, w, _ = image.shape
+    w, h = grid.shape
+    image = np.empty((h, w, 3), dtype=np.uint8)  # grid[i, j] -> pixel row j, col i
+    lanes = np.arange(3 * max(BLOCK_PIXELS, h)) // 3 * 4  # 4 p for each channel of block pixel p
+    for rows in _row_blocks(w, h):
+        z = grid[rows]
+        value = np.minimum(1.0, np.abs(z) / modulus_scale)
+        hue = np.angle(z) / (2.0 * np.pi)
+        h6 = (hue + (hue < 0.0)) * 6.0  # the bits of hue % 1.0 on [-1/2, 1/2], at a tenth of the cost
+        sector = np.floor(h6)
+        f = h6 - sector
+        levels = np.zeros(z.shape + (4,), dtype=np.uint8)
+        for i, x in enumerate((value, value * (1.0 - f), value * f), start=1):
+            levels[..., i] = np.floor(x * 255.0 + 0.5)
+        # h6 is 6.0 where hue % 1.0 rounds up to a whole turn: sector 6 is sector 0
+        picks = np.take(_SECTOR_LEVELS, sector.astype(np.intp) % 6, axis=0).ravel()
+        picks += lanes[:picks.size]
+        image[:, rows] = levels.ravel()[picks].reshape(z.shape + (3,)).transpose(1, 0, 2)
     return FieldImage(width=w, height=h, rgb=image.tobytes())
 
 

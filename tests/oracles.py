@@ -105,6 +105,41 @@ def colormap(z: complex, modulus_scale: float) -> tuple[int, int, int]:
     return tuple(math.floor(c * 255.0 + 0.5) for c in rgb)
 
 
+def colorize_choose(grid, modulus_scale: float) -> bytes:
+    """The image bytes of ``colorize``, computed over the whole grid at once.
+
+    The standard HSV->RGB map at saturation 1 on float arrays the size of
+    the grid: each channel picked by ``np.choose`` from value, q = value
+    (1 - f), t = value f and p = 0, then stacked, clipped to [0, 1] and
+    rounded to bytes; grid columns become image rows.
+    """
+    if modulus_scale <= 0.0:
+        raise ValueError(f"modulus_scale must be positive, got {modulus_scale}")
+    hue = np.angle(grid) / (2.0 * np.pi)
+    value = np.minimum(1.0, np.abs(grid) / modulus_scale)
+    h6 = (hue % 1.0) * 6.0
+    sector = np.floor(h6).astype(int) % 6
+    f = h6 - np.floor(h6)
+    p = np.zeros_like(value)
+    q = value * (1.0 - f)
+    t = value * f
+    r = np.choose(sector, [value, q, p, p, t, value])
+    g = np.choose(sector, [t, value, value, q, p, p])
+    b = np.choose(sector, [p, p, t, value, value, q])
+    rgb = np.floor(np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    return np.transpose(rgb, (1, 0, 2)).tobytes()
+
+
+def lattice_points(plane) -> np.ndarray:
+    """All (resolution, resolution, 3) points of the plane lattice in one array.
+
+    Point [i, j] is origin + offset[i] u + offset[j] v, added in that order.
+    """
+    offs = plane.offsets()
+    base = plane.origin + offs[:, None] * plane.u_axis
+    return base[:, None, :] + offs[None, :, None] * plane.v_axis
+
+
 def render_field(field, plane, modulus_scale: float):
     """Sample ``field`` on ``plane`` and colorize it, as the render CLI does."""
     return colorize(sample_plane(field, plane), modulus_scale)

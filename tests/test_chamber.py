@@ -664,10 +664,17 @@ def test_save_configuration_writes_json_dump_text(tmp_path):
         sample_gas(2e-4, 12.0, 40.0, SPECIES, RngStream(62, 1)).atoms,
         sample_gas(2e-4, 12.0, 40.0, heavy, RngStream(62, 2)).atoms,
     ])
+    # species fields of one bit pattern, where -0.0 and 0.0 are not one
+    signed_zeros = sample_gas(2e-4, 12.0, 40.0, SPECIES, RngStream(62, 3)).atoms.copy()
+    signed_zeros["delta_e"], signed_zeros["g1"] = 0.0, -0.0
+    signed_zeros["delta_e"][1] = -0.0
     for gas in (
         sample_gas(2e-3, 12.0, 40.0, SPECIES, RngStream(62, 0)),
+        sample_gas(3.5e-2, 12.0, 40.0, SPECIES, RngStream(62, 4)),  # over four writes of 2048 atoms
         GasConfiguration(atoms=(), chamber_radius=40, inner_radius=12, seed=2**64 - 1, stream_id=3),
         GasConfiguration(atoms=mixed, chamber_radius=40.0, inner_radius=12.0, seed=62),
+        GasConfiguration(atoms=mixed[:1], chamber_radius=40.0, inner_radius=12.0, seed=62),
+        GasConfiguration(atoms=signed_zeros, chamber_radius=40.0, inner_radius=12.0, seed=62),
     ):
         path = tmp_path / "gas.json"
         save_configuration(gas, path)

@@ -643,6 +643,73 @@ def test_gas_file_that_is_not_a_path_exits_2(tmp_path, capsys, value):
     assert "cannot load gas_file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70 - 1])
+def test_seed_outside_u64_exits_2(tmp_path, capsys, seed):
+    # RngStream reduces a seed mod 2^64, so -1 would alias 2^64 - 1
+    for experiment in ("bell", "track", "isotropy"):
+        config = write_config(tmp_path, "config.json", {**README_CONFIGS[experiment], "seed": seed})
+        out = tmp_path / "out"
+        assert main([config, "--out-dir", str(out)]) == 2
+        assert f"'seed' must lie in [0, {2**64 - 1}], got {seed}" in capsys.readouterr().err
+        config = write_config(tmp_path, "config.json", README_CONFIGS[experiment])
+        assert main([config, "--seed", str(seed), "--out-dir", str(out)]) == 2
+        assert f"'seed' must lie in [0, {2**64 - 1}], got {seed}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_seed_flag_takes_the_whole_u64_range(tmp_path, capsys):
+    config = bell_config(tmp_path, n_trials=1000)
+    for seed in (0, 2**64 - 1):
+        assert main([config, "--seed", str(seed), "--out-dir", str(tmp_path / str(seed))]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "0" / "bell.csv").read_bytes() != (tmp_path / str(2**64 - 1) / "bell.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("bell", "output"), ("track", "output"), ("track", "gas_output"), ("isotropy", "output"),
+    ("isotropy", "tracks_output"), ("render", "output"), ("render", "grid_csv"),
+])
+def test_output_into_a_missing_directory_exits_2_before_any_file(tmp_path, capsys, experiment, key):
+    payload = render_config() if experiment == "render" else dict(README_CONFIGS[experiment])
+    config = write_config(tmp_path, "config.json", {**payload, key: "nodir/x.out"})
+    out = tmp_path / "out"
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert f"key '{key}': directory " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_output_into_an_existing_subdirectory_is_written(tmp_path, capsys):
+    config = write_config(tmp_path, "config.json", {**README_CONFIGS["track"], "gas_output": "sub/gas.json"})
+    (tmp_path / "out" / "sub").mkdir(parents=True)
+    assert main([config, "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in (tmp_path / "out").rglob("*")) == ["gas.json", "sub", "track.csv"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_obstacle_render_at_1024_stays_under_its_memory_bound(tmp_path):
+    # the README obstacle render at 1024^2 peaked at 61 MB max RSS in row
+    # blocks, and at 216 MB when the whole lattice was one array computation.
+    # VmHWM is the child's own peak; ru_maxrss would count this process's
+    # RSS at the fork
+    payload = render_config()
+    payload["plane"]["resolution"] = 1024
+    config = write_config(tmp_path, "render.json", payload)
+    script = (
+        "import sys\n"
+        "import mottbox.cli\n"
+        "assert mottbox.cli.main(sys.argv[1:]) == 0\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(mottbox.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script, config, "--out-dir", str(tmp_path / "out")],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.splitlines()[-1]) / 1024 < 80.0
+
+
 def test_module_entry_point(tmp_path):
     config = bell_config(tmp_path, n_trials=1000)
     result = subprocess.run(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mottbox import render
 from mottbox.mott import ScatteringContext, atom, normalization_c2, wave_field
 from mottbox.render import (
     MAX_RESOLUTION,
@@ -16,7 +17,7 @@ from mottbox.render import (
     write_grid_csv,
     write_ppm,
 )
-from oracles import colormap, render_field
+from oracles import colorize_choose, colormap, lattice_points, render_field
 
 # frozen after the first verified render (phase rings spaced 2 pi / k plus
 # 1/R radial dimming, singular centre pixel masked to black)
@@ -87,7 +88,8 @@ def test_sample_plane_constant_field():
         sample_plane(lambda p: 1.0 + 0.0j, xy_plane(resolution=16))
 
 
-def test_sample_plane_lattice_matches_point_loop():
+def test_sample_plane_lattice_matches_point_loop(monkeypatch):
+    # the field sees every lattice point once, in blocks of whole rows taken in order
     plane = PlaneSpec(
         origin=np.array([0.3, -1.7, 2.9]),
         u_axis=np.array([0.6, 0.8, 0.0]),
@@ -95,18 +97,62 @@ def test_sample_plane_lattice_matches_point_loop():
         half_extent=7.3,
         resolution=24,
     )
-    seen = []
-
-    def field(points):
-        seen.append(points)
-        return np.zeros(points.shape[:-1], dtype=complex)
-
-    sample_plane(field, plane)
-    assert len(seen) == 1
     offs = plane.offsets()
-    for i, du in enumerate(offs):
-        for j, dv in enumerate(offs):
-            assert np.array_equal(seen[0][i, j], plane.origin + du * plane.u_axis + dv * plane.v_axis)
+    for block_pixels, block_rows in ((render.BLOCK_PIXELS, [24]), (24, [1] * 24), (7 * 24, [7, 7, 7, 3])):
+        monkeypatch.setattr(render, "BLOCK_PIXELS", block_pixels)
+        seen = []
+
+        def field(points):
+            seen.append(points)
+            return np.zeros(points.shape[:-1], dtype=complex)
+
+        sample_plane(field, plane)
+        assert [block.shape for block in seen] == [(rows, 24, 3) for rows in block_rows]
+        points = np.concatenate(seen)
+        for i, du in enumerate(offs):
+            for j, dv in enumerate(offs):
+                assert np.array_equal(points[i, j], plane.origin + du * plane.u_axis + dv * plane.v_axis)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 16, 64, None])
+@pytest.mark.parametrize("resolution", [100, 170])
+def test_sample_plane_in_blocks_is_one_whole_lattice_call(monkeypatch, caplog, resolution, block_rows):
+    # neither resolution is a multiple of the default block (81 and 48 rows);
+    # the emitter (offset index resolution / 2) and the obstacle centre
+    # (offset 12 = -20 + 40 * 0.8) both lie on the lattice
+    if block_rows is not None:
+        monkeypatch.setattr(render, "BLOCK_PIXELS", block_rows * resolution)
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    obstacle = atom(position=np.array([12.0, 0.0, 0.0]), width=1.0, g0=50.0, g1=0.0, delta_e=0.01)
+    plane = xy_plane(half_extent=20.0, resolution=resolution)
+    with np.errstate(invalid="ignore"):
+        whole = wave_field(ctx, obstacle, lattice_points(plane))
+    masked = ~np.isfinite(whole)
+    centre = resolution // 2
+    assert np.argwhere(masked).tolist() == [[centre, centre], [resolution * 4 // 5, centre]]
+    with caplog.at_level(logging.INFO, logger="mottbox.render"):
+        grid = sample_plane(lambda p: wave_field(ctx, obstacle, p), plane)
+    assert grid.tobytes() == np.where(masked, 0.0, whole).tobytes()
+    first = [tuple(ij) for ij in np.argwhere(masked).tolist()]
+    assert f"masked 2 singular pixel(s), first few: {first}" in caplog.text
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sample_plane_in_blocks_matches_whole_lattice_on_random_planes(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    axes, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    plane = PlaneSpec(origin=rng.uniform(-5.0, 5.0, 3), u_axis=axes[:, 0], v_axis=axes[:, 1],
+                      half_extent=rng.uniform(5.0, 30.0), resolution=int(rng.integers(16, 120)))
+    direction = rng.standard_normal(3)
+    obstacle = atom(position=rng.uniform(12.0, 30.0) * direction / np.linalg.norm(direction),
+                    width=rng.uniform(0.5, 1.2), g0=rng.uniform(0.1, 50.0), g1=rng.uniform(0.0, 5.0))
+    ctx = ScatteringContext.from_wavenumber(rng.uniform(1.0, 10.0))
+    whole = wave_field(ctx, obstacle, lattice_points(plane))
+    for block_rows in (1, 3, None):
+        if block_rows is not None:
+            monkeypatch.setattr(render, "BLOCK_PIXELS", block_rows * plane.resolution)
+        grid = sample_plane(lambda p: wave_field(ctx, obstacle, p), plane)
+        assert grid.tobytes() == whole.tobytes()
 
 
 def test_sample_plane_free_wave_rings():
@@ -193,6 +239,55 @@ def test_colorize_matches_scalar_colormap():
     for i in range(5):
         for j in range(4):
             assert tuple(pixels[j, i]) == colormap(grid[i, j], 1.5)
+
+
+def edge_phases():
+    # each sixth-of-a-turn edge and 40 ulps on either side of it
+    phases = []
+    for edge in np.pi / 3.0 * np.arange(-3, 4):
+        below, above = [edge], [edge]
+        for _ in range(40):
+            below.append(np.nextafter(below[-1], -np.inf))
+            above.append(np.nextafter(above[-1], np.inf))
+        phases += below[::-1] + above[1:]
+    return np.array(phases)
+
+
+def colorize_grid():
+    scale = 0.5
+    rng = np.random.default_rng(14)
+    phases = np.concatenate([edge_phases(), rng.uniform(-np.pi, np.pi, 2000)])
+    moduli = np.concatenate([[0.0, 0.3 * scale, scale, 1.7 * scale, 1e300], rng.uniform(0.0, 2.0 * scale, 20)])
+    values = (moduli[:, None] * np.exp(1j * phases)).ravel()
+    special = [0.0, -0.0 + 0.0j, complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, -1.0, 1j, -1j,
+               complex(-1.0, -0.0), complex(0.3, -1e-300), complex(0.3, -5e-324), complex(0.3, -0.0),
+               complex(np.inf, 0.0), complex(np.inf, np.inf), complex(-np.inf, 1.0), complex(0.0, -np.inf),
+               complex(-np.inf, -np.inf), complex(1e308, 1e308), complex(-1e308, -1e-308)]
+    values = np.concatenate([values, special])
+    values = np.concatenate([values, np.zeros(-len(values) % 61)])  # whole rows of 61 pixels
+    return values.reshape(-1, 61), scale
+
+
+def test_colorize_grid_covers_every_sector_edge():
+    grid, _ = colorize_grid()
+    h6 = (np.angle(grid) / (2.0 * np.pi) % 1.0) * 6.0
+    assert set(range(7)) <= set(h6[h6 == np.floor(h6)].tolist())  # 6.0 is the hue that rounds to a turn
+    assert np.isinf(grid).any() and (grid == 0.0).any()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_colorize_matches_whole_grid_choose(monkeypatch, block_rows):
+    grid, scale = colorize_grid()
+    if block_rows is not None:
+        monkeypatch.setattr(render, "BLOCK_PIXELS", block_rows * grid.shape[1])
+    with np.errstate(over="ignore"):  # |1e308 + 1e308j| / scale is inf, so its value is 1
+        image = colorize(grid, scale)
+        assert (image.width, image.height) == grid.shape
+        assert image.rgb == colorize_choose(grid, scale)
+        assert colorize(grid.T, scale).rgb == colorize_choose(grid.T, scale)
+    for empty in (np.zeros((3, 0), dtype=complex), np.zeros((0, 3), dtype=complex)):
+        image = colorize(empty, scale)
+        assert (image.width, image.height, image.rgb) == (*empty.shape, b"")
 
 
 def test_field_image_length_validation():
