@@ -25,6 +25,7 @@ import numpy as np
 from .mott import (
     _SPECIES_FIELDS,
     ATOM_DTYPE,
+    MIN_DISTANCE_WIDTHS,
     ScatteringContext,
     _records,
     angular_amplitude,
@@ -115,38 +116,44 @@ class GasConfiguration:
             raise ValueError(f"atoms must be a 1-d ATOM_DTYPE array, got {atoms.dtype}{atoms.shape}")
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
-        if not (0.0 < self.inner_radius < self.chamber_radius):
-            raise ValueError(
-                f"need 0 < inner_radius < chamber_radius, got {self.inner_radius}, {self.chamber_radius}"
-            )
         with np.errstate(all="ignore"):  # non-finite radii are reported below
             radii = np.sqrt(dot(atoms["position"], atoms["position"]))  # bits of norm(atom["position"])
         check_atoms(*(atoms[f] for f in _SPECIES_FIELDS), radius=radii)
+        _check_shell(self.inner_radius, self.chamber_radius, float(atoms["width"].max(initial=0.0)))
         outside = ~((radii >= self.inner_radius) & (radii <= self.chamber_radius))
         if outside.any():
             i = int(np.argmax(outside))
             shell = f"[{self.inner_radius}, {self.chamber_radius}]"
             raise ValueError(f"atom {i}: radius must lie in the shell {shell}, got {atoms[i]}")
-        max_width = float(atoms["width"].max(initial=0.0))
-        if self.inner_radius < 10.0 * max_width:
-            raise ValueError(
-                f"inner_radius must be >= 10 * max atom width, got {self.inner_radius} < {10 * max_width}"
-            )
 
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
 
 
-def _expected_atoms(density: float, inner_radius: float, chamber_radius: float) -> float:
-    # mean atom count of a gas, checked before any atom is drawn
-    if density < 0.0:
-        raise ValueError(f"density must be non-negative, got {density}")
+def _check_shell(inner_radius: float, chamber_radius: float, max_width: float) -> None:
+    # the shell rules of a gas.  The second puts every atom of the shell as far
+    # from the emitter as check_atoms asks, so sampled atoms need no check of their own
     if not (0.0 < inner_radius < chamber_radius):
         raise ValueError(
             f"need 0 < inner_radius < chamber_radius, got {inner_radius}, {chamber_radius}"
         )
-    volume = 4.0 * math.pi / 3.0 * (chamber_radius**3 - inner_radius**3)
+    if inner_radius < MIN_DISTANCE_WIDTHS * max_width:
+        raise ValueError(
+            f"inner_radius must be >= {MIN_DISTANCE_WIDTHS:g} * max atom width,"
+            f" got {inner_radius} < {MIN_DISTANCE_WIDTHS * max_width}"
+        )
+
+
+def _expected_atoms(density: float, inner_radius: float, chamber_radius: float, width: float) -> float:
+    # mean atom count of a gas of atoms ``width`` wide, checked before any atom is drawn
+    if density < 0.0:
+        raise ValueError(f"density must be non-negative, got {density}")
+    _check_shell(inner_radius, chamber_radius, width)
+    try:
+        volume = 4.0 * math.pi / 3.0 * (chamber_radius**3 - inner_radius**3)
+    except OverflowError:  # a float cube overflows above ~5.6e102
+        raise ValueError(f"shell volume overflows at chamber_radius {chamber_radius}") from None
     expected = density * volume
     if expected > MAX_EXPECTED_ATOMS:
         raise ValueError(f"expected atom count {expected:g} exceeds guard {MAX_EXPECTED_ATOMS:g}")
@@ -180,7 +187,7 @@ def sample_gas(
     all direction normals, then all radii), so a given stream reproduces the
     configuration bitwise.
     """
-    expected = _expected_atoms(density, inner_radius, chamber_radius)
+    expected = _expected_atoms(density, inner_radius, chamber_radius, species.width)
     positions = _shell_positions(*_draw_atoms(rng, expected), inner_radius, chamber_radius)
     return GasConfiguration(
         atoms=species.records(positions),
@@ -596,7 +603,7 @@ def _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, r
     # consecutive sampled configurations as one ATOM_DTYPE array and the
     # offsets of each configuration's rows; configuration i has the draws and
     # the positions that sample_gas gives on the sub-stream rng.stream_id + 1 + i
-    expected = _expected_atoms(density, inner_radius, chamber_radius)
+    expected = _expected_atoms(density, inner_radius, chamber_radius, species.width)
     draw = rng.substream(rng.stream_id + 1)
     i = 0
     while i < n_configs:
@@ -611,16 +618,7 @@ def _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, r
         positions = _shell_positions(
             np.concatenate(normals), np.concatenate(uniforms), inner_radius, chamber_radius
         )
-        atoms = species.records(positions)
-        try:
-            # the rules of one gas hold for all rows exactly when they hold
-            # for each configuration's rows
-            GasConfiguration(atoms, chamber_radius, inner_radius, rng.seed)
-        except ValueError:
-            for lo, hi in zip(offsets, offsets[1:]):  # the first failing configuration's own error
-                GasConfiguration(atoms[lo:hi], chamber_radius, inner_radius, rng.seed)
-            raise
-        yield atoms, np.array(offsets)
+        yield species.records(positions), np.array(offsets)
 
 
 def isotropy_experiment(
@@ -690,7 +688,8 @@ def isotropy_experiment(
 
 
 def _json_number(data: dict, key: str, where: str = "", kind=(int, float)):
-    # a missing key, bools, strings, NaN and numbers beyond float range are malformed
+    # the one number rule of outside input, config values and gas.json alike: a
+    # missing key, bools, strings, NaN and numbers beyond float range are malformed
     what = f"{where}{key!r}"
     if key not in data:
         raise ValueError(f"{what} is missing")

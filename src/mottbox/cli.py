@@ -36,46 +36,34 @@ class ConfigError(Exception):
 
 def _need(config: dict, key: str):
     if key not in config:
-        raise ConfigError(f"missing required key '{key}'")
+        raise ConfigError(f"key {key!r} is missing")
     return config[key]
 
 
+def _read(config: dict, key, default=None, kind=(int, float), where: str = "key "):
+    # the number rule of a gas.json value, for a key that may fall back to a default
+    if default is not None and key not in config:
+        return default
+    return _domain(chamber._json_number, config, key, where, kind)
+
+
 def _number(config: dict, key: str, default=None) -> float:
-    value = config.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required key '{key}'")
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"key '{key}' must be a number, got {config[key]!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"key '{key}' must be finite, got {value}")
-    return value
+    return float(_read(config, key, default))
 
 
 def _integer(config: dict, key: str, default=None, bounds=None) -> int:
-    value = config.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required key '{key}'")
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"key '{key}' must be an integer, got {config[key]!r}")
+    value = _read(config, key, default, int)
     if bounds is not None and not bounds[0] <= value <= bounds[1]:
         raise ConfigError(f"key '{key}' must lie in [{bounds[0]}, {bounds[1]}], got {value}")
     return value
 
 
 def _vector(config: dict, key: str, default=None) -> np.ndarray:
-    value = config.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required key '{key}'")
-    try:
-        v = np.asarray(value, dtype=float)
-        ok = v.shape == (3,) and bool(np.all(np.isfinite(v)))
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"key '{key}' must be a finite 3-vector, got {value!r}")
-    return v
+    value = config.get(key, default) if default is not None else _need(config, key)
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"key '{key}' must be a list of three numbers, got {value!r}")
+    items = dict(enumerate(value))
+    return np.array([_read(items, i, where=f"key '{key}' item ") for i in range(3)], dtype=float)
 
 
 def _direction(config: dict, key: str) -> np.ndarray:
@@ -86,7 +74,7 @@ def _direction(config: dict, key: str) -> np.ndarray:
 
 
 def _domain(builder, *args, **kwargs):
-    # module preconditions surface as config errors, before any computation
+    # module preconditions surface as config errors, before any file is written
     try:
         return builder(*args, **kwargs)
     except ValueError as exc:
@@ -105,8 +93,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _run_bell(config: dict, out_dir: Path) -> str:
-    n = _integer(config, "n_trials", bounds=(1, bell.MAX_TRIALS))
+def _run_bell(config: dict, paths: dict[str, Path]) -> str:
+    n = _integer(config, "n_trials")
     seed = _integer(config, "seed", bounds=SEEDS)
     a = _domain(bell.ApparatusSetting, _direction(config, "a"))
     b = _domain(bell.ApparatusSetting, _direction(config, "b"))
@@ -116,7 +104,8 @@ def _run_bell(config: dict, out_dir: Path) -> str:
     estimates = []
 
     def correlation(x: bell.ApparatusSetting, y: bell.ApparatusSetting):
-        est = bell.correlation_mc(x, y, n, rng.substream(next(stream_ids)))
+        # an n_trials outside [1, MAX_TRIALS] raises before anything is drawn
+        est = _domain(bell.correlation_mc, x, y, n, rng.substream(next(stream_ids)))
         estimates.append((x, y, est))
         return est
 
@@ -134,32 +123,28 @@ def _run_bell(config: dict, out_dir: Path) -> str:
          str(est.n_trials)]
         for x, y, est in estimates
     )
-    _write_csv(out_dir / config.get("output", "bell.csv"), "ax,ay,az,bx,by,bz,mean,std_error,n", rows)
+    _write_csv(paths["output"], "ax,ay,az,bx,by,bz,mean,std_error,n", rows)
     return summary
 
 
+def _species(config: dict, width: str = "width", delta_e: float = 0.0) -> dict:
+    # the fields of an ATOM_DTYPE record besides its position
+    return {"width": _number(config, width), "g0": _number(config, "g0"), "g1": _number(config, "g1"),
+            "delta_e": _number(config, "delta_e", delta_e)}
+
+
 def _build_context(config: dict) -> mott.ScatteringContext:
-    k = _number(config, "k")
-    if k <= 0.0:
-        raise ConfigError(f"key 'k' must be positive, got {k}")
-    delta_e = _number(config, "delta_e", 0.0)
+    k, delta_e = _number(config, "k"), _number(config, "delta_e", 0.0)
     return _domain(mott.ScatteringContext.from_wavenumber, k, delta_e)
 
 
-def _run_scatter(config: dict, out_dir: Path) -> str:
+def _run_scatter(config: dict, paths: dict[str, Path]) -> str:
     ctx = _build_context(config)
     if "position" in config:
         position = _vector(config, "position")
     else:
         position = np.array([0.0, 0.0, _number(config, "distance")])
-    atom = _domain(
-        mott.atom,
-        position=position,
-        width=_number(config, "s"),
-        g0=_number(config, "g0"),
-        g1=_number(config, "g1"),
-        delta_e=_number(config, "delta_e", 0.0),
-    )
+    atom = _domain(mott.atom, position, **_species(config, "s"))
     n_theta = _integer(config, "n_theta", 181, bounds=(2, MAX_ANGLES))
     _domain(mott.quadrature_convergence_check, ctx, atom["width"], atom["g0"], atom["g1"])
     c2 = _domain(mott.normalization_c2, ctx, atom)  # couplings whose intensity overflows raise
@@ -172,18 +157,15 @@ def _run_scatter(config: dict, out_dir: Path) -> str:
             q = mott.transferred_momentum(ctx.k, theta)
             yield map(_fmt, (theta, i0.real, i0.imag, i1.real, i1.imag, q))
 
-    _write_csv(out_dir / config.get("output", "angular.csv"), "theta,re_I0,im_I0,re_I1,im_I1,q", rows())
+    _write_csv(paths["output"], "theta,re_I0,im_I0,re_I1,im_I1,q", rows())
     return f"|C|^2={c2:.6f} flux_total={total:.6f} flux_free={mott.flux_free(ctx):.6f}"
 
 
-def _gas_species(config: dict) -> chamber.AtomSpecies:
-    return _domain(
-        chamber.AtomSpecies,
-        width=_number(config, "width"),
-        g0=_number(config, "g0"),
-        g1=_number(config, "g1"),
-        delta_e=_number(config, "delta_e", 0.0),
-    )
+def _gas(config: dict) -> tuple:
+    # the sampling keys of a gas, in the argument order of sample_gas
+    species = _domain(chamber.AtomSpecies, **_species(config))
+    density, inner, outer = (_number(config, key) for key in ("density", "inner_radius", "chamber_radius"))
+    return density, inner, outer, species, RngStream(_integer(config, "seed", bounds=SEEDS))
 
 
 _TRACK_HEADER = "dx,dy,dz,N,flux_ratio"
@@ -193,7 +175,7 @@ def _track_row(direction, n, ratio) -> list[str]:
     return [_fmt(direction[0]), _fmt(direction[1]), _fmt(direction[2]), str(n), _fmt(ratio)]
 
 
-def _run_track(config: dict, out_dir: Path) -> str:
+def _run_track(config: dict, paths: dict[str, Path]) -> str:
     ctx = _build_context(config)
     if "gas_file" in config:
         try:
@@ -201,27 +183,15 @@ def _run_track(config: dict, out_dir: Path) -> str:
         except (OSError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot load gas_file {config['gas_file']!r}: {exc}") from None
     else:
-        species = _gas_species(config)
-        density = _number(config, "density")
-        if density < 0.0:
-            raise ConfigError(f"key 'density' must be non-negative, got {density}")
-        rng = RngStream(_integer(config, "seed", bounds=SEEDS))
-        gas = _domain(
-            chamber.sample_gas,
-            density,
-            _number(config, "inner_radius"),
-            _number(config, "chamber_radius"),
-            species,
-            rng,
-        )
+        gas = _domain(chamber.sample_gas, *_gas(config))
     atoms = gas.atoms
     _domain(mott.quadrature_convergence_check, ctx, atoms["width"], atoms["g0"], atoms["g1"])
     # before any file: a gas too narrow for a forward cone, or couplings whose
     # intensity overflows in |C|^2, raise here
     track = _domain(chamber.select_track, gas, ctx)
-    chamber.save_configuration(gas, out_dir / config.get("gas_output", "gas.json"))
+    chamber.save_configuration(gas, paths["gas_output"])
     rows = [] if track is None else [_track_row(track.direction, track.chain.n, track.flux_ratio)]
-    _write_csv(out_dir / config.get("output", "track.csv"), _TRACK_HEADER, rows)
+    _write_csv(paths["output"], _TRACK_HEADER, rows)
     if track is None:
         return "no track (empty configuration)"
     if logger.isEnabledFor(logging.INFO):  # one |C|^2 per atom, only for a line someone reads
@@ -230,31 +200,20 @@ def _run_track(config: dict, out_dir: Path) -> str:
     return f"track N={track.chain.n} flux_ratio={track.flux_ratio:.4f}"
 
 
-def _run_isotropy(config: dict, out_dir: Path) -> str:
+def _run_isotropy(config: dict, paths: dict[str, Path]) -> str:
     ctx = _build_context(config)
-    species = _gas_species(config)
     n_configs = _integer(config, "n_configs")
-    density = _number(config, "density")
-    rng = RngStream(_integer(config, "seed", bounds=SEEDS))
+    density, inner, outer, species, rng = _gas(config)
     _domain(mott.quadrature_convergence_check, ctx, species.width, species.g0, species.g1)
-    result = _domain(
-        chamber.isotropy_experiment,
-        n_configs,
-        density,
-        _number(config, "inner_radius"),
-        _number(config, "chamber_radius"),
-        species,
-        ctx,
-        rng,
-    )
+    result = _domain(chamber.isotropy_experiment, n_configs, density, inner, outer, species, ctx, rng)
     counts = ([str(i), str(count)] for i, count in enumerate(result.counts))
-    _write_csv(out_dir / config.get("output", "isotropy.csv"), "bin,count", counts)
+    _write_csv(paths["output"], "bin,count", counts)
     tracks = (_track_row(*t) for t in zip(result.directions, result.chain_lengths, result.flux_ratios))
-    _write_csv(out_dir / config.get("tracks_output", "tracks.csv"), _TRACK_HEADER, tracks)
+    _write_csv(paths["tracks_output"], _TRACK_HEADER, tracks)
     return f"isotropy n={n_configs} chi2={result.chi_square:.2f} p={result.p_value:.4f}"
 
 
-def _run_render(config: dict, out_dir: Path) -> str:
+def _run_render(config: dict, paths: dict[str, Path]) -> str:
     ctx = _build_context(config)
     plane_cfg = _need(config, "plane")
     if not isinstance(plane_cfg, dict):
@@ -268,53 +227,70 @@ def _run_render(config: dict, out_dir: Path) -> str:
         resolution=_integer(plane_cfg, "resolution"),
     )
     scale = _number(config, "modulus_scale")
-    if scale <= 0.0:
-        raise ConfigError(f"key 'modulus_scale' must be positive, got {scale}")
     atom = None
     if "obstacle" in config:
         ob = config["obstacle"]
         if not isinstance(ob, dict):
             raise ConfigError("key 'obstacle' must be an object")
-        atom = _domain(
-            mott.atom,
-            position=_vector(ob, "position"),
-            width=_number(ob, "width"),
-            g0=_number(ob, "g0"),
-            g1=_number(ob, "g1"),
-            delta_e=_number(ob, "delta_e", ctx.delta_e),
-        )
+        atom = _domain(mott.atom, _vector(ob, "position"), **_species(ob, delta_e=ctx.delta_e))
         _domain(mott.quadrature_convergence_check, ctx, atom["width"], atom["g0"], atom["g1"])
         _domain(mott.normalization_c2, ctx, atom)  # couplings whose intensity overflows raise
     grid = render.sample_plane(lambda p: mott.wave_field(ctx, atom, p), plane)
-    image = render.colorize(grid, scale)
-    out_path = out_dir / config.get("output", "field.ppm")
-    render.write_ppm(image, out_path)
-    if "grid_csv" in config:
-        render.write_grid_csv(grid, plane, out_dir / config["grid_csv"])
-    return f"render wrote {out_path.name} {image.width}x{image.height}"
+    image = _domain(render.colorize, grid, scale)
+    render.write_ppm(image, paths["output"])
+    if "grid_csv" in paths:
+        render.write_grid_csv(grid, plane, paths["grid_csv"])
+    return f"render wrote {paths['output'].name} {image.width}x{image.height}"
 
 
-_RUNNERS = {
-    "bell": _run_bell,
-    "scatter": _run_scatter,
-    "track": _run_track,
-    "isotropy": _run_isotropy,
-    "render": _run_render,
+# each experiment's runner and its output keys with their default file
+# names, in the order the files are written; None: written only when given
+_EXPERIMENTS = {
+    "bell": (_run_bell, {"output": "bell.csv"}),
+    "scatter": (_run_scatter, {"output": "angular.csv"}),
+    "track": (_run_track, {"gas_output": "gas.json", "output": "track.csv"}),
+    "isotropy": (_run_isotropy, {"output": "isotropy.csv", "tracks_output": "tracks.csv"}),
+    "render": (_run_render, {"output": "field.ppm", "grid_csv": None}),
 }
+
+
+def _output_paths(config: dict, out_dir: Path, defaults: dict) -> dict[str, Path]:
+    # every output of a run, checked before any file is written
+    paths, keys = {}, {}
+    for key, default in defaults.items():
+        if key not in config and default is None:
+            continue
+        name = config.get(key, default)
+        if not isinstance(name, str):
+            raise ConfigError(f"key '{key}' must be a file name, got {name!r}")
+        path = out_dir / name
+        try:
+            real, is_dir, in_dir = path.resolve(), path.is_dir(), path.parent.is_dir()
+        except (OSError, RuntimeError, ValueError) as exc:  # NUL bytes, lone surrogates, too long, loops
+            raise ConfigError(f"key '{key}': cannot use {name!r} as a file name: {exc}") from None
+        if is_dir:
+            raise ConfigError(f"key '{key}': {str(path)!r} is a directory")
+        if not in_dir:
+            raise ConfigError(f"key '{key}': directory {str(path.parent)!r} does not exist")
+        if real in keys:
+            raise ConfigError(f"keys '{keys[real]}' and '{key}' name the same file {str(real)!r}")
+        paths[key], keys[real] = path, key
+    return paths
 
 
 def run(config: dict, out_dir: Path) -> str:
     """Dispatch one experiment config; returns the summary line."""
     experiment = _need(config, "experiment")
-    if experiment not in _RUNNERS:
+    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
         raise ConfigError(
-            f"unknown experiment {experiment!r}; valid names: {', '.join(_RUNNERS)}"
+            f"unknown experiment {experiment!r}; valid names: {', '.join(_EXPERIMENTS)}"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for key in ("output", "gas_output", "tracks_output", "grid_csv"):
-        if key in config and not (folder := (out_dir / config[key]).parent).is_dir():
-            raise ConfigError(f"key '{key}': directory {str(folder)!r} does not exist")
-    return _RUNNERS[experiment](config, out_dir)
+    runner, outputs = _EXPERIMENTS[experiment]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot create --out-dir {str(out_dir)!r}: {exc}") from None
+    return runner(config, _output_paths(config, out_dir, outputs))
 
 
 def main(argv=None) -> int:

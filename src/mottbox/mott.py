@@ -341,10 +341,12 @@ def quadrature_convergence_check(ctx: ScatteringContext, width, g0, g1) -> None:
     for s in sorted(set(np.asarray(width, dtype=float)[coupled].tolist())):
         _, w, sin_t, envelope = _node_factors(ctx.k, s)
         quad = 0.5 * math.pi * float(np.sum(w * sin_t * envelope * envelope))
-        x = 2.0 * (ctx.k * s) ** 2
-        exact = -math.expm1(-2.0 * x) / x if x > 0.0 else 2.0  # x is 0 below k s ~ 1e-162
-        if abs(quad - exact) > 1e-8 * exact:
+        ks = ctx.k * s
+        # 0 below k s ~ 1e-162; inf above 1e154, where exact is 0 and the check fails
+        x = 2.0 * ks**2 if ks < 1e154 else math.inf
+        exact = -math.expm1(-2.0 * x) / x if x > 0.0 else 2.0
+        if not abs(quad - exact) < 1e-8 * exact:
             raise ValueError(
-                f"flux quadrature not converged at n={_QUAD_NODES} for k*s = {ctx.k * s:g}: "
+                f"flux quadrature not converged at n={_QUAD_NODES} for k*s = {ks:g}: "
                 f"scattered integral {quad!r} vs closed form {exact!r}"
             )

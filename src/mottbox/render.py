@@ -131,8 +131,9 @@ def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
 
     Hue encodes the phase (0 degrees at phase 0, increasing linearly around
     the circle); brightness is the modulus clipped at ``modulus_scale``;
-    saturation is fixed at 1.  Zero maps to black.  A channel at level x in
-    [0, 1] of the HSV->RGB map is the byte floor(x * 255 + 0.5).
+    saturation is fixed at 1.  Zero and non-finite values map to black.  A
+    channel at level x in [0, 1] of the HSV->RGB map is the byte
+    floor(x * 255 + 0.5).
     """
     if modulus_scale <= 0.0:
         raise ValueError(f"modulus_scale must be positive, got {modulus_scale}")
@@ -141,7 +142,9 @@ def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
     lanes = np.arange(3 * max(BLOCK_PIXELS, h)) // 3 * 4  # 4 p for each channel of block pixel p
     for rows in _row_blocks(w, h):
         z = grid[rows]
-        value = np.minimum(1.0, np.abs(z) / modulus_scale)
+        z = np.where(np.isfinite(z), z, 0.0)  # as sample_plane masks them
+        with np.errstate(over="ignore"):  # a modulus that overflows is far above the scale: value 1
+            value = np.minimum(1.0, np.abs(z) / modulus_scale)
         hue = np.angle(z) / (2.0 * np.pi)
         h6 = (hue + (hue < 0.0)) * 6.0  # the bits of hue % 1.0 on [-1/2, 1/2], at a tenth of the cost
         sector = np.floor(h6)

@@ -111,10 +111,12 @@ def colorize_choose(grid, modulus_scale: float) -> bytes:
     The standard HSV->RGB map at saturation 1 on float arrays the size of
     the grid: each channel picked by ``np.choose`` from value, q = value
     (1 - f), t = value f and p = 0, then stacked, clipped to [0, 1] and
-    rounded to bytes; grid columns become image rows.
+    rounded to bytes; grid columns become image rows.  Non-finite values
+    count as zero, so they are black.
     """
     if modulus_scale <= 0.0:
         raise ValueError(f"modulus_scale must be positive, got {modulus_scale}")
+    grid = np.where(np.isfinite(grid), grid, 0.0)
     hue = np.angle(grid) / (2.0 * np.pi)
     value = np.minimum(1.0, np.abs(grid) / modulus_scale)
     h6 = (hue % 1.0) * 6.0

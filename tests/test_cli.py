@@ -79,11 +79,12 @@ def track_config(tmp_path, **overrides):
 
 
 def test_unknown_experiment_lists_names(tmp_path, capsys):
-    config = write_config(tmp_path, "bad.json", {"experiment": "frobnicate"})
-    assert main([config, "--out-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    for name in ("bell", "scatter", "track", "isotropy", "render"):
-        assert name in err
+    for experiment in ("frobnicate", ["bell"], {"bell": 1}):  # a list or an object cannot be looked up
+        config = write_config(tmp_path, "bad.json", {"experiment": experiment})
+        assert main([config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        for name in ("bell", "scatter", "track", "isotropy", "render"):
+            assert name in err
 
 
 def test_missing_key_names_it(tmp_path, capsys):
@@ -99,7 +100,7 @@ def test_missing_key_names_it(tmp_path, capsys):
 def test_oversized_number_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, "scatter.json", {"experiment": "scatter", "k": 10**400})
     assert main([config, "--out-dir", str(tmp_path)]) == 2
-    assert "'k' must be a number" in capsys.readouterr().err
+    assert "key 'k' must be a finite number" in capsys.readouterr().err
 
 
 def test_invalid_json_is_config_error(tmp_path, capsys):
@@ -522,22 +523,89 @@ def test_scatter_angle_guard(tmp_path, capsys, n_theta):
     assert not any(out.iterdir())
 
 
-def _scatter_with(value):
-    return {"experiment": "scatter", "k": 10.0, "s": 1.0, "g0": 0.5, "g1": 0.5, "n_theta": 3,
-            "position": value}
+def _scatter():
+    return {"experiment": "scatter", "k": 10.0, "s": 1.0, "g0": 0.5, "g1": 0.5, "n_theta": 3, "distance": 12.0}
 
 
-def _render_with_origin(value):
-    payload = render_config(modulus_scale=0.1)
-    payload["plane"].update(resolution=16, origin=value)
-    return payload
-
-
-def _render_with_obstacle_at(value):
+def _small_render():
     payload = render_config(modulus_scale=0.1)
     payload["plane"]["resolution"] = 16
-    payload["obstacle"]["position"] = value
     return payload
+
+
+def _render_with_parallel_axes():
+    payload = _small_render()
+    payload["plane"]["v_axis"] = [1.0, 0.0, 0.0]
+    return payload
+
+
+def _slot(base, path, **changes):
+    """A builder of ``base()`` updated by ``changes``, with its value at the dotted ``path``."""
+    *outer, key = path.split(".")
+
+    def build(value):
+        payload = {**base(), **changes}
+        target = payload
+        for name in outer:
+            target = target[name]
+        target[key] = value
+        return payload
+
+    build.__name__ = f"{base.__name__}[{path}]"
+    return build
+
+
+def _output_slot(base, key):
+    # a name is made relative, so that no file lands outside the run's directory
+    build = _slot(base, key)
+
+    def relative(value):
+        return build("o" + value if isinstance(value, str) else value)
+
+    relative.__name__ = build.__name__
+    return relative
+
+
+_scatter_with = _slot(_scatter, "position")
+_render_with_origin = _slot(_small_render, "plane.origin")
+_render_with_obstacle_at = _slot(_small_render, "obstacle.position")
+
+
+def _track():
+    return dict(README_CONFIGS["track"])
+
+
+def _isotropy():
+    return {**README_CONFIGS["isotropy"], "n_configs": 100}
+
+
+def _bell():
+    return {**README_CONFIGS["bell"], "n_trials": 1000}
+
+
+# number, integer and output-name keys, each in a config that runs in
+# milliseconds.  Where a valid value can take minutes (10^6 angles or
+# configurations, a 2048^2 plane), another key stops the run right after the
+# value is read
+VALUE_SLOTS = [
+    _slot(_scatter, "k"),
+    _slot(_scatter, "delta_e"),
+    _slot(_scatter, "n_theta", k=200.0),  # k s = 200 fails the quadrature check
+    _slot(_track, "density"),
+    _slot(_track, "width"),
+    _slot(_track, "seed"),
+    _slot(_isotropy, "n_configs", inner_radius=5.0),  # inner_radius < 10 * width: no gas is drawn
+    _slot(_small_render, "modulus_scale"),
+    _slot(_small_render, "plane.half_extent"),
+    _slot(_render_with_parallel_axes, "plane.resolution"),
+    _output_slot(_bell, "output"),
+    _output_slot(_track, "output"),
+    _output_slot(_track, "gas_output"),
+    _output_slot(_isotropy, "output"),
+    _output_slot(_isotropy, "tracks_output"),
+    _output_slot(_small_render, "output"),
+    _output_slot(_small_render, "grid_csv"),
+]
 
 
 json_scalars = (
@@ -556,21 +624,65 @@ json_values = st.recursive(
 vector_values = st.lists(json_scalars, min_size=3, max_size=3) | json_values
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([_scatter_with, _render_with_origin, _render_with_obstacle_at]), vector_values)
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([_scatter_with, _render_with_origin, _render_with_obstacle_at, *VALUE_SLOTS]),
+       vector_values)
 @example(_scatter_with, "abc")
 @example(_render_with_origin, [0, 0])
 @example(_render_with_origin, [0, 0, "nan"])
 @example(_render_with_obstacle_at, [1e308, 1e308, 0.0])
 @example(_render_with_origin, [1e308, 1e308, 0.0])
 @example(_scatter_with, [10**400, 0, 0])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+@example(VALUE_SLOTS[0], True)
+@example(VALUE_SLOTS[-1], "\x00")
 def test_malformed_vectors_exit_2(build, value):
-    # any value of a vector key is either accepted (exit 0) or a config error
-    # (exit 2); a runtime error (exit 1) means validation missed it
+    # any value of a vector, number, integer or output-name key is either
+    # accepted (exit 0) or a config error (exit 2); a runtime error (exit 1)
+    # means validation missed it
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), "config.json", build(value))
         assert main([config, "--out-dir", tmp]) in (0, 2)
+
+
+@pytest.mark.parametrize("value", ["10", True, None, [True, 0, 12], ["1", "0", "0"]])
+@pytest.mark.parametrize("build, key", [
+    (_slot(_scatter, "k"), "k"),
+    (_slot(_track, "seed"), "seed"),
+    (_slot(_small_render, "plane.resolution"), "resolution"),
+    (_scatter_with, "position"),
+])
+def test_value_that_is_not_a_number_exits_2_naming_its_key(tmp_path, capsys, build, key, value):
+    # strings, booleans and null are not numbers, and a vector holds three numbers
+    config = write_config(tmp_path, "config.json", build(value))
+    out = tmp_path / "out"
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment, changes, message", [
+    ("track", {"chamber_radius": 1e300}, "shell volume overflows at chamber_radius 1e+300"),
+    ("isotropy", {"chamber_radius": 1e300}, "shell volume overflows at chamber_radius 1e+300"),
+    ("scatter", {"k": 1e100, "s": 1e60, "distance": 1e61}, "not converged at n=128 for k*s = 1e+160"),
+])
+def test_finite_numbers_whose_squares_or_cubes_overflow_exit_2(tmp_path, capsys, experiment, changes, message):
+    config = write_config(tmp_path, "config.json", {**README_CONFIGS[experiment], **changes})
+    out = tmp_path / "out"
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_isotropy_inner_radius_below_ten_widths_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a gas was sampled inside ten atom widths")
+
+    monkeypatch.setattr(numerics.RngStream, "poisson", forbidden)
+    config = write_config(tmp_path, "config.json", {**README_CONFIGS["isotropy"], "width": 1.25})
+    out = tmp_path / "out"
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert "inner_radius must be >= 10 * max atom width, got 12.0 < 12.5" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 SMALL_GAS = {
@@ -684,6 +796,39 @@ def test_output_into_an_existing_subdirectory_is_written(tmp_path, capsys):
     assert main([config, "--out-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     assert sorted(p.name for p in (tmp_path / "out").rglob("*")) == ["gas.json", "sub", "track.csv"]
+
+
+@pytest.mark.parametrize("experiment, key, value, message", [
+    ("track", "output", 5, "key 'output' must be a file name, got 5"),
+    ("track", "output", None, "key 'output' must be a file name, got None"),
+    ("track", "gas_output", ["gas.json"], "key 'gas_output' must be a file name, got ['gas.json']"),
+    ("track", "output", ".", "is a directory"),
+    ("track", "output", "", "is a directory"),
+    ("render", "grid_csv", "sub", "is a directory"),
+    ("track", "output", "a\x00b", "key 'output': cannot use 'a\\x00b' as a file name"),
+    ("track", "output", "x" * 300, "as a file name"),
+    ("track", "output", "gas.json", "keys 'gas_output' and 'output' name the same file"),
+    ("isotropy", "tracks_output", "./isotropy.csv", "keys 'output' and 'tracks_output' name the same file"),
+    ("render", "grid_csv", "sub/../field.ppm", "keys 'output' and 'grid_csv' name the same file"),
+])
+def test_bad_output_name_exits_2_before_any_file(tmp_path, capsys, experiment, key, value, message):
+    payload = _small_render() if experiment == "render" else dict(README_CONFIGS[experiment])
+    config = write_config(tmp_path, "config.json", {**payload, key: value})
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    assert main([config, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and message in err
+    assert [p.name for p in out.rglob("*")] == ["sub"]
+
+
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out_dir):
+    (tmp_path / "afile").write_text("kept", encoding="utf-8")
+    config = bell_config(tmp_path, n_trials=100)
+    assert main([config, "--out-dir", str(tmp_path / out_dir)]) == 2
+    assert "cannot create --out-dir" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")

@@ -268,6 +268,20 @@ def colorize_grid():
     return values.reshape(-1, 61), scale
 
 
+def test_colorize_renders_non_finite_values_black():
+    grid = np.random.default_rng(15).uniform(-1.0, 1.0, (24, 64)).view(complex)
+    bad = [complex(np.nan, 0.0), complex(0.5, np.nan), complex(np.nan, np.nan), complex(np.inf, 0.0),
+           complex(-np.inf, 0.3), complex(0.2, np.inf), complex(0.0, -np.inf), complex(np.inf, np.nan)]
+    cells = [(i, 3 * i + 1) for i in range(len(bad))]
+    zeroed = grid.copy()
+    for (i, j), z in zip(cells, bad):
+        grid[i, j], zeroed[i, j] = z, 0.0
+    image = colorize(grid, 0.5)  # a cast of NaN would warn, and tier-1 fails on RuntimeWarning
+    assert image.rgb == colorize(zeroed, 0.5).rgb
+    pixels = np.frombuffer(image.rgb, dtype=np.uint8).reshape(image.height, image.width, 3)
+    assert all(not pixels[j, i].any() for i, j in cells)
+
+
 def test_colorize_grid_covers_every_sector_edge():
     grid, _ = colorize_grid()
     h6 = (np.angle(grid) / (2.0 * np.pi) % 1.0) * 6.0
