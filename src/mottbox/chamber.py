@@ -62,9 +62,9 @@ __all__ = [
 MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  At the README gas (~26
-# atoms) one thread of a 2-vCPU VM takes about 0.12 ms per configuration and
+# atoms) one thread of a 2-vCPU VM takes about 0.065 ms per configuration and
 # keeps 40 bytes of it; the CLI writes tracks.csv row by row and ran 10^5 in
-# 11 s at 62 MB peak RSS and 10^6 in 118 s at 96 MB, so time sets the guard
+# 6.6 s at 44 MB peak RSS and 10^6 in 64 s at 78 MB, so time sets the guard
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow

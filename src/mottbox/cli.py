@@ -226,7 +226,7 @@ def _run_render(config: dict, paths: dict[str, Path]) -> str:
         half_extent=_number(plane_cfg, "half_extent"),
         resolution=_integer(plane_cfg, "resolution"),
     )
-    scale = _number(config, "modulus_scale")
+    scale = _domain(render.check_modulus_scale, _number(config, "modulus_scale"))  # before sampling
     atom = None
     if "obstacle" in config:
         ob = config["obstacle"]
@@ -236,7 +236,7 @@ def _run_render(config: dict, paths: dict[str, Path]) -> str:
         _domain(mott.quadrature_convergence_check, ctx, atom["width"], atom["g0"], atom["g1"])
         _domain(mott.normalization_c2, ctx, atom)  # couplings whose intensity overflows raise
     grid = render.sample_plane(lambda p: mott.wave_field(ctx, atom, p), plane)
-    image = _domain(render.colorize, grid, scale)
+    image = render.colorize(grid, scale)
     render.write_ppm(image, paths["output"])
     if "grid_csv" in paths:
         render.write_grid_csv(grid, plane, paths["grid_csv"])
@@ -256,7 +256,7 @@ _EXPERIMENTS = {
 
 def _output_paths(config: dict, out_dir: Path, defaults: dict) -> dict[str, Path]:
     # every output of a run, checked before any file is written
-    paths, keys = {}, {}
+    paths, keys, root = {}, {}, out_dir.resolve()
     for key, default in defaults.items():
         if key not in config and default is None:
             continue
@@ -268,6 +268,8 @@ def _output_paths(config: dict, out_dir: Path, defaults: dict) -> dict[str, Path
             real, is_dir, in_dir = path.resolve(), path.is_dir(), path.parent.is_dir()
         except (OSError, RuntimeError, ValueError) as exc:  # NUL bytes, lone surrogates, too long, loops
             raise ConfigError(f"key '{key}': cannot use {name!r} as a file name: {exc}") from None
+        if not real.is_relative_to(root):
+            raise ConfigError(f"key '{key}': {name!r} resolves outside --out-dir {str(out_dir)!r}")
         if is_dir:
             raise ConfigError(f"key '{key}': {str(path)!r} is a directory")
         if not in_dir:

@@ -110,147 +110,33 @@ def pairwise_sum(leaf_sum, n: int, start: int = 0) -> float:
     return pairwise_sum(leaf_sum, half, start) + pairwise_sum(leaf_sum, n - half, start + half)
 
 
-# Constants of cephes' igam.c and lanczos.c (S. L. Moshier, Methods and
-# Programs for Mathematical Functions, 1989, as shipped in scipy.special).
-_MACHEP = 2.0**-53
-_MAXLOG = 7.09782712893383996732e2
-_MAXITER = 2000
-_BIG = 2.0**52
-_BIGINV = 2.0**-52
-_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-_STIRLING = (  # highest degree first, as polevl takes them
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
-_LANCZOS_G = 6.024680040776729583740234375
-# lanczos_sum_expg_scaled = num / den, both highest degree first as ratevl takes them
-_LANCZOS_NUM = (
-    0.006061842346248906525783753964555936883222,
-    0.5098416655656676188125178644804694509993,
-    19.51992788247617482847860966235652136208,
-    449.9445569063168119446858607650988409623,
-    6955.999602515376140356310115515198987526,
-    75999.29304014542649875303443598909137092,
-    601859.6171681098786670226533699352302507,
-    3481712.15498064590882071018964774556468,
-    14605578.08768506808414169982791359218571,
-    43338889.32467613834773723740590533316085,
-    86363131.28813859145546927288977868422342,
-    103794043.1163445451906271053616070238554,
-    56906521.91347156388090791033559122686859,
-)
-_LANCZOS_DEN = (1.0, 66.0, 1925.0, 32670.0, 357423.0, 2637558.0, 13339535.0, 45995730.0,
-                105258076.0, 150917976.0, 120543840.0, 39916800.0, 0.0)
-
-
-def _polevl(y: float, coefs) -> float:
-    # Horner's rule, highest degree first
-    ans = coefs[0]
-    for coef in coefs[1:]:
-        ans = ans * y + coef
-    return ans
-
-
-def _lgam(a: float) -> float:
-    # cephes lgam for 13 <= a < 1000: Stirling's series
-    q = (a - 0.5) * math.log(a) - a + _LS2PI
-    return q + _polevl(1.0 / (a * a), _STIRLING) / a
-
-
-def _lanczos_sum_expg_scaled(a: float) -> float:
-    # cephes ratevl for a > 1: both polynomials in 1/a, from the constant term
-    y = 1.0 / a
-    return _polevl(y, _LANCZOS_NUM[::-1]) / _polevl(y, _LANCZOS_DEN[::-1])
-
-
-def _igam_fac(a: float, x: float) -> float:
-    # x^a exp(-x) / Gamma(a)
-    if abs(a - x) > 0.4 * a:
-        ax = a * math.log(x) - x - _lgam(a)
-        if ax < -_MAXLOG:
-            return 0.0
-        return math.exp(ax)
-    fac = a + _LANCZOS_G - 0.5
-    res = math.sqrt(fac / math.exp(1)) / _lanczos_sum_expg_scaled(a)
-    return res * (math.exp(a - x) * math.pow(x / fac, a))  # a, x < 200
-
-
-def _igam_series(a: float, x: float) -> float:
-    # regularized lower incomplete gamma, DLMF 8.11.4
-    ax = _igam_fac(a, x)
-    if ax == 0.0:
-        return 0.0
-    r, c, ans = a, 1.0, 1.0
-    for _ in range(_MAXITER):
-        r += 1.0
-        c *= x / r
-        ans += c
-        if c <= _MACHEP * ans:
-            break
-    return ans * ax / a
-
-
-def _igamc_continued_fraction(a: float, x: float) -> float:
-    # regularized upper incomplete gamma, DLMF 8.9.2
-    ax = _igam_fac(a, x)
-    if ax == 0.0:
-        return 0.0
-    y = 1.0 - a
-    z = x + y + 1.0
-    c = 0.0
-    pkm2, qkm2 = 1.0, x
-    pkm1, qkm1 = x + 1.0, z * x
-    ans = pkm1 / qkm1
-    for _ in range(_MAXITER):
-        c += 1.0
-        y += 1.0
-        z += 2.0
-        yc = y * c
-        pk = pkm1 * z - pkm2 * yc
-        qk = qkm1 * z - qkm2 * yc
-        if qk != 0.0:
-            r = pk / qk
-            t = abs((ans - r) / r)
-            ans = r
-        else:
-            t = 1.0
-        pkm2, pkm1 = pkm1, pk
-        qkm2, qkm1 = qkm1, qk
-        if abs(pk) > _BIG:
-            pkm2 *= _BIGINV
-            pkm1 *= _BIGINV
-            qkm2 *= _BIGINV
-            qkm1 *= _BIGINV
-        if t <= _MACHEP:
-            break
-    return ans * ax
-
-
 def chi2_sf(df: int, x: float) -> float:
-    """Chi-square tail probability P(X > x) for ``df`` degrees of freedom.
+    """Chi-square tail probability P(X > x) for an integer ``df`` >= 1.
 
-    Bit-equal to ``scipy.special.chdtrc(df, x)``: a line-for-line port of
-    the branches cephes ``igamc(a, x / 2)`` takes for a = df / 2 in
-    [13, 20], which are Stirling's lgam, the power series below a and the
-    continued fraction above it.  Below 13 lgam takes another form, and
-    above 20 igamc switches to an asymptotic series near a, so other
-    ``df`` raise ValueError.  NaN for x < 0 and for NaN, as chdtrc.
+    The closed forms of Abramowitz & Stegun 26.4.4-5: for even df,
+    e^{-x/2} sum_{j<df/2} (x/2)^j / j!; for odd df, erfc(sqrt(x/2)) +
+    sqrt(2x/pi) e^{-x/2} sum_{j=1}^{(df-1)/2} x^{j-1} / (1 3 ... (2j-1)).
+    Every term is positive, so nothing cancels.  e^{-x/2} is applied as two
+    factors e^{-x/4}, one in the terms and one on their sum: a single
+    e^{-x/2} underflows above x = 1490, where the tail of a large df is
+    still a normal float.  0.0 once e^{-x/4} underflows (x > 2980), NaN for
+    x < 0 and for NaN.  For df = 1 the result is erfc alone, whose relative
+    error grows as x 2^-53 with the rounding of sqrt(x/2).
     """
-    if not 26 <= df <= 40:
-        raise ValueError(f"chi2_sf supports 26 <= df <= 40, got {df}")
+    if not isinstance(df, (int, np.integer)) or df < 1:
+        raise ValueError(f"chi2_sf needs an integer df >= 1, got {df!r}")
+    x = float(x)
     if not x >= 0.0:
         return math.nan
-    a, x = df / 2.0, x / 2.0
-    if x == 0.0:
-        return 1.0
-    if x == math.inf:
+    quarter = math.exp(-x / 4.0)
+    if quarter == 0.0:
         return 0.0
-    if x < a:  # igamc's branches for x <= 1.1 also take 1 - series when a >= 13
-        return 1.0 - _igam_series(a, x)
-    return _igamc_continued_fraction(a, x)
+    odd = df % 2
+    term, total = (math.sqrt(2.0 * x / math.pi) if odd else 1.0) * quarter, 0.0
+    for j in range(1, df // 2 + 1):  # the terms by recurrence, each with one e^{-x/4}
+        total += term
+        term *= x / (2 * j + odd)
+    return (math.erfc(math.sqrt(x / 2.0)) if odd else 0.0) + total * quarter
 
 
 class RngStream:

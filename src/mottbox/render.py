@@ -20,6 +20,7 @@ __all__ = [
     "PlaneSpec",
     "FieldImage",
     "sample_plane",
+    "check_modulus_scale",
     "colorize",
     "write_ppm",
     "write_grid_csv",
@@ -126,6 +127,13 @@ def sample_plane(field, plane: PlaneSpec) -> np.ndarray:
     return grid
 
 
+def check_modulus_scale(modulus_scale: float) -> float:
+    """The brightness scale of :func:`colorize`, which must be positive."""
+    if modulus_scale <= 0.0:
+        raise ValueError(f"modulus_scale must be positive, got {modulus_scale}")
+    return modulus_scale
+
+
 def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
     """Domain-colour a sampled grid; grid columns become image rows.
 
@@ -135,8 +143,7 @@ def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
     channel at level x in [0, 1] of the HSV->RGB map is the byte
     floor(x * 255 + 0.5).
     """
-    if modulus_scale <= 0.0:
-        raise ValueError(f"modulus_scale must be positive, got {modulus_scale}")
+    check_modulus_scale(modulus_scale)
     w, h = grid.shape
     image = np.empty((h, w, 3), dtype=np.uint8)  # grid[i, j] -> pixel row j, col i
     lanes = np.arange(3 * max(BLOCK_PIXELS, h)) // 3 * 4  # 4 p for each channel of block pixel p

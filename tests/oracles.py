@@ -8,8 +8,8 @@ array code in ``mottbox`` can be checked against it.
 import colorsys
 import math
 
+import mpmath
 import numpy as np
-from scipy.special import chdtrc
 
 from mottbox.bell import CorrelationEstimate, _plus_threshold
 from mottbox.chamber import (
@@ -23,7 +23,7 @@ from mottbox.chamber import (
     select_track,
 )
 from mottbox.mott import angular_amplitude, atom, flux_free, normalization_c2, wave_field
-from mottbox.numerics import dot, gauss_legendre, norm, quad_1d, unit
+from mottbox.numerics import chi2_sf, dot, gauss_legendre, norm, quad_1d, unit
 from mottbox.render import colorize, sample_plane
 
 
@@ -320,6 +320,25 @@ def direction_bin_scalar(x: float, y: float, z: float) -> int:
     return band * N_PHI_SECTORS + sector
 
 
+def chi2_sf_mpmath(df, x):
+    """The chi-square tail P(X > x) at 200 bits, as an mpmath number.
+
+    mpmath's regularized incomplete gamma of a = df / 2 at x / 2: the upper
+    integral above a, one minus the lower integral below it, where each
+    converges fast.
+    """
+    with mpmath.workprec(200):
+        a, z = mpmath.mpf(df) / 2, mpmath.mpf(x) / 2
+        if z < a:
+            return 1 - mpmath.gammainc(a, 0, z, regularized=True)
+        return mpmath.gammainc(a, z, mpmath.inf, regularized=True)
+
+
+def ulps_from(got, want) -> float:
+    """|got - want| in units in the last place of ``want`` rounded to a float."""
+    return float(abs(mpmath.mpf(got) - want)) / math.ulp(float(want))
+
+
 def isotropy_per_config(
     n_configs, density, inner_radius, chamber_radius, species, ctx, rng, config_factory=None,
     select=select_track,
@@ -351,7 +370,7 @@ def isotropy_per_config(
     return IsotropyResult(
         counts=counts,
         chi_square=stat,
-        p_value=float(chdtrc(n_bins - 1, stat)),
+        p_value=chi2_sf(n_bins - 1, stat),
         directions=np.array(directions).reshape(-1, 3),
         chain_lengths=np.array(chain_lengths, dtype=int),
         flux_ratios=np.array(flux_ratios),

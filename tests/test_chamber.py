@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 import mottbox
 from mottbox import chamber
@@ -30,9 +29,10 @@ from mottbox.chamber import (
     select_track,
 )
 from mottbox.mott import ScatteringContext, atom, flux_free, normalization_c2
-from mottbox.numerics import RngStream, unit
+from mottbox.numerics import RngStream, chi2_sf, unit
 from oracles import (
     build_chains_scan,
+    chi2_sf_mpmath,
     cone_candidates_scan,
     configuration_to_dict,
     direction_bin_scalar,
@@ -40,6 +40,7 @@ from oracles import (
     off_chain_c2_product_loop,
     select_track_scan,
     species_at,
+    ulps_from,
 )
 
 CTX = ScatteringContext.from_wavenumber(10.0, 0.01)
@@ -816,7 +817,8 @@ def test_isotropy_experiment_uniform_gas():
     )
     assert result.counts.sum() + result.n_empty == 300
     assert result.p_value > 0.001
-    assert result.p_value == chi2.sf(result.chi_square, len(result.counts) - 1)
+    assert result.p_value == chi2_sf(31, result.chi_square)
+    assert ulps_from(result.p_value, chi2_sf_mpmath(31, result.chi_square)) <= 16.0
     assert result.directions.shape[1] == 3
     assert np.all(result.chain_lengths >= 1)
     assert np.all(result.flux_ratios <= 1.0)
@@ -866,7 +868,8 @@ def test_isotropy_experiment_octant_gas_fails_uniformity():
         config_factory=octant_factory(55),
     )
     assert result.p_value < 1e-6
-    assert result.p_value == chi2.sf(result.chi_square, len(result.counts) - 1)
+    assert result.p_value == chi2_sf(31, result.chi_square)
+    assert ulps_from(result.p_value, chi2_sf_mpmath(31, result.chi_square)) <= 16.0
     octant_bins = {20, 21, 28, 29}  # z > 0 bands, phi in [0, pi/2)
     for b, count in enumerate(result.counts):
         if b not in octant_bins:

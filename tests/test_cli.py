@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mottbox
-from mottbox import bell, chamber, mott, numerics
+from mottbox import bell, chamber, mott, numerics, render
 from mottbox.cli import MAX_ANGLES, main
 from mottbox.mott import ScatteringContext
 from mottbox.render import MAX_RESOLUTION
@@ -820,6 +820,41 @@ def test_bad_output_name_exits_2_before_any_file(tmp_path, capsys, experiment, k
     err = capsys.readouterr().err
     assert f"'{key}'" in err and message in err
     assert [p.name for p in out.rglob("*")] == ["sub"]
+
+
+@pytest.mark.parametrize("name", ["../escaped.csv", "sub/../../escaped.csv", "ABSOLUTE"])
+def test_output_name_outside_out_dir_exits_2_before_any_file(tmp_path, capsys, name):
+    name = str(tmp_path / "escaped.csv") if name == "ABSOLUTE" else name
+    config = write_config(tmp_path, "config.json", {**README_CONFIGS["track"], "output": name})
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert f"key 'output': {name!r} resolves outside --out-dir" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "out", "sub"]
+
+
+def test_output_name_that_leaves_and_reenters_a_subdirectory_is_written(tmp_path, capsys):
+    config = write_config(tmp_path, "config.json", {**README_CONFIGS["track"], "output": "sub/../x.csv"})
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    assert main([config, "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.rglob("*")) == ["gas.json", "sub", "x.csv"]
+
+
+@pytest.mark.parametrize("scale", [-1, 0.0])
+def test_bad_modulus_scale_exits_2_before_the_plane_is_sampled(tmp_path, capsys, monkeypatch, scale):
+    def forbidden(*args):
+        raise AssertionError("the plane was sampled before modulus_scale was checked")
+
+    monkeypatch.setattr(render, "sample_plane", forbidden)
+    payload = render_config(modulus_scale=scale)
+    payload["plane"]["resolution"] = MAX_RESOLUTION
+    config = write_config(tmp_path, "config.json", payload)
+    out = tmp_path / "out"
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert f"modulus_scale must be positive, got {scale}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import chdtrc
 from scipy.stats import chisquare
 
 from mottbox.numerics import (
@@ -14,7 +13,7 @@ from mottbox.numerics import (
     require_unit,
     unit,
 )
-from oracles import quad_3d
+from oracles import chi2_sf_mpmath, quad_3d, ulps_from
 
 # frozen from the radial oracles below before the 3D rule was written
 GAUSSIAN_3D = 15.749609945722419  # (2 pi)^{3/2}
@@ -218,57 +217,77 @@ def test_uniform_is_the_top_53_bits_of_the_raw_word():
         assert np.array_equal(stream.uniform(size=3), after)
 
 
-def _first_zero_tail(df):
-    # the smallest x at which chdtrc(df, x) is 0: there igamc's x^a e^-x / Gamma(a) underflows
-    lo, hi = 2.0 * df, 1e4
-    assert chdtrc(df, lo) > 0.0 and chdtrc(df, hi) == 0.0
+def _first_zero(f, lo, hi):
+    # the smallest float x in (lo, hi] at which f(x) is 0, with f(lo) > 0 and f(hi) == 0
+    assert f(lo) > 0.0 and f(hi) == 0.0
     while np.nextafter(lo, math.inf) < hi:
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if chdtrc(df, mid) == 0.0 else (mid, hi)
+        lo, hi = (lo, mid) if f(mid) == 0.0 else (mid, hi)
     return hi
 
 
+# where one factor e^{-x/2} underflows (1490.3), and where e^{-x/4} does (2980.5)
+HALF_EXP_ZERO = _first_zero(lambda x: math.exp(-x / 2.0), 1e3, 1e4)
+QUARTER_EXP_ZERO = _first_zero(lambda x: math.exp(-x / 4.0), 1e3, 1e4)
+CHI2_DFS = (2, 3, 30, 31, 32, 63, 64)
+NORMAL_MIN = 2.0**-1022
+
+
 def _chi2_probes(df, rng):
-    # random x over the bulk and the tails, and igamc's branch edges in x / 2:
-    # a (series | continued fraction), a -+ 0.4 a (Lanczos | lgam prefactor),
-    # 0.5 and 1.1, the underflow of the prefactor, each with its neighbours
-    a = df / 2.0
-    edges = [0.0, 2.0 * a, 2.0 * (a - 0.4 * a), 2.0 * (a + 0.4 * a), 1.0, 2.2, 1e-300,
-             _first_zero_tail(df)]
-    xs = [rng.uniform(0.0, 4.0 * df, 1000), rng.exponential(df, 500), 10.0 ** rng.uniform(-300, 4, 500)]
+    # random x over the bulk and the tails, the band 1200..3100 around both
+    # underflows, and the edges 0, 1e-300 and the two underflows with their
+    # neighbours
+    edges = [0.0, float(df), 1e-300, HALF_EXP_ZERO, QUARTER_EXP_ZERO]
+    xs = [rng.uniform(0.0, 4.0 * df, 1000), rng.exponential(df, 500), 10.0 ** rng.uniform(-300, 4, 500),
+          rng.uniform(1200.0, 3100.0, 200)]
     for edge in edges:
         xs.append([np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf)])
     return [*np.concatenate(xs).tolist(), 5e-324, 1e300, math.inf, math.nan]
 
 
-@pytest.mark.parametrize("df", range(26, 41))
-def test_chi2_sf_bit_equal_to_scipy_chdtrc(df):
-    rng = np.random.default_rng(df)
-    for x in _chi2_probes(df, rng):
-        want = float(chdtrc(df, x))
+@pytest.mark.parametrize("df", CHI2_DFS)
+def test_chi2_sf_within_16_ulp_of_mpmath(df):
+    # every probe whose 200-bit tail is a normal float, to 16 ulp; a
+    # subnormal or zero tail gives a result below the normal floats
+    for x in _chi2_probes(df, np.random.default_rng(df)):
         got = chi2_sf(df, x)
-        assert got == want or (math.isnan(got) and math.isnan(want)), (df, x, got, want)
+        if math.isnan(x) or x < 0.0:
+            assert math.isnan(got), (df, x, got)
+            continue
+        want = chi2_sf_mpmath(df, x)
+        if want >= NORMAL_MIN:
+            assert ulps_from(got, want) <= 16.0, (df, x, got, float(want))
+        else:
+            assert 0.0 <= got < NORMAL_MIN, (df, x, got, float(want))
 
 
 def test_chi2_sf_probes_cover_every_branch():
-    # the probes reach the 1 - series and continued-fraction results, both
-    # prefactor forms and the underflowed prefactor at both ends
-    a = 31 / 2.0
-    xs = [x / 2.0 for x in _chi2_probes(31, np.random.default_rng(31)) if x > 0.0 and x < math.inf]
-    assert any(x < a and abs(a - x) <= 0.4 * a for x in xs)
-    assert any(x >= a and abs(a - x) <= 0.4 * a for x in xs)
-    assert any(x < a and abs(a - x) > 0.4 * a and chi2_sf(31, 2.0 * x) < 1.0 for x in xs)
-    assert any(x >= a and abs(a - x) > 0.4 * a and chi2_sf(31, 2.0 * x) > 0.0 for x in xs)
-    assert chi2_sf(31, 1e-300) == 1.0 and chi2_sf(31, _first_zero_tail(31)) == 0.0
+    # both parities; probes in the band where one factor e^{-x/2} would
+    # underflow but the tail is a normal float; and the exact 0.0 beyond it
+    assert {df % 2 for df in CHI2_DFS} == {0, 1}
+    for df in (31, 64):
+        xs = _chi2_probes(df, np.random.default_rng(df))
+        band = [x for x in xs if HALF_EXP_ZERO < x < QUARTER_EXP_ZERO]
+        assert all(math.exp(-x / 2.0) == 0.0 for x in band)
+        assert any(chi2_sf(df, x) >= NORMAL_MIN for x in band)
+        beyond = [x for x in xs if x >= QUARTER_EXP_ZERO]
+        assert len(beyond) > 10 and all(chi2_sf(df, x) == 0.0 for x in beyond)
+        assert chi2_sf(df, 0.0) == 1.0 and chi2_sf(df, 1e-300) == 1.0
+
+
+@pytest.mark.parametrize("df", [1, 2, 31, 64])
+def test_chi2_sf_is_exactly_zero_from_3000(df):
+    for x in (3000.0, 1e4, 1e300, math.inf):
+        assert chi2_sf(df, x) == 0.0
 
 
 def test_chi2_sf_is_nan_below_zero():
-    # as the chdtrc of scipy 1.17; older scipy releases returned 1
     for x in (-5e-324, -1.0, -math.inf):
         assert math.isnan(chi2_sf(31, x))
 
 
-@pytest.mark.parametrize("df", [25, 41, 0, -31])
+@pytest.mark.parametrize("df", [0, -31, 2.5, 31.0, "31"])
 def test_chi2_sf_rejects_unported_degrees_of_freedom(df):
-    with pytest.raises(ValueError, match="26 <= df <= 40"):
+    # the closed form holds for whole df >= 1 only
+    with pytest.raises(ValueError, match="integer df >= 1"):
         chi2_sf(df, 31.0)
