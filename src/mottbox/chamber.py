@@ -62,9 +62,9 @@ __all__ = [
 MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  At the README gas (~26
-# atoms) one thread of a 2-vCPU VM takes about 0.065 ms per configuration and
+# atoms) one thread of a 2-vCPU VM takes about 0.046 ms per configuration and
 # keeps 40 bytes of it; the CLI writes tracks.csv row by row and ran 10^5 in
-# 6.6 s at 44 MB peak RSS and 10^6 in 64 s at 78 MB, so time sets the guard
+# 4.7 s at 44 MB peak RSS and 10^6 in 46 s at 78 MB, so time sets the guard
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
@@ -391,7 +391,10 @@ def _chains(
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     dirs = pos / radii[:, None]
     cos_c = math.cos(theta_c)
-    order = np.lexsort((radii, gas))  # each gas in ascending radius, ties by index
+    # each gas in ascending radius, ties by index.  numpy's stable sort of
+    # an integer key of 16 bits or less is a radix sort, about twice as fast
+    # as its sort of an intp key
+    order = np.lexsort((radii, gas.astype(np.min_scalar_type(len(offsets)))))
     if theta_c <= WIDE_CONE_ANGLE:
         members, start, end = _cone_candidates(pos, radii, dirs, gas, cos_c - CANDIDATE_COS_SLACK)
     else:  # each atom and every atom after it in visiting order
@@ -478,12 +481,12 @@ def build_chains(
 
 
 def _uniform_species(atoms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    # per gas: do all its atoms share the species fields of its first atom
-    gas = _gas_of_atoms(offsets)
-    differs = np.zeros(len(atoms), dtype=bool)
+    # per gas: does each of its atoms share the species fields of the one before
+    steps = np.zeros(len(atoms) + 1, dtype=bool)
     for f in _SPECIES_FIELDS:
-        differs |= atoms[f] != atoms[f][offsets[gas]]
-    return np.bincount(gas[differs], minlength=len(offsets) - 1) == 0
+        steps[1:-1] |= atoms[f][1:] != atoms[f][:-1]
+    steps[offsets] = False  # the first atom of a gas starts it afresh
+    return np.diff(np.cumsum(steps)[offsets]) == 0
 
 
 def _tracks(atoms: np.ndarray, offsets, ctx: ScatteringContext, theta_c: float):
@@ -500,23 +503,27 @@ def _tracks(atoms: np.ndarray, offsets, ctx: ScatteringContext, theta_c: float):
     offsets = np.asarray(offsets)
     pos = np.ascontiguousarray(atoms["position"])
     dirs, heads, lengths, grown = _chains(pos, offsets, theta_c)
-    n_gases = len(offsets) - 1
     gas = _gas_of_atoms(offsets)[heads]
-    best = np.zeros(n_gases, dtype=int)
-    np.maximum.at(best, gas, lengths)
-    tied = lengths == best[gas]
+    # heads come gas by gas, and only those at their gas's longest length can win
+    first = np.flatnonzero(np.diff(gas, prepend=-1))
+    best = np.maximum.reduceat(lengths, first)
+    tied = np.flatnonzero(lengths == np.repeat(best, np.diff(first, append=len(heads))))
+    heads, gas, lengths = heads[tied], gas[tied], lengths[tied]
+    first = np.flatnonzero(np.diff(gas, prepend=-1))
     # |C|^2 grows with head distance for a shared species, so head distance
     # orders the surviving flux of tied chains without computing it
     order_key = np.sqrt(dot(pos[heads], pos[heads]))  # bits of norm(atom["position"])
-    mixed = tied & ~_uniform_species(atoms, offsets)[gas]
-    mixed &= np.bincount(gas[tied], minlength=n_gases)[gas] > 1
-    if mixed.any():
+    n_tied = np.diff(first, append=len(heads))
+    mixed = ~_uniform_species(atoms, offsets)[gas[first]] & (n_tied > 1)
+    mixed = np.flatnonzero(np.repeat(mixed, n_tied))
+    if len(mixed):
         c2 = normalization_c2_atoms(ctx, atoms[heads[mixed]])
         fluxes = zip(c2.tolist(), lengths[mixed].tolist())
         order_key[mixed] = [flux_free(ctx) * c2_i**n for c2_i, n in fluxes]
-    order = np.lexsort((heads, order_key, -lengths, gas))
-    won = order[np.flatnonzero(np.diff(gas[order], prepend=-1))]
-    return heads[won], lengths[won], normalization_c2_atoms(ctx, atoms[heads[won]]), dirs, grown
+    # complex numbers order by real part, then imaginary: the smallest
+    # (order key, head index) of each gas
+    won = np.minimum.reduceat(order_key + 1j * heads, first).imag.astype(int)
+    return won, best, normalization_c2_atoms(ctx, atoms[won]), dirs, grown
 
 
 def select_track(
@@ -648,8 +655,6 @@ def isotropy_experiment(
         raise ValueError(f"need at least 100 configurations, got {n_configs}")
     if n_configs > MAX_CONFIGS:
         raise ValueError(f"configuration count {n_configs} exceeds guard {MAX_CONFIGS}")
-    n_bins = N_Z_BANDS * N_PHI_SECTORS
-    counts = np.zeros(n_bins, dtype=int)
     # filled chunk by chunk: a track direction is a row of its chunk's
     # direction array, and keeping views would keep all those arrays
     directions = np.empty((n_configs, 3))
@@ -658,21 +663,27 @@ def isotropy_experiment(
     n_tracks = 0
     if config_factory is None:
         chunks = _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, rng)
+        run_cone = cone_half_angle(ctx, species.width)  # one species: one cone for the run
     else:
         chunks = ((gas.atoms, [0, gas.n_atoms]) for gas in map(config_factory, range(n_configs)))
     for atoms, offsets in chunks:
         if not len(atoms):
             continue
-        theta_c = cone_half_angle(ctx, float(atoms["width"].max()))
+        # a factory's gases may differ in species: each has its widest atom's cone
+        theta_c = run_cone if config_factory is None else cone_half_angle(ctx, float(atoms["width"].max()))
         heads, lengths, c2, dirs, _ = _tracks(atoms, offsets, ctx, theta_c)
         found = slice(n_tracks, n_tracks + len(heads))
         directions[found] = dirs[heads]
-        counts += np.bincount(direction_bin(directions[found]), minlength=n_bins)
         chain_lengths[found] = lengths
         flux_ratios[found] = [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())]
         n_tracks += len(heads)
     if n_tracks == 0:
         raise ValueError("no configuration produced a track; increase the density")
+    # binned once per run, 2048 rows at a time, so that the binning's
+    # temporaries (about 40 bytes per row) stay small
+    n_bins, tracks = N_Z_BANDS * N_PHI_SECTORS, directions[:n_tracks]
+    counts = sum(np.bincount(direction_bin(tracks[i:i + 2048]), minlength=n_bins)
+                 for i in range(0, n_tracks, 2048))
     expected = n_tracks / n_bins
     stat = float(np.sum((counts - expected) ** 2) / expected)
     p_value = chi2_sf(n_bins - 1, stat)
@@ -680,7 +691,7 @@ def isotropy_experiment(
         counts=counts,
         chi_square=stat,
         p_value=p_value,
-        directions=directions[:n_tracks],
+        directions=tracks,
         chain_lengths=chain_lengths[:n_tracks],
         flux_ratios=flux_ratios[:n_tracks],
         n_empty=n_configs - n_tracks,

@@ -166,14 +166,16 @@ class RngStream:
     def rekey(self, stream_id: int) -> None:
         """Restart this stream as (seed, stream_id): the draws of a fresh stream with that key.
 
-        Re-keys the one Philox in place, at about a third of the cost of
-        building a new generator.
+        Re-keys the one Philox in place from plain ints and tuples, which
+        its state setter reads faster than arrays: 1.6 us, against 4.3 us
+        from arrays and 17 us for a new RngStream (numpy 2.4.6, one thread
+        of a 2-vCPU VM).
         """
         self.stream_id = int(stream_id) % 2**64
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key()},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": (0, 0, 0, 0), "key": (self.seed, self.stream_id)},
+            "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -188,8 +190,13 @@ class RngStream:
         return self._gen.bit_generator.random_raw(size)
 
     def uniform(self, size=None):
-        """Uniform draws from [0, 1)."""
-        return self._gen.uniform(size=size)
+        """Uniform draws from [0, 1), the bits of ``Generator.uniform``.
+
+        That computes 0.0 + 1.0 * x from ``Generator.random``'s x, which
+        is x, so ``random`` gives the same values at half the cost (26
+        values: 1.7 us against 3.4 us).
+        """
+        return self._gen.random(size=size)
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size=size)

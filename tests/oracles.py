@@ -311,6 +311,35 @@ def select_track_scan(config, ctx, envelope_drop=0.5):
     )
 
 
+def track_winners_lexsort(atoms, offsets, ctx, heads, lengths):
+    """The winning chain of each non-empty gas of a segmented gas, by one sort of every head.
+
+    Gas j owns rows offsets[j]:offsets[j + 1] of the ATOM_DTYPE records
+    ``atoms``; ``heads`` and ``lengths`` are the chain heads of all gases
+    with their chain lengths.  Every head is sorted by (gas, -length, key,
+    head index) and each gas keeps its first.  The key is the surviving flux
+    flux_free * |C|^2(head)^N, one ``normalization_c2`` per head, for the
+    tied heads of a gas of several species with more than one tied head, and
+    the head distance otherwise.  Returns the winners' heads and lengths.
+    """
+    heads, lengths = np.asarray(heads), np.asarray(lengths)
+    n_gases = len(offsets) - 1
+    gas = np.searchsorted(offsets, heads, side="right") - 1
+    best = [max(lengths[gas == j], default=0) for j in range(n_gases)]
+    tied = lengths == np.array(best)[gas]
+    one_species = [
+        all(bool(np.all(atoms[f][a:b] == atoms[f][a])) for f in ("width", "g0", "g1", "delta_e"))
+        for a, b in zip(offsets[:-1], offsets[1:])
+    ]
+    key = np.array([norm(atoms["position"][h]) for h in heads.tolist()])
+    for i, (h, j, n) in enumerate(zip(heads.tolist(), gas.tolist(), lengths.tolist())):
+        if tied[i] and not one_species[j] and np.count_nonzero(tied & (gas == j)) > 1:
+            key[i] = flux_free(ctx) * normalization_c2(ctx, atoms[h]) ** n
+    order = np.lexsort((heads, key, -lengths, gas))
+    won = order[np.flatnonzero(np.diff(gas[order], prepend=-1))]
+    return heads[won], lengths[won]
+
+
 def direction_bin_scalar(x: float, y: float, z: float) -> int:
     """``chamber.direction_bin`` of one direction, one float at a time."""
     z = min(1.0, max(-1.0, z))

@@ -40,6 +40,7 @@ from oracles import (
     off_chain_c2_product_loop,
     select_track_scan,
     species_at,
+    track_winners_lexsort,
     ulps_from,
 )
 
@@ -945,6 +946,101 @@ def test_segmented_tracks_match_each_gas_alone(k):
         assert (n, c2_head) == (track.chain.n, track.c2_per_step)
         assert dirs[head].tobytes() == track.direction.tobytes()
     assert max(lengths) >= 5
+
+
+def mirrored(half, rng):
+    """``half`` and a copy with the signs of some coordinates flipped, rows
+    shuffled: each atom has a twin at a bit-equal radius."""
+    signs = np.where(rng.random((len(half), 3)) < 0.5, -1.0, 1.0)
+    signs[:, 2] = -1.0  # the twin of an atom on the z axis is not the atom
+    rows = np.concatenate([half, half * signs])
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("k", [10.0, 1.0])
+def test_chains_visit_atoms_in_lexsort_order_of_gas_and_radius(k):
+    # gases of mirrored atoms, whose bit-equal radii go by index, among
+    # empty gases; 65530 leading empty gases number the others across 2^16
+    ctx = ScatteringContext.from_wavenumber(k, 0.01)
+    rng = np.random.default_rng(83)
+    gases = [np.empty((0, 3)), np.empty((0, 3))]
+    for n in (1, 2, 5, 30, 3, 60):
+        normals = rng.standard_normal((n, 3))
+        half = (12.0 + 28.0 * rng.random((n, 1))) * normals / np.linalg.norm(normals, axis=1)[:, None]
+        gases += [mirrored(half, rng), np.empty((0, 3))]
+    pos = np.concatenate(gases)
+    sizes = [len(g) for g in gases]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        theta_c = cone_half_angle(ctx, SPECIES.width)
+    for leading in (0, 65_530):
+        offsets = np.cumsum([0, *[0] * leading, *sizes])
+        _, heads, _, grown = chamber._chains(pos, offsets, theta_c)
+        radii = np.sqrt(np.sum(pos * pos, axis=1))
+        gas = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        absorbed = {atom for chain in grown.values() for atom in chain[1:]}
+        assert heads.tolist() == [i for i in np.lexsort((radii, gas)).tolist() if i not in absorbed]
+    assert len(np.unique(radii)) == len(radii) // 2
+    assert grown and (k == 10.0) == (theta_c <= chamber.WIDE_CONE_ANGLE)
+
+
+def tie_heavy_gases(seed):
+    """Gases whose longest chains tie, with their heads at bit-equal radii:
+    mirrored atoms, a mirrored chain of three on the z axis in every other
+    gas, the twins of one species, of another or of the same but for
+    delta_e (which leaves |C|^2 alone, so the fluxes tie as well)."""
+    heavy = AtomSpecies(width=0.8, g0=0.3, g1=0.7, delta_e=0.02)
+    shifted = AtomSpecies(width=1.0, g0=0.5, g1=0.5, delta_e=0.03)
+    rng = np.random.default_rng(seed)
+    gases = [SPECIES.records(np.empty((0, 3)))]
+    for i in range(24):
+        n = int(rng.integers(1, 8))
+        normals = rng.standard_normal((n, 3))
+        half = (12.0 + 28.0 * rng.random((n, 1))) * normals / np.linalg.norm(normals, axis=1)[:, None]
+        if i % 2:
+            half = np.concatenate([half, [[0.0, 0.0, 15.0], [0.0, 0.0, 20.0], [0.0, 0.0, 25.0]]])
+        rows = mirrored(half, rng)
+        twin = (SPECIES, heavy, shifted)[i % 3]
+        species = rng.random(len(rows)) < 0.5
+        atoms = SPECIES.records(rows)
+        atoms[species] = twin.records(rows[species])
+        gases.append(atoms)
+        if i % 5 == 0:
+            gases.append(SPECIES.records(np.empty((0, 3))))
+    return gases
+
+
+@pytest.mark.parametrize("k", [10.0, 1.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_track_winners_match_one_sort_of_every_head(k, seed):
+    # the winners chosen among each gas's tied heads against the winners of
+    # one (gas, -length, key, head) sort of all heads
+    ctx = ScatteringContext.from_wavenumber(k, 0.01)
+    gases = tie_heavy_gases(seed)
+    atoms = np.concatenate(gases)
+    offsets = np.cumsum([0] + [len(g) for g in gases])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        theta_c = cone_half_angle(ctx, float(atoms["width"].max()))
+    _, heads, lengths, _ = chamber._chains(np.ascontiguousarray(atoms["position"]), offsets, theta_c)
+    want_heads, want_lengths = track_winners_lexsort(atoms, offsets, ctx, heads, lengths)
+    won, best, c2, _, _ = chamber._tracks(atoms, offsets, ctx, theta_c)
+    assert won.tolist() == want_heads.tolist()
+    assert best.tolist() == want_lengths.tolist()
+    assert c2.tobytes() == np.array([normalization_c2(ctx, atoms[h]) for h in won.tolist()]).tobytes()
+    fields = ("width", "g0", "g1", "delta_e")
+    assert chamber._uniform_species(atoms, offsets).tolist() == [
+        all(len(set(atoms[f][a:b].tolist())) <= 1 for f in fields) for a, b in zip(offsets, offsets[1:])
+    ]
+    # the fixture ties: some gas's winner has a tied twin at its radius that
+    # loses on index, and some has a chain of three
+    gas = np.searchsorted(offsets, np.arange(len(atoms)), side="right") - 1
+    radii = np.sqrt(np.sum(atoms["position"] ** 2, axis=1))
+    twins = [
+        h for h, n in zip(won.tolist(), best.tolist())
+        if any(radii[t] == radii[h] and t > h for t in heads[(gas[heads] == gas[h]) & (lengths == n)].tolist())
+    ]
+    assert twins and max(best) >= 3
 
 
 @pytest.mark.parametrize("k", [10.0, 1.94, 1.0])

@@ -190,18 +190,60 @@ def test_rng_stream_seed_wraps_to_uint64():
     assert s.stream_id == 5
 
 
+def _every_draw(stream):
+    # each kind of draw the package makes, several of them unaligned to
+    # Philox's four-word buffer
+    return (
+        stream.raw_words(3).tobytes(),
+        stream.uniform(),
+        stream.uniform(size=6).tobytes(),
+        stream.standard_normal(size=(5, 3)).tobytes(),
+        stream.poisson(30.0),
+        stream.raw_words(1).tobytes(),
+        stream.poisson(2e4),
+        stream.uniform(size=(2, 3)).tobytes(),
+    )
+
+
 def test_rng_stream_rekey_draws_as_a_fresh_stream():
-    # three uniforms leave Philox mid-way through its four-word buffer
-    stream = RngStream(42, 0)
-    stream.poisson(30.0)
-    stream.standard_normal(size=(5, 3))
-    stream.uniform(size=3)
-    stream.rekey(2**64 + 7)
-    fresh = RngStream(42, 7)
-    assert stream.stream_id == 7
-    assert stream.poisson(30.0) == fresh.poisson(30.0)
-    assert np.array_equal(stream.standard_normal(size=(5, 3)), fresh.standard_normal(size=(5, 3)))
-    assert np.array_equal(stream.uniform(size=11), fresh.uniform(size=11))
+    def fresh(stream):
+        pass
+
+    def mid_buffer(stream):  # leaves Philox mid-way through its four-word buffer
+        stream.poisson(30.0)
+        stream.standard_normal(size=(5, 3))
+        stream.uniform(size=2)
+        assert 0 < stream._gen.bit_generator.state["buffer_pos"] < 4
+
+    def half_word(stream):  # a 32-bit draw keeps the other half of its word
+        stream._gen.integers(0, 2**32, dtype=np.uint32)
+        assert stream._gen.bit_generator.state["has_uint32"] == 1
+
+    def both(stream):
+        mid_buffer(stream)
+        half_word(stream)
+
+    for seed in (42, 2**64 - 1):
+        for before in (fresh, mid_buffer, half_word, both):
+            for stream_id in (0, 7, 2**63, 2**64 - 1, 2**64 + 7):
+                stream = RngStream(seed, 3)
+                before(stream)
+                stream.rekey(stream_id)
+                assert (stream.seed, stream.stream_id) == (seed, stream_id % 2**64)
+                assert stream._gen.bit_generator.state["has_uint32"] == 0
+                assert _every_draw(stream) == _every_draw(RngStream(seed, stream_id)), (seed, stream_id)
+
+
+@pytest.mark.parametrize("size", [None, 1, 1000, (3, 4), (2, 0, 5)])
+def test_uniform_has_the_bits_of_generator_uniform(size):
+    for seed, stream_id in ((1, 0), (2**64 - 1, 2**63)):
+        stream = RngStream(seed, stream_id)
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+        for _ in range(3):  # successive calls continue one sequence
+            got, want = stream.uniform(size=size), gen.uniform(size=size)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_uniform_is_the_top_53_bits_of_the_raw_word():
