@@ -18,7 +18,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -62,9 +62,9 @@ __all__ = [
 MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  At the README gas (~26
-# atoms) one thread of a 2-vCPU VM takes about 0.046 ms per configuration and
+# atoms) one thread of a 2-vCPU VM takes about 0.039 ms per configuration and
 # keeps 40 bytes of it; the CLI writes tracks.csv row by row and ran 10^5 in
-# 4.7 s at 44 MB peak RSS and 10^6 in 46 s at 78 MB, so time sets the guard
+# 4.0 s at 44 MB peak RSS and 10^6 in 39 s at 79 MB, so time sets the guard
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
@@ -378,28 +378,27 @@ def _chains(
 
     Gas j owns rows offsets[j]:offsets[j + 1] of ``pos``; there is at least
     one atom.  Chains follow the rules of ``build_chains`` within each gas.
-    Returns the atom directions, the chain heads in visiting order (gas by
+    Returns the atom directions, the chain heads in index order (so gas by
     gas), the chain lengths, and the members of each chain longer than one
-    atom, keyed by head.  No chain reads what others absorbed, so the heads
-    that have a candidate besides themselves grow in ``_grow`` in batches,
-    consecutive in visiting order with up to CANDIDATE_PAIRS candidates (a
-    longer list alone).  Each batch's chains are then taken in visiting
-    order; one whose head an earlier chain absorbed is dropped.
+    atom, keyed by head.  Only the growers, the heads that have a candidate
+    besides themselves, need the visiting order: they are sorted by (gas,
+    radius, index) and grow in ``_grow`` in batches, consecutive in that
+    order with up to CANDIDATE_PAIRS candidates (a longer list alone).  No
+    chain reads what others absorbed, so each batch's chains are then taken
+    in visiting order; one whose head an earlier chain absorbed is dropped.
     """
     n = len(pos)
     gas = _gas_of_atoms(offsets)
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     dirs = pos / radii[:, None]
     cos_c = math.cos(theta_c)
-    # each gas in ascending radius, ties by index.  numpy's stable sort of
-    # an integer key of 16 bits or less is a radix sort, about twice as fast
-    # as its sort of an intp key
-    order = np.lexsort((radii, gas.astype(np.min_scalar_type(len(offsets)))))
     if theta_c <= WIDE_CONE_ANGLE:
         members, start, end = _cone_candidates(pos, radii, dirs, gas, cos_c - CANDIDATE_COS_SLACK)
     else:  # each atom and every atom after it in visiting order
+        order = np.lexsort((radii, gas))
         members, start, end = order, np.argsort(order), offsets[gas + 1]
-    growers = order[end[order] - start[order] > 1]
+    growers = np.flatnonzero(end - start > 1)
+    growers = growers[np.lexsort((radii[growers], gas[growers]))]  # a stable sort: ties by index
     rows = np.cumsum(np.append(0, end[growers] - start[growers]))
     absorbed = np.zeros(n, dtype=bool)
     length = np.ones(n, dtype=int)  # of the chain each atom heads
@@ -413,7 +412,7 @@ def _chains(
             if len(chain) > 1 and not absorbed[head]:
                 grown[head], length[head] = chain, len(chain)
                 absorbed[chain[1:]] = True
-    heads = order[~absorbed[order]]
+    heads = np.flatnonzero(~absorbed)
     return dirs, heads, length[heads], grown
 
 
@@ -467,13 +466,15 @@ def build_chains(
     the cone at its head, and each head's candidates in a slightly wider
     cone are listed for all heads from one sort of the directions; a wider
     cone lists every atom farther out.  Many chains grow at once, one array
-    step over all their lists per member.
+    step over all their lists per member.  The chains come in the visiting
+    order of their heads.
     """
     n = config.n_atoms
     if n == 0:
         return []
     pos = np.ascontiguousarray(config.atoms["position"])
     dirs, heads, _, grown = _chains(pos, np.array([0, n]), theta_c)
+    heads = heads[np.argsort(np.sqrt(np.sum(pos[heads] ** 2, axis=1)), kind="stable")]  # visiting order
     return [
         AlignmentChain(indices=tuple(grown.get(head, (head,))), direction=dirs[head])
         for head in heads.tolist()
@@ -489,7 +490,7 @@ def _uniform_species(atoms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.diff(np.cumsum(steps)[offsets]) == 0
 
 
-def _tracks(atoms: np.ndarray, offsets, ctx: ScatteringContext, theta_c: float):
+def _tracks(atoms: np.ndarray, offsets: np.ndarray, ctx: ScatteringContext, theta_c: float):
     """The track of every non-empty gas of a segmented gas, as arrays.
 
     Gas j owns rows offsets[j]:offsets[j + 1] of the ATOM_DTYPE records
@@ -500,7 +501,6 @@ def _tracks(atoms: np.ndarray, offsets, ctx: ScatteringContext, theta_c: float):
     |C|^2, then the atom directions and the members of the longer chains
     from ``_chains``.
     """
-    offsets = np.asarray(offsets)
     pos = np.ascontiguousarray(atoms["position"])
     dirs, heads, lengths, grown = _chains(pos, offsets, theta_c)
     gas = _gas_of_atoms(offsets)[heads]
@@ -540,7 +540,7 @@ def select_track(
     if config.n_atoms == 0:
         return None
     theta_c = cone_half_angle(ctx, float(config.atoms["width"].max()), envelope_drop)
-    (head,), (n,), (c2,), dirs, grown = _tracks(config.atoms, [0, config.n_atoms], ctx, theta_c)
+    (head,), (n,), (c2,), dirs, grown = _tracks(config.atoms, np.array([0, config.n_atoms]), ctx, theta_c)
     head, n, c2 = int(head), int(n), float(c2)
     chain = AlignmentChain(indices=tuple(grown.get(head, (head,))), direction=dirs[head])
     return TrackResult(
@@ -600,10 +600,11 @@ class IsotropyResult:
 
 
 # isotropy_experiment samples and selects consecutive configurations
-# together: a chunk closes after this many configurations, or once it holds
-# _CHUNK_ATOMS atoms, so its arrays stay small at every density
-_CHUNK_CONFIGS = 64
-_CHUNK_ATOMS = 2**14
+# together: a chunk closes once its configurations plus its atoms reach this
+# budget, about 150 README configurations, 4000 near-empty ones or one dense
+# gas.  The atoms bound sampling and candidate listing (each about 0.6 MB for
+# a README chunk), the configurations what near-empty gases keep
+_CHUNK_BUDGET = 2**12
 
 
 def _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, rng):
@@ -614,12 +615,13 @@ def _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, r
     draw = rng.substream(rng.stream_id + 1)
     i = 0
     while i < n_configs:
-        normals, uniforms, offsets = [], [], [0]
-        while i < n_configs and len(normals) < _CHUNK_CONFIGS and offsets[-1] < _CHUNK_ATOMS:
+        normals, uniforms, offsets = [np.empty((0, 3))], [np.empty(0)], [0]
+        while i < n_configs and len(offsets) - 1 + offsets[-1] < _CHUNK_BUDGET:
             draw.rekey(rng.stream_id + 1 + i)
             normal, u = _draw_atoms(draw, expected)
-            normals.append(normal)
-            uniforms.append(u)
+            if len(u):  # an empty gas keeps nothing but its offset
+                normals.append(normal)
+                uniforms.append(u)
             offsets.append(offsets[-1] + len(u))
             i += 1
         positions = _shell_positions(
@@ -636,7 +638,6 @@ def isotropy_experiment(
     species: AtomSpecies,
     ctx: ScatteringContext,
     rng: RngStream,
-    config_factory: Optional[Callable[[int], GasConfiguration]] = None,
 ) -> IsotropyResult:
     """Track directions over many independent gas configurations.
 
@@ -646,10 +647,6 @@ def isotropy_experiment(
     stream; consecutive configurations are sampled and selected together in
     array passes.  Bins are equal-solid-angle; the chi-square statistic is
     against the uniform distribution with n_bins - 1 degrees of freedom.
-    ``config_factory`` overrides the gas sampler (it receives the
-    configuration index), which is how degenerate, non-isotropic gases are
-    injected in tests; a factory's gas has no size guard, so each is
-    selected alone and not kept.
     """
     if n_configs < 100:
         raise ValueError(f"need at least 100 configurations, got {n_configs}")
@@ -661,16 +658,10 @@ def isotropy_experiment(
     chain_lengths = np.empty(n_configs, dtype=int)
     flux_ratios = np.empty(n_configs)
     n_tracks = 0
-    if config_factory is None:
-        chunks = _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, rng)
-        run_cone = cone_half_angle(ctx, species.width)  # one species: one cone for the run
-    else:
-        chunks = ((gas.atoms, [0, gas.n_atoms]) for gas in map(config_factory, range(n_configs)))
-    for atoms, offsets in chunks:
+    theta_c = cone_half_angle(ctx, species.width)  # one species: one cone for the run
+    for atoms, offsets in _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, rng):
         if not len(atoms):
             continue
-        # a factory's gases may differ in species: each has its widest atom's cone
-        theta_c = run_cone if config_factory is None else cone_half_angle(ctx, float(atoms["width"].max()))
         heads, lengths, c2, dirs, _ = _tracks(atoms, offsets, ctx, theta_c)
         found = slice(n_tracks, n_tracks + len(heads))
         directions[found] = dirs[heads]

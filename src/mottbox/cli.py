@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,7 +328,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
             _integer(config, "seed", bounds=SEEDS)
-        summary = run(config, Path(args.out_dir))
+        with warnings.catch_warnings():  # a model warning is one line, not a package source location
+            warnings.showwarning = lambda message, *_: print(f"mottbox: warning: {message}", file=sys.stderr)
+            summary = run(config, Path(args.out_dir))
     except ConfigError as exc:
         print(f"mottbox: error: {exc}", file=sys.stderr)
         return 2

@@ -378,8 +378,6 @@ def isotropy_per_config(
     (or ``config_factory(i)``), and its track is ``select(gas, ctx)`` of that
     gas alone; the counts, chi-square and p-value follow from the tracks.
     """
-    n_bins = N_Z_BANDS * N_PHI_SECTORS
-    counts = np.zeros(n_bins, dtype=int)
     directions, chain_lengths, flux_ratios = [], [], []
     for i in range(n_configs):
         if config_factory is not None:
@@ -390,10 +388,22 @@ def isotropy_per_config(
         track = select(config, ctx)
         if track is None:
             continue
-        counts[direction_bin_scalar(*track.direction.tolist())] += 1
         directions.append(track.direction)
         chain_lengths.append(track.chain.n)
         flux_ratios.append(track.flux_ratio)
+    return isotropy_result(directions, chain_lengths, flux_ratios, n_configs)
+
+
+def isotropy_result(directions, chain_lengths, flux_ratios, n_configs) -> IsotropyResult:
+    """The IsotropyResult of the tracks of ``n_configs`` configurations.
+
+    Each direction is binned by the scalar formula; the chi-square is against
+    the uniform distribution over the bins, and the p-value its tail.
+    """
+    n_bins = N_Z_BANDS * N_PHI_SECTORS
+    counts = np.zeros(n_bins, dtype=int)
+    for direction in np.asarray(directions).reshape(-1, 3).tolist():
+        counts[direction_bin_scalar(*direction)] += 1
     expected = len(directions) / n_bins
     stat = float(np.sum((counts - expected) ** 2) / expected)
     return IsotropyResult(

@@ -37,6 +37,7 @@ from oracles import (
     configuration_to_dict,
     direction_bin_scalar,
     isotropy_per_config,
+    isotropy_result,
     off_chain_c2_product_loop,
     select_track_scan,
     species_at,
@@ -490,7 +491,10 @@ def segmented_chains(gases, theta_c):
     offsets = np.cumsum([0] + [gas.n_atoms for gas in gases])
     pos = np.concatenate([gas.atoms["position"] for gas in gases])
     _, heads, lengths, grown = chamber._chains(pos, offsets, theta_c)
+    assert (np.diff(heads) > 0).all()  # _chains gives its heads in index order
     gas = np.searchsorted(offsets, heads, side="right") - 1
+    visit = np.lexsort((np.sqrt(np.sum(pos * pos, axis=1))[heads], gas))
+    heads, lengths, gas = heads[visit], lengths[visit], gas[visit]
     chains = [[] for _ in gases]
     for g, head in zip(gas.tolist(), heads.tolist()):
         chains[g].append(tuple(m - offsets[g] for m in grown.get(head, [head])))
@@ -516,8 +520,8 @@ def test_segmented_chains_on_cone_edges_grow_in_one_batch(monkeypatch):
 @pytest.mark.parametrize("pairs", [1, 2**30])
 def test_chains_do_not_depend_on_the_batch_size(monkeypatch, pairs):
     # a batch per head, or one batch for every head (candidate listing
-    # included), against the default batches: a dense README gas, an
-    # isotropy chunk of 64 gases and a gas at k s = 1.9, which lists every atom
+    # included), against the default batches: a dense README gas, a full
+    # isotropy chunk and a gas at k s = 1.9, which lists every atom
     wide = ScatteringContext.from_wavenumber(1.9, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the wide-cone warning
@@ -534,7 +538,8 @@ def test_chains_do_not_depend_on_the_batch_size(monkeypatch, pairs):
     monkeypatch.setattr(chamber, "CANDIDATE_PAIRS", pairs)
     for case, chains in zip(cases, expected):
         assert segmented_chains(*case) == chains
-    assert len(chunk) == chamber._CHUNK_CONFIGS and cases[0][0][0].n_atoms > 5000
+    assert len(chunk) + len(atoms) >= chamber._CHUNK_BUDGET and len(chunk) > 40
+    assert cases[0][0][0].n_atoms > 5000
     assert max(len(c) for per_gas in expected for chains in per_gas for c in chains) > 3
     assert wide_cone > chamber.WIDE_CONE_ANGLE
     assert expected[2] == [[c.indices for c in build_chains_scan(cases[2][0][0], CTX, wide_cone)]]
@@ -857,17 +862,21 @@ def mixed_factory(seed):
     return factory
 
 
+def segmented_isotropy(gases, ctx):
+    """The tracks of ``gases`` from one ``chamber._tracks`` pass over them as
+    one segmented gas, as isotropy_experiment selects a chunk, with the
+    counts and statistics of ``oracles.isotropy_result``."""
+    atoms = np.concatenate([gas.atoms for gas in gases])
+    offsets = np.cumsum([0] + [gas.n_atoms for gas in gases])
+    widths = {float(gas.atoms["width"].max()) for gas in gases if gas.n_atoms}
+    assert len(widths) == 1  # so the run's one cone is the cone select_track gives each gas
+    heads, lengths, c2, dirs, _ = chamber._tracks(atoms, offsets, ctx, cone_half_angle(ctx, widths.pop()))
+    ratios = [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())]
+    return isotropy_result(dirs[heads], lengths, ratios, len(gases))
+
+
 def test_isotropy_experiment_octant_gas_fails_uniformity():
-    result = isotropy_experiment(
-        n_configs=150,
-        density=0.0,
-        inner_radius=12.0,
-        chamber_radius=40.0,
-        species=SPECIES,
-        ctx=CTX,
-        rng=RngStream(55, 0),
-        config_factory=octant_factory(55),
-    )
+    result = segmented_isotropy(list(map(octant_factory(55), range(150))), CTX)
     assert result.p_value < 1e-6
     assert result.p_value == chi2_sf(31, result.chi_square)
     assert ulps_from(result.p_value, chi2_sf_mpmath(31, result.chi_square)) <= 16.0
@@ -878,8 +887,9 @@ def test_isotropy_experiment_octant_gas_fails_uniformity():
 
 
 ISOTROPY_CASES = {
-    # n_configs, density, factory
-    "chunk_remainder": (2 * chamber._CHUNK_CONFIGS + 37, 1e-4, None),
+    # n_configs, density, factory.  The README gas (1e-4) fills a chunk with
+    # about 150 configurations, so 400 make two full chunks and a part
+    "chunk_remainder": (400, 1e-4, None),
     "mostly_empty": (150, 3e-6, None),
     "atom_capped_chunks": (100, 1.5e-3, None),
     "mixed_species_ties": (120, 0.0, mixed_factory),
@@ -887,37 +897,65 @@ ISOTROPY_CASES = {
 }
 
 
+def assert_same_ensemble(result, expected):
+    for field in ("directions", "chain_lengths", "flux_ratios", "counts"):
+        assert getattr(result, field).tobytes() == getattr(expected, field).tobytes(), field
+    assert result.n_empty == expected.n_empty
+    assert (result.chi_square, result.p_value) == (expected.chi_square, expected.p_value)
+
+
 @pytest.mark.parametrize("seed", range(1, 7))
 @pytest.mark.parametrize("case", sorted(ISOTROPY_CASES))
 def test_isotropy_experiment_bit_equal_to_per_config_loop(case, seed):
     n_configs, density, factory = ISOTROPY_CASES[case]
     args = (n_configs, density, 12.0, 40.0, SPECIES, CTX, RngStream(seed, 5))
-    # isotropy_experiment selects a factory's gases one at a time, through
-    # the code select_track runs, so those are checked against the scan
-    select = select_track_scan if factory else select_track
-    factory = factory and factory(seed)
-    result = isotropy_experiment(*args, config_factory=factory)
-    expected = isotropy_per_config(*args, config_factory=factory, select=select)
-    for field in ("directions", "chain_lengths", "flux_ratios", "counts"):
-        assert getattr(result, field).tobytes() == getattr(expected, field).tobytes(), field
-    assert result.n_empty == expected.n_empty
-    assert (result.chi_square, result.p_value) == (expected.chi_square, expected.p_value)
+    if factory:
+        # gases of two species, or not isotropic: selected as one chunk is,
+        # and checked against the every-atom scan of each gas alone
+        gases = list(map(factory(seed), range(n_configs)))
+        result = segmented_isotropy(gases, CTX)
+        expected = isotropy_per_config(*args, config_factory=gases.__getitem__, select=select_track_scan)
+    else:
+        result, expected = isotropy_experiment(*args), isotropy_per_config(*args)
+    assert_same_ensemble(result, expected)
+    if case == "chunk_remainder":
+        sizes = [len(offsets) - 1 for _, offsets in chamber._sampled_chunks(*args[:5], args[6])]
+        assert len(sizes) == 3
     if case == "mostly_empty":
         assert result.n_empty > n_configs // 3
     if case == "atom_capped_chunks":
         assert result.chain_lengths.max() > 2
 
 
-def test_isotropy_chunks_close_on_configs_and_on_atoms():
-    def chunk_sizes(density):
-        chunks = chamber._sampled_chunks(300, density, 12.0, 40.0, SPECIES, RngStream(3, 0))
-        return [(len(offsets) - 1, int(offsets[-1])) for _, offsets in chunks]
+@pytest.mark.parametrize("density", [3e-6, 1e-4, 1.5e-3])
+@pytest.mark.parametrize("budget", [1, 10**9])
+def test_isotropy_experiment_bit_equal_to_per_config_loop_at_any_chunk_budget(monkeypatch, budget, density):
+    # one configuration per chunk, or the whole run in one chunk
+    args = (150, density, 12.0, 40.0, SPECIES, CTX, RngStream(19, 5))
+    expected = isotropy_per_config(*args)
+    monkeypatch.setattr(chamber, "_CHUNK_BUDGET", budget)
+    sizes = [len(offsets) - 1 for _, offsets in chamber._sampled_chunks(*args[:5], args[6])]
+    assert sizes == ([1] * 150 if budget == 1 else [150])
+    assert_same_ensemble(isotropy_experiment(*args), expected)
 
-    full, rest = divmod(300, chamber._CHUNK_CONFIGS)
-    assert [n for n, _ in chunk_sizes(1e-4)] == [chamber._CHUNK_CONFIGS] * full + [rest] * (rest > 0)
-    dense = chunk_sizes(1.5e-3)
-    assert sum(n for n, _ in dense) == 300
-    assert all(n < chamber._CHUNK_CONFIGS and atoms >= chamber._CHUNK_ATOMS for n, atoms in dense[:-1])
+
+def test_isotropy_chunks_close_on_configs_and_on_atoms():
+    # a chunk closes with the configuration that brings its configurations
+    # plus its atoms to the budget: near-empty gases close on their count,
+    # dense ones on their atoms, and every configuration is in one chunk
+    budget = chamber._CHUNK_BUDGET
+    for n_configs, density in ((3 * budget + 5, 1e-7), (600, 1e-4), (300, 1.5e-3)):
+        chunks = chamber._sampled_chunks(n_configs, density, 12.0, 40.0, SPECIES, RngStream(3, 0))
+        offsets = [offsets for _, offsets in chunks]
+        sizes = [len(o) - 1 for o in offsets]
+        assert sum(sizes) == n_configs
+        for o in offsets[:-1]:
+            assert len(o) - 1 + o[-1] >= budget > len(o) - 2 + o[-2]
+        assert len(offsets[-1]) - 2 + offsets[-1][-2] < budget
+        if density == 1e-7:  # about 0.026 atoms per configuration
+            assert len(sizes) == 4 and all(n > 0.95 * budget for n in sizes[:-1])
+        elif density == 1.5e-3:  # about 390 atoms per configuration
+            assert all(n < 12 for n in sizes)
 
 
 @pytest.mark.parametrize("k", [10.0, 1.94, 1.0])
@@ -960,7 +998,9 @@ def mirrored(half, rng):
 @pytest.mark.parametrize("k", [10.0, 1.0])
 def test_chains_visit_atoms_in_lexsort_order_of_gas_and_radius(k):
     # gases of mirrored atoms, whose bit-equal radii go by index, among
-    # empty gases; 65530 leading empty gases number the others across 2^16
+    # empty gases; 65530 leading empty gases number the others across 2^16.
+    # build_chains gives each gas's chains in visiting order (radius, then
+    # index), and _chains over all gases has the same chains, heads in index order
     ctx = ScatteringContext.from_wavenumber(k, 0.01)
     rng = np.random.default_rng(83)
     gases = [np.empty((0, 3)), np.empty((0, 3))]
@@ -970,16 +1010,24 @@ def test_chains_visit_atoms_in_lexsort_order_of_gas_and_radius(k):
         gases += [mirrored(half, rng), np.empty((0, 3))]
     pos = np.concatenate(gases)
     sizes = [len(g) for g in gases]
+    radii = np.sqrt(np.sum(pos * pos, axis=1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the wide-cone warning
         theta_c = cone_half_angle(ctx, SPECIES.width)
+    chains = {}  # by head, over all gases
+    for start, rows in zip(np.cumsum([0, *sizes]).tolist(), gases):
+        gas = GasConfiguration(atoms=SPECIES.records(rows), chamber_radius=40.0, inner_radius=12.0, seed=0)
+        built = [[start + i for i in chain.indices] for chain in build_chains(gas, ctx, theta_c)]
+        absorbed = {atom - start for chain in built for atom in chain[1:]}
+        visiting = np.lexsort((radii[start:start + len(rows)],)).tolist()
+        assert [chain[0] - start for chain in built] == [i for i in visiting if i not in absorbed]
+        chains.update((chain[0], chain) for chain in built)
     for leading in (0, 65_530):
         offsets = np.cumsum([0, *[0] * leading, *sizes])
-        _, heads, _, grown = chamber._chains(pos, offsets, theta_c)
-        radii = np.sqrt(np.sum(pos * pos, axis=1))
-        gas = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-        absorbed = {atom for chain in grown.values() for atom in chain[1:]}
-        assert heads.tolist() == [i for i in np.lexsort((radii, gas)).tolist() if i not in absorbed]
+        _, heads, lengths, grown = chamber._chains(pos, offsets, theta_c)
+        assert heads.tolist() == sorted(chains)
+        assert [grown.get(h, [h]) for h in heads.tolist()] == [chains[h] for h in sorted(chains)]
+        assert lengths.tolist() == [len(chains[h]) for h in sorted(chains)]
     assert len(np.unique(radii)) == len(radii) // 2
     assert grown and (k == 10.0) == (theta_c <= chamber.WIDE_CONE_ANGLE)
 
@@ -1059,25 +1107,30 @@ def test_select_track_matches_scan_reference(k):
             )
 
 
-def test_isotropy_experiment_keeps_no_gas_per_track():
-    # a track direction is a row view of its gas's (n_atoms, 3) directions;
-    # keeping the views would hold 24 bytes per atom of every configuration
+def test_isotropy_experiment_keeps_no_gas_per_track(monkeypatch):
+    # a track direction is a row view of its chunk's (n_atoms, 3) directions;
+    # keeping the views would hold 24 bytes per atom of every configuration.
+    # Traced from the second chunk to the end of the run, when the arrays of
+    # the last chunk are still alive
     density = 1e-3
     mean_atoms = density * 4.0 * math.pi / 3.0 * (40.0**3 - 12.0**3)
-    held = []
+    sampled, held, configs = chamber._sampled_chunks, [], []
 
-    def factory(i):
-        if i == 50:
-            tracemalloc.start()
-        elif i == 99:
-            held.append(tracemalloc.get_traced_memory()[0])
-        return sample_gas(density, 12.0, 40.0, SPECIES, RngStream(63, 1 + i))
+    def chunks(*args):
+        for number, (atoms, offsets) in enumerate(sampled(*args)):
+            if number == 1:
+                tracemalloc.start()
+            configs.append(len(offsets) - 1)
+            yield atoms, offsets
+        held.append(tracemalloc.get_traced_memory()[0])
 
+    monkeypatch.setattr(chamber, "_sampled_chunks", chunks)
     try:
-        isotropy_experiment(100, 0.0, 12.0, 40.0, SPECIES, CTX, RngStream(63, 0), config_factory=factory)
+        isotropy_experiment(600, density, 12.0, 40.0, SPECIES, CTX, RngStream(63, 0))
     finally:
         tracemalloc.stop()
-    assert held[0] / 49 < 0.5 * 24 * mean_atoms
+    assert len(configs) > 30
+    assert held[0] / sum(configs[1:]) < 0.5 * 24 * mean_atoms
 
 
 def test_isotropy_experiment_requires_enough_configs():

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -298,10 +297,8 @@ def test_track_without_forward_cone_is_config_error(tmp_path, capsys):
     assert main([track_config(tmp_path, k=0.4), "--out-dir", str(out)]) == 2
     assert "no forward cone: k*s = 0.4 too small" in capsys.readouterr().err
     assert not any(out.iterdir())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main([track_config(tmp_path, k=1.5), "--out-dir", str(out)]) == 0
-    assert [str(w.message).startswith("wide-cone regime") for w in caught] == [True]
+    assert main([track_config(tmp_path, k=1.5), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == "mottbox: warning: wide-cone regime: half-angle 0.680 rad exceeds 0.524\n"
 
 
 @pytest.mark.parametrize("experiment", ["track", "isotropy"])
@@ -888,6 +885,31 @@ def test_obstacle_render_at_1024_stays_under_its_memory_bound(tmp_path):
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert int(result.stdout.splitlines()[-1]) / 1024 < 80.0
+
+
+# SHA-256 of the outputs of the README track and isotropy configs at k = 1.9,
+# a cone wider than pi/6, taken while the warning was still a raw UserWarning
+WIDE_CONE_SHA256 = {
+    "track": {"gas.json": "93f35bdea628ccb05ce0441791b4043cb03111bd9fe9e7888e96ba09f68111b9",
+              "track.csv": "29155e01a9a2c718f182e25fa2952b539616852dcf5be6fd49234cf9a52406f4"},
+    "isotropy": {"isotropy.csv": "640754a955fca7df6b4c38edd99e7b7aab63eb68ea142eb11776b1e87aa0601c",
+                 "tracks.csv": "edd92caa5603667a01c9dcc7b4d9c7cb7fe349730a489d604436ac44b4aef58f"},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(WIDE_CONE_SHA256))
+def test_wide_cone_warning_is_one_cli_line_and_outputs_keep_their_bytes(tmp_path, experiment):
+    # in a fresh process, with Python's own warning filters
+    config = write_config(tmp_path, "config.json", {**README_CONFIGS[experiment], "k": 1.9})
+    src = str(Path(mottbox.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    result = subprocess.run([sys.executable, "-m", "mottbox", config, "--out-dir", str(out)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "mottbox: warning: wide-cone regime: half-angle 0.533 rad exceeds 0.524\n"
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert hashes == WIDE_CONE_SHA256[experiment]
 
 
 def test_module_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,39 @@ def test_normalization_c2_atoms_raises_what_the_first_failing_obstacle_raises():
         with pytest.raises(ValueError) as exc:
             mott.normalization_c2_atoms(ctx, np.array(atoms))
         assert str(exc.value) == message
+
+
+def test_normalization_c2_atoms_of_many_atoms_bit_equal_and_in_small_memory():
+    # 5 * 10^3 atoms of three widths and two couplings, whose quadrature runs
+    # in row blocks: each atom has the bits of its own normalization_c2, and
+    # the traced peak stays far below one (5000, 2, 128) node array (10 MB)
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    rng = np.random.default_rng(31)
+    n = 5000
+    radii = 14.0 + 26.0 * rng.random(n)
+    atoms = mott._records(radii[:, None] * unit_rows(rng, n), rng.choice([0.4, 1.0, 1.3], n),
+                          rng.choice([0.0, 0.5], n), 0.5, 0.01)
+    tracemalloc.start()
+    try:
+        c2 = mott.normalization_c2_atoms(ctx, atoms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert c2.tobytes() == np.array([normalization_c2(ctx, a) for a in atoms]).tobytes()
+    # the first failing atom, in a later block, raises its own message
+    bad = atoms.copy()
+    bad["position"][[4321, 4700]], bad["width"][[4321, 4700]] = [0.0, 0.0, 20.0], 0.4
+    bad["g1"][[4321, 4700]] = 1e157, 1e200  # the first overflows at a later node
+    messages = []
+    for i in (4321, 4700):
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            normalization_c2(ctx, bad[i])
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(ValueError) as exc:
+        mott.normalization_c2_atoms(ctx, bad)
+    assert str(exc.value) == messages[0]
 
 
 def test_intensity_integrals_overflow_raises():
