@@ -149,14 +149,26 @@ def atom(position, width: float, g0: float, g1: float, delta_e: float = 0.0) -> 
     return records[0]
 
 
-def transferred_momentum(k: float, theta: float) -> float:
-    """Momentum transfer q = 2 k sin(theta/2) for elastic scattering at angle theta."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"scattering angle must lie in [0, pi], got {theta}")
-    return 2.0 * k * math.sin(0.5 * theta)
+def transferred_momentum(k: float, theta):
+    """Momentum transfer q = 2 k sin(theta/2) at one angle in [0, pi] (a float) or an array of them.
+
+    Each element is the scalar math.sin formula, so its bits do not depend on the array.
+    """
+    t = np.asarray(theta, dtype=float)
+    bad = ~((t >= 0.0) & (t <= math.pi))  # NaN included
+    if bad.any():
+        raise ValueError(f"scattering angle must lie in [0, pi], got {float(t[bad][0])}")
+    q = np.reshape([2.0 * k * math.sin(0.5 * x) for x in t.ravel().tolist()], t.shape)
+    return q if t.ndim else float(q)
 
 
-def angular_amplitude(ctx: ScatteringContext, atom: np.void, channel: int, theta: float) -> complex:
+def _envelope(k: float, s: float, theta):
+    # exp(-q^2 s^2 / 2) by math.exp element by element: the bits of angular_amplitude and the |C|^2 nodes
+    q = transferred_momentum(k, theta)
+    return np.reshape([math.exp(-0.5 * x * x * s * s) for x in np.ravel(q).tolist()], np.shape(q))
+
+
+def angular_amplitude(ctx: ScatteringContext, atom: np.void, channel: int, theta):
     """Amplitude I_j(theta) of the wave scattered once by the ATOM_DTYPE record ``atom``.
 
     The scattered wave is (e^{ik|R-a|} / |R-a|) I_j(theta), with theta
@@ -167,16 +179,16 @@ def angular_amplitude(ctx: ScatteringContext, atom: np.void, channel: int, theta
 
     with q = 2 k sin(theta/2).  The inelastic channel uses the same q since
     the excitation energy is negligible against the projectile energy; its
-    distinct velocity only enters the flux bookkeeping.
+    distinct velocity only enters the flux bookkeeping.  One angle gives a
+    complex, an array of angles a complex array of the same bits.
     """
     if channel not in (0, 1):
         raise ValueError(f"channel must be 0 (elastic) or 1 (inelastic), got {channel}")
     position, s, g0, g1, _ = atom.tolist()
-    g = g1 if channel else g0
     a = norm(position)
-    q = transferred_momentum(ctx.k, theta)
-    ft = g * (2.0 * math.pi) ** 1.5 * s**3 * math.exp(-0.5 * q * q * s * s)
-    return complex(np.exp(1j * ctx.k * a) / a * ft / (2.0 * math.pi))
+    ft = (g1 if channel else g0) * (2.0 * math.pi) ** 1.5 * s**3 * _envelope(ctx.k, s, theta)
+    amplitude = np.exp(1j * ctx.k * a) / a * ft / (2.0 * math.pi)
+    return amplitude if amplitude.ndim else complex(amplitude)
 
 
 def flux_free(ctx: ScatteringContext) -> float:
@@ -191,15 +203,12 @@ _QUAD_NODES = 128
 
 @functools.lru_cache(maxsize=64)
 def _node_factors(k: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # the Gauss-Legendre rule on [0, pi] with sin(theta) and the envelope
-    # exp(-q^2 s^2 / 2) at each node, by the scalar math calls so every
-    # factor has the bits of the per-node integrand
+    # the Gauss-Legendre rule on [0, pi], sin(theta) and angular_amplitude's envelope at each node
     x, w = gauss_legendre(_QUAD_NODES)
     half = 0.5 * math.pi
     thetas = half + half * x
     sin_t = np.array([math.sin(t) for t in thetas.tolist()])
-    q = [2.0 * k * math.sin(0.5 * t) for t in thetas.tolist()]
-    envelope = np.array([math.exp(-0.5 * qi * qi * s * s) for qi in q])
+    envelope = _envelope(k, s, thetas)
     for table in (thetas, sin_t, envelope):
         table.setflags(write=False)
     return thetas, w, sin_t, envelope
@@ -207,10 +216,10 @@ def _node_factors(k: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _intensity_rows(k: float, a, s, g0, g1) -> tuple[np.ndarray, np.ndarray]:
     # int_0^pi sin(theta) |I_g(theta)|^2 dtheta of both channels for arrays
-    # of atoms, 0 where the coupling is 0.  Each node value is rounded as the
-    # per-node formula of angular_amplitude's envelope rounds it, and the
-    # cumulative sum along the nodes adds them one by one, in the order of a
-    # scalar loop, so a row's bits do not depend on the other rows.  The
+    # of atoms, 0 where the coupling is 0.  The envelope at each node is
+    # angular_amplitude's (one _envelope call per width), and the cumulative
+    # sum along the nodes adds them one by one, in the order of a scalar
+    # loop, so a row's bits do not depend on the other rows.  The
     # first non-finite integrand in the order (atom, channel g0 then g1,
     # node) raises.
     a, s = np.asarray(a, dtype=float), np.asarray(s, dtype=float)
@@ -319,9 +328,9 @@ def wave_field(ctx: ScatteringContext, atom: np.void | None, points) -> np.ndarr
             d = np.sqrt(dot(rel, rel))
             singular |= d < SINGULAR_RADIUS
             theta = np.arccos(np.clip(dot(rel / d[..., None], unit(atom["position"])), -1.0, 1.0))
-            # I_0(theta) of angular_amplitude in array form.  angular_amplitude
-            # stays scalar: array np.exp differs from math.exp in the last
-            # bit, which would move 7 of the 181 rows of the README angular.csv
+            # I_0(theta) of angular_amplitude, but by numpy's sin and exp: _envelope's math
+            # calls would move 74 grid.csv pixels of the README render by an ulp and take its
+            # sampling from 22 to 57 ms (field.ppm keeps its bytes either way)
             q = 2.0 * k * np.sin(0.5 * theta)
             a, s = norm(atom["position"]), float(atom["width"])
             ft = float(atom["g0"]) * (2.0 * math.pi) ** 1.5 * s**3 * np.exp(-0.5 * q * q * s * s)

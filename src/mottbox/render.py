@@ -73,6 +73,12 @@ class PlaneSpec:
             raise ValueError(
                 f"resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {self.resolution}"
             )
+        # the offsets and sample_plane's sums are monotone, so finite corners mean finite points
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = self.offsets()[[0, -1]]
+            corners = origin + ends[:, None, None] * self.u_axis + ends[:, None] * self.v_axis
+        if not np.isfinite(corners).all():
+            raise ValueError(f"half_extent {self.half_extent} overflows the lattice about origin {origin}")
 
     def offsets(self) -> np.ndarray:
         i = np.arange(self.resolution, dtype=float)

@@ -46,6 +46,18 @@ def wave_field_scalar(ctx, record, point) -> complex:
     return math.sqrt(normalization_c2(ctx, record)) * (free + scattered)
 
 
+def angular_amplitude_scalar(k, a, s, g, theta) -> complex:
+    """I_j(theta) at one angle, by math.sin and math.exp as the scalar code had it.
+
+    (e^{ika} / a) g (2pi)^{3/2} s^3 exp(-q^2 s^2 / 2) / (2pi) with
+    q = 2 k sin(theta/2), every operation on Python floats or numpy scalars
+    in the order of that code.
+    """
+    q = 2.0 * k * math.sin(0.5 * theta)
+    ft = g * (2.0 * math.pi) ** 1.5 * s**3 * math.exp(-0.5 * q * q * s * s)
+    return complex(np.exp(1j * k * a) / a * ft / (2.0 * math.pi))
+
+
 def form_factor(record, channel: int, r) -> float:
     """Coupling matrix element g_j exp(-|r|^2 / (2 s^2)) of the Born volume integral.
 

@@ -232,6 +232,31 @@ def test_second_order_amplitude_requires_outward_order():
         second_order_amplitude(CTX, atom_a, atom_b)
 
 
+# (k, delta_e, atom a, atom b as (position, width, g0, g1)) and the bits of
+# their second-order amplitude, taken before angular_amplitude took arrays
+SECOND_ORDER_BITS = [
+    (10.0, 0.01, ([0.0, 0.0, 12.0], 1.0, 0.5, 0.5), ([0.0, 0.0, 32.0], 1.0, 0.5, 0.5),
+     "0x1.83a0ce3a7285dp-8", "-0x1.6f4c9a3a2cdb7p-9"),
+    (10.0, 0.01, ([0.0, 0.0, 12.0], 1.0, 0.5, 0.5),
+     ([20.0 * math.sin(0.05), 0.0, 12.0 + 20.0 * math.cos(0.05)], 1.0, 0.5, 0.5),
+     "0x1.5616ec870e508p-8", "-0x1.44261c77a9cdep-9"),
+    (10.0, 0.01, ([3.0, -4.0, 12.0], 1.0, 0.5, 0.7), ([5.0, -7.0, 30.0], 1.2, 0.2, 0.9),
+     "0x1.bf026008c0451p-9", "-0x1.2737227fb57c3p-9"),
+    (1.9, 0.0, ([0.0, 12.0, 0.0], 1.0, 0.1, 2.0), ([2.0, 25.0, 1.0], 1.0, 0.1, 1.5),
+     "-0x1.56393c9043ae5p-4", "-0x1.37bf8ed147df6p-4"),
+    (55.0, 0.5, ([7.0, 8.0, 9.0], 1.0, 0.3, 0.4), ([14.0, 16.1, 18.0], 1.0, 0.3, 0.4),
+     "-0x1.78c4cbac2f2bcp-9", "0x1.041196ec43511p-8"),
+]
+
+
+@pytest.mark.parametrize("k, delta_e, a, b, real, imag", SECOND_ORDER_BITS)
+def test_second_order_amplitude_keeps_its_bits(k, delta_e, a, b, real, imag):
+    ctx = ScatteringContext.from_wavenumber(k, delta_e)
+    got = second_order_amplitude(ctx, atom(*a, delta_e=delta_e), atom(*b, delta_e=delta_e))
+    assert type(got) is complex
+    assert (got.real.hex(), got.imag.hex()) == (real, imag)
+
+
 def test_build_chains_empty():
     gas = GasConfiguration(atoms=(), chamber_radius=40.0, inner_radius=12.0, seed=0)
     assert build_chains(gas, CTX, 0.1) == []

@@ -232,6 +232,17 @@ def test_readme_outputs_keep_their_bytes(tmp_path, capsys, experiment, seed):
     assert hashes == OUTPUT_SHA256[experiment, seed]
 
 
+# the README scatter at 10^5 angles, taken when angular.csv was written one scalar angle at a time
+SCATTER_1E5_SHA256 = "4b063b57083bd7804e71cd136a0f8611da985e79e9d35fa43b09891235c58df8"
+
+
+def test_readme_scatter_at_1e5_angles_keeps_its_bytes(tmp_path, capsys):
+    config = write_config(tmp_path, "scatter.json", {**README_CONFIGS["scatter"], "n_theta": 100_000})
+    assert main([config, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("|C|^2=0.999921 ")
+    assert hashlib.sha256((tmp_path / "angular.csv").read_bytes()).hexdigest() == SCATTER_1E5_SHA256
+
+
 MIXED_WIDTH_GAS = {
     "seed": 3, "stream_id": 0, "inner_radius": 60.0, "chamber_radius": 100.0,
     "atoms": [{"x": 0.0, "y": 0.0, "z": 70.0, "s": 1.0, "g0": 0.5, "g1": 0.5},
@@ -563,8 +574,23 @@ def _output_slot(base, key):
     return relative
 
 
+def _wide_render():
+    payload = _small_render()
+    payload["plane"]["half_extent"] = 5e307  # 2 * half_extent * 15, in the last offset, overflows
+    return payload
+
+
+def _wide_finite_render():
+    payload = _small_render()
+    payload["plane"]["half_extent"] = 5e306  # every offset finite; an origin near 1.8e308 overflows
+    return payload
+
+
 _scatter_with = _slot(_scatter, "position")
 _render_with_origin = _slot(_small_render, "plane.origin")
+_render_with_half_extent = _slot(_small_render, "plane.half_extent")
+_wide_render_with_origin = _slot(_wide_render, "plane.origin")
+_wide_finite_render_with_origin = _slot(_wide_finite_render, "plane.origin")
 _render_with_obstacle_at = _slot(_small_render, "obstacle.position")
 
 
@@ -593,7 +619,7 @@ VALUE_SLOTS = [
     _slot(_track, "seed"),
     _slot(_isotropy, "n_configs", inner_radius=5.0),  # inner_radius < 10 * width: no gas is drawn
     _slot(_small_render, "modulus_scale"),
-    _slot(_small_render, "plane.half_extent"),
+    _render_with_half_extent,
     _slot(_render_with_parallel_axes, "plane.resolution"),
     _output_slot(_bell, "output"),
     _output_slot(_track, "output"),
@@ -630,6 +656,9 @@ vector_values = st.lists(json_scalars, min_size=3, max_size=3) | json_values
 @example(_render_with_obstacle_at, [1e308, 1e308, 0.0])
 @example(_render_with_origin, [1e308, 1e308, 0.0])
 @example(_scatter_with, [10**400, 0, 0])
+@example(_render_with_half_extent, 5.992310449541053e+306)
+@example(_wide_render_with_origin, [1.7e308, 0.0, 0.0])
+@example(_wide_finite_render_with_origin, [1.79e308, 0.0, 0.0])
 @example(VALUE_SLOTS[0], True)
 @example(VALUE_SLOTS[-1], "\x00")
 def test_malformed_vectors_exit_2(build, value):
@@ -639,6 +668,21 @@ def test_malformed_vectors_exit_2(build, value):
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), "config.json", build(value))
         assert main([config, "--out-dir", tmp]) in (0, 2)
+
+
+@pytest.mark.parametrize("build, value", [
+    (_render_with_half_extent, 5.992310449541053e+306),
+    (_wide_render_with_origin, [1.7e308, 0.0, 0.0]),
+    (_wide_render_with_origin, [0.0, 0.0, 0.0]),
+    (_wide_finite_render_with_origin, [1.79e308, 0.0, 0.0]),
+    (_wide_finite_render_with_origin, [0.0, -1.79e308, 0.0]),
+])
+def test_plane_whose_lattice_overflows_exits_2_before_any_file(tmp_path, capsys, build, value):
+    config = write_config(tmp_path, "config.json", build(value))
+    out = tmp_path / "out"
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert "overflows the lattice" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["10", True, None, [True, 0, 12], ["1", "0", "0"]])

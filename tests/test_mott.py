@@ -19,7 +19,14 @@ from mottbox.mott import (
     wave_field,
 )
 from mottbox.numerics import norm, unit
-from oracles import flux_free_numeric, form_factor, intensity_integrals_scalar, quad_3d, wave_field_scalar
+from oracles import (
+    angular_amplitude_scalar,
+    flux_free_numeric,
+    form_factor,
+    intensity_integrals_scalar,
+    quad_3d,
+    wave_field_scalar,
+)
 
 # frozen before the build from an independent 1024-node quadrature of the
 # closed-form angular intensity (a=10, s=1, k=10, g0=g1=0.5, delta_e=0.01)
@@ -161,6 +168,64 @@ def test_transferred_momentum():
         transferred_momentum(5.0, -0.1)
     with pytest.raises(ValueError):
         transferred_momentum(5.0, 3.5)
+    with pytest.raises(ValueError, match="got nan$"):
+        transferred_momentum(5.0, math.nan)
+
+
+def test_transferred_momentum_over_an_array_is_the_scalar_formula_per_angle():
+    thetas = np.linspace(0.0, math.pi, 1001).reshape(7, 143)
+    q = transferred_momentum(3.0, thetas)
+    assert q.shape == thetas.shape
+    want = [2.0 * 3.0 * math.sin(0.5 * t) for t in thetas.ravel().tolist()]
+    assert q.ravel().tolist() == want
+    assert type(transferred_momentum(3.0, np.float64(0.25))) is float
+    assert type(transferred_momentum(3.0, np.array(0.25))) is float
+
+
+@pytest.mark.parametrize("thetas, bad", [
+    ([0.1, math.nan, -1.0], "nan"),
+    ([0.1, 2.0, 4.0, -1.0], "4.0"),
+    ([math.pi, math.nextafter(math.pi, 4.0)], repr(math.nextafter(math.pi, 4.0))),
+    ([0.0, -5e-324], "-5e-324"),
+    ([[0.5, 0.5], [math.inf, 0.5]], "inf"),
+])
+def test_transferred_momentum_over_an_array_names_the_first_bad_angle(thetas, bad):
+    with pytest.raises(ValueError, match=f"must lie in \\[0, pi\\], got {bad}$"):
+        transferred_momentum(10.0, np.array(thetas))
+
+
+# (k, s, g0, g1, delta_e, a): k s = 1.9 (wide cone), 10 (the README), 55 and 0.3
+AMPLITUDE_CASES = [
+    (1.9, 1.0, 0.5, 0.5, 0.01, 10.0),
+    (10.0, 1.0, 0.5, 0.5, 0.01, 10.0),
+    (55.0, 1.0, 0.3, 0.0, 0.5, 23.7),
+    (0.6, 0.5, 2.0, 1e-3, 0.0, 7.25),
+    (27.5, 2.0, 1e-3, 40.0, 1.0, 61.0),
+]
+
+
+@pytest.mark.parametrize("k, s, g0, g1, delta_e, a", AMPLITUDE_CASES)
+def test_angular_amplitude_over_many_angles_bit_equal_to_scalar_formula(k, s, g0, g1, delta_e, a):
+    ctx = ScatteringContext.from_wavenumber(k, delta_e)
+    ob = make_obstacle(a=a, s=s, g0=g0, g1=g1, delta_e=delta_e, axis=[1.0, -2.0, 2.0])
+    a = norm(ob["position"])
+    thetas = np.linspace(0.0, math.pi, 100_000)  # 0 and pi included
+    for channel, g in enumerate((g0, g1)):
+        got = angular_amplitude(ctx, ob, channel, thetas)
+        assert got.dtype == complex and got.shape == thetas.shape
+        want = np.array([angular_amplitude_scalar(k, a, s, g, t) for t in thetas.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_angular_amplitude_of_one_angle_is_element_zero_of_the_array():
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    ob = make_obstacle()
+    for theta in (0.0, 0.3, math.pi):
+        whole = angular_amplitude(ctx, ob, 1, np.array([theta, 1.0]))
+        for one in (theta, np.float64(theta), np.array(theta)):
+            got = angular_amplitude(ctx, ob, 1, one)
+            assert type(got) is complex
+            assert np.array([got]).tobytes() == whole[:1].tobytes()
 
 
 def test_forward_amplitude_modulus():

@@ -72,6 +72,34 @@ def test_plane_spec_validation():
         )
 
 
+@pytest.mark.parametrize("origin, half_extent", [
+    ([0.0, 0.0, 0.0], 5.992310449541053e+306),  # 2 * half_extent * 15 overflows
+    ([0.0, 0.0, 0.0], 1e308),  # 2 * half_extent overflows: the first offset is NaN
+    ([1.7e308, 0.0, 0.0], 5e307),
+    ([1.79e308, 0.0, 0.0], 5e306),  # every offset finite, origin + offset overflows
+    ([0.0, 0.0, -1.79e308], 5e306),  # along v, at the last offset
+    ([0.0, 1.7e308, 0.0], 2e307),
+])
+def test_plane_whose_lattice_overflows_is_rejected(origin, half_extent):
+    plane = dict(origin=origin, u_axis=[1.0, 0.0, 0.0], v_axis=[0.0, 0.6, -0.8],
+                 half_extent=half_extent, resolution=16)
+    with pytest.raises(ValueError, match="overflows the lattice"):
+        PlaneSpec(**plane)
+
+
+@pytest.mark.parametrize("origin, half_extent", [
+    ([0.0, 0.0, 0.0], 5.9e306),
+    ([1.7e308, 0.0, 0.0], 5e306),
+    ([0.0, 1.7e308, -1.7e308], 1e306),
+])
+def test_plane_near_the_float_limit_samples_finite_points(origin, half_extent):
+    plane = PlaneSpec(origin=origin, u_axis=[1.0, 0.0, 0.0], v_axis=[0.0, 0.6, -0.8],
+                      half_extent=half_extent, resolution=16)
+    points = []
+    sample_plane(lambda p: points.append(p) or np.zeros(p.shape[:-1]), plane)
+    assert np.isfinite(np.concatenate(points)).all()
+
+
 def test_plane_offsets_lattice():
     plane = xy_plane(half_extent=8.0, resolution=16)
     offs = plane.offsets()
