@@ -226,16 +226,14 @@ def _run_render(config: dict, paths: dict[str, Path]) -> str:
         atom = _domain(mott.atom, _vector(ob, "position"), **_species(ob, delta_e=ctx.delta_e))
         _domain(mott.quadrature_convergence_check, ctx, atom["width"], atom["g0"], atom["g1"])
         _domain(mott.normalization_c2, ctx, atom)  # couplings whose intensity overflows raise
-    grid = render.sample_plane(lambda p: mott.wave_field(ctx, atom, p), plane)
-    image = render.colorize(grid, scale)
+    # grid.csv, when asked for, is written block by block while the plane is sampled
+    image = render.render_plane(lambda p: mott.wave_field(ctx, atom, p), plane, scale, paths.get("grid_csv"))
     render.write_ppm(image, paths["output"])
-    if "grid_csv" in paths:
-        render.write_grid_csv(grid, plane, paths["grid_csv"])
     return f"render wrote {paths['output'].name} {image.width}x{image.height}"
 
 
 # each experiment's runner and its output keys with their default file
-# names, in the order the files are written; None: written only when given
+# names, in the order they are checked; None: written only when given
 _EXPERIMENTS = {
     "bell": (_run_bell, {"output": "bell.csv"}),
     "scatter": (_run_scatter, {"output": "angular.csv"}),

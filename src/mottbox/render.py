@@ -9,6 +9,7 @@ factor and adds a bright forward beam behind the atom.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ __all__ = [
     "PlaneSpec",
     "FieldImage",
     "sample_plane",
+    "render_plane",
     "check_modulus_scale",
     "colorize",
     "write_ppm",
@@ -31,7 +33,7 @@ logger = logging.getLogger(__name__)
 ORTHOGONALITY_TOL = 1e-10
 MIN_RESOLUTION = 16
 MAX_RESOLUTION = 2048
-# pixels per block of whole rows in sample_plane and colorize: temporaries stay in cache
+# pixels per block of whole rows in sampling, colouring and grid.csv: temporaries stay in cache
 BLOCK_PIXELS = 8192
 # which levels (0, value, value * (1 - f), value * f) feed r, g, b in each sixth of the hue circle
 _SECTOR_LEVELS = np.array([[1, 3, 0], [2, 1, 0], [0, 1, 3], [0, 2, 1], [3, 0, 1], [1, 0, 2]])
@@ -47,9 +49,11 @@ class PlaneSpec:
     col c) of the rendered image maps to origin + u_axis*offset[c] +
     v_axis*offset[r].
 
-    The resolution lies in [MIN_RESOLUTION, MAX_RESOLUTION].  At its peak a
-    render holds about 22 bytes of numpy arrays per pixel (traced at 1024^2
-    and 2048^2), so the largest accepted render needs about 89 MiB.
+    The resolution lies in [MIN_RESOLUTION, MAX_RESOLUTION].  At its peak
+    :func:`render_plane` holds the image, 3 bytes a pixel, plus under 2 MiB of
+    block arrays and grid.csv text (traced at 384^2 to 2048^2), so the largest
+    accepted render needs about 14 MiB; a :func:`sample_plane` grid adds 16
+    bytes a pixel.
     """
 
     origin: np.ndarray
@@ -87,11 +91,11 @@ class PlaneSpec:
 
 @dataclass(frozen=True, eq=False)
 class FieldImage:
-    """RGB image as raw row-major byte triples."""
+    """RGB image as raw row-major byte triples; a render fills a bytearray ``rgb`` in place."""
 
     width: int
     height: int
-    rgb: bytes
+    rgb: bytes | bytearray
 
     def __post_init__(self):
         if len(self.rgb) != 3 * self.width * self.height:
@@ -106,6 +110,34 @@ def _row_blocks(n_rows: int, row_length: int):
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
+def _masked(z: np.ndarray):
+    # z with its non-finite values set to zero, and the indices of those values in order
+    bad = ~np.isfinite(z)
+    if not bad.any():
+        return z, ()
+    return np.where(bad, 0.0, z), np.argwhere(bad)
+
+
+def _sampled_blocks(field, plane: PlaneSpec):
+    # (rows, values) for each block of whole lattice rows, in order, with the
+    # non-finite values set to zero; the masked pixels are logged after the last block
+    offs = plane.offsets()
+    # the same two additions per point as origin + du*u + dv*v, so bit-equal
+    base = plane.origin + offs[:, None] * plane.u_axis
+    count, first = 0, []
+    for rows in _row_blocks(plane.resolution, plane.resolution):
+        points = base[rows, None, :] + offs[:, None] * plane.v_axis
+        values = np.asarray(field(points), dtype=complex)
+        if values.shape != points.shape[:-1]:
+            raise ValueError(f"field returned shape {values.shape}, expected {points.shape[:-1]}")
+        values, bad = _masked(values)
+        count += len(bad)
+        first += [(rows.start + int(i), int(j)) for i, j in bad[:8 - len(first)]]
+        yield rows, values
+    if count:
+        logger.info("masked %d singular pixel(s), first few: %s", count, first)
+
+
 def sample_plane(field, plane: PlaneSpec) -> np.ndarray:
     """Complex field values on the plane lattice, indexed grid[col, row].
 
@@ -116,20 +148,9 @@ def sample_plane(field, plane: PlaneSpec) -> np.ndarray:
     plane) are set to zero, so those pixels render black, and their indices
     are logged.
     """
-    offs = plane.offsets()
-    # the same two additions per point as origin + du*u + dv*v, so bit-equal
-    base = plane.origin + offs[:, None] * plane.u_axis
     grid = np.empty((plane.resolution,) * 2, dtype=complex)
-    for rows in _row_blocks(*grid.shape):
-        values = np.asarray(field(base[rows, None, :] + offs[:, None] * plane.v_axis), dtype=complex)
-        if values.shape != grid[rows].shape:
-            raise ValueError(f"field returned shape {values.shape}, expected {grid[rows].shape}")
+    for rows, values in _sampled_blocks(field, plane):
         grid[rows] = values
-    masked = ~np.isfinite(grid)
-    if masked.any():
-        grid[masked] = 0.0
-        first = [tuple(map(int, ij)) for ij in np.argwhere(masked)[:8]]
-        logger.info("masked %d singular pixel(s), first few: %s", int(masked.sum()), first)
     return grid
 
 
@@ -140,22 +161,15 @@ def check_modulus_scale(modulus_scale: float) -> float:
     return modulus_scale
 
 
-def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
-    """Domain-colour a sampled grid; grid columns become image rows.
-
-    Hue encodes the phase (0 degrees at phase 0, increasing linearly around
-    the circle); brightness is the modulus clipped at ``modulus_scale``;
-    saturation is fixed at 1.  Zero and non-finite values map to black.  A
-    channel at level x in [0, 1] of the HSV->RGB map is the byte
-    floor(x * 255 + 0.5).
-    """
+def _canvas(width: int, height: int, modulus_scale: float):
+    # a black image and paint(rows, z), which colours the finite grid rows z into
+    # image columns rows (grid[i, j] -> pixel row j, col i)
     check_modulus_scale(modulus_scale)
-    w, h = grid.shape
-    image = np.empty((h, w, 3), dtype=np.uint8)  # grid[i, j] -> pixel row j, col i
-    lanes = np.arange(3 * max(BLOCK_PIXELS, h)) // 3 * 4  # 4 p for each channel of block pixel p
-    for rows in _row_blocks(w, h):
-        z = grid[rows]
-        z = np.where(np.isfinite(z), z, 0.0)  # as sample_plane masks them
+    image = FieldImage(width=width, height=height, rgb=bytearray(3 * width * height))
+    pixels = np.frombuffer(image.rgb, dtype=np.uint8).reshape(height, width, 3)
+    lanes = np.arange(3 * max(BLOCK_PIXELS, height)) // 3 * 4  # 4 p for each channel of block pixel p
+
+    def paint(rows: slice, z: np.ndarray) -> None:
         with np.errstate(over="ignore"):  # a modulus that overflows is far above the scale: value 1
             value = np.minimum(1.0, np.abs(z) / modulus_scale)
         hue = np.angle(z) / (2.0 * np.pi)
@@ -168,8 +182,58 @@ def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
         # h6 is 6.0 where hue % 1.0 rounds up to a whole turn: sector 6 is sector 0
         picks = np.take(_SECTOR_LEVELS, sector.astype(np.intp) % 6, axis=0).ravel()
         picks += lanes[:picks.size]
-        image[:, rows] = levels.ravel()[picks].reshape(z.shape + (3,)).transpose(1, 0, 2)
-    return FieldImage(width=w, height=h, rgb=image.tobytes())
+        pixels[:, rows] = levels.ravel()[picks].reshape(z.shape + (3,)).transpose(1, 0, 2)
+
+    return image, paint
+
+
+def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
+    """Domain-colour a sampled grid; grid columns become image rows.
+
+    Hue encodes the phase (0 degrees at phase 0, increasing linearly around
+    the circle); brightness is the modulus clipped at ``modulus_scale``;
+    saturation is fixed at 1.  Zero and non-finite values map to black.  A
+    channel at level x in [0, 1] of the HSV->RGB map is the byte
+    floor(x * 255 + 0.5).
+    """
+    image, paint = _canvas(*grid.shape, modulus_scale)
+    for rows in _row_blocks(*grid.shape):
+        paint(rows, _masked(grid[rows])[0])  # as sample_plane masks them
+    return image
+
+
+@contextlib.contextmanager
+def _grid_csv(plane: PlaneSpec, path):
+    # write(rows, z) appends the ``u,v,re,im`` lines of grid rows z to the CSV at
+    # path, after its header; with no path it writes nothing
+    if path is None:
+        yield lambda rows, z: None
+        return
+    labels = list(map(repr, plane.offsets().tolist()))  # each lattice offset formatted once
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("u,v,re,im\n")
+
+        def write(rows: slice, z: np.ndarray) -> None:
+            for u, re, im in zip(labels[rows], z.real.tolist(), z.imag.tolist()):
+                fh.write("".join([f"{u},{v},{r!r},{m!r}\n" for v, r, m in zip(labels, re, im)]))
+
+        yield write
+
+
+def render_plane(field, plane: PlaneSpec, modulus_scale: float, grid_csv=None) -> FieldImage:
+    """Sample ``field`` on ``plane`` and colour it, one block of lattice rows at a time.
+
+    The image is colorize(sample_plane(field, plane), modulus_scale), and
+    ``grid_csv``, when given, receives the bytes write_grid_csv would write
+    for that grid; but each block is coloured and written as it is sampled,
+    so the image is the only array the size of the plane.
+    """
+    image, paint = _canvas(plane.resolution, plane.resolution, modulus_scale)
+    with _grid_csv(plane, grid_csv) as write:
+        for rows, values in _sampled_blocks(field, plane):
+            paint(rows, values)
+            write(rows, values)
+    return image
 
 
 def write_ppm(image: FieldImage, path) -> None:
@@ -185,10 +249,6 @@ def write_ppm(image: FieldImage, path) -> None:
 
 def write_grid_csv(grid: np.ndarray, plane: PlaneSpec, path) -> None:
     """Dump the complex grid as CSV rows ``u,v,re,im``."""
-    offs = plane.offsets()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u,v,re,im\n")
-        for i, du in enumerate(offs):
-            for j, dv in enumerate(offs):
-                z = grid[i, j]
-                fh.write(f"{float(du)!r},{float(dv)!r},{float(z.real)!r},{float(z.imag)!r}\n")
+    with _grid_csv(plane, path) as write:
+        for rows in _row_blocks(*grid.shape):
+            write(rows, grid[rows])

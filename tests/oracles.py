@@ -155,7 +155,7 @@ def lattice_points(plane) -> np.ndarray:
 
 
 def render_field(field, plane, modulus_scale: float):
-    """Sample ``field`` on ``plane`` and colorize it, as the render CLI does."""
+    """Sample ``field`` on ``plane``, then colorize the whole grid: the image the render CLI streams."""
     return colorize(sample_plane(field, plane), modulus_scale)
 
 

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,8 @@ from mottbox.render import MAX_RESOLUTION
 GOLDEN_FREE_RENDER_SHA256 = "881d49d7ab127aad7154bc702a48d7a1f8cfb44acd32b42ac3bead5c2ed34666"
 # the README obstacle render at 384^2, frozen before the field path was vectorized
 OBSTACLE_RENDER_SHA256 = "e697248f30d3caa6a353b772a5615f7093762f5c56f19f85c8363af4057a4b3a"
+# its grid.csv, taken while the whole complex grid was held and written pixel by pixel
+OBSTACLE_GRID_CSV_SHA256 = "c991dfb974c13e0b652886223b7e4c5e488c24f9415504f6e4a40e65fecda555"
 
 # the README configs of the CSV-writing experiments, bell at 10^5 trials and
 # isotropy at 200 configurations so that they run in a few seconds
@@ -504,13 +507,64 @@ def render_config(**overrides):
     return payload
 
 
-def test_render_run_with_obstacle(tmp_path, capsys):
+def test_render_run_with_obstacle(tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="mottbox.render")
     config = write_config(tmp_path, "render_atom.json", render_config(grid_csv="grid.csv"))
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256((out / "field.ppm").read_bytes()).hexdigest() == OBSTACLE_RENDER_SHA256
     assert len((out / "grid.csv").read_text().splitlines()) == 1 + 384 * 384
+    assert hashlib.sha256((out / "grid.csv").read_bytes()).hexdigest() == OBSTACLE_GRID_CSV_SHA256
+    # the emitter sits on the lattice; the obstacle centre (offset 12) does not
+    assert [r.getMessage() for r in caplog.records if r.name == "mottbox.render"] == [
+        "masked 1 singular pixel(s), first few: [(192, 192)]"]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+def test_streamed_render_writes_what_the_whole_grid_writers_write(tmp_path, capsys, monkeypatch, block_rows):
+    # the obstacle centre (offset 12 = -20 + 40 * 32 / 40) and the emitter both lie on this lattice
+    payload = render_config(grid_csv="grid.csv")
+    payload["plane"]["resolution"] = 40
+    if block_rows is not None:
+        monkeypatch.setattr(render, "BLOCK_PIXELS", block_rows * 40)
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, "render.json", payload), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    obstacle = mott.atom(np.array([12.0, 0.0, 0.0]), width=1.0, g0=50.0, g1=0.0, delta_e=0.01)
+    plane = render.PlaneSpec(origin=np.zeros(3), u_axis=np.array([1.0, 0.0, 0.0]),
+                             v_axis=np.array([0.0, 1.0, 0.0]), half_extent=20.0, resolution=40)
+    grid = render.sample_plane(lambda p: mott.wave_field(ctx, obstacle, p), plane)
+    assert grid[20, 20] == grid[32, 20] == 0.0
+    render.write_grid_csv(grid, plane, tmp_path / "whole.csv")
+    assert (out / "grid.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    render.write_ppm(render.colorize(grid, 0.08), tmp_path / "whole.ppm")
+    assert (out / "field.ppm").read_bytes() == (tmp_path / "whole.ppm").read_bytes()
+
+
+def test_render_logs_masked_pixels_in_whole_grid_order_across_blocks(tmp_path, capsys, caplog, monkeypatch):
+    # at 200^2 a block is 40 lattice rows, so rows 39 and 40 straddle the first block
+    # boundary; the emitter (100, 100) and the obstacle centre (160, 100) lie in later blocks
+    wave_field = mott.wave_field
+    offs = -20.0 + 40.0 * np.arange(200) / 200
+    rows, cols = offs[[39, 40]], offs[[0, 5, 7, 100, 150]]
+
+    def field_with_holes(ctx, atom, points):
+        values = wave_field(ctx, atom, points)
+        holes = np.isin(points[..., 0], rows) & np.isin(points[..., 1], cols)
+        return np.where(holes, complex("nan+nanj"), values)
+
+    monkeypatch.setattr(mott, "wave_field", field_with_holes)
+    caplog.set_level(logging.INFO, logger="mottbox.render")
+    payload = render_config()
+    payload["plane"]["resolution"] = 200
+    assert render.BLOCK_PIXELS // 200 == 40
+    assert main([write_config(tmp_path, "render.json", payload), "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    first = [(39, 0), (39, 5), (39, 7), (39, 100), (39, 150), (40, 0), (40, 5), (40, 7)]
+    assert [r.getMessage() for r in caplog.records if r.name == "mottbox.render"] == [
+        f"masked 12 singular pixel(s), first few: {first}"]
 
 
 def test_render_resolution_guard(tmp_path, capsys):
@@ -889,6 +943,7 @@ def test_bad_modulus_scale_exits_2_before_the_plane_is_sampled(tmp_path, capsys,
         raise AssertionError("the plane was sampled before modulus_scale was checked")
 
     monkeypatch.setattr(render, "sample_plane", forbidden)
+    monkeypatch.setattr(render, "render_plane", forbidden)
     payload = render_config(modulus_scale=scale)
     payload["plane"]["resolution"] = MAX_RESOLUTION
     config = write_config(tmp_path, "config.json", payload)

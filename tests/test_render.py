@@ -2,6 +2,7 @@ import colorsys
 import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mottbox.render import (
     FieldImage,
     PlaneSpec,
     colorize,
+    render_plane,
     sample_plane,
     write_grid_csv,
     write_ppm,
@@ -415,3 +417,60 @@ def test_write_grid_csv(tmp_path):
     u, v, re, im = (float(x) for x in lines[1].split(","))
     assert (u, v) == (-1.0, -1.0)
     assert re == u and im == v
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_render_plane_is_colorize_of_sample_plane(monkeypatch, caplog, tmp_path, seed):
+    # random planes and couplings, plus the emitter and the obstacle centre on
+    # one lattice, in blocks of one row, a few rows and the default size
+    rng = np.random.default_rng(seed)
+    axes, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    plane = PlaneSpec(origin=rng.uniform(-5.0, 5.0, 3), u_axis=axes[:, 0], v_axis=axes[:, 1],
+                      half_extent=rng.uniform(5.0, 30.0), resolution=int(rng.integers(16, 90)))
+    obstacle = atom(position=rng.uniform(12.0, 30.0) * axes[:, 2], width=rng.uniform(0.5, 1.2),
+                    g0=rng.uniform(0.1, 50.0), g1=rng.uniform(0.0, 5.0))
+    cases = [(plane, obstacle, rng.uniform(0.01, 0.5)),
+             (xy_plane(half_extent=20.0, resolution=50),
+              atom(position=np.array([12.0, 0.0, 0.0]), width=1.0, g0=50.0, g1=0.0), 0.08)]
+    ctx = ScatteringContext.from_wavenumber(rng.uniform(1.0, 10.0))
+    for plane, obstacle, scale in cases:
+        field = lambda p: wave_field(ctx, obstacle, p)
+        for block_rows in (1, 3, None):
+            if block_rows is not None:
+                monkeypatch.setattr(render, "BLOCK_PIXELS", block_rows * plane.resolution)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="mottbox.render"):
+                grid = sample_plane(field, plane)
+                expected_log = caplog.messages
+                caplog.clear()
+                image = render_plane(field, plane, scale, tmp_path / "streamed.csv")
+                assert caplog.messages == expected_log
+            assert (image.width, image.height) == (plane.resolution,) * 2
+            assert image.rgb == colorize(grid, scale).rgb
+            write_grid_csv(grid, plane, tmp_path / "whole.csv")
+            assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+            assert render_plane(field, plane, scale).rgb == image.rgb
+    assert expected_log == ["masked 2 singular pixel(s), first few: [(25, 25), (40, 25)]"]
+
+
+def test_render_plane_holds_no_plane_sized_array_but_the_image():
+    # traced at 1024^2: the image (3 MiB) plus about 1.7 MiB of block arrays;
+    # a complex grid of the plane would add 16 MiB
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    obstacle = atom(position=np.array([12.0, 0.0, 0.0]), width=1.0, g0=50.0, g1=0.0, delta_e=0.01)
+    plane = xy_plane(half_extent=20.0, resolution=1024)
+    tracemalloc.start()
+    try:
+        render_plane(lambda p: wave_field(ctx, obstacle, p), plane, 0.08)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 1024**2 + 3 * 2**20
+
+
+def test_render_plane_checks_the_scale_before_sampling():
+    def forbidden(points):
+        raise AssertionError("sampled before modulus_scale was checked")
+
+    with pytest.raises(ValueError, match="modulus_scale must be positive"):
+        render_plane(forbidden, xy_plane(resolution=16), 0.0)
