@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import dot, gauss_legendre, norm, unit
+from .numerics import dot, norm, unit
 
 __all__ = [
     "ScatteringContext",
@@ -196,22 +196,64 @@ def flux_free(ctx: ScatteringContext) -> float:
     return 4.0 * math.pi * ctx.v_alpha
 
 
-# Gauss-Legendre nodes of the flux integrals; quadrature_convergence_check
-# says for which k s they are exact to 1e-8
-_QUAD_NODES = 128
+# The 128-node Gauss-Legendre rule on [-1, 1] of the flux integrals, stored
+# with the bits numpy's leggauss(128) gives (numpy 2.4.6), so that no run
+# solves an eigenproblem for it.  leggauss makes the two halves exact mirror
+# images: these are the positive nodes in increasing order and their weights.
+# quadrature_convergence_check says for which k s the rule is exact to 1e-8.
+_NODES_POS = np.array([
+    0.012223698960615766, 0.0366637909687335, 0.06108196960413957, 0.0854636405045155,
+    0.10979423112764375, 0.13405919946118777, 0.15824404271422493, 0.18233430598533718,
+    0.2063155909020792, 0.23017356422666, 0.2538939664226943, 0.2774626201779044,
+    0.3008654388776772, 0.32408843502441337, 0.3471177285976355, 0.369939555349859,
+    0.39254027503326744, 0.414906379552275, 0.43702450103710416, 0.4588814198335522,
+    0.48046407240417205, 0.5017595591361445, 0.5227551520511755, 0.5434383024128103,
+    0.5637966482266181, 0.5838180216287631, 0.6034904561585486, 0.6228021939105849,
+    0.6417416925623075, 0.660297632272646, 0.6784589224477192, 0.6962147083695144,
+    0.7135543776835874, 0.7304675667419088, 0.746944166797062, 0.7629743300440948,
+    0.7785484755064119, 0.7936572947621933, 0.8082917575079136, 0.8224431169556439,
+    0.8361029150609068, 0.8492629875779689, 0.8619154689395485, 0.8740527969580318,
+    0.8856677173453972, 0.8967532880491582, 0.9073028834017568, 0.9173101980809605,
+    0.9267692508789478, 0.9356743882779164, 0.9440202878302202, 0.9518019613412644,
+    0.9590147578536999, 0.9656543664319652, 0.9717168187471366, 0.9771984914639074,
+    0.9820961084357185, 0.9864067427245862, 0.9901278184917344, 0.9932571129002129,
+    0.9957927585349812, 0.997733248625514, 0.999077459977376, 0.9998248879471319,
+])
+_WEIGHTS_POS = np.array([
+    0.024446180196262345, 0.024431569097849878, 0.02440235563384944, 0.024358557264690488,
+    0.0243002001679717, 0.024227319222815093, 0.024139957989019144, 0.02403816868102389,
+    0.02392201213670332, 0.02379155778100324, 0.02364688358444749, 0.023488076016535752,
+    0.023315229994062582, 0.0231284488243869, 0.022927844143686663, 0.02271353585023634,
+    0.02248565203274481, 0.02224432889379961, 0.021989710668460342, 0.021721949538051975,
+    0.02144120553920827, 0.021147646468221246, 0.020841447780751005, 0.020522792486960022,
+    0.020191871042129824, 0.0198488812328308, 0.019494028058706498, 0.01912752360995088,
+    0.018749586940544658, 0.018360443937331248, 0.01796032718500865, 0.01754947582711747,
+    0.01712813542311128, 0.016696557801588987, 0.016255000909785, 0.015803728659399094,
+    0.015343010768865193, 0.014873122602147326, 0.01439434500416672, 0.01390696413295181,
+    0.013411271288616303, 0.012907562739267471, 0.012396139543950505, 0.011877307372739933,
+    0.011351376324080608, 0.010818660739502797, 0.010279479015832234, 0.009734153415007031,
+    0.009183009871660687, 0.008626377798616598, 0.00806458989048577, 0.007497981925634543,
+    0.0069268925668985095, 0.006351663161707444, 0.005772637542865853, 0.005190161832676652,
+    0.00460458425670373, 0.00401625498373918, 0.0034255260409105683, 0.002832751471458722,
+    0.0022382884309627396, 0.0016425030186673034, 0.001045812679339503, 0.00044938096029840415,
+])
+_NODES = np.concatenate([-_NODES_POS[::-1], _NODES_POS])
+_WEIGHTS = np.concatenate([_WEIGHTS_POS[::-1], _WEIGHTS_POS])
+_NODES.setflags(write=False)
+_WEIGHTS.setflags(write=False)
+_QUAD_NODES = len(_NODES)
 
 
 @functools.lru_cache(maxsize=64)
 def _node_factors(k: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # the Gauss-Legendre rule on [0, pi], sin(theta) and angular_amplitude's envelope at each node
-    x, w = gauss_legendre(_QUAD_NODES)
     half = 0.5 * math.pi
-    thetas = half + half * x
+    thetas = half + half * _NODES
     sin_t = np.array([math.sin(t) for t in thetas.tolist()])
     envelope = _envelope(k, s, thetas)
     for table in (thetas, sin_t, envelope):
         table.setflags(write=False)
-    return thetas, w, sin_t, envelope
+    return thetas, _WEIGHTS, sin_t, envelope
 
 
 def _intensity_rows(k: float, a, s, g0, g1) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,9 @@
-"""Shared numerical substrate: 3-vectors, one-dimensional Gauss-Legendre
-quadrature, reproducible counter-based random streams and the chi-square
-tail probability."""
+"""Shared numerical substrate: 3-vectors, reproducible counter-based random
+streams, the chi-square tail probability and a generic Gauss-Legendre rule.
+
+The generic rule (``gauss_legendre``, ``quad_1d``) serves the tests and their
+oracles only; the flux integrals of ``mott`` carry their own stored rule, so
+no run loads ``numpy.polynomial`` or solves for nodes."""
 
 from __future__ import annotations
 
@@ -8,7 +11,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, Philox
 
 __all__ = [
@@ -64,9 +66,11 @@ def require_unit(v, tol: float = UNIT_TOL) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by an eigenvalue solve."""
     if n < 2:
         raise ValueError(f"need at least 2 quadrature nodes, got {n}")
+    from numpy.polynomial.legendre import leggauss  # here, so that importing numerics does not load it
+
     x, w = leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)

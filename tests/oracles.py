@@ -375,6 +375,31 @@ def chi2_sf_mpmath(df, x):
         return mpmath.gammainc(a, z, mpmath.inf, regularized=True)
 
 
+def gauss_legendre_mpmath(n, dps=50):
+    """The positive nodes of the n-point Gauss-Legendre rule, increasing, and their weights.
+
+    Newton's method on P_n, evaluated by Bonnet's recurrence at ``dps``
+    digits from the guess cos(pi (i + 3/4) / (n + 1/2)) for root i from the
+    top; the weight of root x is 2 / ((1 - x^2) P_n'(x)^2).  mpmath numbers.
+    """
+    with mpmath.workdps(dps):
+        tol = mpmath.mpf(10) ** (5 - dps)
+        nodes, weights = [], []
+        for i in range(n // 2):
+            x = mpmath.cos(mpmath.pi * (i + mpmath.mpf(3) / 4) / (n + mpmath.mpf(1) / 2))
+            step = 1
+            while abs(step) > tol:
+                p_prev, p = mpmath.mpf(1), x
+                for m in range(2, n + 1):
+                    p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+                slope = n * (x * p - p_prev) / (x * x - 1)
+                step = p / slope
+                x -= step
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * slope * slope))
+        return nodes[::-1], weights[::-1]
+
+
 def ulps_from(got, want) -> float:
     """|got - want| in units in the last place of ``want`` rounded to a float."""
     return float(abs(mpmath.mpf(got) - want)) / math.ulp(float(want))

@@ -287,23 +287,57 @@ def test_overflowing_intensity_is_config_error(tmp_path, capsys, experiment):
     assert not any(out.iterdir())
 
 
-def test_cli_asks_only_for_the_128_node_rule(tmp_path, capsys, monkeypatch):
-    asked = []
+# SHA-256 of the bell config at 1000 trials and the README obstacle render at
+# 16^2 with grid.csv, both at --seed 1, taken while every run built its
+# quadrature rule with numpy's leggauss
+SMALL_OUTPUT_SHA256 = {
+    "bell": {"bell.csv": "cf3e12760456f10f1f41fb7370a7bd4805a01e917805a0cb68856ffdbbe70364"},
+    "render": {"field.ppm": "676ebdf25a41d59f91401694cc882072bfd2e19972babf4e76bfbd3f1b31a2db",
+               "grid.csv": "a02c4800bb5a236e1b545c44492d17aec64121b9a906948844ed26efa6665eab"},
+}
 
-    def recording(n):
-        asked.append(n)
-        return numerics.gauss_legendre(n)
 
-    monkeypatch.setattr(mott, "gauss_legendre", recording)
-    mott._node_factors.cache_clear()
-    mott._intensity_integrals.cache_clear()
-    payloads = {**README_CONFIGS, "bell": {**README_CONFIGS["bell"], "n_trials": 1000}, "render": render_config()}
+def test_cli_runs_solve_for_no_quadrature_rule(tmp_path, capsys, monkeypatch):
+    # every README experiment with the generic rule and the eigenvalue solve
+    # behind it made to fail, all caches empty: |C|^2 reads the stored rule,
+    # and every output keeps the bytes it had when the rule was solved for
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a CLI run solved for a quadrature rule")
+
+    for cache in (numerics.gauss_legendre, mott._node_factors, mott._intensity_integrals):
+        cache.cache_clear()
+    monkeypatch.setattr(numerics, "gauss_legendre", unreachable)
+    monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+    payloads = {**README_CONFIGS, "bell": {**README_CONFIGS["bell"], "n_trials": 1000},
+                "render": render_config(grid_csv="grid.csv")}
     payloads["render"]["plane"]["resolution"] = 16
+    expected = {**{name: OUTPUT_SHA256[name, 1] for name in ("scatter", "track", "isotropy")},
+                **SMALL_OUTPUT_SHA256}
     for experiment, payload in payloads.items():
         config = write_config(tmp_path, f"{experiment}.json", payload)
-        assert main([config, "--out-dir", str(tmp_path / experiment)]) == 0
+        out = tmp_path / experiment
+        assert main([config, "--seed", "1", "--out-dir", str(out)]) == 0, capsys.readouterr().err
         capsys.readouterr()
-    assert set(asked) == {128}
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()} == \
+            expected[experiment]
+
+
+def test_cli_render_never_loads_numpy_polynomial(tmp_path):
+    # the README obstacle render with grid.csv in a fresh interpreter: the
+    # stored |C|^2 rule needs no numpy.polynomial, at import or at run time
+    config = write_config(tmp_path, "render.json", render_config(grid_csv="grid.csv"))
+    script = (
+        "import sys\n"
+        "import mottbox.cli\n"
+        "assert mottbox.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    src = str(Path(mottbox.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script, config, "--out-dir", str(tmp_path / "out")],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_track_without_forward_cone_is_config_error(tmp_path, capsys):
@@ -964,10 +998,12 @@ def test_out_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out_dir):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_obstacle_render_at_1024_stays_under_its_memory_bound(tmp_path):
-    # the README obstacle render at 1024^2 peaked at 61 MB max RSS in row
-    # blocks, and at 216 MB when the whole lattice was one array computation.
-    # VmHWM is the child's own peak; ru_maxrss would count this process's
-    # RSS at the fork
+    # the README obstacle render at 1024^2 streams its row blocks and peaks
+    # at 40.6-41.5 MB (VmHWM, three runs, Python 3.11.7 and numpy 2.4.6 on a
+    # 2-vCPU Intel Xeon VM); it took 216 MB when the whole lattice was one
+    # array computation, and the complex grid held whole would add about
+    # 16 MB.  VmHWM is the child's own peak; ru_maxrss would count this
+    # process's RSS at the fork
     payload = render_config()
     payload["plane"]["resolution"] = 1024
     config = write_config(tmp_path, "render.json", payload)
@@ -983,7 +1019,7 @@ def test_obstacle_render_at_1024_stays_under_its_memory_bound(tmp_path):
     result = subprocess.run([sys.executable, "-c", script, config, "--out-dir", str(tmp_path / "out")],
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout.splitlines()[-1]) / 1024 < 80.0
+    assert int(result.stdout.splitlines()[-1]) / 1024 < 52.0
 
 
 # SHA-256 of the outputs of the README track and isotropy configs at k = 1.9,

@@ -18,12 +18,14 @@ from mottbox.mott import (
     transferred_momentum,
     wave_field,
 )
-from mottbox.numerics import norm, unit
+from mottbox.numerics import gauss_legendre, norm, unit
 from oracles import (
     angular_amplitude_scalar,
     flux_free_numeric,
     form_factor,
+    gauss_legendre_mpmath,
     intensity_integrals_scalar,
+    ulps_from,
     quad_3d,
     wave_field_scalar,
 )
@@ -443,6 +445,29 @@ def test_wave_field_array_matches_scalar_formula():
         got = wave_field(ctx, ob, points.reshape(10, -1, 3)).ravel()
         expected = np.array([wave_field_scalar(ctx, ob, p) for p in points])
         assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+
+
+def test_stored_rule_is_128_mirrored_nodes():
+    x, w = mott._NODES, mott._WEIGHTS
+    assert x.shape == w.shape == (128,)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert (np.diff(x) > 0.0).all() and (w > 0.0).all()
+
+
+def test_stored_rule_within_2_ulp_of_leggauss():
+    # bit equality is left to the pinned outputs: another LAPACK may round leggauss otherwise
+    for stored, solved in zip((mott._NODES, mott._WEIGHTS), gauss_legendre(128)):
+        assert (np.abs(stored - solved) <= 2 * np.spacing(np.abs(solved))).all()
+
+
+def test_stored_rule_against_a_50_digit_newton_solve():
+    # the nodes are within 0.82 ulp of the Legendre roots.  The weights carry
+    # leggauss's own error, up to 6.3e-15 absolute: 50 ulp near the centre,
+    # 1.2e5 ulp (1.4e-11 relative) at the outermost node
+    pytest.importorskip("mpmath")
+    nodes, weights = gauss_legendre_mpmath(128)
+    assert max(ulps_from(x, want) for x, want in zip(mott._NODES[64:].tolist(), nodes)) < 1.0
+    assert max(float(abs(w - want)) for w, want in zip(mott._WEIGHTS[64:].tolist(), weights)) < 1e-14
 
 
 def test_quadrature_convergence_check_passes():
