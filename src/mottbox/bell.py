@@ -27,9 +27,9 @@ __all__ = [
     "bell_test",
 ]
 
-# largest n_trials correlation_mc accepts.  One setting pair on a 2-vCPU VM:
-# 1.4 s and 67 MB peak RSS at 10^8 trials, 16 s and 174 MB (125 MB of it the
-# one-bit-per-trial bitset) at 10^9
+# largest n_trials correlation_mc accepts.  One setting pair on a 2-vCPU Xeon VM
+# with AVX-512: 0.92 s and 49 MB max RSS at 10^8 trials, 9.8 s and 156 MB (125 MB
+# of it the one-bit-per-trial bitset) at 10^9
 MAX_TRIALS = 10**9
 
 # trials per raw draw: 512 KiB of Philox words in flight, and a multiple of 8

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -54,17 +55,19 @@ __all__ = [
     "load_configuration",
 ]
 
-# largest mean atom count sample_gas accepts.  select_track on 10^5 atoms,
-# one thread of a 2-vCPU VM: 3.0 s and 89 MB peak RSS for the README gas
-# (k s = 10), 67 s and 536 MB at the widest cone that lists candidates
+# largest mean atom count sample_gas accepts.  select_track on 10^5 atoms, one
+# thread of a 2-vCPU Xeon VM with AVX-512: 1.7 s and 86 MB max RSS for the README
+# gas (k s = 10), 38 s and 531 MB at the widest cone that lists candidates
 # (k s = 1.94); wider cones list every atom farther out, in O(n^2) time and
-# O(n) memory (523 s and 82 MB at k s = 1.9)
+# O(n) memory (335 s and 82 MB at k s = 1.9).  A track run replaying the README
+# gas's gas.json there peaks at 86 MB, as sampling it does (116 MB while the
+# parse built a dict per atom)
 MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  At the README gas (~26
-# atoms) one thread of a 2-vCPU VM takes about 0.039 ms per configuration and
-# keeps 40 bytes of it; the CLI writes tracks.csv row by row and ran 10^5 in
-# 4.0 s at 44 MB peak RSS and 10^6 in 39 s at 79 MB, so time sets the guard
+# atoms) the 2-vCPU Xeon VM takes about 0.021 ms per configuration and keeps
+# 40 bytes of it; the CLI writes tracks.csv row by row and ran 10^5 in 3.0 s
+# at 43 MB max RSS and 10^6 in 24 s at 78 MB, so time sets the guard
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
@@ -701,23 +704,8 @@ def _json_number(data: dict, key: str, where: str = "", kind=(int, float)):
     return value
 
 
-def configuration_from_dict(data: dict) -> GasConfiguration:
-    """The gas of a parsed gas.json document; a malformed document raises ValueError."""
-    if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
-        raise ValueError("a gas configuration is an object with an 'atoms' list")
-    entries = data["atoms"]
-    # atoms of finite floats, as save_configuration writes them, pass in one
-    # pass; others are checked value by value, naming the first bad atom and key
-    rows = [[*map(entry.get, _JSON_KEYS[:-1]), entry.get("delta_e", 0.0)]
-            for entry in entries if type(entry) is dict]
-    floats = len(rows) == len(entries) and {type(v) for row in rows for v in row} <= {float}
-    if not (floats and np.isfinite(table := np.array(rows, dtype=float).reshape(-1, 7)).all()):
-        table = np.empty((len(entries), 7))
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ValueError(f"atom {i} must be an object, got {entry!r}")
-            entry = {"delta_e": 0.0, **entry}
-            table[i] = [_json_number(entry, key, f"atom {i} ") for key in _JSON_KEYS]
+def _configuration(data: dict, table: np.ndarray) -> GasConfiguration:
+    # the gas of a gas.json object and the values of its atoms, one row each in _JSON_KEYS order
     return GasConfiguration(
         atoms=_records(table[:, :3], *table[:, 3:].T),
         chamber_radius=_json_number(data, "chamber_radius"),
@@ -725,6 +713,19 @@ def configuration_from_dict(data: dict) -> GasConfiguration:
         seed=_json_number(data, "seed", kind=int),
         stream_id=_json_number({"stream_id": 0, **data}, "stream_id", kind=int),
     )
+
+
+def configuration_from_dict(data: dict) -> GasConfiguration:
+    """The gas of a parsed gas.json document, by the slow path that names the first bad atom and key."""
+    if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
+        raise ValueError("a gas configuration is an object with an 'atoms' list")
+    table = np.empty((len(data["atoms"]), 7))
+    for i, entry in enumerate(data["atoms"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"atom {i} must be an object, got {entry!r}")
+        entry = {"delta_e": 0.0, **entry}
+        table[i] = [_json_number(entry, key, f"atom {i} ") for key in _JSON_KEYS]
+    return _configuration(data, table)
 
 
 def save_configuration(config: GasConfiguration, path) -> None:
@@ -758,5 +759,30 @@ def save_configuration(config: GasConfiguration, path) -> None:
 
 
 def load_configuration(path) -> GasConfiguration:
+    """The gas of a gas.json file, as ``configuration_from_dict(json.load(fh))`` gives or raises it.
+
+    The fast path: a parse hook writes each atom object's seven numbers into one array, so no Python
+    object per atom outlives its parse.  A document the hook cannot vouch for takes the slow path.
+    """
+    from array import array  # here, so that only a replay loads the module
     with open(path, "r", encoding="utf-8") as fh:
-        return configuration_from_dict(json.load(fh))
+        text = fh.read()
+    values, marker, pick = array("d"), object(), operator.itemgetter(*_JSON_KEYS)
+
+    def atom(entry: dict):
+        try:  # all seven values or none; a missing key, a non-number or an int past float range raises
+            values.fromlist([*pick(entry)])
+        except (KeyError, TypeError, OverflowError):
+            return entry
+        return marker
+
+    if "true" not in text and "false" not in text:  # array("d") takes a bool for a number
+        data = json.loads(text, object_hook=atom)
+        atoms = data.get("atoms") if isinstance(data, dict) else None
+        table = np.frombuffer(values).reshape(-1, 7)
+        # every marker in 'atoms', every value inside the largest float (which a larger int rounds to)
+        if isinstance(atoms, list) and len(table) == len(atoms) == atoms.count(marker) and (
+                -sys.float_info.max < table.min(initial=0.0) and table.max(initial=0.0) < sys.float_info.max):
+            del text  # the records are built without it
+            return _configuration(data, table)
+    return configuration_from_dict(json.loads(text))

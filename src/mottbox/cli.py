@@ -25,8 +25,8 @@ from .numerics import RngStream, unit
 
 logger = logging.getLogger(__name__)
 
-# most angles scatter accepts: 10^6 rows took 8 s, 46 MB max RSS and a
-# 128 MB angular.csv on one thread of a 2-vCPU VM
+# most angles scatter accepts: 10^6 rows took 5.8-6.7 s, 45 MB max RSS and a
+# 128 MB angular.csv on a 2-vCPU Xeon VM with AVX-512
 MAX_ANGLES = 1_000_000
 SEEDS = (0, 2**64 - 1)  # the documented --seed U64; RngStream would alias a seed outside it
 
@@ -148,9 +148,8 @@ def _run_scatter(config: dict, paths: dict[str, Path]) -> str:
     thetas = np.linspace(0.0, math.pi, n_theta)
 
     def columns(block):
-        theta = thetas[block]
-        i0, i1 = (mott.angular_amplitude(ctx, atom, channel, theta) for channel in (0, 1))
-        return theta, i0.real, i0.imag, i1.real, i1.imag, mott.transferred_momentum(ctx.k, theta)
+        q, i0, i1 = mott._amplitudes(ctx, atom, thetas[block])  # both channels from one q and envelope
+        return thetas[block], i0.real, i0.imag, i1.real, i1.imag, q
 
     _write_csv(paths["output"], "theta,re_I0,im_I0,re_I1,im_I1,q", n_theta, columns)
     return f"|C|^2={c2:.6f} flux_total={total:.6f} flux_free={mott.flux_free(ctx):.6f}"
@@ -206,9 +205,7 @@ def _run_isotropy(config: dict, paths: dict[str, Path]) -> str:
 
 def _run_render(config: dict, paths: dict[str, Path]) -> str:
     ctx = _build_context(config)
-    plane_cfg = _need(config, "plane")
-    if not isinstance(plane_cfg, dict):
-        raise ConfigError("key 'plane' must be an object")
+    plane_cfg = _need(config, "plane")  # an object, as run() checked
     plane = _domain(
         render.PlaneSpec,
         origin=_vector(plane_cfg, "origin", [0.0, 0.0, 0.0]),
@@ -221,8 +218,6 @@ def _run_render(config: dict, paths: dict[str, Path]) -> str:
     atom = None
     if "obstacle" in config:
         ob = config["obstacle"]
-        if not isinstance(ob, dict):
-            raise ConfigError("key 'obstacle' must be an object")
         atom = _domain(mott.atom, _vector(ob, "position"), **_species(ob, delta_e=ctx.delta_e))
         _domain(mott.quadrature_convergence_check, ctx, atom["width"], atom["g0"], atom["g1"])
         _domain(mott.normalization_c2, ctx, atom)  # couplings whose intensity overflows raise
@@ -232,15 +227,21 @@ def _run_render(config: dict, paths: dict[str, Path]) -> str:
     return f"render wrote {paths['output'].name} {image.width}x{image.height}"
 
 
-# each experiment's runner and its output keys with their default file
-# names, in the order they are checked; None: written only when given
+# each experiment's runner, its output keys with their default file names, in
+# the order they are checked (None: written only when given), and the other
+# keys it reads.  Every config may hold a seed: --seed writes one into any
 _EXPERIMENTS = {
-    "bell": (_run_bell, {"output": "bell.csv"}),
-    "scatter": (_run_scatter, {"output": "angular.csv"}),
-    "track": (_run_track, {"gas_output": "gas.json", "output": "track.csv"}),
-    "isotropy": (_run_isotropy, {"output": "isotropy.csv", "tracks_output": "tracks.csv"}),
-    "render": (_run_render, {"output": "field.ppm", "grid_csv": None}),
+    "bell": (_run_bell, {"output": "bell.csv"}, "n_trials a b c"),
+    "scatter": (_run_scatter, {"output": "angular.csv"}, "k delta_e position distance s g0 g1 n_theta"),
+    "track": (_run_track, {"gas_output": "gas.json", "output": "track.csv"},
+              "k delta_e gas_file density inner_radius chamber_radius width g0 g1"),
+    "isotropy": (_run_isotropy, {"output": "isotropy.csv", "tracks_output": "tracks.csv"},
+                 "k delta_e n_configs density inner_radius chamber_radius width g0 g1"),
+    "render": (_run_render, {"output": "field.ppm", "grid_csv": None},
+               "k delta_e plane modulus_scale obstacle"),
 }
+_SUB_KEYS = {"plane": "origin u_axis v_axis half_extent resolution",
+             "obstacle": "position width g0 g1 delta_e"}
 
 
 def _output_paths(config: dict, out_dir: Path, defaults: dict) -> dict[str, Path]:
@@ -276,7 +277,16 @@ def run(config: dict, out_dir: Path) -> str:
         raise ConfigError(
             f"unknown experiment {experiment!r}; valid names: {', '.join(_EXPERIMENTS)}"
         )
-    runner, outputs = _EXPERIMENTS[experiment]
+    runner, outputs, keys = _EXPERIMENTS[experiment]
+    sections = [("", config, ["experiment", "seed", *keys.split(), *outputs])]
+    for where, section, known in sections:  # the first key that the run would not read exits 2
+        for key, value in section.items():
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r}{where}; valid keys: {', '.join(known)}")
+            if key in _SUB_KEYS:
+                if not isinstance(value, dict):
+                    raise ConfigError(f"key {key!r} must be an object")
+                sections.append((f" in {key!r}", value, _SUB_KEYS[key].split()))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission

@@ -162,10 +162,17 @@ def transferred_momentum(k: float, theta):
     return q if t.ndim else float(q)
 
 
-def _envelope(k: float, s: float, theta):
+def _envelope(q, s: float):
     # exp(-q^2 s^2 / 2) by math.exp element by element: the bits of angular_amplitude and the |C|^2 nodes
-    q = transferred_momentum(k, theta)
     return np.reshape([math.exp(-0.5 * x * x * s * s) for x in np.ravel(q).tolist()], np.shape(q))
+
+
+def _amplitudes(ctx: ScatteringContext, atom: np.void, theta):
+    # q and I_0, I_1 of angular_amplitude at the angles theta, from one q and one envelope
+    position, s, g0, g1, _ = atom.tolist()
+    a, q = norm(position), transferred_momentum(ctx.k, theta)
+    phase, envelope = np.exp(1j * ctx.k * a) / a, _envelope(q, s)
+    return q, *(phase * (g * (2.0 * math.pi) ** 1.5 * s**3 * envelope) / (2.0 * math.pi) for g in (g0, g1))
 
 
 def angular_amplitude(ctx: ScatteringContext, atom: np.void, channel: int, theta):
@@ -184,10 +191,7 @@ def angular_amplitude(ctx: ScatteringContext, atom: np.void, channel: int, theta
     """
     if channel not in (0, 1):
         raise ValueError(f"channel must be 0 (elastic) or 1 (inelastic), got {channel}")
-    position, s, g0, g1, _ = atom.tolist()
-    a = norm(position)
-    ft = (g1 if channel else g0) * (2.0 * math.pi) ** 1.5 * s**3 * _envelope(ctx.k, s, theta)
-    amplitude = np.exp(1j * ctx.k * a) / a * ft / (2.0 * math.pi)
+    amplitude = _amplitudes(ctx, atom, theta)[1 + channel]
     return amplitude if amplitude.ndim else complex(amplitude)
 
 
@@ -250,7 +254,7 @@ def _node_factors(k: float, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     half = 0.5 * math.pi
     thetas = half + half * _NODES
     sin_t = np.array([math.sin(t) for t in thetas.tolist()])
-    envelope = _envelope(k, s, thetas)
+    envelope = _envelope(transferred_momentum(k, thetas), s)
     for table in (thetas, sin_t, envelope):
         table.setflags(write=False)
     return thetas, _WEIGHTS, sin_t, envelope

@@ -1217,6 +1217,164 @@ def test_configuration_from_dict_names_the_first_bad_value():
     assert np.array_equal(loaded.atoms[2:], gas.atoms[2:])
 
 
+def _loaded(load, path):
+    # the gas that load(path) gives, as bits and reprs, or its ValueError message
+    try:
+        gas = load(path)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return gas.atoms.tobytes(), repr((gas.chamber_radius, gas.inner_radius, gas.seed, gas.stream_id))
+
+
+# the atoms of a small gas.json, one entry text each, and a whole atom entry's keys
+ATOM_TEXTS = (
+    '{"x": 0.0, "y": 0.0, "z": 15.0, "s": 1.0, "g0": 0.5, "g1": 0.5, "delta_e": 0.01}',
+    '{"x": -0.0, "y": 25.0, "z": 0.0, "s": 1.0, "g0": 0.5, "g1": 0.5, "delta_e": 0.01}',
+    '{"x": 20.0, "y": 1e-300, "z": 0.0, "s": 1.0, "g0": 0.5, "g1": 0.5, "delta_e": 0.01}',
+)
+WHOLE = '"x": 0.0, "y": 0.0, "z": 30.0, "s": 1.0, "g0": 0.5, "g1": 0.5, "delta_e": 0.01'
+
+
+def _gas_text(entries=None, top="", atoms=None):
+    # the small gas.json with ATOM_TEXTS[i] replaced by entries[i], ``top`` spliced in
+    # before the first key and the whole atom list replaced by ``atoms`` where given
+    texts = [entries.get(i, text) for i, text in enumerate(ATOM_TEXTS)] if entries else ATOM_TEXTS
+    atoms = ", ".join(texts) if atoms is None else atoms
+    return '{' + top + '"seed": 3, "stream_id": 2, "inner_radius": 12.0, "chamber_radius": 40.0, ' \
+        f'"atoms": [{atoms}]}}'
+
+
+def _atom(i, old, new):
+    return {i: ATOM_TEXTS[i].replace(old, new, 1)}
+
+
+# gas.json texts that the parse hook must pass to the slow path, or read as that path does
+UNUSUAL_GAS_TEXTS = {
+    "plain": _gas_text(),
+    "ints": _gas_text({2: '{"x": 20, "y": 0, "z": -1, "s": 1, "g0": 0, "g1": 2, "delta_e": 0}'}),
+    "int_that_rounds": _gas_text(_atom(2, '"g1": 0.5', '"g1": 9007199254740993')),
+    "int_rounding_to_the_largest_float": _gas_text(_atom(2, "1e-300", str(int(sys.float_info.max) + 2**960))),
+    "int_rounding_to_minus_the_largest_float": _gas_text(
+        _atom(0, '"x": 0.0', f'"x": {-int(sys.float_info.max) - 1}')),
+    "int_1e400": _gas_text(_atom(1, "25.0", "1" + "0" * 400)),
+    "float_1e400": _gas_text(_atom(1, "25.0", "1e400")),
+    "largest_float": _gas_text(_atom(1, "25.0", "1.7976931348623157e308")),
+    "nan": _gas_text(_atom(1, '"g0": 0.5', '"g0": NaN')),
+    "infinity": _gas_text(_atom(2, "0.01", "Infinity")),
+    "minus_infinity": _gas_text(_atom(0, "15.0", "-Infinity")),
+    "true": _gas_text(_atom(1, '"g0": 0.5', '"g0": true')),
+    "false": _gas_text(_atom(2, '"s": 1.0', '"s": false')),
+    "true_inside_a_string": _gas_text(_atom(1, "}", ', "note": "true or false"}')),
+    "true_as_a_key": _gas_text(top='"true": 1, '),
+    "null": _gas_text(_atom(1, '"y": 25.0', '"y": null')),
+    "string": _gas_text(_atom(1, '"y": 25.0', '"y": "25.0"')),
+    "list": _gas_text(_atom(2, '"z": 0.0', '"z": [0.0]')),
+    "object": _gas_text(_atom(2, '"z": 0.0', '"z": {}')),
+    "no_delta_e": _gas_text(_atom(1, ', "delta_e": 0.01', "")),
+    "no_y": _gas_text(_atom(0, '"y": 0.0, ', "")),
+    "extra_keys": _gas_text(_atom(0, "{", '{"colour": "red", "n": [1, {"x": 1}], ')),
+    "atom_nested_in_an_atom": _gas_text(_atom(1, "}", ', "inner": {' + WHOLE + "}}")),
+    "atom_as_a_value": _gas_text(_atom(1, '"x": -0.0', '"x": {' + WHOLE + "}")),
+    "atom_outside_atoms": _gas_text(top='"extra": {' + WHOLE + "}, "),
+    "duplicate_keys": _gas_text(_atom(1, '"x": -0.0', '"x": 1e9, "x": -0.0')),
+    "duplicate_keys_last_bad": _gas_text(_atom(1, '"x": -0.0', '"x": -0.0, "x": "a"')),
+    "top_level_with_atom_keys": _gas_text(top=WHOLE + ", ", atoms=""),
+    "empty_atoms": _gas_text(atoms=""),
+    "atom_not_an_object": _gas_text({2: "[20.0, 0.0, 0.0]"}),
+    "atoms_an_object": _gas_text().replace('"atoms": [', '"atoms": {"a": [').replace("]}", "]}}"),
+    "no_atoms": _gas_text().replace('"atoms"', '"atom"'),
+    "top_level_list": "[" + _gas_text() + "]",
+    "top_level_atom": "{" + WHOLE + "}",
+    "seed_a_float": _gas_text().replace('"seed": 3', '"seed": 3.0'),
+    "seed_true": _gas_text().replace('"seed": 3', '"seed": true'),
+    "radius_an_int": _gas_text().replace('"chamber_radius": 40.0', '"chamber_radius": 40'),
+    "no_stream_id": _gas_text().replace('"stream_id": 2, ', ""),
+    "atom_outside_the_shell": _gas_text(_atom(2, "20.0", "41.0")),
+    "negative_coupling": _gas_text(_atom(2, '"g1": 0.5', '"g1": -0.5')),
+}
+# the texts that load_configuration reads without the slow path
+FAST_GAS_TEXTS = ("plain", "ints", "int_that_rounds", "extra_keys", "duplicate_keys", "empty_atoms",
+                  "seed_a_float", "radius_an_int", "no_stream_id", "atom_outside_the_shell",
+                  "negative_coupling")
+
+
+@pytest.mark.parametrize("name", UNUSUAL_GAS_TEXTS)
+def test_load_configuration_reads_what_configuration_from_dict_reads(tmp_path, name):
+    # the same bits, or the same message, as the value-by-value path, and the fast path where expected
+    path = tmp_path / "gas.json"
+    path.write_text(UNUSUAL_GAS_TEXTS[name], encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        slow = _loaded(lambda _: configuration_from_dict(json.load(fh)), path)
+    assert _loaded(load_configuration, path) == slow
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chamber, "configuration_from_dict", None)  # the slow path raises TypeError
+        try:
+            fast = _loaded(load_configuration, path) == slow
+        except TypeError:
+            fast = False
+    assert fast == (name in FAST_GAS_TEXTS)
+
+
+def test_unusual_gas_texts_read_as_their_names_say(tmp_path):
+    results = {}
+    for name, text in UNUSUAL_GAS_TEXTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        results[name] = _loaded(load_configuration, path)
+    plain = results["plain"]
+    for name in ("true_inside_a_string", "true_as_a_key", "extra_keys", "atom_nested_in_an_atom",
+                 "atom_outside_atoms", "duplicate_keys"):
+        assert results[name] == plain, name
+    assert results["no_stream_id"][0] == plain[0] and results["no_stream_id"][1].endswith(", 0)")
+    atoms = {name: np.frombuffer(results[name][0], ATOM_DTYPE) for name in ("plain", "ints", "no_delta_e")}
+    assert atoms["ints"]["position"][2].tolist() == [20.0, 0.0, -1.0]
+    assert [float(atoms["ints"][f][2]) for f in ("width", "g0", "g1", "delta_e")] == [1.0, 0.0, 2.0, 0.0]
+    assert atoms["no_delta_e"]["delta_e"].tolist() == [0.01, 0.0, 0.01]
+    assert np.signbit(atoms["plain"]["position"][1, 0]) and atoms["plain"]["position"][2, 1] == 1e-300
+    assert np.frombuffer(results["int_that_rounds"][0], ATOM_DTYPE)["g1"][2] == 2.0**53
+    assert results["top_level_with_atom_keys"][0] == results["empty_atoms"][0] == b""
+    assert results["nan"] == "ValueError: atom 1 'g0' must be a finite number, got nan"
+    assert results["true"] == "ValueError: atom 1 'g0' must be a finite number, got True"
+    assert results["no_y"] == "ValueError: atom 0 'y' is missing"
+    assert results["int_rounding_to_the_largest_float"].startswith("ValueError: atom 2 'y' must be a finite")
+    assert results["int_rounding_to_minus_the_largest_float"].startswith(
+        "ValueError: atom 0 'x' must be a finite")
+    assert results["int_1e400"].startswith("ValueError: atom 1 'y' must be a finite number, got 1000")
+    assert results["atom_as_a_value"].startswith("ValueError: atom 1 'x' must be a finite number, got {")
+    assert results["largest_float"].startswith("ValueError: atom 1: position must have a finite norm")
+
+
+def test_load_configuration_holds_no_python_object_per_atom(tmp_path, monkeypatch):
+    # 2*10^4 atoms.  Reading the file holds its bytes and its text at once,
+    # as any read of a text file does; from the parse on, the text, 56 bytes
+    # of values and a list slot per atom, within 1 MiB.  A dict and seven
+    # floats per atom, as json.load builds them, took about 650 bytes per atom
+    gas = sample_gas(2e4 / (4.0 * math.pi / 3.0 * (40.0**3 - 12.0**3)), 12.0, 40.0, SPECIES, RngStream(83, 0))
+    n_atoms = gas.n_atoms
+    assert abs(n_atoms - 20_000) < 1000
+    path = tmp_path / "gas.json"
+    save_configuration(gas, path)
+    text_bytes = path.stat().st_size
+    loads, read_peaks = json.loads, []
+
+    def traced_loads(*args, **kwargs):
+        read_peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", traced_loads)
+    tracemalloc.start()
+    try:
+        loaded = load_configuration(path)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.atoms.tobytes() == gas.atoms.tobytes()
+    assert len(read_peaks) == 1  # one parse: the fast path
+    assert read_peaks[0] < 2 * text_bytes + 2**16
+    assert parse_peak < text_bytes + 64 * n_atoms + 2**20
+
+
 def test_gas_configuration_invariants():
     with pytest.raises(ValueError, match="shell"):
         GasConfiguration(

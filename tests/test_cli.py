@@ -235,6 +235,64 @@ def test_readme_outputs_keep_their_bytes(tmp_path, capsys, experiment, seed):
     assert hashes == OUTPUT_SHA256[experiment, seed]
 
 
+def _readme_configs():
+    # every JSON config block of the README, with its experiment name
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(block) for block in text.split("```json\n")[1:] for block in [block.split("```")[0]]]
+    return {block["experiment"]: block for block in blocks}
+
+
+def test_readme_configs_run_with_their_keys(tmp_path, capsys):
+    configs = _readme_configs()
+    assert sorted(configs) == ["bell", "isotropy", "render", "scatter", "track"]
+    # smaller sizes, the same keys
+    configs["bell"]["n_trials"], configs["isotropy"]["n_configs"] = 1000, 100
+    configs["render"]["plane"]["resolution"] = 16
+    for experiment, config in configs.items():
+        config = write_config(tmp_path, "config.json", config)
+        assert main([config, "--out-dir", str(tmp_path / experiment)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("experiment, section, key", [
+    ("bell", None, "n_trial"), ("scatter", None, "delta_E"), ("scatter", None, "ntheta"),
+    ("track", None, "gasfile"), ("isotropy", None, "n_config"), ("render", None, "gridcsv"),
+    ("render", "plane", "orgin"), ("render", "obstacle", "widht"),
+])
+def test_unknown_key_exits_2_before_any_file(tmp_path, capsys, experiment, section, key):
+    # a key the run would not read, misspelled or belonging to another experiment
+    config = json.loads(json.dumps({**README_CONFIGS, "render": _small_render()}[experiment]))  # a deep copy
+    (config[section] if section else config)[key] = 1
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, "config.json", config), "--out-dir", str(out)]) == 2
+    where = f" in {section!r}" if section else ""
+    assert f"mottbox: error: unknown key {key!r}{where}; valid keys: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("plane", [0, 0, 1]), ("plane", None), ("obstacle", "atom")])
+def test_render_object_that_is_no_object_exits_2_before_any_file(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, "config.json", {**_small_render(), key: value})
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert f"mottbox: error: key {key!r} must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_keys_of_one_experiment_are_unknown_to_another(tmp_path, capsys):
+    for experiment, key in (("bell", "k"), ("scatter", "density"), ("track", "n_configs"),
+                            ("isotropy", "gas_file"), ("render", "s")):
+        config = {**README_CONFIGS, "render": _small_render()}[experiment]
+        config = write_config(tmp_path, "config.json", {**config, key: 1})
+        assert main([config, "--out-dir", str(tmp_path)]) == 2
+        assert f"unknown key {key!r}; valid keys: experiment, seed" in capsys.readouterr().err
+    # a seed is read by bell, track and isotropy only, and --seed writes one into any config
+    for config in (README_CONFIGS["scatter"], _small_render()):
+        config = write_config(tmp_path, "config.json", {**config, "seed": 5})
+        assert main([config, "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["angular.csv", "config.json", "field.ppm"]
+
+
 # the README scatter at 10^5 angles, taken when angular.csv was written one scalar angle at a time
 SCATTER_1E5_SHA256 = "4b063b57083bd7804e71cd136a0f8611da985e79e9d35fa43b09891235c58df8"
 
@@ -861,6 +919,34 @@ def test_malformed_gas_file_exits_2(slot, value):
     with tempfile.TemporaryDirectory() as tmp:
         config = _replay_config(Path(tmp), _gas_with(slot, value))
         assert main([config, "--out-dir", tmp]) in (0, 2)
+
+
+ATOM_KEYS = ("x", "y", "z", "s", "g0", "g1", "delta_e")
+atom_like_values = st.fixed_dictionaries(
+    {key: st.floats(-40.0, 40.0) | json_scalars for key in ATOM_KEYS[:-1]},
+    optional={"delta_e": st.floats(0.0, 1.0) | json_scalars, "inner": json_values},
+)
+
+
+def _gas_or_message(load, path):
+    try:
+        gas = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return gas.atoms.tobytes(), repr((gas.chamber_radius, gas.inner_radius, gas.seed, gas.stream_id))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([*GAS_SLOTS, "atom.inner", "extra"]),
+       json_values | atom_like_values | st.lists(atom_like_values, max_size=3))
+def test_gas_file_loads_as_configuration_from_dict_reads_it(slot, value):
+    # load_configuration's parse hook gives the bits, or the message, of the value-by-value path
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gas.json"
+        path.write_text(json.dumps(_gas_with(slot, value)), encoding="utf-8")
+        slow = _gas_or_message(
+            lambda p: chamber.configuration_from_dict(json.loads(p.read_text("utf-8"))), path)
+        assert _gas_or_message(chamber.load_configuration, path) == slow
 
 
 def test_malformed_gas_file_examples_exit_2(tmp_path, capsys):
