@@ -64,10 +64,8 @@ __all__ = [
 # parse built a dict per atom)
 MAX_EXPECTED_ATOMS = 100_000
 
-# most configurations isotropy_experiment accepts.  At the README gas (~26
-# atoms) the 2-vCPU Xeon VM takes about 0.021 ms per configuration and keeps
-# 40 bytes of it; the CLI writes tracks.csv row by row and ran 10^5 in 3.0 s
-# at 43 MB max RSS and 10^6 in 24 s at 78 MB, so time sets the guard
+# most configurations isotropy_experiment accepts.  The CLI streams tracks.csv, so the README gas ran
+# 10^5 in 1.9 s and 10^6 in 18 s, both at 40 MB max RSS, on a 2-vCPU Xeon VM: time sets the guard
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
@@ -114,7 +112,9 @@ class GasConfiguration:
     stream_id: int = 0
 
     def __post_init__(self):
-        atoms = np.array(self.atoms if len(self.atoms) else np.empty(0, ATOM_DTYPE))
+        atoms = self.atoms  # fresh records handed over read-only are kept; any other input is copied
+        if not (isinstance(atoms, np.ndarray) and atoms.base is None and not atoms.flags.writeable):
+            atoms = np.array(atoms if len(atoms) else np.empty(0, ATOM_DTYPE))
         if atoms.dtype != ATOM_DTYPE or atoms.ndim != 1:
             raise ValueError(f"atoms must be a 1-d ATOM_DTYPE array, got {atoms.dtype}{atoms.shape}")
         atoms.setflags(write=False)
@@ -191,9 +191,10 @@ def sample_gas(
     configuration bitwise.
     """
     expected = _expected_atoms(density, inner_radius, chamber_radius, species.width)
-    positions = _shell_positions(*_draw_atoms(rng, expected), inner_radius, chamber_radius)
+    atoms = species.records(_shell_positions(*_draw_atoms(rng, expected), inner_radius, chamber_radius))
+    atoms.setflags(write=False)  # handed over: the gas keeps it without a copy
     return GasConfiguration(
-        atoms=species.records(positions),
+        atoms=atoms,
         chamber_radius=chamber_radius,
         inner_radius=inner_radius,
         seed=rng.seed,
@@ -591,14 +592,11 @@ def direction_bin(direction):
 
 @dataclass(frozen=True, eq=False)
 class IsotropyResult:
-    """Directional statistics of many independent chamber runs."""
+    """Track counts per equal-solid-angle bin over many chamber runs, and their chi-square test."""
 
     counts: np.ndarray
     chi_square: float
     p_value: float
-    directions: np.ndarray
-    chain_lengths: np.ndarray
-    flux_ratios: np.ndarray
     n_empty: int
 
 
@@ -641,6 +639,7 @@ def isotropy_experiment(
     species: AtomSpecies,
     ctx: ScatteringContext,
     rng: RngStream,
+    tracks,
 ) -> IsotropyResult:
     """Track directions over many independent gas configurations.
 
@@ -648,48 +647,31 @@ def isotropy_experiment(
     so runs parallelize over configurations without changing results.  Its
     track is the one ``select_track`` finds in ``sample_gas``'s gas on that
     stream; consecutive configurations are sampled and selected together in
-    array passes.  Bins are equal-solid-angle; the chi-square statistic is
+    array passes, and each chunk's tracks go to ``tracks(directions,
+    chain_lengths, flux_ratios)`` in configuration order; the run keeps only
+    the bin counts.  Bins are equal-solid-angle; the chi-square statistic is
     against the uniform distribution with n_bins - 1 degrees of freedom.
     """
     if n_configs < 100:
         raise ValueError(f"need at least 100 configurations, got {n_configs}")
     if n_configs > MAX_CONFIGS:
         raise ValueError(f"configuration count {n_configs} exceeds guard {MAX_CONFIGS}")
-    # filled chunk by chunk: a track direction is a row of its chunk's
-    # direction array, and keeping views would keep all those arrays
-    directions = np.empty((n_configs, 3))
-    chain_lengths = np.empty(n_configs, dtype=int)
-    flux_ratios = np.empty(n_configs)
-    n_tracks = 0
+    n_bins = N_Z_BANDS * N_PHI_SECTORS
+    counts, n_tracks = np.zeros(n_bins, dtype=int), 0
     theta_c = cone_half_angle(ctx, species.width)  # one species: one cone for the run
     for atoms, offsets in _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, rng):
         if not len(atoms):
             continue
         heads, lengths, c2, dirs, _ = _tracks(atoms, offsets, ctx, theta_c)
-        found = slice(n_tracks, n_tracks + len(heads))
-        directions[found] = dirs[heads]
-        chain_lengths[found] = lengths
-        flux_ratios[found] = [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())]
+        directions = dirs[heads]
+        counts += np.bincount(direction_bin(directions), minlength=n_bins)
         n_tracks += len(heads)
+        tracks(directions, lengths, [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())])
     if n_tracks == 0:
         raise ValueError("no configuration produced a track; increase the density")
-    # binned once per run, 2048 rows at a time, so that the binning's
-    # temporaries (about 40 bytes per row) stay small
-    n_bins, tracks = N_Z_BANDS * N_PHI_SECTORS, directions[:n_tracks]
-    counts = sum(np.bincount(direction_bin(tracks[i:i + 2048]), minlength=n_bins)
-                 for i in range(0, n_tracks, 2048))
     expected = n_tracks / n_bins
     stat = float(np.sum((counts - expected) ** 2) / expected)
-    p_value = chi2_sf(n_bins - 1, stat)
-    return IsotropyResult(
-        counts=counts,
-        chi_square=stat,
-        p_value=p_value,
-        directions=tracks,
-        chain_lengths=chain_lengths[:n_tracks],
-        flux_ratios=flux_ratios[:n_tracks],
-        n_empty=n_configs - n_tracks,
-    )
+    return IsotropyResult(counts, stat, chi2_sf(n_bins - 1, stat), n_empty=n_configs - n_tracks)
 
 
 def _json_number(data: dict, key: str, where: str = "", kind=(int, float)):
@@ -706,8 +688,10 @@ def _json_number(data: dict, key: str, where: str = "", kind=(int, float)):
 
 def _configuration(data: dict, table: np.ndarray) -> GasConfiguration:
     # the gas of a gas.json object and the values of its atoms, one row each in _JSON_KEYS order
+    atoms = _records(table[:, :3], *table[:, 3:].T)
+    atoms.setflags(write=False)  # handed over: the gas keeps it without a copy
     return GasConfiguration(
-        atoms=_records(table[:, :3], *table[:, 3:].T),
+        atoms=atoms,
         chamber_radius=_json_number(data, "chamber_radius"),
         inner_radius=_json_number(data, "inner_radius"),
         seed=_json_number(data, "seed", kind=int),

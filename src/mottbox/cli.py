@@ -10,6 +10,7 @@ stdout.  Identical config and seed give byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import logging
@@ -82,15 +83,30 @@ def _domain(builder, *args, **kwargs):
         raise ConfigError(str(exc)) from None
 
 
+@contextlib.contextmanager
+def _csv(path: Path, header: str):
+    # write(n_rows, columns) appends rows of repr cells 256 at a time, never the whole text: columns(block)
+    # gives that slice of each column (equal-length arrays or lists, whose .tolist() values format faster
+    # than numpy scalars).  The file opens with the first write; a run that fails after it removes it
+    with contextlib.ExitStack() as stack:
+        files = []
+
+        def write(n_rows: int, columns) -> None:
+            if not files:
+                files.append(open(path, "w", encoding="utf-8"))
+                stack.push(lambda failed, *_: failed and path.unlink())  # runs after the close below
+                stack.callback(files[0].close)
+                files[0].write(header + "\n")
+            for i in range(0, n_rows, 256):
+                cells = (map(repr, np.asarray(c).tolist()) for c in columns(slice(i, i + 256)))
+                files[0].writelines(",".join(row) + "\n" for row in zip(*cells))
+
+        yield write
+
+
 def _write_csv(path: Path, header: str, n_rows: int, columns) -> None:
-    # rows of repr cells, 256 at a time, so no file's text is ever held whole in memory:
-    # columns(block) gives that slice of each column (equal-length arrays or lists), whose
-    # .tolist() Python floats and ints format faster than numpy scalars
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(0, n_rows, 256):
-            cells = (map(repr, np.asarray(c).tolist()) for c in columns(slice(i, i + 256)))
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    with _csv(path, header) as write:
+        write(n_rows, columns)
 
 
 def _run_bell(config: dict, paths: dict[str, Path]) -> str:
@@ -195,11 +211,10 @@ def _run_isotropy(config: dict, paths: dict[str, Path]) -> str:
     n_configs = _integer(config, "n_configs")
     density, inner, outer, species, rng = _gas(config)
     _domain(mott.quadrature_convergence_check, ctx, species.width, species.g0, species.g1)
-    result = _domain(chamber.isotropy_experiment, n_configs, density, inner, outer, species, ctx, rng)
-    bins = range(len(result.counts))
-    _write_csv(paths["output"], "bin,count", len(bins), lambda b: (bins[b], result.counts[b]))
-    _write_csv(paths["tracks_output"], _TRACK_HEADER, len(result.flux_ratios), lambda b: (
-        *result.directions[b].T, result.chain_lengths[b], result.flux_ratios[b]))
+    with _csv(paths["tracks_output"], _TRACK_HEADER) as write:  # each chunk's tracks as they come
+        result = _domain(chamber.isotropy_experiment, n_configs, density, inner, outer, species, ctx, rng,
+                         lambda dirs, n, ratios: write(len(ratios), lambda b: (*dirs[b].T, n[b], ratios[b])))
+    _write_csv(paths["output"], "bin,count", len(result.counts), lambda _: zip(*enumerate(result.counts)))
     return f"isotropy n={n_configs} chi2={result.chi_square:.2f} p={result.p_value:.4f}"
 
 

@@ -414,6 +414,7 @@ def isotropy_per_config(
     Configuration i is ``sample_gas`` on the sub-stream rng.stream_id + 1 + i
     (or ``config_factory(i)``), and its track is ``select(gas, ctx)`` of that
     gas alone; the counts, chi-square and p-value follow from the tracks.
+    Returns what ``isotropy_result`` returns for them.
     """
     directions, chain_lengths, flux_ratios = [], [], []
     for i in range(n_configs):
@@ -431,11 +432,13 @@ def isotropy_per_config(
     return isotropy_result(directions, chain_lengths, flux_ratios, n_configs)
 
 
-def isotropy_result(directions, chain_lengths, flux_ratios, n_configs) -> IsotropyResult:
-    """The IsotropyResult of the tracks of ``n_configs`` configurations.
+def isotropy_result(directions, chain_lengths, flux_ratios, n_configs):
+    """The IsotropyResult of the tracks of ``n_configs`` configurations, and the tracks.
 
     Each direction is binned by the scalar formula; the chi-square is against
-    the uniform distribution over the bins, and the p-value its tail.
+    the uniform distribution over the bins, and the p-value its tail.  The
+    tracks come as the arrays of their directions, chain lengths and flux
+    ratios, as ``isotropy_experiment`` hands them to its sink chunk by chunk.
     """
     n_bins = N_Z_BANDS * N_PHI_SECTORS
     counts = np.zeros(n_bins, dtype=int)
@@ -443,15 +446,14 @@ def isotropy_result(directions, chain_lengths, flux_ratios, n_configs) -> Isotro
         counts[direction_bin_scalar(*direction)] += 1
     expected = len(directions) / n_bins
     stat = float(np.sum((counts - expected) ** 2) / expected)
-    return IsotropyResult(
+    result = IsotropyResult(
         counts=counts,
         chi_square=stat,
         p_value=chi2_sf(n_bins - 1, stat),
-        directions=np.array(directions).reshape(-1, 3),
-        chain_lengths=np.array(chain_lengths, dtype=int),
-        flux_ratios=np.array(flux_ratios),
         n_empty=n_configs - len(directions),
     )
+    tracks = np.array(directions).reshape(-1, 3), np.array(chain_lengths, dtype=int), np.array(flux_ratios)
+    return result, tracks
 
 
 def configuration_to_dict(config) -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import mottbox
-from mottbox import chamber
+from mottbox import chamber, mott
 from mottbox.chamber import (
     ATOM_DTYPE,
     AtomSpecies,
@@ -749,6 +750,33 @@ def test_gas_configuration_rejects_bad_records():
         gas.atoms["g0"][0] = 1.0
 
 
+def test_gas_configuration_keeps_fresh_read_only_records_and_copies_any_other(monkeypatch, tmp_path):
+    fresh = sample_gas(8e-2, 12.0, 40.0, SPECIES, RngStream(64, 0)).atoms.copy()
+    assert len(fresh) > 20_000
+    fresh.setflags(write=False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gas = GasConfiguration(atoms=fresh, chamber_radius=40.0, inner_radius=12.0, seed=64)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert gas.atoms is fresh and kept < len(fresh)  # under a byte per atom (a copy keeps 56)
+    # a writable array, and a read-only view such as a slice, are copied
+    writable = fresh.copy()
+    gas = GasConfiguration(atoms=writable, chamber_radius=40.0, inner_radius=12.0, seed=64)
+    writable["g0"] = 0.25
+    assert gas.atoms.tobytes() == fresh.tobytes() and not gas.atoms.flags.writeable
+    view = fresh[:100]
+    assert GasConfiguration(atoms=view, chamber_radius=40.0, inner_radius=12.0, seed=64).atoms.base is None
+    # sample_gas and the gas.json reader hand their records over
+    made = []
+    monkeypatch.setattr(chamber, "_records", lambda *args: made.append(mott._records(*args)) or made[-1])
+    assert sample_gas(1e-3, 12.0, 40.0, SPECIES, RngStream(64, 1)).atoms is made[-1]
+    save_configuration(gas, tmp_path / "gas.json")
+    assert load_configuration(tmp_path / "gas.json").atoms is made[-1]
+
+
 @pytest.mark.parametrize(
     "radius, width, g0, g1, delta_e, verdict",
     [
@@ -836,23 +864,37 @@ def test_direction_bin_of_many_rows_matches_scalar_formula():
     assert type(direction_bin(near[7])) is int and direction_bin(near[7]) == direction_bin_scalar(*near[7])
 
 
+def collected_isotropy(*args):
+    """``isotropy_experiment`` with a sink that keeps what each call gives it.
+
+    Returns the result and the tracks, as the arrays of their directions,
+    chain lengths and flux ratios in the order the calls came, then the
+    number of tracks of each call.
+    """
+    chunks = []
+
+    def sink(directions, chain_lengths, flux_ratios):
+        assert type(flux_ratios) is list and directions.shape == (len(chain_lengths), 3)
+        assert 0 < len(chain_lengths) == len(flux_ratios)
+        chunks.append((directions.copy(), chain_lengths.copy(), np.array(flux_ratios)))
+
+    result = isotropy_experiment(*args, sink)
+    tracks = tuple(np.concatenate(column) for column in zip(*chunks))
+    return (result, tracks), [len(lengths) for _, lengths, _ in chunks]
+
+
 def test_isotropy_experiment_uniform_gas():
-    result = isotropy_experiment(
-        n_configs=300,
-        density=1e-4,
-        inner_radius=12.0,
-        chamber_radius=40.0,
-        species=SPECIES,
-        ctx=CTX,
-        rng=RngStream(8080, 0),
+    (result, (directions, chain_lengths, flux_ratios)), _ = collected_isotropy(
+        300, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(8080, 0)
     )
+    assert [f.name for f in dataclasses.fields(result)] == ["counts", "chi_square", "p_value", "n_empty"]
     assert result.counts.sum() + result.n_empty == 300
     assert result.p_value > 0.001
     assert result.p_value == chi2_sf(31, result.chi_square)
     assert ulps_from(result.p_value, chi2_sf_mpmath(31, result.chi_square)) <= 16.0
-    assert result.directions.shape[1] == 3
-    assert np.all(result.chain_lengths >= 1)
-    assert np.all(result.flux_ratios <= 1.0)
+    assert directions.shape == (result.counts.sum(), 3)
+    assert np.all(chain_lengths >= 1)
+    assert np.all(flux_ratios <= 1.0)
 
 
 def octant_factory(seed):
@@ -901,7 +943,7 @@ def segmented_isotropy(gases, ctx):
 
 
 def test_isotropy_experiment_octant_gas_fails_uniformity():
-    result = segmented_isotropy(list(map(octant_factory(55), range(150))), CTX)
+    result, _ = segmented_isotropy(list(map(octant_factory(55), range(150))), CTX)
     assert result.p_value < 1e-6
     assert result.p_value == chi2_sf(31, result.chi_square)
     assert ulps_from(result.p_value, chi2_sf_mpmath(31, result.chi_square)) <= 16.0
@@ -922,11 +964,14 @@ ISOTROPY_CASES = {
 }
 
 
-def assert_same_ensemble(result, expected):
-    for field in ("directions", "chain_lengths", "flux_ratios", "counts"):
-        assert getattr(result, field).tobytes() == getattr(expected, field).tobytes(), field
-    assert result.n_empty == expected.n_empty
-    assert (result.chi_square, result.p_value) == (expected.chi_square, expected.p_value)
+def assert_same_ensemble(got, expected):
+    # (result, tracks) pairs: the tracks bit for bit, then the statistics of the result
+    (result, tracks), (want, want_tracks) = got, expected
+    for name, column, want_column in zip(("directions", "chain_lengths", "flux_ratios"), tracks, want_tracks):
+        assert column.tobytes() == want_column.tobytes(), name
+    assert result.counts.tobytes() == want.counts.tobytes()
+    assert result.n_empty == want.n_empty
+    assert (result.chi_square, result.p_value) == (want.chi_square, want.p_value)
 
 
 @pytest.mark.parametrize("seed", range(1, 7))
@@ -938,18 +983,20 @@ def test_isotropy_experiment_bit_equal_to_per_config_loop(case, seed):
         # gases of two species, or not isotropic: selected as one chunk is,
         # and checked against the every-atom scan of each gas alone
         gases = list(map(factory(seed), range(n_configs)))
-        result = segmented_isotropy(gases, CTX)
+        got = segmented_isotropy(gases, CTX)
         expected = isotropy_per_config(*args, config_factory=gases.__getitem__, select=select_track_scan)
     else:
-        result, expected = isotropy_experiment(*args), isotropy_per_config(*args)
-    assert_same_ensemble(result, expected)
+        (got, calls), expected = collected_isotropy(*args), isotropy_per_config(*args)
+    # the per-configuration loop gives the tracks in configuration order
+    assert_same_ensemble(got, expected)
+    result, (_, chain_lengths, _) = got
     if case == "chunk_remainder":
         sizes = [len(offsets) - 1 for _, offsets in chamber._sampled_chunks(*args[:5], args[6])]
-        assert len(sizes) == 3
+        assert len(sizes) == 3 and len(calls) == 3
     if case == "mostly_empty":
         assert result.n_empty > n_configs // 3
     if case == "atom_capped_chunks":
-        assert result.chain_lengths.max() > 2
+        assert chain_lengths.max() > 2
 
 
 @pytest.mark.parametrize("density", [3e-6, 1e-4, 1.5e-3])
@@ -961,7 +1008,11 @@ def test_isotropy_experiment_bit_equal_to_per_config_loop_at_any_chunk_budget(mo
     monkeypatch.setattr(chamber, "_CHUNK_BUDGET", budget)
     sizes = [len(offsets) - 1 for _, offsets in chamber._sampled_chunks(*args[:5], args[6])]
     assert sizes == ([1] * 150 if budget == 1 else [150])
-    assert_same_ensemble(isotropy_experiment(*args), expected)
+    got, calls = collected_isotropy(*args)
+    assert_same_ensemble(got, expected)
+    # one call per chunk with a track: each non-empty configuration, or the whole run
+    n_tracks = 150 - expected[0].n_empty
+    assert calls == ([1] * n_tracks if budget == 1 else [n_tracks])
 
 
 def test_isotropy_chunks_close_on_configs_and_on_atoms():
@@ -1151,18 +1202,35 @@ def test_isotropy_experiment_keeps_no_gas_per_track(monkeypatch):
 
     monkeypatch.setattr(chamber, "_sampled_chunks", chunks)
     try:
-        isotropy_experiment(600, density, 12.0, 40.0, SPECIES, CTX, RngStream(63, 0))
+        isotropy_experiment(600, density, 12.0, 40.0, SPECIES, CTX, RngStream(63, 0), lambda *chunk: None)
     finally:
         tracemalloc.stop()
     assert len(configs) > 30
     assert held[0] / sum(configs[1:]) < 0.5 * 24 * mean_atoms
 
 
+def test_isotropy_experiment_memory_does_not_grow_with_the_run():
+    # with a sink that keeps nothing, the run holds its bin counts and one
+    # chunk's arrays: the peak of the README gas grows by under 64 KiB from
+    # 4*10^3 to 2*10^4 configurations (by 40 bytes per configuration, 629 KiB,
+    # while the run kept every track)
+    def peak(n_configs):
+        tracemalloc.start()
+        try:
+            isotropy_experiment(n_configs, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(20260810, 0),
+                                lambda *chunk: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(300)  # the caches a first run fills
+    assert peak(20_000) - peak(4_000) < 64 * 1024
+
+
 def test_isotropy_experiment_requires_enough_configs():
-    with pytest.raises(ValueError):
-        isotropy_experiment(0, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(1, 0))
-    with pytest.raises(ValueError):
-        isotropy_experiment(99, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(1, 0))
+    for n_configs in (0, 99):
+        with pytest.raises(ValueError, match="at least 100"):
+            isotropy_experiment(n_configs, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(1, 0), lambda *chunk: None)
 
 
 def test_configuration_json_roundtrip(tmp_path):

@@ -345,6 +345,33 @@ def test_overflowing_intensity_is_config_error(tmp_path, capsys, experiment):
     assert not any(out.iterdir())
 
 
+def test_isotropy_that_fails_after_its_first_tracks_exits_2_and_removes_tracks_csv(tmp_path, capsys, monkeypatch):
+    # the README config's 200 configurations make two chunks; tracks.csv holds
+    # the first chunk's rows when the second raises, as an overflowing |C|^2 does
+    tracks, calls = chamber._tracks, []
+
+    def second_chunk_raises(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            assert (out / "tracks.csv").read_text().startswith("dx,dy,dz,N,flux_ratio\n")
+            raise ValueError("integrand returned non-finite value")
+        return tracks(*args)
+
+    monkeypatch.setattr(chamber, "_tracks", second_chunk_raises)
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, "config.json", README_CONFIGS["isotropy"]), "--out-dir", str(out)]) == 2
+    assert "integrand returned non-finite value" in capsys.readouterr().err
+    assert len(calls) == 2 and not any(out.iterdir())
+
+
+def test_isotropy_without_a_track_exits_2_before_any_file(tmp_path, capsys):
+    payload = {**README_CONFIGS["isotropy"], "density": 0.0}
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 2
+    assert "no configuration produced a track" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 # SHA-256 of the bell config at 1000 trials and the README obstacle render at
 # 16^2 with grid.csv, both at --seed 1, taken while every run built its
 # quadrature rule with numpy's leggauss
