@@ -7,12 +7,11 @@ therefore violate the three-direction Bell inequality."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .numerics import RngStream, pairwise_sum, require_unit
+from .numerics import Frozen, FrozenValue, RngStream, pairwise_sum, require_unit
 
 __all__ = [
     "HiddenVariable",
@@ -37,53 +36,51 @@ MAX_TRIALS = 10**9
 BLOCK_TRIALS = 2**15
 
 
-@dataclass(frozen=True)
-class HiddenVariable:
+class HiddenVariable(FrozenValue):
     """Internal state of one measurement apparatus, a number in [0, 1)."""
 
-    lam: float
+    __slots__ = ("lam",)
 
-    def __post_init__(self):
-        if not (0.0 <= self.lam < 1.0):
-            raise ValueError(f"hidden variable must lie in [0, 1), got {self.lam}")
+    def __init__(self, lam: float):
+        if not (0.0 <= lam < 1.0):
+            raise ValueError(f"hidden variable must lie in [0, 1), got {lam}")
+        object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True, eq=False)
-class PolarizedState:
+class PolarizedState(Frozen):
     """Spin-1/2 state fully polarized along ``axis`` with sign +1 or -1."""
 
-    axis: np.ndarray
-    sign: int
+    __slots__ = ("axis", "sign")
 
-    def __post_init__(self):
-        object.__setattr__(self, "axis", require_unit(self.axis))
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+    def __init__(self, axis: np.ndarray, sign: int):
+        object.__setattr__(self, "axis", require_unit(axis))
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        object.__setattr__(self, "sign", sign)
 
 
-@dataclass(frozen=True, eq=False)
-class ApparatusSetting:
+class ApparatusSetting(Frozen):
     """Measurement orientation of one apparatus."""
 
-    orientation: np.ndarray
+    __slots__ = ("orientation",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "orientation", require_unit(self.orientation))
+    def __init__(self, orientation: np.ndarray):
+        object.__setattr__(self, "orientation", require_unit(orientation))
 
 
-@dataclass(frozen=True)
-class CorrelationEstimate:
+class CorrelationEstimate(FrozenValue):
     """Monte Carlo estimate of the outcome-product correlation."""
 
-    mean: float
-    std_error: float
-    n_trials: int
+    __slots__ = ("mean", "std_error", "n_trials")
 
-    def __post_init__(self):
-        if not (-1.0 <= self.mean <= 1.0):
-            raise ValueError(f"correlation mean must lie in [-1, 1], got {self.mean}")
-        if self.std_error < 0.0:
-            raise ValueError(f"std_error must be non-negative, got {self.std_error}")
+    def __init__(self, mean: float, std_error: float, n_trials: int):
+        if not (-1.0 <= mean <= 1.0):
+            raise ValueError(f"correlation mean must lie in [-1, 1], got {mean}")
+        if std_error < 0.0:
+            raise ValueError(f"std_error must be non-negative, got {std_error}")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std_error", std_error)
+        object.__setattr__(self, "n_trials", n_trials)
 
 
 class BellTestResult(NamedTuple):

@@ -18,7 +18,6 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +33,7 @@ from .mott import (
     flux_free,
     normalization_c2_atoms,
 )
-from .numerics import RngStream, chi2_sf, dot, norm, unit
+from .numerics import Frozen, FrozenValue, RngStream, chi2_sf, dot, norm, unit
 
 __all__ = [
     "ATOM_DTYPE",
@@ -77,25 +76,24 @@ SEPARATION_WIDTHS = 10.0
 _JSON_KEYS = ("x", "y", "z", "s", "g0", "g1", "delta_e")
 
 
-@dataclass(frozen=True)
-class AtomSpecies:
+class AtomSpecies(FrozenValue):
     """Properties shared by every atom of the gas (the position is sampled)."""
 
-    width: float
-    g0: float
-    g1: float
-    delta_e: float = 0.0
+    __slots__ = ("width", "g0", "g1", "delta_e")
 
-    def __post_init__(self):
-        check_atoms(self.width, self.g0, self.g1, self.delta_e)
+    def __init__(self, width: float, g0: float, g1: float, delta_e: float = 0.0):
+        check_atoms(width, g0, g1, delta_e)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "delta_e", delta_e)
 
     def records(self, positions) -> np.ndarray:
         """ATOM_DTYPE records of this species, one per row of ``positions``."""
         return _records(positions, self.width, self.g0, self.g1, self.delta_e)
 
 
-@dataclass(frozen=True, eq=False)
-class GasConfiguration:
+class GasConfiguration(Frozen):
     """One frozen microscopic state of the chamber gas.
 
     Atoms live in the shell inner_radius <= |a| <= chamber_radius; the
@@ -105,14 +103,14 @@ class GasConfiguration:
     the stream that produced the sample, for provenance and replay.
     """
 
-    atoms: np.ndarray
-    chamber_radius: float
-    inner_radius: float
-    seed: int
-    stream_id: int = 0
+    __slots__ = ("atoms", "chamber_radius", "inner_radius", "seed", "stream_id")
 
-    def __post_init__(self):
-        atoms = self.atoms  # fresh records handed over read-only are kept; any other input is copied
+    def __init__(self, atoms, chamber_radius: float, inner_radius: float, seed: int, stream_id: int = 0):
+        object.__setattr__(self, "chamber_radius", chamber_radius)
+        object.__setattr__(self, "inner_radius", inner_radius)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream_id", stream_id)
+        # fresh records handed over read-only are kept; any other input is copied
         if not (isinstance(atoms, np.ndarray) and atoms.base is None and not atoms.flags.writeable):
             atoms = np.array(atoms if len(atoms) else np.empty(0, ATOM_DTYPE))
         if atoms.dtype != ATOM_DTYPE or atoms.ndim != 1:
@@ -260,8 +258,7 @@ def second_order_amplitude(ctx: ScatteringContext, atom_a: np.void, atom_b: np.v
     return complex(first * np.exp(1j * ctx.k * d) / d * forward_b)
 
 
-@dataclass(frozen=True, eq=False)
-class AlignmentChain:
+class AlignmentChain(Frozen):
     """Successive atoms each inside the forward cone of the chain head.
 
     ``indices`` are atom indices into one GasConfiguration, radii strictly
@@ -269,12 +266,13 @@ class AlignmentChain:
     as the cone axis for the whole chain.
     """
 
-    indices: tuple[int, ...]
-    direction: np.ndarray
+    __slots__ = ("indices", "direction")
 
-    def __post_init__(self):
-        if not self.indices:
+    def __init__(self, indices: tuple[int, ...], direction: np.ndarray):
+        if not indices:
             raise ValueError("a chain has at least its head atom")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "direction", direction)
 
     @property
     def n(self) -> int:
@@ -285,14 +283,18 @@ class AlignmentChain:
         return self.indices[0]
 
 
-@dataclass(frozen=True, eq=False)
-class TrackResult:
+class TrackResult(Frozen):
     """Deterministic outcome of one chamber configuration."""
 
-    direction: np.ndarray
-    chain: AlignmentChain
-    surviving_spherical_flux: float
-    c2_per_step: float
+    __slots__ = ("direction", "chain", "surviving_spherical_flux", "c2_per_step")
+
+    def __init__(
+        self, direction: np.ndarray, chain: AlignmentChain, surviving_spherical_flux: float, c2_per_step: float
+    ):
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "surviving_spherical_flux", surviving_spherical_flux)
+        object.__setattr__(self, "c2_per_step", c2_per_step)
 
     @property
     def flux_ratio(self) -> float:
@@ -546,7 +548,7 @@ def select_track(
     theta_c = cone_half_angle(ctx, float(config.atoms["width"].max()), envelope_drop)
     (head,), (n,), (c2,), dirs, grown = _tracks(config.atoms, np.array([0, config.n_atoms]), ctx, theta_c)
     head, n, c2 = int(head), int(n), float(c2)
-    chain = AlignmentChain(indices=tuple(grown.get(head, (head,))), direction=dirs[head])
+    chain = AlignmentChain(indices=tuple(grown.get(head, (head,))), direction=dirs[head].copy())
     return TrackResult(
         direction=chain.direction,
         chain=chain,
@@ -590,14 +592,16 @@ def direction_bin(direction):
     return int(bins[0]) if d.ndim == 1 else bins
 
 
-@dataclass(frozen=True, eq=False)
-class IsotropyResult:
+class IsotropyResult(Frozen):
     """Track counts per equal-solid-angle bin over many chamber runs, and their chi-square test."""
 
-    counts: np.ndarray
-    chi_square: float
-    p_value: float
-    n_empty: int
+    __slots__ = ("counts", "chi_square", "p_value", "n_empty")
+
+    def __init__(self, counts: np.ndarray, chi_square: float, p_value: float, n_empty: int):
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "chi_square", chi_square)
+        object.__setattr__(self, "p_value", p_value)
+        object.__setattr__(self, "n_empty", n_empty)
 
 
 # isotropy_experiment samples and selects consecutive configurations
@@ -718,9 +722,9 @@ def save_configuration(config: GasConfiguration, path) -> None:
     The text is what ``json.dump(..., indent=1)`` writes, plus a newline,
     for the object with keys seed, stream_id, inner_radius, chamber_radius
     and atoms, a list of objects with keys x, y, z, s, g0, g1, delta_e.  It
-    is formatted here, a few thousand atom entries at a time, because json's
-    indenting encoder runs in pure Python and a joined text would hold the
-    whole file in memory.
+    is formatted here, 256 atom entries (about 40 KB of text) at a time,
+    because json's indenting encoder runs in pure Python and a joined text
+    would hold the whole file in memory.
     """
     header = "".join(f' "{key}": {json.dumps(value)},\n' for key, value in (
         ("seed", config.seed), ("stream_id", config.stream_id),
@@ -736,8 +740,8 @@ def save_configuration(config: GasConfiguration, path) -> None:
     table = np.column_stack(list(columns.values()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n" + header + ' "atoms": [')
-        for start in range(0, len(table), 2048):
-            rows = table[start:start + 2048].tolist()
+        for start in range(0, len(table), 256):
+            rows = table[start:start + 256].tolist()
             fh.write((",\n" if start else "\n") + ",\n".join([entry % tuple(row) for row in rows]))
         fh.write("\n ]\n}\n" if len(table) else "]\n}\n")
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import dot, norm, unit
+from .numerics import FrozenValue, dot, norm, unit
 
 __all__ = [
     "ScatteringContext",
@@ -89,8 +88,7 @@ def check_atoms(width, g0, g1, delta_e, radius=None) -> None:
                 f"far-field amplitudes need |position| >= {MIN_DISTANCE_WIDTHS:g} * width")
 
 
-@dataclass(frozen=True)
-class ScatteringContext:
+class ScatteringContext(FrozenValue):
     """Projectile kinematics: kinetic energy and obstacle excitation energy.
 
     Wavenumbers and velocities follow from the natural units: the elastic
@@ -98,16 +96,15 @@ class ScatteringContext:
     to the obstacle, so k' = sqrt(2 (e_alpha - delta_e)) <= k.
     """
 
-    e_alpha: float
-    delta_e: float = 0.0
+    __slots__ = ("e_alpha", "delta_e")
 
-    def __post_init__(self):
-        if not (self.e_alpha > 0.0 and math.isfinite(self.e_alpha)):
-            raise ValueError(f"projectile energy must be positive, got {self.e_alpha}")
-        if not (0.0 <= self.delta_e < self.e_alpha):
-            raise ValueError(
-                f"excitation energy must satisfy 0 <= delta_e < e_alpha, got {self.delta_e}"
-            )
+    def __init__(self, e_alpha: float, delta_e: float = 0.0):
+        if not (e_alpha > 0.0 and math.isfinite(e_alpha)):
+            raise ValueError(f"projectile energy must be positive, got {e_alpha}")
+        if not (0.0 <= delta_e < e_alpha):
+            raise ValueError(f"excitation energy must satisfy 0 <= delta_e < e_alpha, got {delta_e}")
+        object.__setattr__(self, "e_alpha", e_alpha)
+        object.__setattr__(self, "delta_e", delta_e)
 
     @classmethod
     def from_wavenumber(cls, k: float, delta_e: float = 0.0) -> "ScatteringContext":

@@ -1,5 +1,6 @@
 """Shared numerical substrate: 3-vectors, reproducible counter-based random
-streams, the chi-square tail probability and a generic Gauss-Legendre rule.
+streams, the chi-square tail probability, a generic Gauss-Legendre rule and
+the read-only base of the model types.
 
 The generic rule (``gauss_legendre``, ``quad_1d``) serves the tests and their
 oracles only; the flux integrals of ``mott`` carry their own stored rule, so
@@ -23,12 +24,49 @@ __all__ = [
     "pairwise_sum",
     "chi2_sf",
     "RngStream",
+    "Frozen",
+    "FrozenValue",
 ]
 
 UNIT_TOL = 1e-12
 
 # ranges up to this length are summed by one np.add.reduce call
 PAIRWISE_LEAF = 2**16
+
+
+class Frozen:
+    """Base of the package's model types: read-only fields, ``==`` and ``hash`` by identity.
+
+    A subclass names its fields in ``__slots__`` and sets each once in
+    ``__init__`` with ``object.__setattr__``; any later assignment or
+    deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__)})"
+
+
+class FrozenValue(Frozen):
+    """A Frozen type whose ``==`` and ``hash`` are those of its field values, in ``__slots__`` order."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
 
 
 def dot(u, v) -> np.ndarray:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import contextlib
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import require_unit
+from .numerics import Frozen, require_unit
 
 __all__ = [
     "PlaneSpec",
@@ -39,8 +38,7 @@ BLOCK_PIXELS = 8192
 _SECTOR_LEVELS = np.array([[1, 3, 0], [2, 1, 0], [0, 1, 3], [0, 2, 1], [3, 0, 1], [1, 0, 2]])
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneSpec:
+class PlaneSpec(Frozen):
     """Square sampling lattice on a plane in space.
 
     Sample offsets along each axis are -half_extent + 2*half_extent*i/resolution
@@ -56,52 +54,46 @@ class PlaneSpec:
     bytes a pixel.
     """
 
-    origin: np.ndarray
-    u_axis: np.ndarray
-    v_axis: np.ndarray
-    half_extent: float
-    resolution: int
+    __slots__ = ("origin", "u_axis", "v_axis", "half_extent", "resolution")
 
-    def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=float)
-        if origin.shape != (3,) or not np.all(np.isfinite(origin)):
-            raise ValueError(f"origin must be a finite 3-vector, got {self.origin}")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "u_axis", require_unit(self.u_axis))
-        object.__setattr__(self, "v_axis", require_unit(self.v_axis))
+    def __init__(self, origin, u_axis, v_axis, half_extent: float, resolution: int):
+        point = np.asarray(origin, dtype=float)
+        if point.shape != (3,) or not np.all(np.isfinite(point)):
+            raise ValueError(f"origin must be a finite 3-vector, got {origin}")
+        object.__setattr__(self, "origin", point)
+        object.__setattr__(self, "u_axis", require_unit(u_axis))
+        object.__setattr__(self, "v_axis", require_unit(v_axis))
+        object.__setattr__(self, "half_extent", half_extent)
+        object.__setattr__(self, "resolution", resolution)
         if abs(float(np.dot(self.u_axis, self.v_axis))) > ORTHOGONALITY_TOL:
             raise ValueError("plane axes must be orthogonal")
-        if self.half_extent <= 0.0:
-            raise ValueError(f"half_extent must be positive, got {self.half_extent}")
-        if not MIN_RESOLUTION <= self.resolution <= MAX_RESOLUTION:
-            raise ValueError(
-                f"resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {self.resolution}"
-            )
+        if half_extent <= 0.0:
+            raise ValueError(f"half_extent must be positive, got {half_extent}")
+        if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+            raise ValueError(f"resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}")
         # the offsets and sample_plane's sums are monotone, so finite corners mean finite points
         with np.errstate(over="ignore", invalid="ignore"):
             ends = self.offsets()[[0, -1]]
-            corners = origin + ends[:, None, None] * self.u_axis + ends[:, None] * self.v_axis
+            corners = point + ends[:, None, None] * self.u_axis + ends[:, None] * self.v_axis
         if not np.isfinite(corners).all():
-            raise ValueError(f"half_extent {self.half_extent} overflows the lattice about origin {origin}")
+            raise ValueError(f"half_extent {self.half_extent} overflows the lattice about origin {point}")
 
     def offsets(self) -> np.ndarray:
         i = np.arange(self.resolution, dtype=float)
         return -self.half_extent + 2.0 * self.half_extent * i / self.resolution
 
 
-@dataclass(frozen=True, eq=False)
-class FieldImage:
+class FieldImage(Frozen):
     """RGB image as raw row-major byte triples; a render fills a bytearray ``rgb`` in place."""
 
-    width: int
-    height: int
-    rgb: bytes | bytearray
+    __slots__ = ("width", "height", "rgb")
 
-    def __post_init__(self):
-        if len(self.rgb) != 3 * self.width * self.height:
-            raise ValueError(
-                f"rgb length {len(self.rgb)} != 3 * {self.width} * {self.height}"
-            )
+    def __init__(self, width: int, height: int, rgb: bytes | bytearray):
+        if len(rgb) != 3 * width * height:
+            raise ValueError(f"rgb length {len(rgb)} != 3 * {width} * {height}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "rgb", rgb)
 
 
 def _row_blocks(n_rows: int, row_length: int):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -703,7 +702,7 @@ def test_save_configuration_writes_json_dump_text(tmp_path):
     signed_zeros["delta_e"][1] = -0.0
     for gas in (
         sample_gas(2e-3, 12.0, 40.0, SPECIES, RngStream(62, 0)),
-        sample_gas(3.5e-2, 12.0, 40.0, SPECIES, RngStream(62, 4)),  # over four writes of 2048 atoms
+        sample_gas(3.5e-2, 12.0, 40.0, SPECIES, RngStream(62, 4)),  # 36 writes of 256 atoms and one of 19
         GasConfiguration(atoms=(), chamber_radius=40, inner_radius=12, seed=2**64 - 1, stream_id=3),
         GasConfiguration(atoms=mixed, chamber_radius=40.0, inner_radius=12.0, seed=62),
         GasConfiguration(atoms=mixed[:1], chamber_radius=40.0, inner_radius=12.0, seed=62),
@@ -712,6 +711,19 @@ def test_save_configuration_writes_json_dump_text(tmp_path):
         path = tmp_path / "gas.json"
         save_configuration(gas, path)
         assert path.read_text(encoding="utf-8") == json.dumps(configuration_to_dict(gas), indent=1) + "\n"
+
+
+def test_save_configuration_peak_memory_stays_under_half_a_megabyte(tmp_path):
+    # the text is formatted 256 atom entries at a time: the 5356-atom gas of
+    # a dense track peaks at 0.28 MB (1.21 MB with 2048-entry blocks)
+    gas = sample_gas(2e-2, 12.0, 40.0, SPECIES, RngStream(3, 0))
+    tracemalloc.start()
+    try:
+        save_configuration(gas, tmp_path / "gas.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gas.n_atoms == 5356 and peak < 0.5e6
 
 
 def test_gas_configuration_rejects_bad_records():
@@ -887,7 +899,7 @@ def test_isotropy_experiment_uniform_gas():
     (result, (directions, chain_lengths, flux_ratios)), _ = collected_isotropy(
         300, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(8080, 0)
     )
-    assert [f.name for f in dataclasses.fields(result)] == ["counts", "chi_square", "p_value", "n_empty"]
+    assert type(result).__slots__ == ("counts", "chi_square", "p_value", "n_empty")
     assert result.counts.sum() + result.n_empty == 300
     assert result.p_value > 0.001
     assert result.p_value == chi2_sf(31, result.chi_square)
@@ -1181,6 +1193,16 @@ def test_select_track_matches_scan_reference(k):
             assert (track.c2_per_step, track.surviving_spherical_flux, track.flux_ratio) == (
                 expected.c2_per_step, expected.surviving_spherical_flux, expected.flux_ratio
             )
+
+
+def test_select_track_direction_holds_no_gas_array():
+    # the winner's row is copied out of the chains' (n_atoms, 3) directions,
+    # so a kept track does not hold 24 bytes per atom of its gas; the bits
+    # are those the row view had
+    gas = sample_gas(2e-2, 12.0, 40.0, SPECIES, RngStream(3, 0))
+    track = select_track(gas, CTX)
+    assert gas.n_atoms == 5356 and track.direction.base is None and track.chain.direction is track.direction
+    assert track.direction.tobytes().hex() == "82628f61e20cd03f00bf74bf6ffbedbfb382d8e0c427cf3f"
 
 
 def test_isotropy_experiment_keeps_no_gas_per_track(monkeypatch):

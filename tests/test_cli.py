@@ -425,6 +425,17 @@ def test_cli_render_never_loads_numpy_polynomial(tmp_path):
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_import_never_loads_dataclasses():
+    # the model types are plain slotted classes, so a cold start runs no
+    # dataclass code generation
+    script = "import sys\nimport mottbox.cli\nprint('dataclasses' in sys.modules)\n"
+    src = str(Path(mottbox.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_track_without_forward_cone_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main([track_config(tmp_path, k=0.4), "--out-dir", str(out)]) == 2

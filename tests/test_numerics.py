@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from mottbox import bell, chamber, mott, render
 from mottbox.numerics import (
     RngStream,
     chi2_sf,
@@ -333,3 +334,47 @@ def test_chi2_sf_rejects_unported_degrees_of_freedom(df):
     # the closed form holds for whole df >= 1 only
     with pytest.raises(ValueError, match="integer df >= 1"):
         chi2_sf(df, 31.0)
+
+
+_Z = np.array([0.0, 0.0, 1.0])
+# each model type: a factory of equal instances, its fields, and whether == and hash follow the values
+MODEL_TYPES = {
+    "HiddenVariable": (lambda: bell.HiddenVariable(0.25), "lam", True),
+    "PolarizedState": (lambda: bell.PolarizedState(axis=_Z, sign=-1), "axis sign", False),
+    "ApparatusSetting": (lambda: bell.ApparatusSetting(_Z), "orientation", False),
+    "CorrelationEstimate": (lambda: bell.CorrelationEstimate(-0.5, std_error=0.01, n_trials=100),
+                            "mean std_error n_trials", True),
+    "AtomSpecies": (lambda: chamber.AtomSpecies(width=1.0, g0=0.5, g1=0.5), "width g0 g1 delta_e", True),
+    "GasConfiguration": (lambda: chamber.GasConfiguration((), 40.0, inner_radius=12.0, seed=1),
+                         "atoms chamber_radius inner_radius seed stream_id", False),
+    "AlignmentChain": (lambda: chamber.AlignmentChain((0,), direction=_Z), "indices direction", False),
+    "TrackResult": (lambda: chamber.TrackResult(_Z, chamber.AlignmentChain((0,), _Z), 1.0, c2_per_step=0.5),
+                    "direction chain surviving_spherical_flux c2_per_step", False),
+    "IsotropyResult": (lambda: chamber.IsotropyResult(np.zeros(32, int), 0.0, 1.0, n_empty=0),
+                       "counts chi_square p_value n_empty", False),
+    "ScatteringContext": (lambda: mott.ScatteringContext(50.0, delta_e=0.01), "e_alpha delta_e", True),
+    "PlaneSpec": (lambda: render.PlaneSpec([0, 0, 0], [1, 0, 0], [0, 1, 0], half_extent=20.0, resolution=16),
+                  "origin u_axis v_axis half_extent resolution", False),
+    "FieldImage": (lambda: render.FieldImage(width=1, height=1, rgb=b"rgb"), "width height rgb", False),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_TYPES)
+def test_model_types_are_read_only_with_value_or_identity_equality(name):
+    make, fields, by_value = MODEL_TYPES[name]
+    a, b, fields = make(), make(), fields.split()
+    assert type(a).__name__ == name and a == a and hash(a) == hash(a)
+    for field in fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(a, field, getattr(a, field))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert not hasattr(a, "__dict__")
+    if by_value:  # as a dataclass with eq=True: equal field tuples, and only within the type
+        values = tuple(getattr(a, field) for field in fields)
+        assert a == b and hash(a) == hash(b) == hash(values) and a != values
+        assert repr(a) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    else:
+        assert a != b and hash(a) == object.__hash__(a)
