@@ -100,7 +100,7 @@ class ScatteringContext(FrozenValue):
 
     def __init__(self, e_alpha: float, delta_e: float = 0.0):
         if not (e_alpha > 0.0 and math.isfinite(e_alpha)):
-            raise ValueError(f"projectile energy must be positive, got {e_alpha}")
+            raise ValueError(f"projectile energy must be finite and positive, got {e_alpha}")
         if not (0.0 <= delta_e < e_alpha):
             raise ValueError(f"excitation energy must satisfy 0 <= delta_e < e_alpha, got {delta_e}")
         object.__setattr__(self, "e_alpha", e_alpha)
@@ -108,8 +108,10 @@ class ScatteringContext(FrozenValue):
 
     @classmethod
     def from_wavenumber(cls, k: float, delta_e: float = 0.0) -> "ScatteringContext":
-        if k <= 0.0:
-            raise ValueError(f"wavenumber must be positive, got {k}")
+        if not k > 0.0:
+            raise ValueError(f"wavenumber k must be positive, got {k}")
+        if not 0.0 < 0.5 * k * k < math.inf:
+            raise ValueError(f"wavenumber k = {k}: k^2/2 {'overflows' if k > 1.0 else 'underflows to 0'}")
         return cls(e_alpha=0.5 * k * k, delta_e=delta_e)
 
     @property

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import os
 
 import numpy as np
 
@@ -24,7 +25,6 @@ __all__ = [
     "check_modulus_scale",
     "colorize",
     "write_ppm",
-    "write_grid_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -196,8 +196,8 @@ def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
 
 @contextlib.contextmanager
 def _grid_csv(plane: PlaneSpec, path):
-    # write(rows, z) appends the ``u,v,re,im`` lines of grid rows z to the CSV at
-    # path, after its header; with no path it writes nothing
+    # write(rows, z) appends the ``u,v,re,im`` lines of grid rows z to the CSV at path, after its
+    # header, and a run that fails after it opens removes it, as cli._csv does; no path, no file
     if path is None:
         yield lambda rows, z: None
         return
@@ -209,16 +209,21 @@ def _grid_csv(plane: PlaneSpec, path):
             for u, re, im in zip(labels[rows], z.real.tolist(), z.imag.tolist()):
                 fh.write("".join([f"{u},{v},{r!r},{m!r}\n" for v, r, m in zip(labels, re, im)]))
 
-        yield write
+        try:
+            yield write
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def render_plane(field, plane: PlaneSpec, modulus_scale: float, grid_csv=None) -> FieldImage:
     """Sample ``field`` on ``plane`` and colour it, one block of lattice rows at a time.
 
     The image is colorize(sample_plane(field, plane), modulus_scale), and
-    ``grid_csv``, when given, receives the bytes write_grid_csv would write
-    for that grid; but each block is coloured and written as it is sampled,
-    so the image is the only array the size of the plane.
+    ``grid_csv``, when given, receives the bytes that ``write_grid_csv`` in
+    tests/oracles.py writes for that grid; but each block is coloured and
+    written as it is sampled, so the image is the only array the plane's size.
     """
     image, paint = _canvas(plane.resolution, plane.resolution, modulus_scale)
     with _grid_csv(plane, grid_csv) as write:
@@ -237,10 +242,3 @@ def write_ppm(image: FieldImage, path) -> None:
             fh.write(image.rgb)
     except OSError as exc:
         raise OSError(f"failed writing PPM to {path}: {exc}") from exc
-
-
-def write_grid_csv(grid: np.ndarray, plane: PlaneSpec, path) -> None:
-    """Dump the complex grid as CSV rows ``u,v,re,im``."""
-    with _grid_csv(plane, path) as write:
-        for rows in _row_blocks(*grid.shape):
-            write(rows, grid[rows])

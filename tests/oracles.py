@@ -159,6 +159,21 @@ def render_field(field, plane, modulus_scale: float):
     return colorize(sample_plane(field, plane), modulus_scale)
 
 
+def write_grid_csv(grid, plane, path) -> None:
+    """The ``grid.csv`` a render writes for ``grid``, one value at a time.
+
+    A ``u,v,re,im`` header, then grid[i, j] at lattice offsets (u, v) =
+    (offset[i], offset[j]) in row-major order, every number as its repr.
+    """
+    offsets = plane.offsets().tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("u,v,re,im\n")
+        for i, u in enumerate(offsets):
+            for j, v in enumerate(offsets):
+                z = complex(grid[i, j])
+                fh.write(f"{u!r},{v!r},{z.real!r},{z.imag!r}\n")
+
+
 def quad_3d(f, half_width: float, n_per_axis: int, vectorized: bool = False) -> complex:
     """Tensor-product Gauss-Legendre estimate of a complex volume integral.
 

@@ -18,6 +18,7 @@ from mottbox import bell, chamber, mott, numerics, render
 from mottbox.cli import MAX_ANGLES, main
 from mottbox.mott import ScatteringContext
 from mottbox.render import MAX_RESOLUTION
+from oracles import write_grid_csv
 
 GOLDEN_FREE_RENDER_SHA256 = "881d49d7ab127aad7154bc702a48d7a1f8cfb44acd32b42ac3bead5c2ed34666"
 # the README obstacle render at 384^2, frozen before the field path was vectorized
@@ -651,6 +652,26 @@ def test_render_run_with_obstacle(tmp_path, capsys, caplog):
         "masked 1 singular pixel(s), first few: [(192, 192)]"]
 
 
+def test_render_that_fails_after_grid_csv_opens_exits_1_and_removes_it(tmp_path, capsys, monkeypatch):
+    # at 256^2 a block is 32 lattice rows: grid.csv holds two blocks' rows when the third raises
+    wave_field, calls = mott.wave_field, []
+
+    def third_block_raises(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            assert (out / "grid.csv").read_text().startswith("u,v,re,im\n")
+            raise RuntimeError("injected failure")
+        return wave_field(*args)
+
+    monkeypatch.setattr(mott, "wave_field", third_block_raises)
+    payload = render_config(grid_csv="grid.csv")
+    payload["plane"]["resolution"] = 256
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, "render.json", payload), "--out-dir", str(out)]) == 1
+    assert "injected failure" in capsys.readouterr().err
+    assert len(calls) == 3 and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, None])
 def test_streamed_render_writes_what_the_whole_grid_writers_write(tmp_path, capsys, monkeypatch, block_rows):
     # the obstacle centre (offset 12 = -20 + 40 * 32 / 40) and the emitter both lie on this lattice
@@ -667,7 +688,7 @@ def test_streamed_render_writes_what_the_whole_grid_writers_write(tmp_path, caps
                              v_axis=np.array([0.0, 1.0, 0.0]), half_extent=20.0, resolution=40)
     grid = render.sample_plane(lambda p: mott.wave_field(ctx, obstacle, p), plane)
     assert grid[20, 20] == grid[32, 20] == 0.0
-    render.write_grid_csv(grid, plane, tmp_path / "whole.csv")
+    write_grid_csv(grid, plane, tmp_path / "whole.csv")
     assert (out / "grid.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     render.write_ppm(render.colorize(grid, 0.08), tmp_path / "whole.ppm")
     assert (out / "field.ppm").read_bytes() == (tmp_path / "whole.ppm").read_bytes()
@@ -889,6 +910,8 @@ def test_value_that_is_not_a_number_exits_2_naming_its_key(tmp_path, capsys, bui
     ("track", {"chamber_radius": 1e300}, "shell volume overflows at chamber_radius 1e+300"),
     ("isotropy", {"chamber_radius": 1e300}, "shell volume overflows at chamber_radius 1e+300"),
     ("scatter", {"k": 1e100, "s": 1e60, "distance": 1e61}, "not converged at n=128 for k*s = 1e+160"),
+    ("scatter", {"k": 1e200}, "wavenumber k = 1e+200: k^2/2 overflows"),
+    ("track", {"k": 5e-324}, "wavenumber k = 5e-324: k^2/2 underflows to 0"),
 ])
 def test_finite_numbers_whose_squares_or_cubes_overflow_exit_2(tmp_path, capsys, experiment, changes, message):
     config = write_config(tmp_path, "config.json", {**README_CONFIGS[experiment], **changes})

