@@ -1,6 +1,7 @@
-"""Shared numerical substrate: 3-vectors, reproducible counter-based random
-streams, the chi-square tail probability, a generic Gauss-Legendre rule and
-the read-only base of the model types.
+"""Shared numerical substrate: 3-vectors, normalized without under- or
+overflow, reproducible counter-based random streams, the chi-square tail
+probability, a generic Gauss-Legendre rule and the read-only base of the
+model types.
 
 The generic rule (``gauss_legendre``, ``quad_1d``) serves the tests and their
 oracles only; the flux integrals of ``mott`` carry their own stored rule, so
@@ -21,7 +22,6 @@ __all__ = [
     "require_unit",
     "gauss_legendre",
     "quad_1d",
-    "pairwise_sum",
     "chi2_sf",
     "RngStream",
     "Frozen",
@@ -29,9 +29,6 @@ __all__ = [
 ]
 
 UNIT_TOL = 1e-12
-
-# ranges up to this length are summed by one np.add.reduce call
-PAIRWISE_LEAF = 2**16
 
 
 class Frozen:
@@ -83,9 +80,16 @@ def norm(v) -> float:
 
 
 def unit(v) -> np.ndarray:
-    """Normalize ``v`` to unit length."""
+    """Normalize ``v`` to unit length.
+
+    Where |v|^2 is not a normal float (every component below about 1e-154,
+    or one above about 1e154), a finite non-zero ``v`` is first divided by
+    its largest |component|.
+    """
     v = np.asarray(v, dtype=float)
     n = norm(v)
+    if not 2.0**-511 <= n < math.inf and np.isfinite(v).all() and v.any():
+        return unit(v / np.abs(v).max())
     if n == 0.0 or not np.isfinite(n):
         raise ValueError(f"cannot normalize vector with norm {n}")
     return v / n
@@ -133,23 +137,6 @@ def quad_1d(f, lo: float, hi: float, n: int) -> float:
             raise ValueError(f"integrand returned non-finite value {val!r} at x={t!r}")
         total += wi * val
     return half * total
-
-
-def pairwise_sum(leaf_sum, n: int, start: int = 0) -> float:
-    """Sum of ``n`` terms from ``start`` in the order of ``np.add.reduce``.
-
-    numpy sums a contiguous float64 array pairwise, splitting a range of
-    more than 128 terms at half its length rounded down to a multiple of 8.
-    This follows the same splits down to ranges of at most PAIRWISE_LEAF
-    terms and calls ``leaf_sum(start, m)``, which must return
-    ``np.add.reduce`` over terms start .. start + m - 1, so the terms never
-    need to exist as one array.  Every leaf starts at a multiple of 8.
-    """
-    if n <= PAIRWISE_LEAF:
-        return leaf_sum(start, n)
-    half = n // 2
-    half -= half % 8
-    return pairwise_sum(leaf_sum, half, start) + pairwise_sum(leaf_sum, n - half, start + half)
 
 
 def chi2_sf(df: int, x: float) -> float:

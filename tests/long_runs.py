@@ -68,11 +68,15 @@ CASES = {
     "scatter, 10^6 angles": ({"experiment": "scatter", "k": 10.0, "delta_e": 0.01, "s": 1.0, "g0": 0.5,
                               "g1": 0.5, "distance": 10.0, "n_theta": 1_000_000}, {
         "angular.csv": "f6b6483ecb2f8545002197967e7c2cc87df32993b99ffc80ed54f79a0d338832"}, 52.0),
-    # the README bell config at 10^8 trials: about 49 MB max RSS, of which the outcomes,
-    # one bit per trial, are 12.5 MB
+    # the README bell config at 10^8 trials, and its (a, b) pair alone at MAX_TRIALS = 10^9:
+    # each about 37 MB max RSS, since a run keeps only the count of -1 products. The 10^9
+    # hash was taken while a run kept one bit per trial (then about 156 MB max RSS)
     "bell, 10^8 trials": ({"experiment": "bell", "a": [1, 0, 0], "b": [1, 1, 0], "c": [0, 1, 0],
                            "n_trials": 100_000_000, "seed": 42}, {
-        "bell.csv": "e8d635a4efae7515cddb071cf51274487498f12db3ceadf4d05b06d6e775c820"}, 56.0),
+        "bell.csv": "904e871148d1f8abdf1da907974b52eb59f68f36360a155b605efd1397a427b8"}, 44.0),
+    "bell, 10^9 trials": ({"experiment": "bell", "a": [1, 0, 0], "b": [1, 1, 0],
+                           "n_trials": 1_000_000_000, "seed": 42}, {
+        "bell.csv": "34abf34202aba07715ca5f25bfd157ade0953bc82e3958be9a80636223be0db6"}, 44.0),
 }
 
 

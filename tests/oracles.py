@@ -11,7 +11,7 @@ import math
 import mpmath
 import numpy as np
 
-from mottbox.bell import CorrelationEstimate, _plus_threshold
+from mottbox.bell import _plus_threshold
 from mottbox.chamber import (
     N_PHI_SECTORS,
     N_Z_BANDS,
@@ -516,15 +516,22 @@ def trial_products(a, b, lam1, lam2) -> np.ndarray:
     return r1 * r2
 
 
-def correlation_mc_array(a, b, n, rng) -> CorrelationEstimate:
-    """``bell.correlation_mc`` over one ``(n, 2)`` array of uniforms and one of products.
-
-    The streamed estimator must give the same mean and std_error bits.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one trial, got n={n}")
+def correlation_mc_products(a, b, n, rng) -> np.ndarray:
+    """The products of ``bell.correlation_mc``'s ``n`` trials, from one ``(n, 2)`` array of uniforms."""
     u = rng.uniform(size=(n, 2))
-    products = trial_products(a, b, u[:, 0], u[:, 1])
-    mean = float(products.mean())
-    std_error = float(products.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return CorrelationEstimate(mean=mean, std_error=std_error, n_trials=n)
+    return trial_products(a, b, u[:, 0], u[:, 1])
+
+
+def std_error_mpmath(products) -> mpmath.mpf:
+    """sqrt(sum (p - mean)^2 / (n - 1)) / sqrt(n) over ``products`` at 200 bits, and 0 for one product.
+
+    Each distinct value enters once, times its count, so 10^6 products cost two terms.
+    """
+    n = len(products)
+    if n == 1:
+        return mpmath.mpf(0)
+    values, counts = np.unique(products, return_counts=True)
+    with mpmath.workprec(200):
+        terms = [(mpmath.mpf(float(v)), int(c)) for v, c in zip(values, counts)]
+        mean = mpmath.fsum(c * v for v, c in terms) / n
+        return mpmath.sqrt(mpmath.fsum(c * (v - mean) ** 2 for v, c in terms) / (n - 1) / n)

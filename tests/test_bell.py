@@ -21,7 +21,7 @@ from mottbox.bell import (
 )
 from mottbox.numerics import RngStream, unit
 
-from oracles import correlation_mc_array, response_batch, trial_products
+from oracles import correlation_mc_products, response_batch, std_error_mpmath, trial_products, ulps_from
 
 X = ApparatusSetting([1.0, 0.0, 0.0])
 Y = ApparatusSetting([0.0, 1.0, 0.0])
@@ -29,8 +29,8 @@ Z = ApparatusSetting([0.0, 0.0, 1.0])
 DIAG_XY = ApparatusSetting(unit([1.0, 1.0, 0.0]))  # pi/4 from X, pi/4 from Y
 MINUS_X = ApparatusSetting([-1.0, 0.0, 0.0])
 
-# around the byte (8), numpy's unrolled sum (128), the draw block (2^15
-# trials) and the pairwise leaf (2^16 terms)
+# one trial (std_error 0), a few, and sizes around one and two draw blocks
+# (2^15 trials) and ending part-way into a block, up to 10^6 + 3
 ORACLE_SIZES = (
     1, 2, 7, 8, 9, 127, 128, 129, 2**15 - 1, 2**15, 2**15 + 1,
     2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5, 10**6 + 3,
@@ -183,13 +183,15 @@ def test_correlation_mc_rejects_trials_above_guard(monkeypatch):
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
 def test_correlation_mc_bit_equal_to_array_oracle(n):
-    # the README pairs (a, b), (a, c), (b, c), then every product -1 and every product +1
+    # the README pairs (a, b), (a, c), (b, c), then every product -1 and every product +1.
+    # An equal mean means an equal count of -1 products; std_error is within 2 ulp of exact
     pairs = [(X, DIAG_XY), (X, Y), (DIAG_XY, Y), (X, X), (X, MINUS_X)]
     for seed in (1, 2, 3):
         for stream_id, (a, b) in enumerate(pairs):
             got = correlation_mc(a, b, n, RngStream(seed, stream_id))
-            want = correlation_mc_array(a, b, n, RngStream(seed, stream_id))
-            assert (got.mean.hex(), got.std_error.hex()) == (want.mean.hex(), want.std_error.hex())
+            products = correlation_mc_products(a, b, n, RngStream(seed, stream_id))
+            assert got.mean.hex() == float(products.mean()).hex()
+            assert ulps_from(got.std_error, std_error_mpmath(products)) <= 2.0
     assert correlation_mc(X, X, n, RngStream(1, 0)) == CorrelationEstimate(-1.0, 0.0, n)
     assert correlation_mc(X, MINUS_X, n, RngStream(1, 0)) == CorrelationEstimate(1.0, 0.0, n)
 
@@ -225,16 +227,16 @@ def test_word_limit_sweep(t, word):
     assert_word_limit_exact(t)
 
 
-def test_correlation_mc_memory_is_one_bit_per_trial():
-    # 250 kB of bits and one 512 KiB block of words or of squared
-    # deviations; one (n, 2) array of uniforms alone is 32 MB
+def test_correlation_mc_memory_does_not_grow_with_trials():
+    # one 512 KiB block of words and its mask; one (n, 2) array of uniforms
+    # alone is 160 MB, and a bit per trial 1.25 MB
     tracemalloc.start()
     try:
-        correlation_mc(X, DIAG_XY, 2_000_000, RngStream(3, 1))
+        correlation_mc(X, DIAG_XY, 10_000_000, RngStream(3, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000
+    assert peak < 2**20
 
 
 def test_correlation_mc_deterministic():

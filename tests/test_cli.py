@@ -42,10 +42,11 @@ README_CONFIGS = {
 
 # SHA-256 of every file README_CONFIGS writes at --seed 1 and 2, frozen
 # before the flux quadrature was checked against its closed form and before
-# the CSV rows were streamed
+# the CSV rows were streamed. bell at --seed 2 was re-taken when the standard
+# error came to be computed from the two counts: one std_error cell moved by 2 ulp
 OUTPUT_SHA256 = {
     ("bell", 1): {"bell.csv": "b872f156d6022d14773908019b2f6bfab5e6f6d1d8350fb61d1ca180e5ad3135"},
-    ("bell", 2): {"bell.csv": "87bdfe784e1dc16abba721a5ddcb081a8f24c82c9edfd3cf06227e38c6cb9c0f"},
+    ("bell", 2): {"bell.csv": "69eeeaad686b3bda4c8638c333521971f6616b8bdfdc421ab917002ac93e9119"},
     ("scatter", 1): {"angular.csv": "b2c4947d15116edfb8416ee839e7890d189fcd54a9c79bfd4cf4c19264e5cad0"},
     ("scatter", 2): {"angular.csv": "b2c4947d15116edfb8416ee839e7890d189fcd54a9c79bfd4cf4c19264e5cad0"},
     ("track", 1): {"gas.json": "5f3fd181d9f4f0b5a80452c6a6221a700f001a0f806048ef04b9c51b380e8f41",
@@ -375,9 +376,10 @@ def test_isotropy_without_a_track_exits_2_before_any_file(tmp_path, capsys):
 
 # SHA-256 of the bell config at 1000 trials and the README obstacle render at
 # 16^2 with grid.csv, both at --seed 1, taken while every run built its
-# quadrature rule with numpy's leggauss
+# quadrature rule with numpy's leggauss. bell.csv was re-taken when the standard
+# error came to be computed from the two counts: one std_error cell moved by 1 ulp
 SMALL_OUTPUT_SHA256 = {
-    "bell": {"bell.csv": "cf3e12760456f10f1f41fb7370a7bd4805a01e917805a0cb68856ffdbbe70364"},
+    "bell": {"bell.csv": "1d8e8a0a7cb53b820c76ad0bd7a975ed8aa39f74ed65174920255920f7c98067"},
     "render": {"field.ppm": "676ebdf25a41d59f91401694cc882072bfd2e19972babf4e76bfbd3f1b31a2db",
                "grid.csv": "a02c4800bb5a236e1b545c44492d17aec64121b9a906948844ed26efa6665eab"},
 }
@@ -744,6 +746,26 @@ def _small_render():
     payload = render_config(modulus_scale=0.1)
     payload["plane"]["resolution"] = 16
     return payload
+
+
+def _scaled_directions(experiment):
+    # the bell config at 1000 trials and the small render, then each with directions
+    # whose squared norms underflow ([1e-200, 0, 0]) or overflow (1e200 times a direction)
+    if experiment == "bell":
+        readme = {**README_CONFIGS["bell"], "n_trials": 1000}
+        return readme, {**readme, "a": [1e-200, 0, 0], "b": [1e200, 1e200, 0]}
+    readme, scaled = _small_render(), _small_render()
+    scaled["plane"].update(u_axis=[1e-200, 0, 0], v_axis=[0, 1e200, 0])
+    return readme, scaled
+
+
+@pytest.mark.parametrize("experiment", ["bell", "render"])
+def test_directions_whose_squared_norm_under_or_overflows(tmp_path, capsys, experiment):
+    outs = tmp_path / "readme", tmp_path / "scaled"
+    for out, payload in zip(outs, _scaled_directions(experiment)):
+        assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in outs[1].iterdir()} == {p.name: p.read_bytes() for p in outs[0].iterdir()}
 
 
 def _render_with_parallel_axes():
