@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
+import pickle
 import sys
 import warnings
 from typing import Optional
@@ -63,8 +65,8 @@ __all__ = [
 # parse built a dict per atom)
 MAX_EXPECTED_ATOMS = 100_000
 
-# most configurations isotropy_experiment accepts.  The CLI streams tracks.csv, so the README gas ran
-# 10^5 in 1.9 s and 10^6 in 18 s, both at 40 MB max RSS, on a 2-vCPU Xeon VM: time sets the guard
+# most configurations isotropy_experiment accepts.  With tracks.csv streamed, the README gas ran 10^6 in
+# 17 s on one CPU and 10 s on both of a 2-vCPU Xeon VM, 40 MB max RSS per process: time sets the guard
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
@@ -635,6 +637,49 @@ def _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, r
         yield species.records(positions), np.array(offsets)
 
 
+# configurations of one isotropy range.  A range of the README gas pickles to about 44 KB, within a 64 KiB
+# pipe buffer, so a worker does not wait on the parent inside a range; the parent holds one range's tracks
+_RANGE_CONFIGS = 2**10
+
+
+def _range_tracks(i0, i1, density, inner_radius, chamber_radius, species, ctx, rng, theta_c):
+    # chunk by chunk, the tracks of configurations [i0, i1) (directions, chain lengths, flux ratios) and bins
+    rng = rng.substream(rng.stream_id + i0)
+    for atoms, offsets in _sampled_chunks(i1 - i0, density, inner_radius, chamber_radius, species, rng):
+        if len(atoms):
+            heads, lengths, c2, dirs, _ = _tracks(atoms, offsets, ctx, theta_c)
+            directions = dirs[heads]
+            bins = np.bincount(direction_bin(directions), minlength=N_Z_BANDS * N_PHI_SECTORS)
+            yield directions, lengths, [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())], bins
+
+
+def _worker(ranges, read, write, args) -> None:
+    # a forked worker pickles one message per range, its chunks or its ValueError's text, until a write
+    # fails.  It ends in os._exit: never in the caller's stack, inherited stdio unflushed, status unread
+    try:
+        os.close(read)
+        pipe = os.fdopen(write, "wb")
+        for i0, i1 in ranges:
+            try:
+                message = list(_range_tracks(i0, i1, *args))
+            except ValueError as exc:
+                message = str(exc)
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+            pipe.flush()
+    finally:
+        os._exit(0)
+
+
+def _received(pipe):
+    # the chunks of a worker's next range (a pickle this run wrote), or its ValueError raised again
+    if not pipe.peek(1):  # the pipe is at its end
+        raise RuntimeError("an isotropy worker ended without sending its tracks")
+    message = pickle.load(pipe)
+    if isinstance(message, str):
+        raise ValueError(message)
+    return message
+
+
 def isotropy_experiment(
     n_configs: int,
     density: float,
@@ -647,31 +692,46 @@ def isotropy_experiment(
 ) -> IsotropyResult:
     """Track directions over many independent gas configurations.
 
-    Configuration i is sampled from the sub-stream ``rng.stream_id + 1 + i``,
-    so runs parallelize over configurations without changing results.  Its
-    track is the one ``select_track`` finds in ``sample_gas``'s gas on that
-    stream; consecutive configurations are sampled and selected together in
-    array passes, and each chunk's tracks go to ``tracks(directions,
-    chain_lengths, flux_ratios)`` in configuration order; the run keeps only
-    the bin counts.  Bins are equal-solid-angle; the chi-square statistic is
-    against the uniform distribution with n_bins - 1 degrees of freedom.
+    Configuration i is sampled from the sub-stream ``rng.stream_id + 1 + i``, and its track is the one
+    ``select_track`` finds in ``sample_gas``'s gas on that stream.  Range r of ``_RANGE_CONFIGS``
+    configurations is sampled and selected, in chunks of array passes, by process r mod W: W counts the
+    CPUs in ``os.sched_getaffinity`` (1 without it) up to the ranges, 0 is the caller, the rest are forks.
+    Each chunk's tracks go to ``tracks(directions, chain_lengths, flux_ratios)`` in the caller in
+    configuration order, so no result depends on W; the run keeps only the bin counts.  A worker's
+    ValueError is raised again, one that ends without its tracks raises RuntimeError, and none outlives
+    the call.  The chi-square is against equal-solid-angle bins, with n_bins - 1 degrees of freedom.
     """
+    from signal import SIGKILL  # here, so that only an isotropy run loads the module
     if n_configs < 100:
         raise ValueError(f"need at least 100 configurations, got {n_configs}")
     if n_configs > MAX_CONFIGS:
         raise ValueError(f"configuration count {n_configs} exceeds guard {MAX_CONFIGS}")
     n_bins = N_Z_BANDS * N_PHI_SECTORS
-    counts, n_tracks = np.zeros(n_bins, dtype=int), 0
+    counts = np.zeros(n_bins, dtype=int)
     theta_c = cone_half_angle(ctx, species.width)  # one species: one cone for the run
-    for atoms, offsets in _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, rng):
-        if not len(atoms):
-            continue
-        heads, lengths, c2, dirs, _ = _tracks(atoms, offsets, ctx, theta_c)
-        directions = dirs[heads]
-        counts += np.bincount(direction_bin(directions), minlength=n_bins)
-        n_tracks += len(heads)
-        tracks(directions, lengths, [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())])
-    if n_tracks == 0:
+    _expected_atoms(density, inner_radius, chamber_radius, species.width)  # before any fork
+    args = (density, inner_radius, chamber_radius, species, ctx, rng, theta_c)
+    ranges = [(i0, min(i0 + _RANGE_CONFIGS, n_configs)) for i0 in range(0, n_configs, _RANGE_CONFIGS)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_procs, workers = min(cpus, len(ranges)), [None]  # worker w: (pid, read end of its pipe)
+    try:
+        for w in range(1, n_procs):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                _worker(ranges[w::n_procs], read, write, args)
+            os.close(write)
+            workers.append((pid, os.fdopen(read, "rb")))
+        for r, (i0, i1) in enumerate(ranges):
+            chunks = _received(workers[r % n_procs][1]) if r % n_procs else _range_tracks(i0, i1, *args)
+            for directions, lengths, ratios, bins in chunks:
+                counts += bins
+                tracks(directions, lengths, ratios)
+    finally:
+        for pid, pipe in workers[1:]:
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    if (n_tracks := int(counts.sum())) == 0:
         raise ValueError("no configuration produced a track; increase the density")
     expected = n_tracks / n_bins
     stat = float(np.sum((counts - expected) ** 2) / expected)

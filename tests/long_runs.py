@@ -2,9 +2,12 @@
 
 Each case runs ``python -m mottbox`` from this checkout's src/ in a fresh
 process.  It fails if the run exits non-zero, if an output it pins has another
-SHA-256, or if the child's own max RSS exceeds the case's bound.  A replay
-case runs a track on the gas.json of an earlier case, and must write every
-file of that case again, byte for byte.
+SHA-256, or if the child's max RSS exceeds the case's bound.  An isotropy run
+forks a worker per further CPU it may run on; ``os.wait4`` then reports the
+largest max RSS of the child and the workers it reaped, not their sum, so
+the bound covers the largest single process.  A replay case runs a track on
+the gas.json of an earlier case, and must write every file of that case
+again, byte for byte.
 
 Usage: python3 tests/long_runs.py   (no arguments; exits 1 if any case fails)
 """
@@ -45,8 +48,8 @@ CASES = {
     "render 1024^2 with grid.csv": (render(1024, grid_csv="grid.csv"), {
         "field.ppm": "ff64adccca3944dee6220a118f67f53efb90de548d01335a65d588c7a1eda49b",
         "grid.csv": "480fb8850c213f0678013480b94d57318816369cd2bacf7cf04f4a84a882fedf"}, 52.0),
-    # the README isotropy config at 10^5 and 10^6 configurations (about 40 MB each: the run
-    # streams tracks.csv and keeps only the bin counts) and 3*10^5 near-empty ones at density
+    # the README isotropy config at 10^5 and 10^6 configurations (about 40 MB in each process: the
+    # run streams tracks.csv and keeps only the bin counts) and 3*10^5 near-empty ones at density
     # 1e-7 (about 38 MB). The README runs' hashes were taken while the run kept every track
     # until it ended (10^6 then took about 78 MB)
     "isotropy, 100000 configurations at density 1e-4": ({**ISOTROPY, "n_configs": 100_000}, {
@@ -99,7 +102,7 @@ def main() -> int:
             path.write_text(json.dumps(config), encoding="utf-8")
             child = subprocess.Popen([sys.executable, "-m", "mottbox", str(path), "--out-dir", str(outs[name])],
                                      cwd=SRC)  # -m finds the package in its working directory
-            _, status, usage = os.wait4(child.pid, 0)  # this child's own peak
+            _, status, usage = os.wait4(child.pid, 0)  # the peak of this child or of one of its workers
             status = os.waitstatus_to_exitcode(status)
             digests[name] = {p.name: sha256(p) for p in outs[name].iterdir()} if status == 0 else {}
             if name not in replayed:  # the outputs of a case that no later case replays can go

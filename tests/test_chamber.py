@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mottbox
 from mottbox import chamber, mott
@@ -1253,6 +1256,129 @@ def test_isotropy_experiment_requires_enough_configs():
     for n_configs in (0, 99):
         with pytest.raises(ValueError, match="at least 100"):
             isotropy_experiment(n_configs, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(1, 0), lambda *chunk: None)
+
+
+def on_cpus(monkeypatch, cpus):
+    """Run isotropy_experiment as if this process may run on ``cpus`` CPUs; returns the forks it makes."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(chamber.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(chamber.os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("range_configs", [1, 7, 150, 10**9])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_isotropy_experiment_does_not_depend_on_cpus_or_ranges(monkeypatch, cpus, range_configs):
+    # the README gas at 400 configurations: ranges of one configuration, ranges that cut chunks,
+    # and one range, run in up to three processes
+    args = (400, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(31, 9))
+    expected = isotropy_per_config(*args)
+    forks = on_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(chamber, "_RANGE_CONFIGS", range_configs)
+    got, _ = collected_isotropy(*args)
+    assert_same_ensemble(got, expected)
+    assert len(forks) == min(cpus, math.ceil(400 / range_configs)) - 1
+    assert_no_child_left()
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_configs=st.integers(100, 500), range_configs=st.integers(1, 600), cpus=st.integers(2, 3),
+       density=st.sampled_from([3e-6, 1e-4]))
+@example(n_configs=100, range_configs=99, cpus=3, density=1e-4)  # the last range holds one configuration
+def test_isotropy_experiment_bit_equal_to_per_config_loop_at_any_split(n_configs, range_configs, cpus, density):
+    args = (n_configs, density, 12.0, 40.0, SPECIES, CTX, RngStream(n_configs, 2))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        forks = on_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(chamber, "_RANGE_CONFIGS", range_configs)
+        got, _ = collected_isotropy(*args)
+    assert_same_ensemble(got, isotropy_per_config(*args))
+    assert len(forks) == min(cpus, math.ceil(n_configs / range_configs)) - 1
+    assert_no_child_left()
+
+
+def test_isotropy_on_more_processes_than_cpus_finishes_in_time(monkeypatch):
+    # a time-bounded stress: 215 ranges of 7 configurations over eight processes (more than a
+    # 2- or 4-CPU machine has), bit-equal to one process
+    def too_slow(signum, frame):
+        raise TimeoutError("isotropy did not finish within 60 s")
+
+    args = (1500, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(77, 3))
+    monkeypatch.setattr(chamber, "_RANGE_CONFIGS", 7)
+    on_cpus(monkeypatch, 1)
+    expected = collected_isotropy(*args)
+    forks = on_cpus(monkeypatch, 8)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    try:
+        got = collected_isotropy(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got[1] == expected[1]
+    assert_same_ensemble(got[0], expected[0])
+    assert len(forks) == 7
+    assert_no_child_left()
+
+
+def worker_ranges_call(monkeypatch, action):
+    """Make ``action(i0)`` run where a forked worker starts the range from configuration i0."""
+    parent, range_tracks = os.getpid(), chamber._range_tracks
+
+    def in_workers(i0, *args):
+        if os.getpid() != parent:
+            action(i0)
+        return range_tracks(i0, *args)
+
+    monkeypatch.setattr(chamber, "_range_tracks", in_workers)
+
+
+def test_isotropy_worker_value_error_is_raised_again_in_range_order(monkeypatch):
+    # ranges 1 and 2 run in two workers and both fail: range 1's message comes first, after
+    # the tracks of range 0, and no worker is left
+    def fail(i0):
+        raise ValueError(f"no track from configuration {i0}")
+
+    on_cpus(monkeypatch, 3)
+    worker_ranges_call(monkeypatch, fail)
+    calls = []
+    with pytest.raises(ValueError, match="^no track from configuration 1024$"):
+        isotropy_experiment(2500, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(5, 0), lambda *chunk: calls.append(1))
+    assert len(calls) > 1
+    assert_no_child_left()
+
+
+def test_isotropy_worker_that_ends_without_its_tracks_raises_runtime_error(monkeypatch):
+    on_cpus(monkeypatch, 2)
+    worker_ranges_call(monkeypatch, lambda i0: os._exit(1))
+    with pytest.raises(RuntimeError, match="isotropy worker ended without sending its tracks"):
+        isotropy_experiment(2500, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(5, 0), lambda *chunk: None)
+    assert_no_child_left()
+
+
+class SinkFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("error", [SinkFailure, KeyboardInterrupt])
+def test_isotropy_exception_in_the_caller_mid_run_propagates_and_leaves_no_worker(monkeypatch, error):
+    # the sink fails while the workers still have ranges to run or to send
+    calls = []
+
+    def sink(*chunk):
+        calls.append(1)
+        if len(calls) == 10:
+            raise error("sink failed")
+
+    forks = on_cpus(monkeypatch, 3)
+    with pytest.raises(error, match="sink failed"):
+        isotropy_experiment(10_000, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(5, 0), sink)
+    assert len(forks) == 2 and len(calls) == 10
+    assert_no_child_left()
 
 
 def test_configuration_json_roundtrip(tmp_path):

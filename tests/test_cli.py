@@ -366,6 +366,63 @@ def test_isotropy_that_fails_after_its_first_tracks_exits_2_and_removes_tracks_c
     assert len(calls) == 2 and not any(out.iterdir())
 
 
+def isotropy_on_cpus(monkeypatch, cpus, in_workers=None):
+    # isotropy runs as if this process may run on ``cpus`` CPUs; in_workers(i0), when given, runs where
+    # a forked worker starts the range from configuration i0
+    parent, range_tracks = os.getpid(), chamber._range_tracks
+
+    def ranges(i0, *args):
+        if in_workers is not None and os.getpid() != parent:
+            in_workers(i0)
+        return range_tracks(i0, *args)
+
+    monkeypatch.setattr(chamber.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(chamber, "_range_tracks", ranges)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_isotropy_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    # 2500 configurations make three ranges: one process, or the caller and two workers
+    config = write_config(tmp_path, "config.json", {**README_CONFIGS["isotropy"], "n_configs": 2500})
+    outputs = []
+    for cpus in (1, 3):
+        isotropy_on_cpus(monkeypatch, cpus)
+        assert main([config, "--out-dir", str(tmp_path / str(cpus))]) == 0
+        outputs.append({name: (tmp_path / str(cpus) / name).read_bytes() for name in ("isotropy.csv", "tracks.csv")})
+        assert_no_child_left()
+    assert outputs[0] == outputs[1]
+    summaries = capsys.readouterr().out.splitlines()
+    assert len(summaries) == 2 and summaries[0] == summaries[1]
+
+
+def test_isotropy_value_error_in_a_worker_exits_2_and_removes_tracks_csv(tmp_path, capsys, monkeypatch):
+    def fail(i0):
+        raise ValueError(f"integrand returned non-finite value in the range from configuration {i0}")
+
+    isotropy_on_cpus(monkeypatch, 2, fail)
+    out = tmp_path / "out"
+    payload = {**README_CONFIGS["isotropy"], "n_configs": 2500}
+    assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "mottbox: error: integrand returned non-finite value in the range from configuration 1024\n"
+    assert not any(out.iterdir())
+    assert_no_child_left()
+
+
+def test_isotropy_worker_that_exits_without_its_tracks_exits_1(tmp_path, capsys, monkeypatch):
+    isotropy_on_cpus(monkeypatch, 2, lambda i0: os._exit(1))
+    out = tmp_path / "out"
+    payload = {**README_CONFIGS["isotropy"], "n_configs": 2500}
+    assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 1
+    assert "runtime error: an isotropy worker ended without sending its tracks" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    assert_no_child_left()
+
+
 def test_isotropy_without_a_track_exits_2_before_any_file(tmp_path, capsys):
     payload = {**README_CONFIGS["isotropy"], "density": 0.0}
     out = tmp_path / "out"
