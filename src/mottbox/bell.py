@@ -44,7 +44,7 @@ class HiddenVariable(FrozenValue):
     def __init__(self, lam: float):
         if not (0.0 <= lam < 1.0):
             raise ValueError(f"hidden variable must lie in [0, 1), got {lam}")
-        object.__setattr__(self, "lam", lam)
+        super().__init__(lam)
 
 
 class PolarizedState(Frozen):
@@ -53,10 +53,10 @@ class PolarizedState(Frozen):
     __slots__ = ("axis", "sign")
 
     def __init__(self, axis: np.ndarray, sign: int):
-        object.__setattr__(self, "axis", require_unit(axis))
+        axis = require_unit(axis)
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-        object.__setattr__(self, "sign", sign)
+        super().__init__(axis, sign)
 
 
 class ApparatusSetting(Frozen):
@@ -65,7 +65,7 @@ class ApparatusSetting(Frozen):
     __slots__ = ("orientation",)
 
     def __init__(self, orientation: np.ndarray):
-        object.__setattr__(self, "orientation", require_unit(orientation))
+        super().__init__(require_unit(orientation))
 
 
 class CorrelationEstimate(FrozenValue):
@@ -78,9 +78,7 @@ class CorrelationEstimate(FrozenValue):
             raise ValueError(f"correlation mean must lie in [-1, 1], got {mean}")
         if std_error < 0.0:
             raise ValueError(f"std_error must be non-negative, got {std_error}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std_error", std_error)
-        object.__setattr__(self, "n_trials", n_trials)
+        super().__init__(mean, std_error, n_trials)
 
 
 class BellTestResult(NamedTuple):

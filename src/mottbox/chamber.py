@@ -85,10 +85,7 @@ class AtomSpecies(FrozenValue):
 
     def __init__(self, width: float, g0: float, g1: float, delta_e: float = 0.0):
         check_atoms(width, g0, g1, delta_e)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "g0", g0)
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "delta_e", delta_e)
+        super().__init__(width, g0, g1, delta_e)
 
     def records(self, positions) -> np.ndarray:
         """ATOM_DTYPE records of this species, one per row of ``positions``."""
@@ -108,26 +105,22 @@ class GasConfiguration(Frozen):
     __slots__ = ("atoms", "chamber_radius", "inner_radius", "seed", "stream_id")
 
     def __init__(self, atoms, chamber_radius: float, inner_radius: float, seed: int, stream_id: int = 0):
-        object.__setattr__(self, "chamber_radius", chamber_radius)
-        object.__setattr__(self, "inner_radius", inner_radius)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "stream_id", stream_id)
         # fresh records handed over read-only are kept; any other input is copied
         if not (isinstance(atoms, np.ndarray) and atoms.base is None and not atoms.flags.writeable):
             atoms = np.array(atoms if len(atoms) else np.empty(0, ATOM_DTYPE))
         if atoms.dtype != ATOM_DTYPE or atoms.ndim != 1:
             raise ValueError(f"atoms must be a 1-d ATOM_DTYPE array, got {atoms.dtype}{atoms.shape}")
         atoms.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
         with np.errstate(all="ignore"):  # non-finite radii are reported below
             radii = np.sqrt(dot(atoms["position"], atoms["position"]))  # bits of norm(atom["position"])
         check_atoms(*(atoms[f] for f in _SPECIES_FIELDS), radius=radii)
-        _check_shell(self.inner_radius, self.chamber_radius, float(atoms["width"].max(initial=0.0)))
-        outside = ~((radii >= self.inner_radius) & (radii <= self.chamber_radius))
+        _check_shell(inner_radius, chamber_radius, float(atoms["width"].max(initial=0.0)))
+        outside = ~((radii >= inner_radius) & (radii <= chamber_radius))
         if outside.any():
             i = int(np.argmax(outside))
-            shell = f"[{self.inner_radius}, {self.chamber_radius}]"
+            shell = f"[{inner_radius}, {chamber_radius}]"
             raise ValueError(f"atom {i}: radius must lie in the shell {shell}, got {atoms[i]}")
+        super().__init__(atoms, chamber_radius, inner_radius, seed, stream_id)
 
     @property
     def n_atoms(self) -> int:
@@ -273,8 +266,7 @@ class AlignmentChain(Frozen):
     def __init__(self, indices: tuple[int, ...], direction: np.ndarray):
         if not indices:
             raise ValueError("a chain has at least its head atom")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "direction", direction)
+        super().__init__(indices, direction)
 
     @property
     def n(self) -> int:
@@ -293,10 +285,7 @@ class TrackResult(Frozen):
     def __init__(
         self, direction: np.ndarray, chain: AlignmentChain, surviving_spherical_flux: float, c2_per_step: float
     ):
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "surviving_spherical_flux", surviving_spherical_flux)
-        object.__setattr__(self, "c2_per_step", c2_per_step)
+        super().__init__(direction, chain, surviving_spherical_flux, c2_per_step)
 
     @property
     def flux_ratio(self) -> float:
@@ -600,10 +589,7 @@ class IsotropyResult(Frozen):
     __slots__ = ("counts", "chi_square", "p_value", "n_empty")
 
     def __init__(self, counts: np.ndarray, chi_square: float, p_value: float, n_empty: int):
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "chi_square", chi_square)
-        object.__setattr__(self, "p_value", p_value)
-        object.__setattr__(self, "n_empty", n_empty)
+        super().__init__(counts, chi_square, p_value, n_empty)
 
 
 # isotropy_experiment samples and selects consecutive configurations
@@ -637,25 +623,24 @@ def _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, r
         yield species.records(positions), np.array(offsets)
 
 
-# configurations of one isotropy range.  A range of the README gas pickles to about 44 KB, within a 64 KiB
+# configurations of one isotropy range.  A range of the README gas pickles to about 42.5 KB, within a 64 KiB
 # pipe buffer, so a worker does not wait on the parent inside a range; the parent holds one range's tracks
 _RANGE_CONFIGS = 2**10
 
 
 def _range_tracks(i0, i1, density, inner_radius, chamber_radius, species, ctx, rng, theta_c):
-    # chunk by chunk, the tracks of configurations [i0, i1) (directions, chain lengths, flux ratios) and bins
+    # chunk by chunk, the tracks of configurations [i0, i1): directions, chain lengths and flux ratios
     rng = rng.substream(rng.stream_id + i0)
     for atoms, offsets in _sampled_chunks(i1 - i0, density, inner_radius, chamber_radius, species, rng):
         if len(atoms):
             heads, lengths, c2, dirs, _ = _tracks(atoms, offsets, ctx, theta_c)
-            directions = dirs[heads]
-            bins = np.bincount(direction_bin(directions), minlength=N_Z_BANDS * N_PHI_SECTORS)
-            yield directions, lengths, [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())], bins
+            yield dirs[heads], lengths, [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())]
 
 
 def _worker(ranges, read, write, args) -> None:
-    # a forked worker pickles one message per range, its chunks or its ValueError's text, until a write
-    # fails.  It ends in os._exit: never in the caller's stack, inherited stdio unflushed, status unread
+    # a forked worker pickles one message per range, its chunks' tracks (the caller bins them) or its
+    # ValueError's text, until a write fails.  It ends in os._exit: never in the caller's stack, inherited
+    # stdio unflushed, status unread
     try:
         os.close(read)
         pipe = os.fdopen(write, "wb")
@@ -696,10 +681,10 @@ def isotropy_experiment(
     ``select_track`` finds in ``sample_gas``'s gas on that stream.  Range r of ``_RANGE_CONFIGS``
     configurations is sampled and selected, in chunks of array passes, by process r mod W: W counts the
     CPUs in ``os.sched_getaffinity`` (1 without it) up to the ranges, 0 is the caller, the rest are forks.
-    Each chunk's tracks go to ``tracks(directions, chain_lengths, flux_ratios)`` in the caller in
-    configuration order, so no result depends on W; the run keeps only the bin counts.  A worker's
-    ValueError is raised again, one that ends without its tracks raises RuntimeError, and none outlives
-    the call.  The chi-square is against equal-solid-angle bins, with n_bins - 1 degrees of freedom.
+    The caller bins each chunk's tracks and passes them to ``tracks(directions, chain_lengths,
+    flux_ratios)`` in configuration order, so no result depends on W; the run keeps only the bin counts.
+    A worker's ValueError is raised again, one that ends without its tracks raises RuntimeError, and none
+    outlives the call.  The chi-square is against equal-solid-angle bins, with n_bins - 1 degrees of freedom.
     """
     from signal import SIGKILL  # here, so that only an isotropy run loads the module
     if n_configs < 100:
@@ -723,8 +708,8 @@ def isotropy_experiment(
             workers.append((pid, os.fdopen(read, "rb")))
         for r, (i0, i1) in enumerate(ranges):
             chunks = _received(workers[r % n_procs][1]) if r % n_procs else _range_tracks(i0, i1, *args)
-            for directions, lengths, ratios, bins in chunks:
-                counts += bins
+            for directions, lengths, ratios in chunks:
+                counts += np.bincount(direction_bin(directions), minlength=n_bins)
                 tracks(directions, lengths, ratios)
     finally:
         for pid, pipe in workers[1:]:

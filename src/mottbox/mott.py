@@ -103,8 +103,7 @@ class ScatteringContext(FrozenValue):
             raise ValueError(f"projectile energy must be finite and positive, got {e_alpha}")
         if not (0.0 <= delta_e < e_alpha):
             raise ValueError(f"excitation energy must satisfy 0 <= delta_e < e_alpha, got {delta_e}")
-        object.__setattr__(self, "e_alpha", e_alpha)
-        object.__setattr__(self, "delta_e", delta_e)
+        super().__init__(e_alpha, delta_e)
 
     @classmethod
     def from_wavenumber(cls, k: float, delta_e: float = 0.0) -> "ScatteringContext":

@@ -34,12 +34,17 @@ UNIT_TOL = 1e-12
 class Frozen:
     """Base of the package's model types: read-only fields, ``==`` and ``hash`` by identity.
 
-    A subclass names its fields in ``__slots__`` and sets each once in
-    ``__init__`` with ``object.__setattr__``; any later assignment or
+    A subclass names its fields in ``__slots__``; its ``__init__`` checks its
+    arguments and passes one value per field, in ``__slots__`` order, to
+    ``super().__init__``, which sets each once.  Any later assignment or
     deletion raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -60,11 +60,7 @@ class PlaneSpec(Frozen):
         point = np.asarray(origin, dtype=float)
         if point.shape != (3,) or not np.all(np.isfinite(point)):
             raise ValueError(f"origin must be a finite 3-vector, got {origin}")
-        object.__setattr__(self, "origin", point)
-        object.__setattr__(self, "u_axis", require_unit(u_axis))
-        object.__setattr__(self, "v_axis", require_unit(v_axis))
-        object.__setattr__(self, "half_extent", half_extent)
-        object.__setattr__(self, "resolution", resolution)
+        super().__init__(point, require_unit(u_axis), require_unit(v_axis), half_extent, resolution)
         if abs(float(np.dot(self.u_axis, self.v_axis))) > ORTHOGONALITY_TOL:
             raise ValueError("plane axes must be orthogonal")
         if half_extent <= 0.0:
@@ -91,9 +87,7 @@ class FieldImage(Frozen):
     def __init__(self, width: int, height: int, rgb: bytes | bytearray):
         if len(rgb) != 3 * width * height:
             raise ValueError(f"rgb length {len(rgb)} != 3 * {width} * {height}")
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "rgb", rgb)
+        super().__init__(width, height, rgb)
 
 
 def _row_blocks(n_rows: int, row_length: int):

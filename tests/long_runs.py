@@ -60,6 +60,12 @@ CASES = {
         "tracks.csv": "aabc7e8a260d550256f3cf46db203be0835d7d15a94dc6503cb3db77dc034277"}, 52.0),
     "isotropy, 300000 configurations at density 1e-7": (
         {**ISOTROPY, "n_configs": 300_000, "density": 1e-7}, {}, 52.0),
+    # the README config at density 1.5e-3, about 94 chunks per range (about 40 MB max RSS). A worker's
+    # message of one range was larger than a 64 KiB pipe buffer while it carried each chunk's bin counts
+    "isotropy, 10000 configurations at density 1.5e-3": (
+        {**ISOTROPY, "n_configs": 10_000, "density": 1.5e-3}, {
+        "isotropy.csv": "74f59a0e24bf6da7d57243d0b8cf2e825dc3cd96303a6fce8acdd6b7713ec72b",
+        "tracks.csv": "33fb80dcf9dd186a764b397a54723069d157de0f588baf5cc56ce552e24259de"}, 52.0),
     # the README track species at density 0.38, about 99k atoms, sampled and then replayed
     # from its gas.json. A replay peaks where sampling does, at about 87 MB (116 MB while
     # the parse built a dict and seven floats per atom)

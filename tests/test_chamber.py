@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -1335,6 +1336,16 @@ def worker_ranges_call(monkeypatch, action):
         return range_tracks(i0, *args)
 
     monkeypatch.setattr(chamber, "_range_tracks", in_workers)
+
+
+def test_isotropy_range_message_holds_only_the_tracks():
+    # at density 2e-2 each configuration is its own chunk; a worker's message carries the chunks'
+    # tracks, about 100 B a configuration, and no bin counts (another 280 B a chunk), which the caller
+    # takes from the directions
+    args = (2e-2, 12.0, 40.0, SPECIES, CTX, RngStream(5, 0), cone_half_angle(CTX, SPECIES.width))
+    message = list(chamber._range_tracks(0, 64, *args))
+    assert len(message) == 64 and all(len(chunk) == 3 for chunk in message)
+    assert len(pickle.dumps(message, pickle.HIGHEST_PROTOCOL)) < 12 * 1024
 
 
 def test_isotropy_worker_value_error_is_raised_again_in_range_order(monkeypatch):

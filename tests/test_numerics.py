@@ -6,6 +6,7 @@ from scipy.stats import chisquare
 
 from mottbox import bell, chamber, mott, render
 from mottbox.numerics import (
+    Frozen,
     RngStream,
     chi2_sf,
     gauss_legendre,
@@ -333,6 +334,17 @@ def test_chi2_sf_rejects_unported_degrees_of_freedom(df):
     # the closed form holds for whole df >= 1 only
     with pytest.raises(ValueError, match="integer df >= 1"):
         chi2_sf(df, 31.0)
+
+
+def test_frozen_init_sets_the_slots_in_order_from_exactly_one_value_each():
+    class Pair(Frozen):
+        __slots__ = ("first", "second")
+
+    pair = Pair(1, 2)
+    assert (pair.first, pair.second) == (1, 2) and repr(pair) == "Pair(first=1, second=2)"
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            Pair(*values)
 
 
 _Z = np.array([0.0, 0.0, 1.0])
