@@ -309,22 +309,21 @@ def _gas_of_atoms(offsets: np.ndarray) -> np.ndarray:
 
 
 def _cone_candidates(
-    pos: np.ndarray, radii: np.ndarray, dirs: np.ndarray, gas: np.ndarray, cos_m: float
+    radii: np.ndarray, dirs: np.ndarray, gas: np.ndarray, cos_m: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each atom with the atoms of its gas that may join a chain it heads.
 
     ``gas`` numbers the gas of each atom, in ascending order.  Atom j is a
-    candidate of head h when it belongs to the same gas, lies farther out
-    and the step h -> j is within arccos(cos_m) of the head direction.  The
-    lists come as CSR arrays: members[start[h]:end[h]] holds h and its
-    candidates in ascending index, 8 bytes per pair.  No component of d_j -
-    d_h then exceeds the chord ``reach`` of that angle, so once the atoms
-    are sorted by (gas, z band ``reach`` wide, x), atom i pairs only with
-    those after it in its band and those in the band above, within
-    ``reach`` of its x.  The pairs are tested CANDIDATE_PAIRS at a time from
-    the inner atom (both ways at equal radii): on the direction cosine, on
-    the step that it and the radii give, which drops only pairs 1e-6 outer
-    radii (ten times its rounding) outside the cone, and on the step itself.
+    candidate of head h when it belongs to the same gas, lies no nearer, its
+    direction is within arccos(cos_m) of h's, and so is the step h -> j that
+    the two radii and that cosine give, up to 1e-6 outer radii (ten times
+    its rounding).  The lists come as CSR arrays: members[start[h]:end[h]]
+    holds h and its candidates in ascending index, 8 bytes per pair.  No
+    component of d_j - d_h then exceeds the chord ``reach`` of that angle,
+    so once the atoms are sorted by (gas, z band ``reach`` wide, x), atom i
+    pairs only with those after it in its band and those in the band above,
+    within ``reach`` of its x.  The pairs are tested CANDIDATE_PAIRS at a
+    time from the inner atom (both ways at equal radii), with no BLAS call.
     """
     n = len(dirs)
     # the 1e-7 covers the rounding of the dot product inside the square root
@@ -357,10 +356,7 @@ def _cone_candidates(
         i, j = i[near], j[near]
         outward, tie = r[i] <= r[j], np.flatnonzero(r[i] == r[j])
         heads = by_key[np.concatenate([np.where(outward, i, j), j[tie]])]
-        cands = by_key[np.concatenate([np.where(outward, j, i), i[tie]])]
-        step = pos[cands] - pos[heads]
-        inside = np.flatnonzero(dot(step, dirs[heads]) >= cos_m * np.sqrt(dot(step, step)))
-        keys.append(heads[inside] * n + cands[inside])
+        keys.append(heads * n + by_key[np.concatenate([np.where(outward, j, i), i[tie]])])
     keys = np.concatenate(keys)
     keys.sort()  # by head, then by candidate index
     bounds = np.searchsorted(keys, np.arange(n + 1) * n)
@@ -374,15 +370,16 @@ def _chains(
     """All maximal alignment chains of each gas of a segmented gas.
 
     Gas j owns rows offsets[j]:offsets[j + 1] of ``pos``; there is at least
-    one atom.  Chains follow the rules of ``build_chains`` within each gas.
-    Returns the atom directions, the chain heads in index order (so gas by
-    gas), the chain lengths, and the members of each chain longer than one
-    atom, keyed by head.  Only the growers, the heads that have a candidate
-    besides themselves, need the visiting order: they are sorted by (gas,
-    radius, index) and grow in ``_grow`` in batches, consecutive in that
-    order with up to CANDIDATE_PAIRS candidates (a longer list alone).  No
-    chain reads what others absorbed, so each batch's chains are then taken
-    in visiting order; one whose head an earlier chain absorbed is dropped.
+    one atom.  Chains follow the rules of ``build_chains`` within each gas,
+    and no step calls BLAS.  Returns the atom directions, the chain heads in
+    index order (so gas by gas), the chain lengths, and the members of each
+    chain longer than one atom, keyed by head.  Only the growers, the heads
+    that have a candidate besides themselves, need the visiting order: they
+    are sorted by (gas, radius, index) and grow in ``_grow`` in batches,
+    consecutive in that order with up to CANDIDATE_PAIRS candidates (a
+    longer list alone).  No chain reads what others absorbed, so each
+    batch's chains are then taken in visiting order; one whose head an
+    earlier chain absorbed is dropped.
     """
     n = len(pos)
     gas = _gas_of_atoms(offsets)
@@ -390,7 +387,7 @@ def _chains(
     dirs = pos / radii[:, None]
     cos_c = math.cos(theta_c)
     if theta_c <= WIDE_CONE_ANGLE:
-        members, start, end = _cone_candidates(pos, radii, dirs, gas, cos_c - CANDIDATE_COS_SLACK)
+        members, start, end = _cone_candidates(radii, dirs, gas, cos_c - CANDIDATE_COS_SLACK)
     else:  # each atom and every atom after it in visiting order
         order = np.lexsort((radii, gas))
         members, start, end = order, np.argsort(order), offsets[gas + 1]
@@ -420,7 +417,7 @@ def _grow(pos, radii, dirs, members, start, end, heads, cos_c) -> list[list[int]
     size = end[heads] - start[heads]
     seg = np.repeat(np.arange(len(heads)), size)
     idx = members[np.repeat(start[heads] - np.cumsum(size) + size, size) + np.arange(len(seg))]
-    (x, y, z), (ax, ay, az), axes = pos.T, dirs[heads].T, dirs[heads]
+    (x, y, z), (ax, ay, az) = pos.T, dirs[heads].T
     (cx, cy, cz), cr = pos[heads].T, radii[heads]  # each chain's end; cr = inf once it stops
     chains = [[head] for head in heads.tolist()]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -428,13 +425,8 @@ def _grow(pos, radii, dirs, members, start, end, heads, cos_c) -> list[list[int]
             idx = idx[keep]
             dx, dy, dz = x[idx] - cx[seg], y[idx] - cy[seg], z[idx] - cz[seg]
             dist = np.sqrt(dx * dx + dy * dy + dz * dz)  # the bits of (rel * rel).sum(axis=1)
-            cos = (dx * ax[seg] + dy * ay[seg] + dz * az[seg]) / dist
-            # the predicate's bits are those of rel @ axis, which rounds unlike
-            # this sum but alike for a row among any >= 2: redo rows near the edge
-            if len(edge := np.flatnonzero(abs(cos - cos_c) < 1e-12)):
-                rel = np.repeat(np.stack([dx[edge], dy[edge], dz[edge]], 1)[:, None], 2, 1)
-                cos[edge] = (rel @ axes[seg[edge], :, None])[:, 0, 0] / dist[edge]
-            e = np.flatnonzero((cos >= cos_c) & (dist > 0.0))
+            # the cone predicate: plain arithmetic, so no BLAS kernel sets its bits
+            e = np.flatnonzero((dx * ax[seg] + dy * ay[seg] + dz * az[seg]) / dist >= cos_c)
             s = seg[e]
             first = np.flatnonzero(s != np.concatenate(([-1], s[:-1])))
             # complex numbers order by real part, then imaginary: the nearest
@@ -459,12 +451,13 @@ def build_chains(
     the smallest index.  Atoms already absorbed into an earlier chain do not
     start their own, so the returned chains are the maximal ones.
 
-    Up to ``WIDE_CONE_ANGLE`` the cone is convex, so every member lies in
-    the cone at its head, and each head's candidates in a slightly wider
-    cone are listed for all heads from one sort of the directions; a wider
-    cone lists every atom farther out.  Many chains grow at once, one array
-    step over all their lists per member.  The chains come in the visiting
-    order of their heads.
+    The cone test is (rel . axis) / |rel| of the step rel as a three-term
+    sum, so no chain depends on the BLAS kernel.  Up to ``WIDE_CONE_ANGLE``
+    the cone is convex, so every member lies in the cone at its head, and
+    each head's candidates in a slightly wider cone are listed for all
+    heads from one sort of the directions; a wider cone lists every atom
+    farther out.  Many chains grow at once, one array step over all their
+    lists per member.  The chains come in the visiting order of their heads.
     """
     n = config.n_atoms
     if n == 0:

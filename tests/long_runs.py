@@ -72,6 +72,12 @@ CASES = {
     "track at density 0.38": (TRACK, {}, 100.0),
     "replay of that track's gas.json": ({"experiment": "track", "k": 10.0, "delta_e": 0.01},
                                         "track at density 0.38", 100.0),
+    # the README track species at k s = 1.94, whose cone lies just inside WIDE_CONE_ANGLE: the
+    # widest cone that lists candidates, 20,192 atoms, about 63 MB max RSS. The hashes were
+    # taken while the chain search tested steps near the cone edge with BLAS products
+    "track at k s = 1.94, density 0.0767": ({**TRACK, "k": 1.94, "density": 0.0767}, {
+        "gas.json": "8313a3b022f3a4c47cd104a8f5f0f6218308b532342667b2050e0a267a7f20e9",
+        "track.csv": "c81cc977d4fa95b5c7cc183420f21f466d47b4e794380e1b8422eb552116a9e9"}, 80.0),
     # angular.csv keeps the SHA-256 it had when each angle was computed on its own;
     # the run takes about 46 MB max RSS
     "scatter, 10^6 angles": ({"experiment": "scatter", "k": 10.0, "delta_e": 0.01, "s": 1.0, "g0": 0.5,

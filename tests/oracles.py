@@ -268,7 +268,7 @@ def build_chains_scan(config, ctx, theta_c) -> list:
             rel = pos - pos[current]
             dist = np.sqrt(np.sum(rel * rel, axis=1))
             with np.errstate(invalid="ignore", divide="ignore"):
-                cos_angle = (rel @ axis) / dist
+                cos_angle = (rel[:, 0] * axis[0] + rel[:, 1] * axis[1] + rel[:, 2] * axis[2]) / dist
             eligible = (radii > radii[current]) & (dist > 0.0) & (cos_angle >= cos_c)
             if not np.any(eligible):
                 break
@@ -286,20 +286,23 @@ def cone_candidates_scan(pos, gas, cos_m) -> list:
 
     Atom j is listed for head h when it is in the same gas, no nearer the
     emitter, its direction has the three-term dot product >= cos_m with
-    h's, and the step h -> j passes the head-cone test of
-    ``_cone_candidates``.  Returns each head's ascending index list.
+    h's, and the step h -> j that the two radii and that cosine give passes
+    the cone test of ``_cone_candidates`` with its 1e-6 outer radii margin.
+    Returns each head's ascending index list.
     """
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     dirs = pos / radii[:, None]
     lists = []
     for h in range(len(pos)):
         d = dirs[h]
-        step = pos - pos[h]
+        cos = d[0] * dirs[:, 0] + d[1] * dirs[:, 1] + d[2] * dirs[:, 2]
+        inner, outer = radii[h], radii  # the head is the inner atom of each listed pair
+        step = np.sqrt(np.maximum(inner * inner + outer * (outer - 2.0 * inner * cos), 0.0))
         listed = (
             (gas == gas[h])
             & (radii >= radii[h])
-            & (d[0] * dirs[:, 0] + d[1] * dirs[:, 1] + d[2] * dirs[:, 2] >= cos_m)
-            & (dot(step, dirs[np.full(len(pos), h)]) >= cos_m * np.sqrt(dot(step, step)))
+            & (cos >= cos_m)
+            & (outer * cos - inner >= cos_m * step - 1e-6 * outer)
         )
         lists.append(np.flatnonzero(listed).tolist())
     return lists

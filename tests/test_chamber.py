@@ -370,7 +370,7 @@ def assert_candidates_match_scan(pos, offsets, theta_c):
     gas = chamber._gas_of_atoms(np.asarray(offsets))
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     cos_m = math.cos(theta_c) - chamber.CANDIDATE_COS_SLACK
-    members, start, end = chamber._cone_candidates(pos, radii, pos / radii[:, None], gas, cos_m)
+    members, start, end = chamber._cone_candidates(radii, pos / radii[:, None], gas, cos_m)
     lists = [members[lo:hi].tolist() for lo, hi in zip(start, end)]
     assert lists == cone_candidates_scan(pos, gas, cos_m)
     return lists
@@ -417,9 +417,11 @@ def test_cone_candidates_at_band_edges_and_reach_apart():
 
 
 def test_cone_candidates_on_the_cone_edge():
-    # steps of several lengths at the candidate cone's edge angle and 1e-9
-    # rad either side of it: the lists keep exactly the pairs that the step
-    # test at the head keeps, however the rounding falls
+    # steps of several lengths at the candidate cone's edge angle, 1e-9 rad
+    # either side of it and 0.03 rad outside: the first three lie inside
+    # the listing's margin of 1e-6 outer radii, so all are listed however
+    # the rounding falls, and the last never is. The chains over these
+    # atoms are those of a step-by-step scan
     theta_c = cone_half_angle(CTX, SPECIES.width)
     edge = math.acos(math.cos(theta_c) - chamber.CANDIDATE_COS_SLACK)
     heads = RngStream(4248, 0).standard_normal(size=(12, 3))
@@ -431,14 +433,18 @@ def test_cone_candidates_on_the_cone_edge():
         side /= np.linalg.norm(side)
         for turn in np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False):
             across = math.cos(turn) * side + math.sin(turn) * np.cross(axis, side)
-            for angle in (edge - 1e-9, edge, edge + 1e-9):
+            for angle in (edge - 1e-9, edge, edge + 1e-9, edge + 0.03):
                 for length in (0.01, 0.7, 6.0):
                     pos.append(head + length * (math.cos(angle) * axis + math.sin(angle) * across))
     pos = np.concatenate([heads, pos])
     lists = assert_candidates_match_scan(pos, [0, len(pos)], theta_c)
-    per_head = np.arange(len(heads) * 45).reshape(len(heads), 5, 3, 3) + len(heads)
+    per_head = np.arange(len(heads) * 60).reshape(len(heads), 5, 4, 3) + len(heads)
     listed = [np.isin(per_head[h], lists[h]) for h in range(len(heads))]
-    assert all(inside[:, 0].all() and not inside[:, 2].any() for inside in listed)
+    assert all(inside[:, :3].all() and not inside[:, 3].any() for inside in listed)
+    radii = np.sqrt(np.sum(pos * pos, axis=1))
+    assert 13.0 <= radii.min() and radii.max() < 36.0
+    gas = GasConfiguration(atoms=SPECIES.records(pos), chamber_radius=40.0, inner_radius=12.0, seed=0)
+    assert_chains_match_scan(gas, theta_c)
 
 
 def test_build_chains_matches_scan_on_mixed_widths():
@@ -514,6 +520,41 @@ def test_build_chains_matches_scan_on_cone_edge():
     assert 0 < linked < 300
 
 
+CHAINS_SCRIPT = """
+import pickle
+import sys
+import numpy as np
+from mottbox import chamber
+_, heads, lengths, grown = chamber._chains(np.load(sys.argv[1]), np.load(sys.argv[2]), float(sys.argv[3]))
+pickle.dump((heads.tolist(), lengths.tolist(), grown), sys.stdout.buffer)
+"""
+
+
+def test_chains_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the 300 cone-edge gases, whose links come down to the last bit of the
+    # cone predicate, with OpenBLAS's Prescott kernel in a child and its
+    # default kernel here. The positions go by file: unit() calls BLAS, so
+    # the child could not rebuild the same gases. This cannot fail where
+    # OpenBLAS ignores OPENBLAS_CORETYPE: on a non-x86 host, or on a build
+    # without DYNAMIC_ARCH
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    gases = [gas for _, _, gas in cone_edge_gases(theta_c)]
+    offsets = np.cumsum([0] + [gas.n_atoms for gas in gases])
+    pos = np.ascontiguousarray(np.concatenate([gas.atoms["position"] for gas in gases]))
+    np.save(tmp_path / "pos.npy", pos)
+    np.save(tmp_path / "offsets.npy", offsets)
+    src = str(Path(mottbox.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", CHAINS_SCRIPT, str(tmp_path / "pos.npy"), str(tmp_path / "offsets.npy"),
+         repr(theta_c)], capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr.decode()
+    _, heads, lengths, grown = chamber._chains(pos, offsets, theta_c)
+    assert pickle.loads(result.stdout) == (heads.tolist(), lengths.tolist(), grown)
+    assert 100 < len(grown) < 300
+
+
 def segmented_chains(gases, theta_c):
     # the chains of each gas from one _chains call over all gases, as tuples
     # of indices into that gas, gas by gas in visiting order
@@ -533,7 +574,7 @@ def segmented_chains(gases, theta_c):
 
 def test_segmented_chains_on_cone_edges_grow_in_one_batch(monkeypatch):
     # every head of the 300 cone-edge gases grows in one batch, so the edge
-    # steps of many chains share each array step and its recomputed rows
+    # steps of many chains share each array step
     theta_c = cone_half_angle(CTX, SPECIES.width)
     edges = list(cone_edge_gases(theta_c))
     batches = []
