@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .numerics import Frozen, FrozenValue, RngStream, require_unit
+from .numerics import Frozen, FrozenValue, RngStream, cpus, ordered_ranges, require_unit
 
 __all__ = [
     "HiddenVariable",
@@ -26,14 +26,17 @@ __all__ = [
     "bell_test",
 ]
 
-# largest n_trials correlation_mc accepts.  One setting pair, in a fresh process
-# on a 2-vCPU Xeon VM with AVX-512: 0.75 s at 10^8 trials and 6.4 s at 10^9, each
-# at about 37 MB max RSS, which does not grow with n
+# largest n_trials correlation_mc accepts.  One setting pair, in a fresh process on a 2-vCPU
+# Xeon VM with AVX-512: 1.2-1.5 s at 10^8 trials and 9.9-10.9 s at 10^9 on one CPU, 1.0-1.5 s
+# and 6.3-8.1 s on two, each at about 37 MB max RSS per process, which does not grow with n
 MAX_TRIALS = 10**9
 
-# trials per raw draw: 512 KiB of Philox words.  At 10^8 trials on that VM, blocks of
-# 2^13 to 2^19 trials take 0.60-0.67 s (2^10: 0.83 s); a larger one only holds memory
+# trials per raw draw: 512 KiB of Philox words.  At 10^8 trials on that VM, blocks of 2^13 to
+# 2^19 trials took 0.98-1.08 s on one CPU and 0.51-0.80 s on two (2^10: 1.30 s and 0.93 s)
 BLOCK_TRIALS = 2**15
+
+# trials per span from which correlation_mc forks: 2^20 take about 10 ms, a fork 1-3 ms
+SPAN_TRIALS = 2**20
 
 
 class HiddenVariable(FrozenValue):
@@ -161,24 +164,39 @@ def correlation_mc(
 
     Words are drawn BLOCK_TRIALS pairs at a time (Philox continues across
     calls, so this is the sequence of one ``(n, 2)`` draw), and only the
-    count n_- of products -1 is kept.  ``mean`` is bit-equal to
-    ``products.mean()``.  The products are +-1, so their sample variance is
-    exactly 4 n_- n_+ / (n (n - 1)); ``std_error`` forms it from exact ints in
-    four roundings, for a relative error below 3 * 2**-53.
+    count n_- of products -1 is kept.  The trials split into min(W, ceil(n /
+    SPAN_TRIALS)) spans of whole blocks, run on ``numerics.ordered_ranges``
+    over its W CPUs: a span from trial t0 counts on a copy of ``rng``
+    skipped 2 t0 words ahead, and n_- is the exact sum of the spans' counts.
+    So no result depends on W, and ``rng`` ends 2n words ahead, where the
+    one draw leaves it.  ``mean`` is bit-equal to ``products.mean()``.
+    The products are +-1, so their sample variance is exactly 4 n_- n_+ /
+    (n (n - 1)); ``std_error`` forms it from exact ints in four roundings,
+    for a relative error below 3 * 2**-53.
     """
     if not 1 <= n <= MAX_TRIALS:
         raise ValueError(f"n_trials must lie in [1, {MAX_TRIALS}], got {n}")
     limit = _word_limit(_plus_threshold(a.orientation, b.orientation))
-    n_minus = 0
+    counts = []
     if limit >= 0:
-        for start in range(0, n, BLOCK_TRIALS):
-            m = min(BLOCK_TRIALS, n - start)
-            n_minus += int(np.count_nonzero(rng.raw_words(2 * m)[1::2] <= np.uint64(limit)))
-    mean = (n - 2 * n_minus) / n
-    if n == 1:
-        return CorrelationEstimate(mean=mean, std_error=0.0, n_trials=n)
-    std_error = 2.0 * math.sqrt(n_minus * (n - n_minus) / ((n - 1) * n)) / math.sqrt(n)
-    return CorrelationEstimate(mean=mean, std_error=std_error, n_trials=n)
+        import copy  # here, so that only a Bell run loads the module
+
+        def minus_count(span):  # n_- of trials [t0, t1), on a copy of rng at trial t0
+            stream, (t0, t1), n_minus = copy.deepcopy(rng), span, 0
+            stream.skip(2 * t0)
+            for start in range(t0, t1, BLOCK_TRIALS):  # one block of words alive at a time
+                m = min(BLOCK_TRIALS, t1 - start)
+                n_minus += int(np.count_nonzero(stream.raw_words(2 * m)[1::2] <= np.uint64(limit)))
+            yield n_minus
+
+        blocks, n_spans = -(-n // BLOCK_TRIALS), min(cpus(), -(-n // SPAN_TRIALS))
+        edges = [min(n, blocks * j // n_spans * BLOCK_TRIALS) for j in range(n_spans + 1)]
+        ordered_ranges(list(zip(edges, edges[1:])), minus_count, counts.append,
+                       "a Bell worker ended without sending its count")
+        rng.skip(2 * n)
+    n_minus = sum(counts)
+    std_error = 2.0 * math.sqrt(n_minus * (n - n_minus) / ((n - 1) * n)) / math.sqrt(n) if n > 1 else 0.0
+    return CorrelationEstimate(mean=(n - 2 * n_minus) / n, std_error=std_error, n_trials=n)
 
 
 def correlation_quantum(a: ApparatusSetting, b: ApparatusSetting) -> float:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import os
-import pickle
 import sys
 import warnings
 from typing import Optional
@@ -35,7 +33,7 @@ from .mott import (
     flux_free,
     normalization_c2_atoms,
 )
-from .numerics import Frozen, FrozenValue, RngStream, chi2_sf, dot, norm, unit
+from .numerics import Frozen, FrozenValue, RngStream, chi2_sf, dot, norm, ordered_ranges, unit
 
 __all__ = [
     "ATOM_DTYPE",
@@ -630,34 +628,6 @@ def _range_tracks(i0, i1, density, inner_radius, chamber_radius, species, ctx, r
             yield dirs[heads], lengths, [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())]
 
 
-def _worker(ranges, read, write, args) -> None:
-    # a forked worker pickles one message per range, its chunks' tracks (the caller bins them) or its
-    # ValueError's text, until a write fails.  It ends in os._exit: never in the caller's stack, inherited
-    # stdio unflushed, status unread
-    try:
-        os.close(read)
-        pipe = os.fdopen(write, "wb")
-        for i0, i1 in ranges:
-            try:
-                message = list(_range_tracks(i0, i1, *args))
-            except ValueError as exc:
-                message = str(exc)
-            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
-            pipe.flush()
-    finally:
-        os._exit(0)
-
-
-def _received(pipe):
-    # the chunks of a worker's next range (a pickle this run wrote), or its ValueError raised again
-    if not pipe.peek(1):  # the pipe is at its end
-        raise RuntimeError("an isotropy worker ended without sending its tracks")
-    message = pickle.load(pipe)
-    if isinstance(message, str):
-        raise ValueError(message)
-    return message
-
-
 def isotropy_experiment(
     n_configs: int,
     density: float,
@@ -672,14 +642,11 @@ def isotropy_experiment(
 
     Configuration i is sampled from the sub-stream ``rng.stream_id + 1 + i``, and its track is the one
     ``select_track`` finds in ``sample_gas``'s gas on that stream.  Range r of ``_RANGE_CONFIGS``
-    configurations is sampled and selected, in chunks of array passes, by process r mod W: W counts the
-    CPUs in ``os.sched_getaffinity`` (1 without it) up to the ranges, 0 is the caller, the rest are forks.
+    configurations is sampled and selected, in chunks of array passes, on ``numerics.ordered_ranges``.
     The caller bins each chunk's tracks and passes them to ``tracks(directions, chain_lengths,
-    flux_ratios)`` in configuration order, so no result depends on W; the run keeps only the bin counts.
-    A worker's ValueError is raised again, one that ends without its tracks raises RuntimeError, and none
-    outlives the call.  The chi-square is against equal-solid-angle bins, with n_bins - 1 degrees of freedom.
+    flux_ratios)`` in configuration order, so no result depends on the worker count; the run keeps only
+    the bin counts.  The chi-square is against equal-solid-angle bins, with n_bins - 1 degrees of freedom.
     """
-    from signal import SIGKILL  # here, so that only an isotropy run loads the module
     if n_configs < 100:
         raise ValueError(f"need at least 100 configurations, got {n_configs}")
     if n_configs > MAX_CONFIGS:
@@ -689,26 +656,14 @@ def isotropy_experiment(
     theta_c = cone_half_angle(ctx, species.width)  # one species: one cone for the run
     _expected_atoms(density, inner_radius, chamber_radius, species.width)  # before any fork
     args = (density, inner_radius, chamber_radius, species, ctx, rng, theta_c)
+
+    def binned(chunk):
+        counts[:] += np.bincount(direction_bin(chunk[0]), minlength=n_bins)
+        tracks(*chunk)
+
     ranges = [(i0, min(i0 + _RANGE_CONFIGS, n_configs)) for i0 in range(0, n_configs, _RANGE_CONFIGS)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_procs, workers = min(cpus, len(ranges)), [None]  # worker w: (pid, read end of its pipe)
-    try:
-        for w in range(1, n_procs):
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:
-                _worker(ranges[w::n_procs], read, write, args)
-            os.close(write)
-            workers.append((pid, os.fdopen(read, "rb")))
-        for r, (i0, i1) in enumerate(ranges):
-            chunks = _received(workers[r % n_procs][1]) if r % n_procs else _range_tracks(i0, i1, *args)
-            for directions, lengths, ratios in chunks:
-                counts += np.bincount(direction_bin(directions), minlength=n_bins)
-                tracks(directions, lengths, ratios)
-    finally:
-        for pid, pipe in workers[1:]:
-            pipe.close()
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
+    ordered_ranges(ranges, lambda span: _range_tracks(*span, *args), binned,
+                   "an isotropy worker ended without sending its tracks")
     if (n_tracks := int(counts.sum())) == 0:
         raise ValueError("no configuration produced a track; increase the density")
     expected = n_tracks / n_bins

@@ -1,7 +1,7 @@
 """Shared numerical substrate: 3-vectors, normalized without under- or
 overflow, reproducible counter-based random streams, the chi-square tail
-probability, a generic Gauss-Legendre rule and the read-only base of the
-model types.
+probability, a generic Gauss-Legendre rule, the read-only base of the model
+types and the ordered range map that runs long loops on every CPU.
 
 The generic rule (``gauss_legendre``, ``quad_1d``) serves the tests and their
 oracles only; the flux integrals of ``mott`` carry their own stored rule, so
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -26,6 +28,7 @@ __all__ = [
     "RngStream",
     "Frozen",
     "FrozenValue",
+    "ordered_ranges",
 ]
 
 UNIT_TOL = 1e-12
@@ -177,9 +180,9 @@ class RngStream:
     """Reproducible random stream keyed by (seed, stream_id).
 
     Backed by the counter-based Philox generator, so equal keys give
-    bitwise-equal draw sequences on every platform.  Streams are meant to be
-    single-owner: give each logical trial or configuration its own stream_id
-    instead of sharing one stream across threads.
+    bitwise-equal draw sequences on every platform.  A stream has one owner:
+    each configuration takes its own stream_id, and each worker of
+    :func:`ordered_ranges` its own copy, moved to its part by :meth:`skip`.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -215,6 +218,19 @@ class RngStream:
             "uinteger": 0,
         }
 
+    def skip(self, words: int) -> None:
+        """Move this stream ``words`` 64-bit words ahead in O(1), as drawing them would.
+
+        ``Philox.advance`` drops the 0-3 words left of the last four-word counter step, so those count
+        first; then whole steps advance, and at most three words of the next step are drawn.
+        """
+        bits = self._gen.bit_generator
+        held = 4 - bits.state["buffer_pos"]
+        if words > held:
+            bits.advance((words - held) // 4)
+            words = (words - held) % 4
+        bits.random_raw(words)
+
     def raw_words(self, size: int) -> np.ndarray:
         """The next ``size`` 64-bit Philox words of this stream.
 
@@ -237,3 +253,63 @@ class RngStream:
 
     def poisson(self, lam: float) -> int:
         return int(self._gen.poisson(lam))
+
+
+def cpus() -> int:
+    # the CPUs this process may run on: those of its affinity mask, or 1 where os cannot tell
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker(ranges, work, read, write) -> None:
+    # a fork pickles the list of each range's items, or its ValueError's text, until a write fails.  It
+    # ends in os._exit: never in the caller's stack, inherited stdio unflushed
+    try:
+        os.close(read)
+        pipe = os.fdopen(write, "wb")
+        for span in ranges:
+            try:
+                message = list(work(span))
+            except ValueError as exc:
+                message = str(exc)
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+            pipe.flush()
+    finally:
+        os._exit(0)
+
+
+def _received(pipe, lost: str) -> list:
+    try:  # the pipe's end before a whole message, at its start or part-way, means the worker ended
+        message = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(lost) from None
+    if isinstance(message, str):
+        raise ValueError(message)
+    return message
+
+
+def ordered_ranges(ranges: list, work, emit, lost: str) -> None:
+    """Call ``emit(item)`` on each item of ``work(r)`` for every range r, in range order, on every CPU.
+
+    Range r runs in process r mod W, W = min(cpus(), len(ranges)): 0 is the caller, which emits items
+    as ``work`` yields them, the others are forks, which send each range's items down a pipe.  A
+    worker's ValueError is raised again in order, with its text; one that ends without a whole message
+    raises ``RuntimeError(lost)``.  No worker outlives the call.
+    """
+    from signal import SIGKILL  # here, so that only a run that may fork loads the module
+
+    n_procs, workers = min(cpus(), len(ranges)), [None]  # worker w: (pid, read end of its pipe)
+    try:
+        for w in range(1, n_procs):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                _worker(ranges[w::n_procs], work, read, write)
+            os.close(write)
+            workers.append((pid, os.fdopen(read, "rb")))
+        for r, span in enumerate(ranges):
+            for item in _received(workers[r % n_procs][1], lost) if r % n_procs else work(span):
+                emit(item)
+    finally:
+        for pid, pipe in workers[1:]:
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)

@@ -2,10 +2,11 @@
 
 Each case runs ``python -m mottbox`` from this checkout's src/ in a fresh
 process.  It fails if the run exits non-zero, if an output it pins has another
-SHA-256, or if the child's max RSS exceeds the case's bound.  An isotropy run
-forks a worker per further CPU it may run on; ``os.wait4`` then reports the
-largest max RSS of the child and the workers it reaped, not their sum, so
-the bound covers the largest single process.  A replay case runs a track on
+SHA-256, or if the child's max RSS exceeds the case's bound.  An isotropy run,
+and a Bell run above 2^20 trials a pair, forks a worker per further CPU it may
+run on; ``os.wait4`` then reports the largest max RSS of the child and the
+workers it reaped, not their sum, so the bound covers the largest single
+process.  A replay case runs a track on
 the gas.json of an earlier case, and must write every file of that case
 again, byte for byte.
 

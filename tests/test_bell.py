@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -243,6 +244,96 @@ def test_correlation_mc_deterministic():
     a = correlation_mc(X, DIAG_XY, 50_000, RngStream(9, 9))
     b = correlation_mc(X, DIAG_XY, 50_000, RngStream(9, 9))
     assert a.mean == b.mean and a.std_error == b.std_error
+
+
+def serial_estimate(a, b, n, rng):
+    """correlation_mc on one CPU: n_- over consecutive blocks of one stream."""
+    limit = bell._word_limit(bell._plus_threshold(a.orientation, b.orientation))
+    n_minus = 0
+    if limit >= 0:
+        for start in range(0, n, bell.BLOCK_TRIALS):
+            words = rng.raw_words(2 * min(bell.BLOCK_TRIALS, n - start))
+            n_minus += int(np.count_nonzero(words[1::2] <= np.uint64(limit)))
+    std_error = 2.0 * math.sqrt(n_minus * (n - n_minus) / ((n - 1) * n)) / math.sqrt(n) if n > 1 else 0.0
+    return CorrelationEstimate((n - 2 * n_minus) / n, std_error, n)
+
+
+def on_cpus(monkeypatch, cpus):
+    """Run as if this process may run on ``cpus`` CPUs; returns the forks made."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(numerics.os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n, span_trials", [
+    (2**20, 2**20), (2**20 + 1, 2**20), (3 * 2**20 + 12345, 2**20),  # at most one span below 2^20 + 1
+    (1, 2**10), (2**15 + 1, 2**10), (5 * 2**15 + 7, 2**15), (10**5, 3 * 2**15 - 5),  # patched spans
+])
+def test_correlation_mc_on_every_cpu_bit_equal_to_the_serial_block_loop(monkeypatch, cpus, n, span_trials):
+    # a threshold inside (0, 1), every word below it and none; the stream ends where the loop leaves it,
+    # also from a stream that holds words of its last counter step
+    monkeypatch.setattr(bell, "SPAN_TRIALS", span_trials)
+    forks = on_cpus(monkeypatch, cpus)
+    for a, b in ((X, DIAG_XY), (X, X), (X, MINUS_X)):
+        for drawn in (0, 3):
+            got, want = RngStream(8, 1), RngStream(8, 1)
+            got.raw_words(drawn), want.raw_words(drawn)
+            assert correlation_mc(a, b, n, got) == serial_estimate(a, b, n, want)
+            assert np.array_equal(got.raw_words(5), want.raw_words(5))
+    spans = min(cpus, -(-n // span_trials))  # below 2^15 trials a span, some spans hold no block
+    assert len(forks) == 2 * 2 * (spans - 1)  # limit = -1 draws nothing and forks nothing
+    assert_no_child_left()
+
+
+def test_correlation_mc_forks_no_worker_up_to_2_20_trials(monkeypatch):
+    forks = on_cpus(monkeypatch, 3)
+    for n in (1, 10**6, 2**20):
+        correlation_mc(X, DIAG_XY, n, RngStream(2, 0))
+    assert not forks
+    correlation_mc(X, DIAG_XY, 2**20 + 1, RngStream(2, 0))
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_bell_worker_that_ends_without_its_count_raises_runtime_error(monkeypatch):
+    parent, skip = os.getpid(), RngStream.skip
+
+    def skip_or_end(stream, words):
+        if os.getpid() != parent:
+            os._exit(1)
+        skip(stream, words)
+
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(numerics.RngStream, "skip", skip_or_end)
+    with pytest.raises(RuntimeError, match="^a Bell worker ended without sending its count$"):
+        correlation_mc(X, DIAG_XY, 2**21, RngStream(2, 0))
+    assert_no_child_left()
+
+
+def test_bell_interrupt_in_the_caller_mid_run_leaves_no_worker(monkeypatch):
+    # the caller stops at its third block while two workers count theirs
+    parent, raw_words, calls = os.getpid(), RngStream.raw_words, []
+
+    def interrupted(stream, size):
+        if os.getpid() == parent:
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt("interrupted")
+        return raw_words(stream, size)
+
+    forks = on_cpus(monkeypatch, 3)
+    monkeypatch.setattr(numerics.RngStream, "raw_words", interrupted)
+    with pytest.raises(KeyboardInterrupt, match="interrupted"):
+        correlation_mc(X, DIAG_XY, 3 * 2**20 + 12345, RngStream(2, 0))
+    assert len(forks) == 2 and len(calls) == 3
+    assert_no_child_left()
 
 
 def test_correlation_mc_matches_quantum_on_random_pairs():

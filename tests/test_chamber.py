@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mottbox
-from mottbox import chamber, mott
+from mottbox import chamber, mott, numerics
 from mottbox.chamber import (
     ATOM_DTYPE,
     AtomSpecies,
@@ -1303,8 +1303,8 @@ def test_isotropy_experiment_requires_enough_configs():
 def on_cpus(monkeypatch, cpus):
     """Run isotropy_experiment as if this process may run on ``cpus`` CPUs; returns the forks it makes."""
     forks, fork = [], os.fork
-    monkeypatch.setattr(chamber.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(chamber.os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(numerics.os, "fork", lambda: forks.append(1) or fork())
     return forks
 
 

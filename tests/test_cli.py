@@ -376,7 +376,7 @@ def isotropy_on_cpus(monkeypatch, cpus, in_workers=None):
             in_workers(i0)
         return range_tracks(i0, *args)
 
-    monkeypatch.setattr(chamber.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(chamber, "_range_tracks", ranges)
 
 
@@ -395,6 +395,21 @@ def test_isotropy_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, mo
         outputs.append({name: (tmp_path / str(cpus) / name).read_bytes() for name in ("isotropy.csv", "tracks.csv")})
         assert_no_child_left()
     assert outputs[0] == outputs[1]
+    summaries = capsys.readouterr().out.splitlines()
+    assert len(summaries) == 2 and summaries[0] == summaries[1]
+
+
+def test_bell_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    # 3 * 2^20 + 12345 trials a pair make three spans: one process, or the caller and two workers
+    config = write_config(tmp_path, "config.json", {**README_CONFIGS["bell"], "n_trials": 3 * 2**20 + 12345})
+    forks, fork, outputs = [], os.fork, []
+    monkeypatch.setattr(numerics.os, "fork", lambda: forks.append(1) or fork())
+    for cpus in (1, 3):
+        monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert main([config, "--out-dir", str(tmp_path / str(cpus))]) == 0
+        outputs.append((tmp_path / str(cpus) / "bell.csv").read_bytes())
+        assert_no_child_left()
+    assert outputs[0] == outputs[1] and len(forks) == 3 * 2
     summaries = capsys.readouterr().out.splitlines()
     assert len(summaries) == 2 and summaries[0] == summaries[1]
 

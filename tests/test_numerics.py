@@ -1,15 +1,17 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from mottbox import bell, chamber, mott, render
+from mottbox import bell, chamber, mott, numerics, render
 from mottbox.numerics import (
     Frozen,
     RngStream,
     chi2_sf,
     gauss_legendre,
+    ordered_ranges,
     quad_1d,
     require_unit,
     unit,
@@ -258,6 +260,73 @@ def test_uniform_is_the_top_53_bits_of_the_raw_word():
         assert np.array_equal(RngStream(seed, stream_id).uniform(size=1006)[5:], want)
         after = RngStream(seed, stream_id).uniform(size=1009)[1006:]
         assert np.array_equal(stream.uniform(size=3), after)
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3])
+@pytest.mark.parametrize("offset", [0, 1, 3, 4, 5, 2**16, 2**19, 2**19 + 2])
+def test_skip_gives_the_words_after_drawing_and_discarding(drawn, offset):
+    # from a fresh stream and from streams holding 3, 2 and 1 words of their last counter step:
+    # the words after skip(offset) are those after drawing offset words, and so is the word after those
+    for seed, stream_id in ((1, 0), (2**64 - 1, 2**63)):
+        serial = RngStream(seed, stream_id).raw_words(drawn + offset + 9)[drawn + offset:]
+        stream = RngStream(seed, stream_id)
+        stream.raw_words(drawn)
+        stream.skip(offset)
+        assert np.array_equal(stream.raw_words(8), serial[:8])
+        assert np.array_equal(stream.raw_words(1), serial[8:])
+
+
+def test_skip_continues_the_uniforms():
+    stream = RngStream(42, 3)
+    stream.uniform(size=3)
+    stream.skip(2**19 + 5)
+    assert np.array_equal(stream.uniform(size=4), RngStream(42, 3).uniform(size=2**19 + 12)[-4:])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_ordered_ranges_emits_in_range_order(monkeypatch, cpus):
+    # seven ranges over up to three processes; each yields its items, one range none
+    on_cpus(monkeypatch, cpus)
+    emitted = []
+    ordered_ranges([(i, i * i % 5) for i in range(7)], lambda span: [(span, pid) for pid in range(span[1])],
+                   emitted.append, "a worker ended without sending its items")
+    assert emitted == [((i, i * i % 5), pid) for i in range(7) for pid in range(i * i % 5)]
+    assert_no_child_left()
+
+
+class EndsTheProcess:
+    """Pickling it ends the process, part-way through the message that holds it."""
+
+    def __reduce__(self):
+        os._exit(0)
+
+
+@pytest.mark.parametrize("padding", [0, 2**18])
+def test_ordered_ranges_worker_that_ends_part_way_through_a_message_raises_runtime_error(monkeypatch, padding):
+    # the worker ends while it pickles its message for range 1: without padding nothing has reached the
+    # pipe; with 256 KiB, more than a pipe holds, the caller reads a part of a pickle, then the pipe's end
+    parent = os.getpid()
+
+    def work(span):
+        yield span
+        if os.getpid() != parent:
+            yield bytes(padding), EndsTheProcess()
+
+    on_cpus(monkeypatch, 2)
+    emitted = []
+    with pytest.raises(RuntimeError, match="^a worker ended without sending its items$"):
+        ordered_ranges(list(range(4)), work, emitted.append, "a worker ended without sending its items")
+    assert emitted == [0]
+    assert_no_child_left()
 
 
 def _first_zero(f, lo, hi):
