@@ -614,8 +614,8 @@ def _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, r
         yield species.records(positions), np.array(offsets)
 
 
-# configurations of one isotropy range.  A range of the README gas pickles to about 42.5 KB, within a 64 KiB
-# pipe buffer, so a worker does not wait on the parent inside a range; the parent holds one range's tracks
+# configurations of one isotropy range.  With its tracks.csv text a range of the README gas pickles to about
+# 83 KB, so a worker waits for the parent to reach it; the parent holds one range's text
 _RANGE_CONFIGS = 2**10
 
 
@@ -637,15 +637,17 @@ def isotropy_experiment(
     ctx: ScatteringContext,
     rng: RngStream,
     tracks,
+    rows=lambda *chunk: chunk,
 ) -> IsotropyResult:
     """Track directions over many independent gas configurations.
 
     Configuration i is sampled from the sub-stream ``rng.stream_id + 1 + i``, and its track is the one
     ``select_track`` finds in ``sample_gas``'s gas on that stream.  Range r of ``_RANGE_CONFIGS``
     configurations is sampled and selected, in chunks of array passes, on ``numerics.ordered_ranges``.
-    The caller bins each chunk's tracks and passes them to ``tracks(directions, chain_lengths,
-    flux_ratios)`` in configuration order, so no result depends on the worker count; the run keeps only
-    the bin counts.  The chi-square is against equal-solid-angle bins, with n_bins - 1 degrees of freedom.
+    A range's process bins each chunk's tracks and formats them by ``rows(directions, chain_lengths,
+    flux_ratios)``; the caller adds the counts and hands what ``rows`` returned (by default the three) to
+    ``tracks`` in configuration order, so no result depends on the worker count, and keeps only the
+    counts.  The chi-square is against equal-solid-angle bins, with n_bins - 1 degrees of freedom.
     """
     if n_configs < 100:
         raise ValueError(f"need at least 100 configurations, got {n_configs}")
@@ -657,13 +659,16 @@ def isotropy_experiment(
     _expected_atoms(density, inner_radius, chamber_radius, species.width)  # before any fork
     args = (density, inner_radius, chamber_radius, species, ctx, rng, theta_c)
 
-    def binned(chunk):
-        counts[:] += np.bincount(direction_bin(chunk[0]), minlength=n_bins)
-        tracks(*chunk)
+    def binned(span):
+        for chunk in _range_tracks(*span, *args):
+            yield np.bincount(direction_bin(chunk[0]), minlength=n_bins).tolist(), rows(*chunk)
+
+    def added(item):
+        counts[:] += item[0]
+        tracks(item[1])
 
     ranges = [(i0, min(i0 + _RANGE_CONFIGS, n_configs)) for i0 in range(0, n_configs, _RANGE_CONFIGS)]
-    ordered_ranges(ranges, lambda span: _range_tracks(*span, *args), binned,
-                   "an isotropy worker ended without sending its tracks")
+    ordered_ranges(ranges, binned, added, "an isotropy worker ended without sending its tracks")
     if (n_tracks := int(counts.sum())) == 0:
         raise ValueError("no configuration produced a track; increase the density")
     expected = n_tracks / n_bins

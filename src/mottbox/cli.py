@@ -10,7 +10,6 @@ stdout.  Identical config and seed give byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import logging
@@ -22,13 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import bell, chamber, mott, render
-from .numerics import RngStream, unit
+from .numerics import RngStream, ordered_ranges, text_sink, unit
 
 logger = logging.getLogger(__name__)
 
-# most angles scatter accepts: 10^6 rows took 5.8-6.7 s, 45 MB max RSS and a
-# 128 MB angular.csv on a 2-vCPU Xeon VM with AVX-512
+# most angles scatter accepts: 10^6 rows took 3.0-3.5 s on both CPUs of a 2-vCPU Xeon VM with AVX-512
+# (5.5-5.9 s on one), 47 MB max RSS in each process and a 128 MB angular.csv
 MAX_ANGLES = 1_000_000
+# most angles in a range of a scatter run on numerics.ordered_ranges: from two ranges of 2048 a fork paid
+_RANGE_ANGLES = 2**12
 SEEDS = (0, 2**64 - 1)  # the documented --seed U64; RngStream would alias a seed outside it
 
 
@@ -83,30 +84,19 @@ def _domain(builder, *args, **kwargs):
         raise ConfigError(str(exc)) from None
 
 
-@contextlib.contextmanager
-def _csv(path: Path, header: str):
-    # write(n_rows, columns) appends rows of repr cells 256 at a time, never the whole text: columns(block)
-    # gives that slice of each column (equal-length arrays or lists, whose .tolist() values format faster
-    # than numpy scalars).  The file opens with the first write; a run that fails after it removes it
-    with contextlib.ExitStack() as stack:
-        files = []
-
-        def write(n_rows: int, columns) -> None:
-            if not files:
-                files.append(open(path, "w", encoding="utf-8"))
-                stack.push(lambda failed, *_: failed and path.unlink())  # runs after the close below
-                stack.callback(files[0].close)
-                files[0].write(header + "\n")
-            for i in range(0, n_rows, 256):
-                cells = (map(repr, np.asarray(c).tolist()) for c in columns(slice(i, i + 256)))
-                files[0].writelines(",".join(row) + "\n" for row in zip(*cells))
-
-        yield write
+def _csv_rows(start: int, stop: int, columns) -> str:
+    # rows [start, stop) of repr cells, formatted 256 at a time: columns(block) gives that slice of each
+    # column (arrays or lists, whose .tolist() values format faster than numpy scalars)
+    text = []
+    for i in range(start, stop, 256):
+        cells = (map(repr, np.asarray(c).tolist()) for c in columns(slice(i, min(i + 256, stop))))
+        text += [",".join(row) + "\n" for row in zip(*cells)]
+    return "".join(text)
 
 
 def _write_csv(path: Path, header: str, n_rows: int, columns) -> None:
-    with _csv(path, header) as write:
-        write(n_rows, columns)
+    with text_sink(path, header) as write:
+        write(_csv_rows(0, n_rows, columns))
 
 
 def _run_bell(config: dict, paths: dict[str, Path]) -> str:
@@ -167,7 +157,11 @@ def _run_scatter(config: dict, paths: dict[str, Path]) -> str:
         q, i0, i1 = mott._amplitudes(ctx, atom, thetas[block])  # both channels from one q and envelope
         return thetas[block], i0.real, i0.imag, i1.real, i1.imag, q
 
-    _write_csv(paths["output"], "theta,re_I0,im_I0,re_I1,im_I1,q", n_theta, columns)
+    n_ranges = -(-n_theta // _RANGE_ANGLES)  # of equal size, so a worker gets at least _RANGE_ANGLES / 2
+    edges = [n_theta * j // n_ranges for j in range(n_ranges + 1)]
+    with text_sink(paths["output"], "theta,re_I0,im_I0,re_I1,im_I1,q") as write:
+        ordered_ranges(list(zip(edges, edges[1:])), lambda span: [_csv_rows(*span, columns)], write,
+                       "a scatter worker ended without sending its rows")
     return f"|C|^2={c2:.6f} flux_total={total:.6f} flux_free={mott.flux_free(ctx):.6f}"
 
 
@@ -211,9 +205,9 @@ def _run_isotropy(config: dict, paths: dict[str, Path]) -> str:
     n_configs = _integer(config, "n_configs")
     density, inner, outer, species, rng = _gas(config)
     _domain(mott.quadrature_convergence_check, ctx, species.width, species.g0, species.g1)
-    with _csv(paths["tracks_output"], _TRACK_HEADER) as write:  # each chunk's tracks as they come
-        result = _domain(chamber.isotropy_experiment, n_configs, density, inner, outer, species, ctx, rng,
-                         lambda dirs, n, ratios: write(len(ratios), lambda b: (*dirs[b].T, n[b], ratios[b])))
+    with text_sink(paths["tracks_output"], _TRACK_HEADER) as write:  # chunk rows, formatted where selected
+        result = _domain(chamber.isotropy_experiment, n_configs, density, inner, outer, species, ctx, rng, write,
+                         lambda d, n, ratios: _csv_rows(0, len(ratios), lambda b: (*d[b].T, n[b], ratios[b])))
     _write_csv(paths["output"], "bin,count", len(result.counts), lambda _: zip(*enumerate(result.counts)))
     return f"isotropy n={n_configs} chi2={result.chi_square:.2f} p={result.p_value:.4f}"
 
@@ -236,7 +230,6 @@ def _run_render(config: dict, paths: dict[str, Path]) -> str:
         atom = _domain(mott.atom, _vector(ob, "position"), **_species(ob, delta_e=ctx.delta_e))
         _domain(mott.quadrature_convergence_check, ctx, atom["width"], atom["g0"], atom["g1"])
         _domain(mott.normalization_c2, ctx, atom)  # couplings whose intensity overflows raise
-    # grid.csv, when asked for, is written block by block while the plane is sampled
     image = render.render_plane(lambda p: mott.wave_field(ctx, atom, p), plane, scale, paths.get("grid_csv"))
     render.write_ppm(image, paths["output"])
     return f"render wrote {paths['output'].name} {image.width}x{image.height}"

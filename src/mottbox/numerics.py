@@ -1,7 +1,7 @@
 """Shared numerical substrate: 3-vectors, normalized without under- or
 overflow, reproducible counter-based random streams, the chi-square tail
 probability, a generic Gauss-Legendre rule, the read-only base of the model
-types and the ordered range map that runs long loops on every CPU.
+types, the ordered range map that runs long loops on every CPU and their text sink.
 
 The generic rule (``gauss_legendre``, ``quad_1d``) serves the tests and their
 oracles only; the flux integrals of ``mott`` carry their own stored rule, so
@@ -9,6 +9,7 @@ no run loads ``numpy.polynomial`` or solves for nodes."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -29,6 +30,7 @@ __all__ = [
     "Frozen",
     "FrozenValue",
     "ordered_ranges",
+    "text_sink",
 ]
 
 UNIT_TOL = 1e-12
@@ -295,9 +297,9 @@ def ordered_ranges(ranges: list, work, emit, lost: str) -> None:
     worker's ValueError is raised again in order, with its text; one that ends without a whole message
     raises ``RuntimeError(lost)``.  No worker outlives the call.
     """
-    from signal import SIGKILL  # here, so that only a run that may fork loads the module
-
     n_procs, workers = min(cpus(), len(ranges)), [None]  # worker w: (pid, read end of its pipe)
+    if n_procs > 1:
+        from signal import SIGKILL  # here, so that only a run that forks loads the module (0.6 ms)
     try:
         for w in range(1, n_procs):
             read, write = os.pipe()
@@ -313,3 +315,21 @@ def ordered_ranges(ranges: list, work, emit, lost: str) -> None:
             pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
+
+
+@contextlib.contextmanager
+def text_sink(path, header: str):
+    """Yield ``write(text)``, which appends ``text`` to the file at ``path``: the file opens at the first
+    write, with the line ``header``, and a run that fails after that removes it."""
+    with contextlib.ExitStack() as stack:
+        files = []
+
+        def write(text: str) -> None:
+            if not files:
+                files.append(open(path, "w", encoding="utf-8"))
+                stack.push(lambda failed, *_: failed and os.remove(path))  # runs after the close below
+                stack.callback(files[0].close)
+                files[0].write(header + "\n")
+            files[0].write(text)
+
+        yield write

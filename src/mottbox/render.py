@@ -9,13 +9,11 @@ factor and adds a bright forward beam behind the atom.
 
 from __future__ import annotations
 
-import contextlib
 import logging
-import os
 
 import numpy as np
 
-from .numerics import Frozen, require_unit
+from .numerics import Frozen, ordered_ranges, require_unit, text_sink
 
 __all__ = [
     "PlaneSpec",
@@ -34,6 +32,9 @@ MIN_RESOLUTION = 16
 MAX_RESOLUTION = 2048
 # pixels per block of whole rows in sampling, colouring and grid.csv: temporaries stay in cache
 BLOCK_PIXELS = 8192
+# blocks from which each block of a render is its own range on numerics.ordered_ranges; fewer run as one
+# range, with no fork: at 11 blocks (288^2) a fork gained nothing, at 12 (300^2) 22.1 -> 20.1 ms
+_FORK_BLOCKS = 12
 # which levels (0, value, value * (1 - f), value * f) feed r, g, b in each sixth of the hue circle
 _SECTOR_LEVELS = np.array([[1, 3, 0], [2, 1, 0], [0, 1, 3], [0, 2, 1], [3, 0, 1], [1, 0, 2]])
 
@@ -47,11 +48,11 @@ class PlaneSpec(Frozen):
     col c) of the rendered image maps to origin + u_axis*offset[c] +
     v_axis*offset[r].
 
-    The resolution lies in [MIN_RESOLUTION, MAX_RESOLUTION].  At its peak
-    :func:`render_plane` holds the image, 3 bytes a pixel, plus under 2 MiB of
-    block arrays and grid.csv text (traced at 384^2 to 2048^2), so the largest
-    accepted render needs about 14 MiB; a :func:`sample_plane` grid adds 16
-    bytes a pixel.
+    The resolution lies in [MIN_RESOLUTION, MAX_RESOLUTION].  At its peak each
+    process of :func:`render_plane` holds the image, 3 bytes a pixel (a worker's
+    copy is shared, never written), plus under 2.6 MiB of block arrays and
+    grid.csv text (traced at 384^2 to 2048^2), so the largest accepted render
+    needs about 15 MiB; a :func:`sample_plane` grid adds 16 bytes a pixel.
     """
 
     __slots__ = ("origin", "u_axis", "v_axis", "half_extent", "resolution")
@@ -90,10 +91,10 @@ class FieldImage(Frozen):
         super().__init__(width, height, rgb)
 
 
-def _row_blocks(n_rows: int, row_length: int):
+def _row_blocks(n_rows: int, row_length: int) -> list:
     # slices of whole rows, in order, of at most max(BLOCK_PIXELS, row_length) pixels each
     step = max(1, BLOCK_PIXELS // max(1, row_length))
-    return (slice(i, i + step) for i in range(0, n_rows, step))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def _masked(z: np.ndarray):
@@ -104,24 +105,23 @@ def _masked(z: np.ndarray):
     return np.where(bad, 0.0, z), np.argwhere(bad)
 
 
-def _sampled_blocks(field, plane: PlaneSpec):
-    # (rows, values) for each block of whole lattice rows, in order, with the
-    # non-finite values set to zero; the masked pixels are logged after the last block
+def _sample(field, plane: PlaneSpec, rows: slice):
+    # the values on a block of whole lattice rows with the non-finite ones set to zero, their count and
+    # the lattice indices of the first 8 of them
     offs = plane.offsets()
     # the same two additions per point as origin + du*u + dv*v, so bit-equal
-    base = plane.origin + offs[:, None] * plane.u_axis
-    count, first = 0, []
-    for rows in _row_blocks(plane.resolution, plane.resolution):
-        points = base[rows, None, :] + offs[:, None] * plane.v_axis
-        values = np.asarray(field(points), dtype=complex)
-        if values.shape != points.shape[:-1]:
-            raise ValueError(f"field returned shape {values.shape}, expected {points.shape[:-1]}")
-        values, bad = _masked(values)
-        count += len(bad)
-        first += [(rows.start + int(i), int(j)) for i, j in bad[:8 - len(first)]]
-        yield rows, values
-    if count:
-        logger.info("masked %d singular pixel(s), first few: %s", count, first)
+    points = (plane.origin + offs[rows, None] * plane.u_axis)[:, None, :] + offs[:, None] * plane.v_axis
+    values = np.asarray(field(points), dtype=complex)
+    if values.shape != points.shape[:-1]:
+        raise ValueError(f"field returned shape {values.shape}, expected {points.shape[:-1]}")
+    values, bad = _masked(values)
+    return values, len(bad), [(rows.start + int(i), int(j)) for i, j in bad[:8]]
+
+
+def _log_masked(blocks: list) -> None:
+    # the one line on the masked pixels of the blocks' (count, first indices), in block order
+    if count := sum(n for n, _ in blocks):
+        logger.info("masked %d singular pixel(s), first few: %s", count, [ij for _, f in blocks for ij in f][:8])
 
 
 def sample_plane(field, plane: PlaneSpec) -> np.ndarray:
@@ -134,9 +134,11 @@ def sample_plane(field, plane: PlaneSpec) -> np.ndarray:
     plane) are set to zero, so those pixels render black, and their indices
     are logged.
     """
-    grid = np.empty((plane.resolution,) * 2, dtype=complex)
-    for rows, values in _sampled_blocks(field, plane):
-        grid[rows] = values
+    grid, masked = np.empty((plane.resolution,) * 2, dtype=complex), []
+    for rows in _row_blocks(plane.resolution, plane.resolution):
+        grid[rows], count, first = _sample(field, plane, rows)
+        masked.append((count, first))
+    _log_masked(masked)
     return grid
 
 
@@ -148,14 +150,13 @@ def check_modulus_scale(modulus_scale: float) -> float:
 
 
 def _canvas(width: int, height: int, modulus_scale: float):
-    # a black image and paint(rows, z), which colours the finite grid rows z into
-    # image columns rows (grid[i, j] -> pixel row j, col i)
+    # a black image, its (height, width, 3) pixels and colour(z), the image columns of grid rows z
     check_modulus_scale(modulus_scale)
     image = FieldImage(width=width, height=height, rgb=bytearray(3 * width * height))
     pixels = np.frombuffer(image.rgb, dtype=np.uint8).reshape(height, width, 3)
     lanes = np.arange(3 * max(BLOCK_PIXELS, height)) // 3 * 4  # 4 p for each channel of block pixel p
 
-    def paint(rows: slice, z: np.ndarray) -> None:
+    def colour(z: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # a modulus that overflows is far above the scale: value 1
             value = np.minimum(1.0, np.abs(z) / modulus_scale)
         hue = np.angle(z) / (2.0 * np.pi)
@@ -168,9 +169,9 @@ def _canvas(width: int, height: int, modulus_scale: float):
         # h6 is 6.0 where hue % 1.0 rounds up to a whole turn: sector 6 is sector 0
         picks = np.take(_SECTOR_LEVELS, sector.astype(np.intp) % 6, axis=0).ravel()
         picks += lanes[:picks.size]
-        pixels[:, rows] = levels.ravel()[picks].reshape(z.shape + (3,)).transpose(1, 0, 2)
+        return levels.ravel()[picks].reshape(z.shape + (3,)).transpose(1, 0, 2)
 
-    return image, paint
+    return image, pixels, colour
 
 
 def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
@@ -182,48 +183,44 @@ def colorize(grid: np.ndarray, modulus_scale: float) -> FieldImage:
     channel at level x in [0, 1] of the HSV->RGB map is the byte
     floor(x * 255 + 0.5).
     """
-    image, paint = _canvas(*grid.shape, modulus_scale)
+    image, pixels, colour = _canvas(*grid.shape, modulus_scale)
     for rows in _row_blocks(*grid.shape):
-        paint(rows, _masked(grid[rows])[0])  # as sample_plane masks them
+        pixels[:, rows] = colour(_masked(grid[rows])[0])  # as sample_plane masks them
     return image
 
 
-@contextlib.contextmanager
-def _grid_csv(plane: PlaneSpec, path):
-    # write(rows, z) appends the ``u,v,re,im`` lines of grid rows z to the CSV at path, after its
-    # header, and a run that fails after it opens removes it, as cli._csv does; no path, no file
-    if path is None:
-        yield lambda rows, z: None
-        return
-    labels = list(map(repr, plane.offsets().tolist()))  # each lattice offset formatted once
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u,v,re,im\n")
-
-        def write(rows: slice, z: np.ndarray) -> None:
-            for u, re, im in zip(labels[rows], z.real.tolist(), z.imag.tolist()):
-                fh.write("".join([f"{u},{v},{r!r},{m!r}\n" for v, r, m in zip(labels, re, im)]))
-
-        try:
-            yield write
-        except BaseException:
-            fh.close()
-            os.remove(path)
-            raise
-
-
 def render_plane(field, plane: PlaneSpec, modulus_scale: float, grid_csv=None) -> FieldImage:
-    """Sample ``field`` on ``plane`` and colour it, one block of lattice rows at a time.
+    """Sample ``field`` on ``plane`` and colour it, one block of lattice rows at a time, on every CPU.
 
     The image is colorize(sample_plane(field, plane), modulus_scale), and
     ``grid_csv``, when given, receives the bytes that ``write_grid_csv`` in
-    tests/oracles.py writes for that grid; but each block is coloured and
-    written as it is sampled, so the image is the only array the plane's size.
+    tests/oracles.py writes for that grid, with sample_plane's log line.  From
+    _FORK_BLOCKS blocks on, each block is one range of ``numerics.ordered_ranges``,
+    sampled, coloured and formatted in its process; the caller copies its pixels
+    into the image, the only array the plane's size, and writes its text in order.
     """
-    image, paint = _canvas(plane.resolution, plane.resolution, modulus_scale)
-    with _grid_csv(plane, grid_csv) as write:
-        for rows, values in _sampled_blocks(field, plane):
-            paint(rows, values)
-            write(rows, values)
+    image, pixels, colour = _canvas(plane.resolution, plane.resolution, modulus_scale)
+    blocks, masked = _row_blocks(plane.resolution, plane.resolution), []
+    labels = list(map(repr, plane.offsets().tolist()))  # each lattice offset formatted once
+
+    def painted(span: list):
+        for rows in span:
+            z, count, first = _sample(field, plane, rows)
+            text = None if grid_csv is None else "".join([f"{u},{v},{r!r},{m!r}\n" for u, re, im in zip(
+                labels[rows], z.real.tolist(), z.imag.tolist()) for v, r, m in zip(labels, re, im)])
+            yield rows, colour(z), count, first, text
+
+    with text_sink(grid_csv, "u,v,re,im") as write:  # no grid_csv: no text, so no file opens
+        def emit(item) -> None:
+            rows, colours, count, first, text = item
+            pixels[:, rows] = colours
+            masked.append((count, first))
+            if text is not None:
+                write(text)
+
+        ranges = [[rows] for rows in blocks] if len(blocks) >= _FORK_BLOCKS else [blocks]
+        ordered_ranges(ranges, painted, emit, "a render worker ended without sending its block")
+    _log_masked(masked)
     return image
 
 

@@ -3,14 +3,16 @@
 Each case runs ``python -m mottbox`` from this checkout's src/ in a fresh
 process.  It fails if the run exits non-zero, if an output it pins has another
 SHA-256, or if the child's max RSS exceeds the case's bound.  An isotropy run,
-and a Bell run above 2^20 trials a pair, forks a worker per further CPU it may
-run on; ``os.wait4`` then reports the largest max RSS of the child and the
-workers it reaped, not their sum, so the bound covers the largest single
-process.  A replay case runs a track on
-the gas.json of an earlier case, and must write every file of that case
-again, byte for byte.
+a render of 12 blocks or more, a scatter above 2^12 angles and a Bell run above
+2^20 trials a pair fork a worker per further CPU they may run on; ``os.wait4``
+then reports the largest max RSS of the child and the workers it reaped, not
+their sum, so the bound covers the largest single process.  Every case but a
+track forks on two CPUs or more; under ``taskset -c 0`` none does, and the
+same pins and bounds hold.  A replay case runs a track on the gas.json of an
+earlier case, and must write every file of that case again, byte for byte.
 
 Usage: python3 tests/long_runs.py   (no arguments; exits 1 if any case fails)
+       taskset -c 0 python3 tests/long_runs.py   (the same cases in one process each)
 """
 
 import hashlib
@@ -42,7 +44,7 @@ def render(resolution: int, **extra) -> dict:
 # the case whose outputs it must write again, max-RSS bound in MB)
 CASES = {
     # the render streams: the image is its only plane-sized array. The 2048^2 render
-    # takes about 52 MB max RSS, and at 1024^2 with grid.csv about 44 MB. The hashes
+    # takes about 50 MB max RSS, and at 1024^2 with grid.csv about 44 MB. The hashes
     # were taken while the whole complex grid was held
     "render 2048^2": (render(2048), {
         "field.ppm": "30a8232c4df884c04665a23bdee866ad68d6327ca889635c1dc12d3f74a89acb"}, 80.0),
@@ -80,7 +82,7 @@ CASES = {
         "gas.json": "8313a3b022f3a4c47cd104a8f5f0f6218308b532342667b2050e0a267a7f20e9",
         "track.csv": "c81cc977d4fa95b5c7cc183420f21f466d47b4e794380e1b8422eb552116a9e9"}, 80.0),
     # angular.csv keeps the SHA-256 it had when each angle was computed on its own;
-    # the run takes about 46 MB max RSS
+    # the run takes about 47 MB max RSS in each process
     "scatter, 10^6 angles": ({"experiment": "scatter", "k": 10.0, "delta_e": 0.01, "s": 1.0, "g0": 0.5,
                               "g1": 0.5, "distance": 10.0, "n_theta": 1_000_000}, {
         "angular.csv": "f6b6483ecb2f8545002197967e7c2cc87df32993b99ffc80ed54f79a0d338832"}, 52.0),

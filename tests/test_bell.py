@@ -22,6 +22,7 @@ from mottbox.bell import (
 )
 from mottbox.numerics import RngStream, unit
 
+from forks import assert_no_child_left, on_cpus
 from oracles import correlation_mc_products, response_batch, std_error_mpmath, trial_products, ulps_from
 
 X = ApparatusSetting([1.0, 0.0, 0.0])
@@ -256,19 +257,6 @@ def serial_estimate(a, b, n, rng):
             n_minus += int(np.count_nonzero(words[1::2] <= np.uint64(limit)))
     std_error = 2.0 * math.sqrt(n_minus * (n - n_minus) / ((n - 1) * n)) / math.sqrt(n) if n > 1 else 0.0
     return CorrelationEstimate((n - 2 * n_minus) / n, std_error, n)
-
-
-def on_cpus(monkeypatch, cpus):
-    """Run as if this process may run on ``cpus`` CPUs; returns the forks made."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(numerics.os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mottbox
-from mottbox import chamber, mott, numerics
+from mottbox import chamber, mott
 from mottbox.chamber import (
     ATOM_DTYPE,
     AtomSpecies,
@@ -34,6 +34,7 @@ from mottbox.chamber import (
 )
 from mottbox.mott import ScatteringContext, atom, flux_free, normalization_c2
 from mottbox.numerics import RngStream, chi2_sf, unit
+from forks import assert_no_child_left, on_cpus
 from oracles import (
     build_chains_scan,
     chi2_sf_mpmath,
@@ -930,7 +931,8 @@ def collected_isotropy(*args):
     """
     chunks = []
 
-    def sink(directions, chain_lengths, flux_ratios):
+    def sink(chunk):
+        directions, chain_lengths, flux_ratios = chunk
         assert type(flux_ratios) is list and directions.shape == (len(chain_lengths), 3)
         assert 0 < len(chain_lengths) == len(flux_ratios)
         chunks.append((directions.copy(), chain_lengths.copy(), np.array(flux_ratios)))
@@ -1298,19 +1300,6 @@ def test_isotropy_experiment_requires_enough_configs():
     for n_configs in (0, 99):
         with pytest.raises(ValueError, match="at least 100"):
             isotropy_experiment(n_configs, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(1, 0), lambda *chunk: None)
-
-
-def on_cpus(monkeypatch, cpus):
-    """Run isotropy_experiment as if this process may run on ``cpus`` CPUs; returns the forks it makes."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(numerics.os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("range_configs", [1, 7, 150, 10**9])

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -14,10 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mottbox
-from mottbox import bell, chamber, mott, numerics, render
+from mottbox import bell, chamber, cli, mott, numerics, render
 from mottbox.cli import MAX_ANGLES, main
 from mottbox.mott import ScatteringContext
 from mottbox.render import MAX_RESOLUTION
+from forks import assert_no_child_left, on_cpus
 from oracles import write_grid_csv
 
 GOLDEN_FREE_RENDER_SHA256 = "881d49d7ab127aad7154bc702a48d7a1f8cfb44acd32b42ac3bead5c2ed34666"
@@ -376,13 +378,8 @@ def isotropy_on_cpus(monkeypatch, cpus, in_workers=None):
             in_workers(i0)
         return range_tracks(i0, *args)
 
-    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    on_cpus(monkeypatch, cpus)
     monkeypatch.setattr(chamber, "_range_tracks", ranges)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_isotropy_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
@@ -435,6 +432,48 @@ def test_isotropy_worker_that_exits_without_its_tracks_exits_1(tmp_path, capsys,
     assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 1
     assert "runtime error: an isotropy worker ended without sending its tracks" in capsys.readouterr().err
     assert not any(out.iterdir())
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("range_angles", [7, 300])
+def test_scatter_angular_csv_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, range_angles):
+    # 1000 angles in one range, then in 143 ranges of 6-7 angles or 4 of 250, in one to three processes
+    config = write_config(tmp_path, "config.json", {**README_CONFIGS["scatter"], "n_theta": 1000})
+    assert main([config, "--out-dir", str(tmp_path / "whole")]) == 0
+    expected = (tmp_path / "whole" / "angular.csv").read_bytes()
+    monkeypatch.setattr(cli, "_RANGE_ANGLES", range_angles)
+    for cpus in (1, 2, 3):
+        forks = on_cpus(monkeypatch, cpus)
+        assert main([config, "--out-dir", str(tmp_path / str(cpus))]) == 0
+        assert (tmp_path / str(cpus) / "angular.csv").read_bytes() == expected
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+    assert len(set(capsys.readouterr().out.splitlines())) == 1
+
+
+def test_render_worker_that_ends_part_way_through_a_message_exits_1_and_removes_grid_csv(tmp_path, capsys,
+                                                                                         monkeypatch):
+    # 384^2 is 19 blocks: the run writes block 0's rows to grid.csv, then reads half of the message of
+    # block 1, which the worker ends after sending
+    dumps, received, opened = pickle.dumps, numerics._received, []
+
+    def half_then_end(message, pipe, protocol):
+        data = dumps(message, protocol)
+        pipe.write(data[:len(data) // 2])
+        pipe.flush()
+        os._exit(0)
+
+    def reading(pipe, lost):
+        opened.append((out / "grid.csv").exists())
+        return received(pipe, lost)
+
+    on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(numerics.pickle, "dump", half_then_end)
+    monkeypatch.setattr(numerics, "_received", reading)
+    out = tmp_path / "out"
+    assert main([write_config(tmp_path, "render.json", render_config(grid_csv="grid.csv")), "--out-dir", str(out)]) == 1
+    assert "runtime error: a render worker ended without sending its block" in capsys.readouterr().err
+    assert opened == [True] and not any(out.iterdir())
     assert_no_child_left()
 
 

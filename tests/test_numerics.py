@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from mottbox import bell, chamber, mott, numerics, render
+from mottbox import bell, chamber, mott, render
 from mottbox.numerics import (
     Frozen,
     RngStream,
@@ -16,6 +16,7 @@ from mottbox.numerics import (
     require_unit,
     unit,
 )
+from forks import assert_no_child_left, on_cpus
 from oracles import chi2_sf_mpmath, quad_3d, ulps_from
 
 # frozen from the radial oracles below before the 3D rule was written
@@ -281,15 +282,6 @@ def test_skip_continues_the_uniforms():
     stream.uniform(size=3)
     stream.skip(2**19 + 5)
     assert np.array_equal(stream.uniform(size=4), RngStream(42, 3).uniform(size=2**19 + 12)[-4:])
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def on_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

@@ -18,6 +18,7 @@ from mottbox.render import (
     sample_plane,
     write_ppm,
 )
+from forks import assert_no_child_left, on_cpus
 from oracles import colorize_choose, colormap, lattice_points, render_field, write_grid_csv
 
 # frozen after the first verified render (phase rings spaced 2 pi / k plus
@@ -472,3 +473,64 @@ def test_render_plane_checks_the_scale_before_sampling():
 
     with pytest.raises(ValueError, match="modulus_scale must be positive"):
         render_plane(forbidden, xy_plane(resolution=16), 0.0)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_render_plane_on_every_cpu_writes_the_bytes_of_one(monkeypatch, caplog, tmp_path, cpus, block_rows):
+    # field.ppm, grid.csv and the masked-pixel line of a random plane and of the lattice that holds the
+    # emitter and the obstacle centre, at the block sizes of test_render_plane_is_colorize_of_sample_plane,
+    # each block its own range
+    monkeypatch.setattr(render, "_FORK_BLOCKS", 2)
+    rng = np.random.default_rng(cpus)
+    axes, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    cases = [(PlaneSpec(origin=rng.uniform(-5.0, 5.0, 3), u_axis=axes[:, 0], v_axis=axes[:, 1],
+                        half_extent=rng.uniform(5.0, 30.0), resolution=int(rng.integers(16, 90))),
+              atom(position=rng.uniform(12.0, 30.0) * axes[:, 2], width=0.8, g0=5.0, g1=1.0), 0.2),
+             (xy_plane(half_extent=20.0, resolution=50),
+              atom(position=np.array([12.0, 0.0, 0.0]), width=1.0, g0=50.0, g1=0.0), 0.08)]
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    for plane, obstacle, scale in cases:
+        if block_rows is not None:
+            monkeypatch.setattr(render, "BLOCK_PIXELS", block_rows * plane.resolution)
+        outputs = []
+        for n in (1, cpus):
+            forks = on_cpus(monkeypatch, n)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="mottbox.render"):
+                image = render_plane(lambda p: wave_field(ctx, obstacle, p), plane, scale, tmp_path / f"{n}.csv")
+            write_ppm(image, tmp_path / f"{n}.ppm")
+            outputs.append([(tmp_path / f"{n}.ppm").read_bytes(), (tmp_path / f"{n}.csv").read_bytes(),
+                            caplog.messages])
+            assert len(forks) == min(n, len(render._row_blocks(plane.resolution, plane.resolution))) - 1
+            assert_no_child_left()
+        assert outputs[0] == outputs[1]
+    assert outputs[0][2] == ["masked 2 singular pixel(s), first few: [(25, 25), (40, 25)]"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_render_plane_value_error_in_a_worker_has_the_message_of_one_process(monkeypatch, tmp_path, cpus):
+    # sixteen blocks of 4 rows; from the second block on the field returns one row too few, so at 2 and
+    # 3 CPUs a worker raises first, and grid.csv, opened for the first block, is removed
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    plane = xy_plane(half_extent=20.0, resolution=64)
+    monkeypatch.setattr(render, "BLOCK_PIXELS", 4 * 64)
+    forks = on_cpus(monkeypatch, cpus)
+
+    def field(points):
+        values = wave_field(ctx, None, points)
+        return values[1:] if points[0, 0, 0] > plane.offsets()[3] else values
+
+    with pytest.raises(ValueError, match=r"^field returned shape \(3, 64\), expected \(4, 64\)$"):
+        render_plane(field, plane, 0.08, tmp_path / "grid.csv")
+    assert len(forks) == cpus - 1 and not (tmp_path / "grid.csv").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("resolution, forks_made", [(288, 0), (300, 1)])
+def test_render_plane_forks_from_fork_blocks_on(monkeypatch, resolution, forks_made):
+    # 288^2 is 11 blocks of 28 rows, 300^2 12 blocks of 27 rows: one range, or a range per block
+    forks = on_cpus(monkeypatch, 2)
+    render_plane(lambda p: np.ones(p.shape[:-1]), xy_plane(resolution=resolution), 1.0)
+    assert len(forks) == forks_made
+    assert_no_child_left()
