@@ -63,8 +63,8 @@ __all__ = [
 # parse built a dict per atom)
 MAX_EXPECTED_ATOMS = 100_000
 
-# most configurations isotropy_experiment accepts.  With tracks.csv streamed, the README gas ran 10^6 in
-# 17 s on one CPU and 10 s on both of a 2-vCPU Xeon VM, 40 MB max RSS per process: time sets the guard
+# most configurations isotropy_experiment accepts.  The README gas ran 10^6 in 40 s on one CPU and 23-26 s
+# on both of a 2-vCPU Xeon VM (17 and 10 s on a quieter day), 39 MB max RSS per process: time sets the guard
 MAX_CONFIGS = 1_000_000
 
 # cone wider than pi/6 means the forward peak is no longer narrow
@@ -583,49 +583,31 @@ class IsotropyResult(Frozen):
         super().__init__(counts, chi_square, p_value, n_empty)
 
 
-# isotropy_experiment samples and selects consecutive configurations
-# together: a chunk closes once its configurations plus its atoms reach this
-# budget, about 150 README configurations, 4000 near-empty ones or one dense
-# gas.  The atoms bound sampling and candidate listing (each about 0.6 MB for
-# a README chunk), the configurations what near-empty gases keep
+# isotropy_experiment samples and selects each range of consecutive configurations in one array pass.  A
+# range holds _CHUNK_BUDGET // (1 + expected atoms) configurations, at least one, so its configurations plus
+# its atoms come to about this budget: 151 README configurations, 4096 empty ones or one dense gas.  A README
+# range peaks at about 1.05 MB of traced arrays, and with its tracks.csv text pickles to about 12 KB
 _CHUNK_BUDGET = 2**12
 
 
-def _sampled_chunks(n_configs, density, inner_radius, chamber_radius, species, rng):
-    # consecutive sampled configurations as one ATOM_DTYPE array and the
-    # offsets of each configuration's rows; configuration i has the draws and
-    # the positions that sample_gas gives on the sub-stream rng.stream_id + 1 + i
-    expected = _expected_atoms(density, inner_radius, chamber_radius, species.width)
-    draw = rng.substream(rng.stream_id + 1)
-    i = 0
-    while i < n_configs:
-        normals, uniforms, offsets = [np.empty((0, 3))], [np.empty(0)], [0]
-        while i < n_configs and len(offsets) - 1 + offsets[-1] < _CHUNK_BUDGET:
-            draw.rekey(rng.stream_id + 1 + i)
-            normal, u = _draw_atoms(draw, expected)
-            if len(u):  # an empty gas keeps nothing but its offset
-                normals.append(normal)
-                uniforms.append(u)
-            offsets.append(offsets[-1] + len(u))
-            i += 1
-        positions = _shell_positions(
-            np.concatenate(normals), np.concatenate(uniforms), inner_radius, chamber_radius
-        )
-        yield species.records(positions), np.array(offsets)
-
-
-# configurations of one isotropy range.  With its tracks.csv text a range of the README gas pickles to about
-# 83 KB, so a worker waits for the parent to reach it; the parent holds one range's text
-_RANGE_CONFIGS = 2**10
-
-
-def _range_tracks(i0, i1, density, inner_radius, chamber_radius, species, ctx, rng, theta_c):
-    # chunk by chunk, the tracks of configurations [i0, i1): directions, chain lengths and flux ratios
-    rng = rng.substream(rng.stream_id + i0)
-    for atoms, offsets in _sampled_chunks(i1 - i0, density, inner_radius, chamber_radius, species, rng):
-        if len(atoms):
-            heads, lengths, c2, dirs, _ = _tracks(atoms, offsets, ctx, theta_c)
-            yield dirs[heads], lengths, [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())]
+def _range_tracks(i0, i1, mean_atoms, inner_radius, chamber_radius, species, ctx, rng, theta_c):
+    # the tracks of configurations [i0, i1), sampled and selected in one pass: their directions, chain
+    # lengths and flux ratios, or nothing when every gas is empty.  Configuration i has the draws and the
+    # positions that sample_gas gives on the sub-stream rng.stream_id + 1 + i
+    draw, normals, uniforms, offsets = rng.substream(rng.stream_id), [np.empty((0, 3))], [np.empty(0)], [0]
+    for i in range(i0, i1):
+        draw.rekey(rng.stream_id + 1 + i)
+        normal, u = _draw_atoms(draw, mean_atoms)
+        if len(u):  # an empty gas keeps nothing but its offset
+            normals.append(normal)
+            uniforms.append(u)
+        offsets.append(offsets[-1] + len(u))
+    if offsets[-1]:
+        atoms = species.records(_shell_positions(np.concatenate(normals), np.concatenate(uniforms),
+                                                 inner_radius, chamber_radius))
+        del normals, uniforms  # the chain search holds no draws
+        heads, lengths, c2, dirs, _ = _tracks(atoms, np.array(offsets), ctx, theta_c)
+        yield dirs[heads], lengths, [c2_i**n for c2_i, n in zip(c2.tolist(), lengths.tolist())]
 
 
 def isotropy_experiment(
@@ -642,12 +624,12 @@ def isotropy_experiment(
     """Track directions over many independent gas configurations.
 
     Configuration i is sampled from the sub-stream ``rng.stream_id + 1 + i``, and its track is the one
-    ``select_track`` finds in ``sample_gas``'s gas on that stream.  Range r of ``_RANGE_CONFIGS``
-    configurations is sampled and selected, in chunks of array passes, on ``numerics.ordered_ranges``.
-    A range's process bins each chunk's tracks and formats them by ``rows(directions, chain_lengths,
-    flux_ratios)``; the caller adds the counts and hands what ``rows`` returned (by default the three) to
-    ``tracks`` in configuration order, so no result depends on the worker count, and keeps only the
-    counts.  The chi-square is against equal-solid-angle bins, with n_bins - 1 degrees of freedom.
+    ``select_track`` finds in ``sample_gas``'s gas on that stream.  Ranges of max(1, _CHUNK_BUDGET //
+    (1 + expected atoms)) configurations are each sampled and selected in one array pass, on
+    ``numerics.ordered_ranges``.  A range's process bins its tracks and formats them by ``rows(directions,
+    chain_lengths, flux_ratios)``; the caller adds the counts and hands what ``rows`` returned (by default
+    the three) to ``tracks`` in configuration order, so no result depends on the worker count, and keeps
+    only the counts.  The chi-square is against equal-solid-angle bins, with n_bins - 1 degrees of freedom.
     """
     if n_configs < 100:
         raise ValueError(f"need at least 100 configurations, got {n_configs}")
@@ -656,19 +638,20 @@ def isotropy_experiment(
     n_bins = N_Z_BANDS * N_PHI_SECTORS
     counts = np.zeros(n_bins, dtype=int)
     theta_c = cone_half_angle(ctx, species.width)  # one species: one cone for the run
-    _expected_atoms(density, inner_radius, chamber_radius, species.width)  # before any fork
-    args = (density, inner_radius, chamber_radius, species, ctx, rng, theta_c)
+    mean_atoms = _expected_atoms(density, inner_radius, chamber_radius, species.width)  # before any fork
+    size = max(1, int(_CHUNK_BUDGET // (1.0 + mean_atoms)))  # configurations of a range
+    args = (mean_atoms, inner_radius, chamber_radius, species, ctx, rng, theta_c)
 
-    def binned(span):
-        for chunk in _range_tracks(*span, *args):
+    def binned(i0):
+        for chunk in _range_tracks(i0, min(i0 + size, n_configs), *args):
             yield np.bincount(direction_bin(chunk[0]), minlength=n_bins).tolist(), rows(*chunk)
 
     def added(item):
         counts[:] += item[0]
         tracks(item[1])
 
-    ranges = [(i0, min(i0 + _RANGE_CONFIGS, n_configs)) for i0 in range(0, n_configs, _RANGE_CONFIGS)]
-    ordered_ranges(ranges, binned, added, "an isotropy worker ended without sending its tracks")
+    starts = range(0, n_configs, size)  # a range object, so no list grows with the run
+    ordered_ranges(starts, binned, added, "an isotropy worker ended without sending its tracks")
     if (n_tracks := int(counts.sum())) == 0:
         raise ValueError("no configuration produced a track; increase the density")
     expected = n_tracks / n_bins

@@ -2,14 +2,15 @@
 
 Each case runs ``python -m mottbox`` from this checkout's src/ in a fresh
 process.  It fails if the run exits non-zero, if an output it pins has another
-SHA-256, or if the child's max RSS exceeds the case's bound.  An isotropy run,
-a render of 12 blocks or more, a scatter above 2^12 angles and a Bell run above
-2^20 trials a pair fork a worker per further CPU they may run on; ``os.wait4``
-then reports the largest max RSS of the child and the workers it reaped, not
-their sum, so the bound covers the largest single process.  Every case but a
-track forks on two CPUs or more; under ``taskset -c 0`` none does, and the
-same pins and bounds hold.  A replay case runs a track on the gas.json of an
-earlier case, and must write every file of that case again, byte for byte.
+SHA-256, or if the child's max RSS exceeds the case's bound.  An isotropy run
+of two ranges or more, a render of 12 blocks or more, a scatter above 2^12
+angles and a Bell run above 2^20 trials a pair fork a worker per further CPU
+they may run on; ``os.wait4`` then reports the largest max RSS of the child and
+the workers it reaped, not their sum, so the bound covers the largest single
+process.  Every case but a track forks on two CPUs or more; under
+``taskset -c 0`` none does, and the same pins and bounds hold.  A replay case
+runs a track on the gas.json of an earlier case, and must write every file of
+that case again, byte for byte.
 
 Usage: python3 tests/long_runs.py   (no arguments; exits 1 if any case fails)
        taskset -c 0 python3 tests/long_runs.py   (the same cases in one process each)
@@ -63,12 +64,18 @@ CASES = {
         "tracks.csv": "aabc7e8a260d550256f3cf46db203be0835d7d15a94dc6503cb3db77dc034277"}, 52.0),
     "isotropy, 300000 configurations at density 1e-7": (
         {**ISOTROPY, "n_configs": 300_000, "density": 1e-7}, {}, 52.0),
-    # the README config at density 1.5e-3, about 94 chunks per range (about 40 MB max RSS). A worker's
-    # message of one range was larger than a 64 KiB pipe buffer while it carried each chunk's bin counts
+    # the README config at density 1.5e-3, 1000 ranges of 10 configurations (about 40 MB max RSS). A
+    # worker's message of one range was larger than a 64 KiB pipe buffer while it carried the bin counts
+    # of each of its chunks
     "isotropy, 10000 configurations at density 1.5e-3": (
         {**ISOTROPY, "n_configs": 10_000, "density": 1.5e-3}, {
         "isotropy.csv": "74f59a0e24bf6da7d57243d0b8cf2e825dc3cd96303a6fce8acdd6b7713ec72b",
         "tracks.csv": "33fb80dcf9dd186a764b397a54723069d157de0f588baf5cc56ce552e24259de"}, 52.0),
+    # the README config at density 2e-2: about 5.2k atoms a gas, so each configuration is a range of its
+    # own (about 40 MB max RSS). The hashes were taken while the 300 configurations ran in one process
+    "isotropy, 300 configurations at density 2e-2": ({**ISOTROPY, "n_configs": 300, "density": 2e-2}, {
+        "isotropy.csv": "7174d7ed7dbd4cae1a38f765a410bc9dcccae109dfa244b1f75edde66226fc5d",
+        "tracks.csv": "7181de5d31482d4efb017c32b1fdc29985d52d2a0803823648da8f1c05beb44a"}, 52.0),
     # the README track species at density 0.38, about 99k atoms, sampled and then replayed
     # from its gas.json. A replay peaks where sampling does, at about 87 MB (116 MB while
     # the parse built a dict and seven floats per atom)

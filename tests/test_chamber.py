@@ -591,15 +591,15 @@ def test_segmented_chains_on_cone_edges_grow_in_one_batch(monkeypatch):
 @pytest.mark.parametrize("pairs", [1, 2**30])
 def test_chains_do_not_depend_on_the_batch_size(monkeypatch, pairs):
     # a batch per head, or one batch for every head (candidate listing
-    # included), against the default batches: a dense README gas, a full
-    # isotropy chunk and a gas at k s = 1.9, which lists every atom
+    # included), against the default batches: a dense README gas, a whole
+    # isotropy range and a gas at k s = 1.9, which lists every atom
     wide = ScatteringContext.from_wavenumber(1.9, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the wide-cone warning
         wide_cone = cone_half_angle(wide, SPECIES.width)
     theta_c = cone_half_angle(CTX, SPECIES.width)
-    atoms, offsets = next(chamber._sampled_chunks(200, 3e-4, 12.0, 40.0, SPECIES, RngStream(4250, 0)))
-    chunk = [GasConfiguration(atoms[lo:hi], 40.0, 12.0, 0) for lo, hi in zip(offsets, offsets[1:])]
+    (i0, i1), *_ = isotropy_ranges(200, 3e-4, 12.0, 40.0, SPECIES, CTX, RngStream(4250, 0))
+    chunk = [sample_gas(3e-4, 12.0, 40.0, SPECIES, RngStream(4250, 1 + i)) for i in range(i0, i1)]
     cases = [
         ([sample_gas(2e-2, 12.0, 40.0, SPECIES, RngStream(4250, 1))], theta_c),
         (chunk, theta_c),
@@ -609,7 +609,7 @@ def test_chains_do_not_depend_on_the_batch_size(monkeypatch, pairs):
     monkeypatch.setattr(chamber, "CANDIDATE_PAIRS", pairs)
     for case, chains in zip(cases, expected):
         assert segmented_chains(*case) == chains
-    assert len(chunk) + len(atoms) >= chamber._CHUNK_BUDGET and len(chunk) > 40
+    assert len(chunk) == chamber._CHUNK_BUDGET // (1.0 + expected_atoms(3e-4)) > 40
     assert cases[0][0][0].n_atoms > 5000
     assert max(len(c) for per_gas in expected for chains in per_gas for c in chains) > 3
     assert wide_cone > chamber.WIDE_CONE_ANGLE
@@ -942,6 +942,30 @@ def collected_isotropy(*args):
     return (result, tracks), [len(lengths) for _, lengths, _ in chunks]
 
 
+def expected_atoms(density):
+    """Mean atom count of a gas of SPECIES in the 12-40 shell at ``density``."""
+    return chamber._expected_atoms(density, 12.0, 40.0, SPECIES.width)
+
+
+def isotropy_ranges(*args):
+    """The configuration ranges [i0, i1) that ``isotropy_experiment(*args)`` hands ``_range_tracks``, in
+    order, taken in one process from a run that samples nothing."""
+    spans = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        on_cpus(monkeypatch, 1)
+        monkeypatch.setattr(chamber, "_range_tracks", lambda i0, i1, *_: spans.append((i0, i1)) or ())
+        with pytest.raises(ValueError, match="no configuration produced a track"):
+            isotropy_experiment(*args, lambda *chunk: None)
+    return spans
+
+
+def with_range_configs(monkeypatch, configs, *args):
+    """Set _CHUNK_BUDGET so that ``isotropy_experiment(*args)`` runs ranges of ``configs`` configurations,
+    the last one holding the rest."""
+    monkeypatch.setattr(chamber, "_CHUNK_BUDGET", math.ceil(configs * (1.0 + expected_atoms(args[1]))))
+    assert {i1 - i0 for i0, i1 in isotropy_ranges(*args)[:-1]} <= {configs}
+
+
 def test_isotropy_experiment_uniform_gas():
     (result, (directions, chain_lengths, flux_ratios)), _ = collected_isotropy(
         300, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(8080, 0)
@@ -1013,8 +1037,8 @@ def test_isotropy_experiment_octant_gas_fails_uniformity():
 
 
 ISOTROPY_CASES = {
-    # n_configs, density, factory.  The README gas (1e-4) fills a chunk with
-    # about 150 configurations, so 400 make two full chunks and a part
+    # n_configs, density, factory.  A range of the README gas (1e-4) holds
+    # 151 configurations, so 400 make two whole ranges and a part
     "chunk_remainder": (400, 1e-4, None),
     "mostly_empty": (150, 3e-6, None),
     "atom_capped_chunks": (100, 1.5e-3, None),
@@ -1050,8 +1074,7 @@ def test_isotropy_experiment_bit_equal_to_per_config_loop(case, seed):
     assert_same_ensemble(got, expected)
     result, (_, chain_lengths, _) = got
     if case == "chunk_remainder":
-        sizes = [len(offsets) - 1 for _, offsets in chamber._sampled_chunks(*args[:5], args[6])]
-        assert len(sizes) == 3 and len(calls) == 3
+        assert len(isotropy_ranges(*args)) == 3 and len(calls) == 3
     if case == "mostly_empty":
         assert result.n_empty > n_configs // 3
     if case == "atom_capped_chunks":
@@ -1061,36 +1084,29 @@ def test_isotropy_experiment_bit_equal_to_per_config_loop(case, seed):
 @pytest.mark.parametrize("density", [3e-6, 1e-4, 1.5e-3])
 @pytest.mark.parametrize("budget", [1, 10**9])
 def test_isotropy_experiment_bit_equal_to_per_config_loop_at_any_chunk_budget(monkeypatch, budget, density):
-    # one configuration per chunk, or the whole run in one chunk
+    # one configuration per range, or the whole run in one range
     args = (150, density, 12.0, 40.0, SPECIES, CTX, RngStream(19, 5))
     expected = isotropy_per_config(*args)
     monkeypatch.setattr(chamber, "_CHUNK_BUDGET", budget)
-    sizes = [len(offsets) - 1 for _, offsets in chamber._sampled_chunks(*args[:5], args[6])]
+    sizes = [i1 - i0 for i0, i1 in isotropy_ranges(*args)]
     assert sizes == ([1] * 150 if budget == 1 else [150])
     got, calls = collected_isotropy(*args)
     assert_same_ensemble(got, expected)
-    # one call per chunk with a track: each non-empty configuration, or the whole run
+    # one call per range with a track: each non-empty configuration, or the whole run
     n_tracks = 150 - expected[0].n_empty
     assert calls == ([1] * n_tracks if budget == 1 else [n_tracks])
 
 
-def test_isotropy_chunks_close_on_configs_and_on_atoms():
-    # a chunk closes with the configuration that brings its configurations
-    # plus its atoms to the budget: near-empty gases close on their count,
-    # dense ones on their atoms, and every configuration is in one chunk
-    budget = chamber._CHUNK_BUDGET
-    for n_configs, density in ((3 * budget + 5, 1e-7), (600, 1e-4), (300, 1.5e-3)):
-        chunks = chamber._sampled_chunks(n_configs, density, 12.0, 40.0, SPECIES, RngStream(3, 0))
-        offsets = [offsets for _, offsets in chunks]
-        sizes = [len(o) - 1 for o in offsets]
-        assert sum(sizes) == n_configs
-        for o in offsets[:-1]:
-            assert len(o) - 1 + o[-1] >= budget > len(o) - 2 + o[-2]
-        assert len(offsets[-1]) - 2 + offsets[-1][-2] < budget
-        if density == 1e-7:  # about 0.026 atoms per configuration
-            assert len(sizes) == 4 and all(n > 0.95 * budget for n in sizes[:-1])
-        elif density == 1.5e-3:  # about 390 atoms per configuration
-            assert all(n < 12 for n in sizes)
+@pytest.mark.parametrize("density, size", [(0.0, 4096), (1e-7, 3991), (1e-4, 151), (2e-2, 1)])
+def test_isotropy_ranges_follow_the_expected_atom_count(density, size):
+    # a range holds max(1, _CHUNK_BUDGET // (1 + expected atoms)) configurations: 4096 empty gases,
+    # 3991 of 0.026 atoms, 151 README gases of 26 atoms or one dense gas of 5217; the ranges cover
+    # every configuration in order, and the last one holds the rest
+    n_configs = 10_007
+    assert size == max(1, int(chamber._CHUNK_BUDGET // (1.0 + expected_atoms(density))))
+    spans = isotropy_ranges(n_configs, density, 12.0, 40.0, SPECIES, CTX, RngStream(3, 0))
+    assert [i0 for i0, _ in spans] == list(range(0, n_configs, size))
+    assert [i1 for _, i1 in spans] == [*range(size, n_configs, size), n_configs]
 
 
 @pytest.mark.parametrize("k", [10.0, 1.94, 1.0])
@@ -1253,34 +1269,35 @@ def test_select_track_direction_holds_no_gas_array():
 
 
 def test_isotropy_experiment_keeps_no_gas_per_track(monkeypatch):
-    # a track direction is a row view of its chunk's (n_atoms, 3) directions;
+    # a track direction is a row view of its range's (n_atoms, 3) directions;
     # keeping the views would hold 24 bytes per atom of every configuration.
-    # Traced from the second chunk to the end of the run, when the arrays of
-    # the last chunk are still alive
+    # Traced in one process from the second range to the end of the run, when
+    # the arrays of the last range are still alive
     density = 1e-3
     mean_atoms = density * 4.0 * math.pi / 3.0 * (40.0**3 - 12.0**3)
-    sampled, held, configs = chamber._sampled_chunks, [], []
+    range_tracks, held, configs = chamber._range_tracks, [], []
 
-    def chunks(*args):
-        for number, (atoms, offsets) in enumerate(sampled(*args)):
-            if number == 1:
-                tracemalloc.start()
-            configs.append(len(offsets) - 1)
-            yield atoms, offsets
-        held.append(tracemalloc.get_traced_memory()[0])
+    def ranges(i0, i1, *args):
+        if len(configs) == 1:
+            tracemalloc.start()
+        configs.append(i1 - i0)
+        for chunk in range_tracks(i0, i1, *args):
+            yield chunk
+            held.append(tracemalloc.get_traced_memory()[0])
 
-    monkeypatch.setattr(chamber, "_sampled_chunks", chunks)
+    on_cpus(monkeypatch, 1)
+    monkeypatch.setattr(chamber, "_range_tracks", ranges)
     try:
         isotropy_experiment(600, density, 12.0, 40.0, SPECIES, CTX, RngStream(63, 0), lambda *chunk: None)
     finally:
         tracemalloc.stop()
     assert len(configs) > 30
-    assert held[0] / sum(configs[1:]) < 0.5 * 24 * mean_atoms
+    assert held[-1] / sum(configs[1:]) < 0.5 * 24 * mean_atoms
 
 
 def test_isotropy_experiment_memory_does_not_grow_with_the_run():
     # with a sink that keeps nothing, the run holds its bin counts and one
-    # chunk's arrays: the peak of the README gas grows by under 64 KiB from
+    # range's arrays: the peak of the README gas grows by under 64 KiB from
     # 4*10^3 to 2*10^4 configurations (by 40 bytes per configuration, 629 KiB,
     # while the run kept every track)
     def peak(n_configs):
@@ -1292,7 +1309,9 @@ def test_isotropy_experiment_memory_does_not_grow_with_the_run():
         finally:
             tracemalloc.stop()
 
-    peak(300)  # the caches a first run fills
+    # the caches a first run fills: numpy keeps about 60 bytes of some calls, up to about 20 KB
+    # after some 30 ranges, so the first run is as long as the shorter measured one
+    peak(4_000)
     assert peak(20_000) - peak(4_000) < 64 * 1024
 
 
@@ -1305,12 +1324,12 @@ def test_isotropy_experiment_requires_enough_configs():
 @pytest.mark.parametrize("range_configs", [1, 7, 150, 10**9])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_isotropy_experiment_does_not_depend_on_cpus_or_ranges(monkeypatch, cpus, range_configs):
-    # the README gas at 400 configurations: ranges of one configuration, ranges that cut chunks,
-    # and one range, run in up to three processes
+    # the README gas at 400 configurations: ranges of one configuration, of 7 and of 150, and one
+    # range, run in up to three processes
     args = (400, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(31, 9))
     expected = isotropy_per_config(*args)
     forks = on_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(chamber, "_RANGE_CONFIGS", range_configs)
+    with_range_configs(monkeypatch, range_configs, *args)
     got, _ = collected_isotropy(*args)
     assert_same_ensemble(got, expected)
     assert len(forks) == min(cpus, math.ceil(400 / range_configs)) - 1
@@ -1325,7 +1344,7 @@ def test_isotropy_experiment_bit_equal_to_per_config_loop_at_any_split(n_configs
     args = (n_configs, density, 12.0, 40.0, SPECIES, CTX, RngStream(n_configs, 2))
     with pytest.MonkeyPatch.context() as monkeypatch:
         forks = on_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(chamber, "_RANGE_CONFIGS", range_configs)
+        with_range_configs(monkeypatch, range_configs, *args)
         got, _ = collected_isotropy(*args)
     assert_same_ensemble(got, isotropy_per_config(*args))
     assert len(forks) == min(cpus, math.ceil(n_configs / range_configs)) - 1
@@ -1339,7 +1358,7 @@ def test_isotropy_on_more_processes_than_cpus_finishes_in_time(monkeypatch):
         raise TimeoutError("isotropy did not finish within 60 s")
 
     args = (1500, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(77, 3))
-    monkeypatch.setattr(chamber, "_RANGE_CONFIGS", 7)
+    with_range_configs(monkeypatch, 7, *args)
     on_cpus(monkeypatch, 1)
     expected = collected_isotropy(*args)
     forks = on_cpus(monkeypatch, 8)
@@ -1369,12 +1388,14 @@ def worker_ranges_call(monkeypatch, action):
 
 
 def test_isotropy_range_message_holds_only_the_tracks():
-    # at density 2e-2 each configuration is its own chunk; a worker's message carries the chunks'
-    # tracks, about 100 B a configuration, and no bin counts (another 280 B a chunk), which the caller
+    # a range of the README gas is one chunk of 151 configurations; a worker's message carries its
+    # tracks, about 40 B a configuration, and no bin counts (another 280 B a range), which the caller
     # takes from the directions
-    args = (2e-2, 12.0, 40.0, SPECIES, CTX, RngStream(5, 0), cone_half_angle(CTX, SPECIES.width))
-    message = list(chamber._range_tracks(0, 64, *args))
-    assert len(message) == 64 and all(len(chunk) == 3 for chunk in message)
+    args = (400, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(5, 0))
+    (i0, i1), *_ = isotropy_ranges(*args)
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    message = list(chamber._range_tracks(i0, i1, expected_atoms(1e-4), *args[2:], theta_c))
+    assert len(message) == 1 and len(message[0]) == 3 and len(message[0][1]) > 140
     assert len(pickle.dumps(message, pickle.HIGHEST_PROTOCOL)) < 12 * 1024
 
 
@@ -1387,9 +1408,9 @@ def test_isotropy_worker_value_error_is_raised_again_in_range_order(monkeypatch)
     on_cpus(monkeypatch, 3)
     worker_ranges_call(monkeypatch, fail)
     calls = []
-    with pytest.raises(ValueError, match="^no track from configuration 1024$"):
+    with pytest.raises(ValueError, match="^no track from configuration 151$"):
         isotropy_experiment(2500, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(5, 0), lambda *chunk: calls.append(1))
-    assert len(calls) > 1
+    assert len(calls) == 1
     assert_no_child_left()
 
 
@@ -1663,17 +1684,18 @@ gas = chamber.sample_gas(1.92e-2, 12.0, 40.0, species, RngStream(7, 0))
 chains = chamber.build_chains(gas, ctx, theta_c)
 for chain in chains:
     digest.update(np.array(chain.indices).tobytes() + chain.direction.tobytes())
-atoms, offsets = next(chamber._sampled_chunks(100, 1e-4, 12.0, 40.0, species, RngStream(7, 0)))
-heads, lengths, c2, dirs, grown = chamber._tracks(atoms, offsets, ctx, theta_c)
-for part in (heads, lengths, c2, dirs[heads]):
+mean_atoms = chamber._expected_atoms(1e-4, 12.0, 40.0, species.width)
+(directions, lengths, ratios), = chamber._range_tracks(
+    0, 100, mean_atoms, 12.0, 40.0, species, ctx, RngStream(7, 0), theta_c)
+for part in (directions, lengths, np.array(ratios)):
     digest.update(part.tobytes())
-print(gas.n_atoms, max(chain.n for chain in chains), len(heads), digest.hexdigest())
+print(gas.n_atoms, max(chain.n for chain in chains), len(lengths), digest.hexdigest())
 """
 
 
 def test_thread_count_never_changes_chains_or_tracks():
     # the determinism contract's third part: a 5 * 10^3-atom README gas and
-    # one isotropy chunk give the same bytes on one and on two BLAS threads
+    # one isotropy range give the same bytes on one and on two BLAS threads
     src = str(Path(mottbox.__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):

@@ -350,8 +350,8 @@ def test_overflowing_intensity_is_config_error(tmp_path, capsys, experiment):
 
 
 def test_isotropy_that_fails_after_its_first_tracks_exits_2_and_removes_tracks_csv(tmp_path, capsys, monkeypatch):
-    # the README config's 200 configurations make two chunks; tracks.csv holds
-    # the first chunk's rows when the second raises, as an overflowing |C|^2 does
+    # the README config's 200 configurations make two ranges, run in one process; tracks.csv
+    # holds the first range's rows when the second raises, as an overflowing |C|^2 does
     tracks, calls = chamber._tracks, []
 
     def second_chunk_raises(*args):
@@ -361,6 +361,7 @@ def test_isotropy_that_fails_after_its_first_tracks_exits_2_and_removes_tracks_c
             raise ValueError("integrand returned non-finite value")
         return tracks(*args)
 
+    on_cpus(monkeypatch, 1)
     monkeypatch.setattr(chamber, "_tracks", second_chunk_raises)
     out = tmp_path / "out"
     assert main([write_config(tmp_path, "config.json", README_CONFIGS["isotropy"]), "--out-dir", str(out)]) == 2
@@ -383,7 +384,7 @@ def isotropy_on_cpus(monkeypatch, cpus, in_workers=None):
 
 
 def test_isotropy_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
-    # 2500 configurations make three ranges: one process, or the caller and two workers
+    # 2500 configurations make 17 ranges: one process, or the caller and two workers
     config = write_config(tmp_path, "config.json", {**README_CONFIGS["isotropy"], "n_configs": 2500})
     outputs = []
     for cpus in (1, 3):
@@ -394,6 +395,25 @@ def test_isotropy_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, mo
     assert outputs[0] == outputs[1]
     summaries = capsys.readouterr().out.splitlines()
     assert len(summaries) == 2 and summaries[0] == summaries[1]
+
+
+def test_isotropy_range_message_fits_a_pipe_buffer(tmp_path, monkeypatch):
+    # a worker pickles each range's bin counts and tracks.csv rows down a pipe. A range of the README
+    # gas is 151 configurations, about 12 KB: under the 64 KiB a Linux pipe buffers, so a worker
+    # does not wait for the run to read it
+    messages, ordered = [], chamber.ordered_ranges
+
+    def first_message(ranges, work, *rest):
+        messages.append(list(work(ranges[0])))
+        return ordered(ranges, work, *rest)
+
+    monkeypatch.setattr(chamber, "ordered_ranges", first_message)
+    config = write_config(tmp_path, "config.json", {**README_CONFIGS["isotropy"], "n_configs": 2500})
+    assert main([config, "--out-dir", str(tmp_path / "out")]) == 0
+    (message,) = messages
+    assert len(pickle.dumps(message, pickle.HIGHEST_PROTOCOL)) < 64 * 1024
+    ((counts, text),) = message  # one chunk: its 32 bin counts and its rows
+    assert sum(counts) == text.count("\n") > 140
 
 
 def test_bell_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
@@ -420,7 +440,7 @@ def test_isotropy_value_error_in_a_worker_exits_2_and_removes_tracks_csv(tmp_pat
     payload = {**README_CONFIGS["isotropy"], "n_configs": 2500}
     assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "mottbox: error: integrand returned non-finite value in the range from configuration 1024\n"
+    assert err == "mottbox: error: integrand returned non-finite value in the range from configuration 151\n"
     assert not any(out.iterdir())
     assert_no_child_left()
 
