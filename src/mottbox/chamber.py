@@ -460,7 +460,7 @@ def build_chains(
     n = config.n_atoms
     if n == 0:
         return []
-    pos = np.ascontiguousarray(config.atoms["position"])
+    pos = config.atoms["position"]
     dirs, heads, _, grown = _chains(pos, np.array([0, n]), theta_c)
     heads = heads[np.argsort(np.sqrt(np.sum(pos[heads] ** 2, axis=1)), kind="stable")]  # visiting order
     return [
@@ -489,7 +489,7 @@ def _tracks(atoms: np.ndarray, offsets: np.ndarray, ctx: ScatteringContext, thet
     |C|^2, then the atom directions and the members of the longer chains
     from ``_chains``.
     """
-    pos = np.ascontiguousarray(atoms["position"])
+    pos = atoms["position"]
     dirs, heads, lengths, grown = _chains(pos, offsets, theta_c)
     gas = _gas_of_atoms(offsets)[heads]
     # heads come gas by gas, and only those at their gas's longest length can win

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import logging
 import math
@@ -21,45 +20,7 @@ from mottbox.mott import ScatteringContext
 from mottbox.render import MAX_RESOLUTION
 from forks import assert_no_child_left, on_cpus
 from oracles import write_grid_csv
-
-GOLDEN_FREE_RENDER_SHA256 = "881d49d7ab127aad7154bc702a48d7a1f8cfb44acd32b42ac3bead5c2ed34666"
-# the README obstacle render at 384^2, frozen before the field path was vectorized
-OBSTACLE_RENDER_SHA256 = "e697248f30d3caa6a353b772a5615f7093762f5c56f19f85c8363af4057a4b3a"
-# its grid.csv, taken while the whole complex grid was held and written pixel by pixel
-OBSTACLE_GRID_CSV_SHA256 = "c991dfb974c13e0b652886223b7e4c5e488c24f9415504f6e4a40e65fecda555"
-
-# the README configs of the CSV-writing experiments, bell at 10^5 trials and
-# isotropy at 200 configurations so that they run in a few seconds
-README_CONFIGS = {
-    "bell": {"experiment": "bell", "a": [1, 0, 0], "b": [1, 1, 0], "c": [0, 1, 0], "n_trials": 100_000,
-             "seed": 42},
-    "scatter": {"experiment": "scatter", "k": 10.0, "delta_e": 0.01, "s": 1.0, "g0": 0.5, "g1": 0.5,
-                "distance": 10.0, "n_theta": 181},
-    "track": {"experiment": "track", "k": 10.0, "delta_e": 0.01, "density": 3e-4, "inner_radius": 12.0,
-              "chamber_radius": 40.0, "width": 1.0, "g0": 0.5, "g1": 0.5, "seed": 7},
-    "isotropy": {"experiment": "isotropy", "k": 10.0, "delta_e": 0.01, "n_configs": 200, "density": 1e-4,
-                 "inner_radius": 12.0, "chamber_radius": 40.0, "width": 1.0, "g0": 0.5, "g1": 0.5,
-                 "seed": 20260810},
-}
-
-# SHA-256 of every file README_CONFIGS writes at --seed 1 and 2, frozen
-# before the flux quadrature was checked against its closed form and before
-# the CSV rows were streamed. bell at --seed 2 was re-taken when the standard
-# error came to be computed from the two counts: one std_error cell moved by 2 ulp
-OUTPUT_SHA256 = {
-    ("bell", 1): {"bell.csv": "b872f156d6022d14773908019b2f6bfab5e6f6d1d8350fb61d1ca180e5ad3135"},
-    ("bell", 2): {"bell.csv": "69eeeaad686b3bda4c8638c333521971f6616b8bdfdc421ab917002ac93e9119"},
-    ("scatter", 1): {"angular.csv": "b2c4947d15116edfb8416ee839e7890d189fcd54a9c79bfd4cf4c19264e5cad0"},
-    ("scatter", 2): {"angular.csv": "b2c4947d15116edfb8416ee839e7890d189fcd54a9c79bfd4cf4c19264e5cad0"},
-    ("track", 1): {"gas.json": "5f3fd181d9f4f0b5a80452c6a6221a700f001a0f806048ef04b9c51b380e8f41",
-                   "track.csv": "801693b1ed288a20d9ffd647a24e8db2e2665cb819f8114a2959b93f1810f9e6"},
-    ("track", 2): {"gas.json": "7de3a63aafa31db49b68c144db6d6e31e67ea10054af65857c6c1dbd57e4e60d",
-                   "track.csv": "8455eb640732ab33a64e996522549394d7c0b274cf06d808fa0214b02a0e2f56"},
-    ("isotropy", 1): {"isotropy.csv": "86a07cc087d786cc8c1be229c54b76804967b21fccc23a0e97187fcefb85a5a7",
-                      "tracks.csv": "7cf4fadd34d6824baeff0be785a8d8850d3f3492cd98b69cba764d2c946503d3"},
-    ("isotropy", 2): {"isotropy.csv": "d3f0ae296598cb997b3b1aa7d4cc58a90d493cf99b11873ecf24a8909dec04f2",
-                      "tracks.csv": "3c8cc7ff34328e90106e4750fb31e30919643f72956b98615ecf43a53b9ab7f5"},
-}
+from pins import TIER1, _readme_configs, digests, readme
 
 
 def write_config(tmp_path, name, payload):
@@ -69,19 +30,17 @@ def write_config(tmp_path, name, payload):
 
 
 def bell_config(tmp_path, **overrides):
-    payload = {
-        "experiment": "bell",
-        "a": [1.0, 0.0, 0.0],
-        "b": [1.0, 1.0, 0.0],
-        "n_trials": 1_000_000,
-        "seed": 42,
-    }
-    payload.update(overrides)
-    return write_config(tmp_path, "bell.json", payload)
+    # the README bell config without its third direction
+    return write_config(tmp_path, "bell.json", readme("bell", **{"c": None, **overrides}))
+
+
+def _readme(experiment, /, **changes):
+    # the README config of a pinned README run: bell at 10^5 trials, isotropy at 200 configurations
+    return {**TIER1[f"readme-{experiment}-1"].config, **changes}
 
 
 def track_config(tmp_path, **overrides):
-    return write_config(tmp_path, "track.json", {**README_CONFIGS["track"], **overrides})
+    return write_config(tmp_path, "track.json", _readme("track", **overrides))
 
 
 def test_unknown_experiment_lists_names(tmp_path, capsys):
@@ -116,7 +75,7 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-NOT_UTF8 = b"\xff\xfe" + json.dumps(README_CONFIGS["bell"]).encode("utf-8")
+NOT_UTF8 = b"\xff\xfe" + json.dumps(_readme("bell")).encode("utf-8")
 TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
 
 
@@ -202,20 +161,7 @@ def test_seed_override_changes_results(tmp_path, capsys):
 
 
 def test_scatter_run(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        "scatter.json",
-        {
-            "experiment": "scatter",
-            "k": 10.0,
-            "delta_e": 0.01,
-            "s": 1.0,
-            "g0": 0.5,
-            "g1": 0.5,
-            "distance": 10.0,
-            "n_theta": 61,
-        },
-    )
+    config = write_config(tmp_path, "scatter.json", readme("scatter", n_theta=61))
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 0
     summary = capsys.readouterr().out.strip()
@@ -227,23 +173,6 @@ def test_scatter_run(tmp_path, capsys):
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0 and first[5] == 0.0  # forward row: theta = q = 0
     assert math.hypot(first[1], first[2]) == pytest.approx(0.12533141373155, rel=1e-10)
-
-
-@pytest.mark.parametrize("experiment, seed", sorted(OUTPUT_SHA256))
-def test_readme_outputs_keep_their_bytes(tmp_path, capsys, experiment, seed):
-    config = write_config(tmp_path, f"{experiment}.json", README_CONFIGS[experiment])
-    out = tmp_path / "out"
-    assert main([config, "--seed", str(seed), "--out-dir", str(out)]) == 0
-    capsys.readouterr()
-    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
-    assert hashes == OUTPUT_SHA256[experiment, seed]
-
-
-def _readme_configs():
-    # every JSON config block of the README, with its experiment name
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = [json.loads(block) for block in text.split("```json\n")[1:] for block in [block.split("```")[0]]]
-    return {block["experiment"]: block for block in blocks}
 
 
 def test_readme_configs_run_with_their_keys(tmp_path, capsys):
@@ -265,7 +194,7 @@ def test_readme_configs_run_with_their_keys(tmp_path, capsys):
 ])
 def test_unknown_key_exits_2_before_any_file(tmp_path, capsys, experiment, section, key):
     # a key the run would not read, misspelled or belonging to another experiment
-    config = json.loads(json.dumps({**README_CONFIGS, "render": _small_render()}[experiment]))  # a deep copy
+    config = _small_render() if experiment == "render" else _readme(experiment)
     (config[section] if section else config)[key] = 1
     out = tmp_path / "out"
     assert main([write_config(tmp_path, "config.json", config), "--out-dir", str(out)]) == 2
@@ -286,26 +215,22 @@ def test_render_object_that_is_no_object_exits_2_before_any_file(tmp_path, capsy
 def test_keys_of_one_experiment_are_unknown_to_another(tmp_path, capsys):
     for experiment, key in (("bell", "k"), ("scatter", "density"), ("track", "n_configs"),
                             ("isotropy", "gas_file"), ("render", "s")):
-        config = {**README_CONFIGS, "render": _small_render()}[experiment]
+        config = _small_render() if experiment == "render" else _readme(experiment)
         config = write_config(tmp_path, "config.json", {**config, key: 1})
         assert main([config, "--out-dir", str(tmp_path)]) == 2
         assert f"unknown key {key!r}; valid keys: experiment, seed" in capsys.readouterr().err
     # a seed is read by bell, track and isotropy only, and --seed writes one into any config
-    for config in (README_CONFIGS["scatter"], _small_render()):
+    for config in (_readme("scatter"), _small_render()):
         config = write_config(tmp_path, "config.json", {**config, "seed": 5})
         assert main([config, "--out-dir", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["angular.csv", "config.json", "field.ppm"]
 
 
-# the README scatter at 10^5 angles, taken when angular.csv was written one scalar angle at a time
-SCATTER_1E5_SHA256 = "4b063b57083bd7804e71cd136a0f8611da985e79e9d35fa43b09891235c58df8"
-
-
-def test_readme_scatter_at_1e5_angles_keeps_its_bytes(tmp_path, capsys):
-    config = write_config(tmp_path, "scatter.json", {**README_CONFIGS["scatter"], "n_theta": 100_000})
+def test_readme_scatter_at_1e5_angles_prints_its_c2(tmp_path, capsys):
+    # its bytes: pins.TIER1["scatter-1e5"]
+    config = write_config(tmp_path, "scatter.json", TIER1["scatter-1e5"].config)
     assert main([config, "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("|C|^2=0.999921 ")
-    assert hashlib.sha256((tmp_path / "angular.csv").read_bytes()).hexdigest() == SCATTER_1E5_SHA256
 
 
 MIXED_WIDTH_GAS = {
@@ -320,13 +245,13 @@ def test_unconverged_quadrature_is_config_error(tmp_path, capsys, experiment):
     # at k s = 300 the 128-node scattered integral is off by 2e-4 relative;
     # the gas file's second atom has k s = 150 at k = 30, its first k s = 30
     if experiment == "render":
-        payload = render_config(k=300.0)
+        payload = readme("render", k=300.0)
     elif experiment == "gas_file":
         gas_path = tmp_path / "gas.json"
         gas_path.write_text(json.dumps(MIXED_WIDTH_GAS), encoding="utf-8")
         payload = {"experiment": "track", "k": 30.0, "delta_e": 0.01, "gas_file": str(gas_path)}
     else:
-        payload = {**README_CONFIGS[experiment], "k": 300.0}
+        payload = _readme(experiment, k=300.0)
     config = write_config(tmp_path, "config.json", payload)
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 2
@@ -339,10 +264,10 @@ def test_unconverged_quadrature_is_config_error(tmp_path, capsys, experiment):
 def test_overflowing_intensity_is_config_error(tmp_path, capsys, experiment):
     # valid finite couplings whose scattered intensity overflows in |C|^2
     if experiment == "render":
-        payload = render_config()
+        payload = readme("render")
         payload["obstacle"]["g0"] = 1e200
     else:
-        payload = {**README_CONFIGS[experiment], "g0": 1e200}
+        payload = _readme(experiment, g0=1e200)
     out = tmp_path / "out"
     assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 2
     assert "integrand returned non-finite value" in capsys.readouterr().err
@@ -364,7 +289,7 @@ def test_isotropy_that_fails_after_its_first_tracks_exits_2_and_removes_tracks_c
     on_cpus(monkeypatch, 1)
     monkeypatch.setattr(chamber, "_tracks", second_chunk_raises)
     out = tmp_path / "out"
-    assert main([write_config(tmp_path, "config.json", README_CONFIGS["isotropy"]), "--out-dir", str(out)]) == 2
+    assert main([write_config(tmp_path, "config.json", _readme("isotropy")), "--out-dir", str(out)]) == 2
     assert "integrand returned non-finite value" in capsys.readouterr().err
     assert len(calls) == 2 and not any(out.iterdir())
 
@@ -385,7 +310,7 @@ def isotropy_on_cpus(monkeypatch, cpus, in_workers=None):
 
 def test_isotropy_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
     # 2500 configurations make 17 ranges: one process, or the caller and two workers
-    config = write_config(tmp_path, "config.json", {**README_CONFIGS["isotropy"], "n_configs": 2500})
+    config = write_config(tmp_path, "config.json", _readme("isotropy", n_configs=2500))
     outputs = []
     for cpus in (1, 3):
         isotropy_on_cpus(monkeypatch, cpus)
@@ -408,7 +333,7 @@ def test_isotropy_range_message_fits_a_pipe_buffer(tmp_path, monkeypatch):
         return ordered(ranges, work, *rest)
 
     monkeypatch.setattr(chamber, "ordered_ranges", first_message)
-    config = write_config(tmp_path, "config.json", {**README_CONFIGS["isotropy"], "n_configs": 2500})
+    config = write_config(tmp_path, "config.json", _readme("isotropy", n_configs=2500))
     assert main([config, "--out-dir", str(tmp_path / "out")]) == 0
     (message,) = messages
     assert len(pickle.dumps(message, pickle.HIGHEST_PROTOCOL)) < 64 * 1024
@@ -418,7 +343,7 @@ def test_isotropy_range_message_fits_a_pipe_buffer(tmp_path, monkeypatch):
 
 def test_bell_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
     # 3 * 2^20 + 12345 trials a pair make three spans: one process, or the caller and two workers
-    config = write_config(tmp_path, "config.json", {**README_CONFIGS["bell"], "n_trials": 3 * 2**20 + 12345})
+    config = write_config(tmp_path, "config.json", _readme("bell", n_trials=3 * 2**20 + 12345))
     forks, fork, outputs = [], os.fork, []
     monkeypatch.setattr(numerics.os, "fork", lambda: forks.append(1) or fork())
     for cpus in (1, 3):
@@ -437,7 +362,7 @@ def test_isotropy_value_error_in_a_worker_exits_2_and_removes_tracks_csv(tmp_pat
 
     isotropy_on_cpus(monkeypatch, 2, fail)
     out = tmp_path / "out"
-    payload = {**README_CONFIGS["isotropy"], "n_configs": 2500}
+    payload = _readme("isotropy", n_configs=2500)
     assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "mottbox: error: integrand returned non-finite value in the range from configuration 151\n"
@@ -448,7 +373,7 @@ def test_isotropy_value_error_in_a_worker_exits_2_and_removes_tracks_csv(tmp_pat
 def test_isotropy_worker_that_exits_without_its_tracks_exits_1(tmp_path, capsys, monkeypatch):
     isotropy_on_cpus(monkeypatch, 2, lambda i0: os._exit(1))
     out = tmp_path / "out"
-    payload = {**README_CONFIGS["isotropy"], "n_configs": 2500}
+    payload = _readme("isotropy", n_configs=2500)
     assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 1
     assert "runtime error: an isotropy worker ended without sending its tracks" in capsys.readouterr().err
     assert not any(out.iterdir())
@@ -458,7 +383,7 @@ def test_isotropy_worker_that_exits_without_its_tracks_exits_1(tmp_path, capsys,
 @pytest.mark.parametrize("range_angles", [7, 300])
 def test_scatter_angular_csv_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, range_angles):
     # 1000 angles in one range, then in 143 ranges of 6-7 angles or 4 of 250, in one to three processes
-    config = write_config(tmp_path, "config.json", {**README_CONFIGS["scatter"], "n_theta": 1000})
+    config = write_config(tmp_path, "config.json", _readme("scatter", n_theta=1000))
     assert main([config, "--out-dir", str(tmp_path / "whole")]) == 0
     expected = (tmp_path / "whole" / "angular.csv").read_bytes()
     monkeypatch.setattr(cli, "_RANGE_ANGLES", range_angles)
@@ -491,29 +416,19 @@ def test_render_worker_that_ends_part_way_through_a_message_exits_1_and_removes_
     monkeypatch.setattr(numerics.pickle, "dump", half_then_end)
     monkeypatch.setattr(numerics, "_received", reading)
     out = tmp_path / "out"
-    assert main([write_config(tmp_path, "render.json", render_config(grid_csv="grid.csv")), "--out-dir", str(out)]) == 1
+    config = write_config(tmp_path, "render.json", readme("render", grid_csv="grid.csv"))
+    assert main([config, "--out-dir", str(out)]) == 1
     assert "runtime error: a render worker ended without sending its block" in capsys.readouterr().err
     assert opened == [True] and not any(out.iterdir())
     assert_no_child_left()
 
 
 def test_isotropy_without_a_track_exits_2_before_any_file(tmp_path, capsys):
-    payload = {**README_CONFIGS["isotropy"], "density": 0.0}
+    payload = _readme("isotropy", density=0.0)
     out = tmp_path / "out"
     assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 2
     assert "no configuration produced a track" in capsys.readouterr().err
     assert not any(out.iterdir())
-
-
-# SHA-256 of the bell config at 1000 trials and the README obstacle render at
-# 16^2 with grid.csv, both at --seed 1, taken while every run built its
-# quadrature rule with numpy's leggauss. bell.csv was re-taken when the standard
-# error came to be computed from the two counts: one std_error cell moved by 1 ulp
-SMALL_OUTPUT_SHA256 = {
-    "bell": {"bell.csv": "1d8e8a0a7cb53b820c76ad0bd7a975ed8aa39f74ed65174920255920f7c98067"},
-    "render": {"field.ppm": "676ebdf25a41d59f91401694cc882072bfd2e19972babf4e76bfbd3f1b31a2db",
-               "grid.csv": "a02c4800bb5a236e1b545c44492d17aec64121b9a906948844ed26efa6665eab"},
-}
 
 
 def test_cli_runs_solve_for_no_quadrature_rule(tmp_path, capsys, monkeypatch):
@@ -527,24 +442,18 @@ def test_cli_runs_solve_for_no_quadrature_rule(tmp_path, capsys, monkeypatch):
         cache.cache_clear()
     monkeypatch.setattr(numerics, "gauss_legendre", unreachable)
     monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
-    payloads = {**README_CONFIGS, "bell": {**README_CONFIGS["bell"], "n_trials": 1000},
-                "render": render_config(grid_csv="grid.csv")}
-    payloads["render"]["plane"]["resolution"] = 16
-    expected = {**{name: OUTPUT_SHA256[name, 1] for name in ("scatter", "track", "isotropy")},
-                **SMALL_OUTPUT_SHA256}
-    for experiment, payload in payloads.items():
-        config = write_config(tmp_path, f"{experiment}.json", payload)
-        out = tmp_path / experiment
-        assert main([config, "--seed", "1", "--out-dir", str(out)]) == 0, capsys.readouterr().err
+    for name in ("bell-1000", "readme-scatter-1", "readme-track-1", "readme-isotropy-1", "render-16"):
+        case, out = TIER1[name], tmp_path / name
+        config = write_config(tmp_path, "config.json", case.config)
+        assert main(case.argv(config, out)) == 0, capsys.readouterr().err
         capsys.readouterr()
-        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()} == \
-            expected[experiment]
+        assert digests(out) == case.sha256
 
 
 def test_cli_render_never_loads_numpy_polynomial(tmp_path):
     # the README obstacle render with grid.csv in a fresh interpreter: the
     # stored |C|^2 rule needs no numpy.polynomial, at import or at run time
-    config = write_config(tmp_path, "render.json", render_config(grid_csv="grid.csv"))
+    config = write_config(tmp_path, "render.json", readme("render", grid_csv="grid.csv"))
     script = (
         "import sys\n"
         "import mottbox.cli\n"
@@ -582,35 +491,11 @@ def test_track_without_forward_cone_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("experiment", ["track", "isotropy"])
 def test_underflowing_k_s_has_no_forward_cone(tmp_path, capsys, experiment):
     # 2 k s underflows to 0 for k = 1e-160 and width = 1e-170, valid inputs
-    payload = {**README_CONFIGS[experiment], "k": 1e-160, "delta_e": 0.0, "width": 1e-170}
+    payload = _readme(experiment, k=1e-160, delta_e=0.0, width=1e-170)
     out = tmp_path / "out"
     assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 2
     assert "no forward cone: k*s = 0 too small" in capsys.readouterr().err
     assert not any(out.iterdir())
-
-
-# SHA-256 of the isotropy outputs of the README config at 300 configurations,
-# which spans several chunks and ends inside one, frozen before the
-# configurations were selected in chunks
-ISOTROPY_300_SHA256 = {
-    1: ("474f63f3a7ef06aa4446c5e2b2941a90281b5215623e62c97ee8654781bf0703",
-        "8c8acc55b8b281cf1f2787c61d98ced227bb87cc225cdaaf15faa5beb907b26a"),
-    2: ("380810fab9bd551df98d4bfb5f36dd3f362e9da2c27a03361a97472abcdcc2e3",
-        "fab7e9260190d2cc7e0095f62323739003445279ff5b9e6d4122e95a96da4d64"),
-    3: ("b2a78d25f10c58294c0be1a0e823e309680d4fc3e0a4a4d836b95fd35bf745f2",
-        "c6f017d3be70ff0d3dfd8cb6a0e6cc3ee5690eea26193604fb675398a305594f"),
-}
-
-
-@pytest.mark.parametrize("seed", sorted(ISOTROPY_300_SHA256))
-def test_isotropy_ensemble_keeps_its_bytes(tmp_path, capsys, seed):
-    payload = {**README_CONFIGS["isotropy"], "n_configs": 300}
-    out = tmp_path / "out"
-    config = write_config(tmp_path, "isotropy.json", payload)
-    assert main([config, "--seed", str(seed), "--out-dir", str(out)]) == 0
-    capsys.readouterr()
-    hashes = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("isotropy.csv", "tracks.csv"))
-    assert hashes == ISOTROPY_300_SHA256[seed]
 
 
 def test_track_run_and_replay(tmp_path, capsys):
@@ -698,23 +583,7 @@ def test_config_guard_exits_2_without_sampling(tmp_path, capsys, monkeypatch):
 
 
 def test_isotropy_run(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        "iso.json",
-        {
-            "experiment": "isotropy",
-            "k": 10.0,
-            "delta_e": 0.01,
-            "n_configs": 120,
-            "density": 1e-4,
-            "inner_radius": 12.0,
-            "chamber_radius": 40.0,
-            "width": 1.0,
-            "g0": 0.5,
-            "g1": 0.5,
-            "seed": 11,
-        },
-    )
+    config = write_config(tmp_path, "iso.json", readme("isotropy", n_configs=120, seed=11))
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 0
     summary = capsys.readouterr().out.strip()
@@ -727,59 +596,23 @@ def test_isotropy_run(tmp_path, capsys):
     assert len(track_lines) - 1 == sum(counts)
 
 
-def test_render_run_matches_golden(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        "render.json",
-        {
-            "experiment": "render",
-            "k": 2.0,
-            "plane": {
-                "origin": [0.0, 0.0, 0.0],
-                "u_axis": [1.0, 0.0, 0.0],
-                "v_axis": [0.0, 1.0, 0.0],
-                "half_extent": 10.0,
-                "resolution": 64,
-            },
-            "modulus_scale": 0.5,
-        },
-    )
+def test_free_render_run_prints_its_size(tmp_path, capsys):
+    # its bytes: pins.TIER1["render-free-64"]
+    config = write_config(tmp_path, "render.json", TIER1["render-free-64"].config)
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 0
     assert capsys.readouterr().out.strip() == "render wrote field.ppm 64x64"
-    data = (out / "field.ppm").read_bytes()
-    assert data.startswith(b"P6\n64 64\n255\n")
-    assert hashlib.sha256(data).hexdigest() == GOLDEN_FREE_RENDER_SHA256
-
-
-def render_config(**overrides):
-    payload = {
-        "experiment": "render",
-        "k": 10.0,
-        "delta_e": 0.01,
-        "obstacle": {"position": [12.0, 0.0, 0.0], "width": 1.0, "g0": 50.0, "g1": 0.0},
-        "plane": {
-            "origin": [0.0, 0.0, 0.0],
-            "u_axis": [1.0, 0.0, 0.0],
-            "v_axis": [0.0, 1.0, 0.0],
-            "half_extent": 20.0,
-            "resolution": 384,
-        },
-        "modulus_scale": 0.08,
-    }
-    payload.update(overrides)
-    return payload
+    assert (out / "field.ppm").read_bytes().startswith(b"P6\n64 64\n255\n")
 
 
 def test_render_run_with_obstacle(tmp_path, capsys, caplog):
+    # its bytes: pins.TIER1["render-obstacle-384"]
     caplog.set_level(logging.INFO, logger="mottbox.render")
-    config = write_config(tmp_path, "render_atom.json", render_config(grid_csv="grid.csv"))
+    config = write_config(tmp_path, "render_atom.json", TIER1["render-obstacle-384"].config)
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256((out / "field.ppm").read_bytes()).hexdigest() == OBSTACLE_RENDER_SHA256
     assert len((out / "grid.csv").read_text().splitlines()) == 1 + 384 * 384
-    assert hashlib.sha256((out / "grid.csv").read_bytes()).hexdigest() == OBSTACLE_GRID_CSV_SHA256
     # the emitter sits on the lattice; the obstacle centre (offset 12) does not
     assert [r.getMessage() for r in caplog.records if r.name == "mottbox.render"] == [
         "masked 1 singular pixel(s), first few: [(192, 192)]"]
@@ -797,7 +630,7 @@ def test_render_that_fails_after_grid_csv_opens_exits_1_and_removes_it(tmp_path,
         return wave_field(*args)
 
     monkeypatch.setattr(mott, "wave_field", third_block_raises)
-    payload = render_config(grid_csv="grid.csv")
+    payload = readme("render", grid_csv="grid.csv")
     payload["plane"]["resolution"] = 256
     out = tmp_path / "out"
     assert main([write_config(tmp_path, "render.json", payload), "--out-dir", str(out)]) == 1
@@ -808,7 +641,7 @@ def test_render_that_fails_after_grid_csv_opens_exits_1_and_removes_it(tmp_path,
 @pytest.mark.parametrize("block_rows", [1, 7, None])
 def test_streamed_render_writes_what_the_whole_grid_writers_write(tmp_path, capsys, monkeypatch, block_rows):
     # the obstacle centre (offset 12 = -20 + 40 * 32 / 40) and the emitter both lie on this lattice
-    payload = render_config(grid_csv="grid.csv")
+    payload = readme("render", grid_csv="grid.csv")
     payload["plane"]["resolution"] = 40
     if block_rows is not None:
         monkeypatch.setattr(render, "BLOCK_PIXELS", block_rows * 40)
@@ -841,7 +674,7 @@ def test_render_logs_masked_pixels_in_whole_grid_order_across_blocks(tmp_path, c
 
     monkeypatch.setattr(mott, "wave_field", field_with_holes)
     caplog.set_level(logging.INFO, logger="mottbox.render")
-    payload = render_config()
+    payload = readme("render")
     payload["plane"]["resolution"] = 200
     assert render.BLOCK_PIXELS // 200 == 40
     assert main([write_config(tmp_path, "render.json", payload), "--out-dir", str(tmp_path / "out")]) == 0
@@ -852,7 +685,7 @@ def test_render_logs_masked_pixels_in_whole_grid_order_across_blocks(tmp_path, c
 
 
 def test_render_resolution_guard(tmp_path, capsys):
-    payload = render_config()
+    payload = readme("render")
     payload["plane"]["resolution"] = MAX_RESOLUTION + 1
     config = write_config(tmp_path, "huge.json", payload)
     assert main([config, "--out-dir", str(tmp_path)]) == 2
@@ -862,7 +695,7 @@ def test_render_resolution_guard(tmp_path, capsys):
 @pytest.mark.parametrize("n_theta", [1, MAX_ANGLES + 1])
 def test_scatter_angle_guard(tmp_path, capsys, n_theta):
     # refused before any file; the guard value itself takes about half a minute, so it is not run
-    config = write_config(tmp_path, "angles.json", {**README_CONFIGS["scatter"], "n_theta": n_theta})
+    config = write_config(tmp_path, "angles.json", _readme("scatter", n_theta=n_theta))
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 2
     assert f"key 'n_theta' must lie in [2, {MAX_ANGLES}], got {n_theta}" in capsys.readouterr().err
@@ -874,20 +707,18 @@ def _scatter():
 
 
 def _small_render():
-    payload = render_config(modulus_scale=0.1)
-    payload["plane"]["resolution"] = 16
-    return payload
+    return readme("render", modulus_scale=0.1, plane={"resolution": 16})
 
 
 def _scaled_directions(experiment):
     # the bell config at 1000 trials and the small render, then each with directions
     # whose squared norms underflow ([1e-200, 0, 0]) or overflow (1e200 times a direction)
     if experiment == "bell":
-        readme = {**README_CONFIGS["bell"], "n_trials": 1000}
-        return readme, {**readme, "a": [1e-200, 0, 0], "b": [1e200, 1e200, 0]}
-    readme, scaled = _small_render(), _small_render()
+        plain = _readme("bell", n_trials=1000)
+        return plain, {**plain, "a": [1e-200, 0, 0], "b": [1e200, 1e200, 0]}
+    plain, scaled = _small_render(), _small_render()
     scaled["plane"].update(u_axis=[1e-200, 0, 0], v_axis=[0, 1e200, 0])
-    return readme, scaled
+    return plain, scaled
 
 
 @pytest.mark.parametrize("experiment", ["bell", "render"])
@@ -953,15 +784,15 @@ _render_with_obstacle_at = _slot(_small_render, "obstacle.position")
 
 
 def _track():
-    return dict(README_CONFIGS["track"])
+    return _readme("track")
 
 
 def _isotropy():
-    return {**README_CONFIGS["isotropy"], "n_configs": 100}
+    return _readme("isotropy", n_configs=100)
 
 
 def _bell():
-    return {**README_CONFIGS["bell"], "n_trials": 1000}
+    return _readme("bell", n_trials=1000)
 
 
 # number, integer and output-name keys, each in a config that runs in
@@ -1067,7 +898,7 @@ def test_value_that_is_not_a_number_exits_2_naming_its_key(tmp_path, capsys, bui
     ("track", {"k": 5e-324}, "wavenumber k = 5e-324: k^2/2 underflows to 0"),
 ])
 def test_finite_numbers_whose_squares_or_cubes_overflow_exit_2(tmp_path, capsys, experiment, changes, message):
-    config = write_config(tmp_path, "config.json", {**README_CONFIGS[experiment], **changes})
+    config = write_config(tmp_path, "config.json", _readme(experiment, **changes))
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -1079,7 +910,7 @@ def test_isotropy_inner_radius_below_ten_widths_exits_2_before_any_draw(tmp_path
         raise AssertionError("a gas was sampled inside ten atom widths")
 
     monkeypatch.setattr(numerics.RngStream, "poisson", forbidden)
-    config = write_config(tmp_path, "config.json", {**README_CONFIGS["isotropy"], "width": 1.25})
+    config = write_config(tmp_path, "config.json", _readme("isotropy", width=1.25))
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 2
     assert "inner_radius must be >= 10 * max atom width, got 12.0 < 12.5" in capsys.readouterr().err
@@ -1188,11 +1019,11 @@ def test_gas_file_that_is_not_a_path_exits_2(tmp_path, capsys, value):
 def test_seed_outside_u64_exits_2(tmp_path, capsys, seed):
     # RngStream reduces a seed mod 2^64, so -1 would alias 2^64 - 1
     for experiment in ("bell", "track", "isotropy"):
-        config = write_config(tmp_path, "config.json", {**README_CONFIGS[experiment], "seed": seed})
+        config = write_config(tmp_path, "config.json", _readme(experiment, seed=seed))
         out = tmp_path / "out"
         assert main([config, "--out-dir", str(out)]) == 2
         assert f"'seed' must lie in [0, {2**64 - 1}], got {seed}" in capsys.readouterr().err
-        config = write_config(tmp_path, "config.json", README_CONFIGS[experiment])
+        config = write_config(tmp_path, "config.json", _readme(experiment))
         assert main([config, "--seed", str(seed), "--out-dir", str(out)]) == 2
         assert f"'seed' must lie in [0, {2**64 - 1}], got {seed}" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
@@ -1211,7 +1042,7 @@ def test_seed_flag_takes_the_whole_u64_range(tmp_path, capsys):
     ("isotropy", "tracks_output"), ("render", "output"), ("render", "grid_csv"),
 ])
 def test_output_into_a_missing_directory_exits_2_before_any_file(tmp_path, capsys, experiment, key):
-    payload = render_config() if experiment == "render" else dict(README_CONFIGS[experiment])
+    payload = readme("render") if experiment == "render" else _readme(experiment)
     config = write_config(tmp_path, "config.json", {**payload, key: "nodir/x.out"})
     out = tmp_path / "out"
     assert main([config, "--out-dir", str(out)]) == 2
@@ -1220,7 +1051,7 @@ def test_output_into_a_missing_directory_exits_2_before_any_file(tmp_path, capsy
 
 
 def test_output_into_an_existing_subdirectory_is_written(tmp_path, capsys):
-    config = write_config(tmp_path, "config.json", {**README_CONFIGS["track"], "gas_output": "sub/gas.json"})
+    config = write_config(tmp_path, "config.json", _readme("track", gas_output="sub/gas.json"))
     (tmp_path / "out" / "sub").mkdir(parents=True)
     assert main([config, "--out-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
@@ -1241,7 +1072,7 @@ def test_output_into_an_existing_subdirectory_is_written(tmp_path, capsys):
     ("render", "grid_csv", "sub/../field.ppm", "keys 'output' and 'grid_csv' name the same file"),
 ])
 def test_bad_output_name_exits_2_before_any_file(tmp_path, capsys, experiment, key, value, message):
-    payload = _small_render() if experiment == "render" else dict(README_CONFIGS[experiment])
+    payload = _small_render() if experiment == "render" else _readme(experiment)
     config = write_config(tmp_path, "config.json", {**payload, key: value})
     out = tmp_path / "out"
     (out / "sub").mkdir(parents=True)
@@ -1254,7 +1085,7 @@ def test_bad_output_name_exits_2_before_any_file(tmp_path, capsys, experiment, k
 @pytest.mark.parametrize("name", ["../escaped.csv", "sub/../../escaped.csv", "ABSOLUTE"])
 def test_output_name_outside_out_dir_exits_2_before_any_file(tmp_path, capsys, name):
     name = str(tmp_path / "escaped.csv") if name == "ABSOLUTE" else name
-    config = write_config(tmp_path, "config.json", {**README_CONFIGS["track"], "output": name})
+    config = write_config(tmp_path, "config.json", _readme("track", output=name))
     out = tmp_path / "out"
     (out / "sub").mkdir(parents=True)
     assert main([config, "--out-dir", str(out)]) == 2
@@ -1263,7 +1094,7 @@ def test_output_name_outside_out_dir_exits_2_before_any_file(tmp_path, capsys, n
 
 
 def test_output_name_that_leaves_and_reenters_a_subdirectory_is_written(tmp_path, capsys):
-    config = write_config(tmp_path, "config.json", {**README_CONFIGS["track"], "output": "sub/../x.csv"})
+    config = write_config(tmp_path, "config.json", _readme("track", output="sub/../x.csv"))
     out = tmp_path / "out"
     (out / "sub").mkdir(parents=True)
     assert main([config, "--out-dir", str(out)]) == 0
@@ -1278,7 +1109,7 @@ def test_bad_modulus_scale_exits_2_before_the_plane_is_sampled(tmp_path, capsys,
 
     monkeypatch.setattr(render, "sample_plane", forbidden)
     monkeypatch.setattr(render, "render_plane", forbidden)
-    payload = render_config(modulus_scale=scale)
+    payload = readme("render", modulus_scale=scale)
     payload["plane"]["resolution"] = MAX_RESOLUTION
     config = write_config(tmp_path, "config.json", payload)
     out = tmp_path / "out"
@@ -1304,7 +1135,7 @@ def test_obstacle_render_at_1024_stays_under_its_memory_bound(tmp_path):
     # array computation, and the complex grid held whole would add about
     # 16 MB.  VmHWM is the child's own peak; ru_maxrss would count this
     # process's RSS at the fork
-    payload = render_config()
+    payload = readme("render")
     payload["plane"]["resolution"] = 1024
     config = write_config(tmp_path, "render.json", payload)
     script = (
@@ -1322,29 +1153,16 @@ def test_obstacle_render_at_1024_stays_under_its_memory_bound(tmp_path):
     assert int(result.stdout.splitlines()[-1]) / 1024 < 52.0
 
 
-# SHA-256 of the outputs of the README track and isotropy configs at k = 1.9,
-# a cone wider than pi/6, taken while the warning was still a raw UserWarning
-WIDE_CONE_SHA256 = {
-    "track": {"gas.json": "93f35bdea628ccb05ce0441791b4043cb03111bd9fe9e7888e96ba09f68111b9",
-              "track.csv": "29155e01a9a2c718f182e25fa2952b539616852dcf5be6fd49234cf9a52406f4"},
-    "isotropy": {"isotropy.csv": "640754a955fca7df6b4c38edd99e7b7aab63eb68ea142eb11776b1e87aa0601c",
-                 "tracks.csv": "edd92caa5603667a01c9dcc7b4d9c7cb7fe349730a489d604436ac44b4aef58f"},
-}
-
-
-@pytest.mark.parametrize("experiment", sorted(WIDE_CONE_SHA256))
-def test_wide_cone_warning_is_one_cli_line_and_outputs_keep_their_bytes(tmp_path, experiment):
-    # in a fresh process, with Python's own warning filters
-    config = write_config(tmp_path, "config.json", {**README_CONFIGS[experiment], "k": 1.9})
+@pytest.mark.parametrize("experiment", ["isotropy", "track"])
+def test_wide_cone_warning_is_one_cli_line(tmp_path, experiment):
+    # in a fresh process, with Python's own warning filters; the bytes: pins.TIER1[f"{experiment}-k1.9"]
+    config = write_config(tmp_path, "config.json", TIER1[f"{experiment}-k1.9"].config)
     src = str(Path(mottbox.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = tmp_path / "out"
-    result = subprocess.run([sys.executable, "-m", "mottbox", config, "--out-dir", str(out)],
+    result = subprocess.run([sys.executable, "-m", "mottbox", config, "--out-dir", str(tmp_path / "out")],
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stderr == "mottbox: warning: wide-cone regime: half-angle 0.533 rad exceeds 0.524\n"
-    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
-    assert hashes == WIDE_CONE_SHA256[experiment]
 
 
 def test_module_entry_point(tmp_path):
@@ -1362,15 +1180,10 @@ def test_cli_processes_never_import_scipy(tmp_path):
     # the README bell, track, isotropy and render configs at small sizes, in
     # one fresh interpreter; scipy is a test dependency only
     configs = [
-        write_config(tmp_path, "bell.json", {**README_CONFIGS["bell"], "n_trials": 1000}),
-        write_config(tmp_path, "track.json", README_CONFIGS["track"]),
-        write_config(tmp_path, "isotropy.json", {**README_CONFIGS["isotropy"], "n_configs": 100}),
-        write_config(tmp_path, "render.json", {
-            "experiment": "render", "k": 10.0, "delta_e": 0.01,
-            "obstacle": {"position": [12, 0, 0], "width": 1.0, "g0": 50.0, "g1": 0.0},
-            "plane": {"origin": [0, 0, 0], "u_axis": [1, 0, 0], "v_axis": [0, 1, 0],
-                      "half_extent": 20.0, "resolution": 16},
-            "modulus_scale": 0.08}),
+        write_config(tmp_path, "bell.json", _readme("bell", n_trials=1000)),
+        write_config(tmp_path, "track.json", _readme("track")),
+        write_config(tmp_path, "isotropy.json", _readme("isotropy", n_configs=100)),
+        write_config(tmp_path, "render.json", readme("render", plane={"resolution": 16})),
     ]
     script = (
         "import sys\n"

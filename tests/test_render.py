@@ -1,5 +1,4 @@
 import colorsys
-import hashlib
 import logging
 import math
 import tracemalloc
@@ -20,10 +19,8 @@ from mottbox.render import (
 )
 from forks import assert_no_child_left, on_cpus
 from oracles import colorize_choose, colormap, lattice_points, render_field, write_grid_csv
+from pins import TIER1, digests
 
-# frozen after the first verified render (phase rings spaced 2 pi / k plus
-# 1/R radial dimming, singular centre pixel masked to black)
-GOLDEN_FREE_RENDER_SHA256 = "881d49d7ab127aad7154bc702a48d7a1f8cfb44acd32b42ac3bead5c2ed34666"
 
 
 def xy_plane(half_extent=10.0, resolution=64):
@@ -360,11 +357,13 @@ def test_write_ppm_surfaces_path_on_failure(tmp_path):
 
 
 def test_golden_free_render(tmp_path):
+    # the first verified render: phase rings spaced 2 pi / k plus 1/R radial
+    # dimming, singular centre pixel masked to black. The library path writes the
+    # bytes of the CLI's pinned run
     ctx = ScatteringContext.from_wavenumber(2.0)
     image = render_field(lambda p: wave_field(ctx, None, p), xy_plane(), 0.5)
-    path = tmp_path / "free.ppm"
-    write_ppm(image, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FREE_RENDER_SHA256
+    write_ppm(image, tmp_path / "field.ppm")
+    assert digests(tmp_path) == TIER1["render-free-64"].sha256
 
 
 def test_free_render_radially_dimming():
