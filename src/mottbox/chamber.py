@@ -671,8 +671,18 @@ def _json_number(data: dict, key: str, where: str = "", kind=(int, float)):
     return value
 
 
-def _configuration(data: dict, table: np.ndarray) -> GasConfiguration:
-    # the gas of a gas.json object and the values of its atoms, one row each in _JSON_KEYS order
+def _configuration(data: dict, table: Optional[np.ndarray] = None) -> GasConfiguration:
+    # the gas of a gas.json object and the values of its atoms, one row each in _JSON_KEYS order, or None to
+    # read them value by value.  The guard is 10 sigma above sample_gas's: a sampled gas passes it with P < 1e-22
+    if len(data["atoms"]) > (guard := MAX_EXPECTED_ATOMS + 10 * math.isqrt(MAX_EXPECTED_ATOMS)):
+        raise ValueError(f"atom count {len(data['atoms'])} exceeds replay guard {guard}")
+    if table is None:
+        table = np.empty((len(data["atoms"]), 7))
+        for i, entry in enumerate(data["atoms"]):
+            if not isinstance(entry, dict):
+                raise ValueError(f"atom {i} must be an object, got {entry!r}")
+            entry = {"delta_e": 0.0, **entry}
+            table[i] = [_json_number(entry, key, f"atom {i} ") for key in _JSON_KEYS]
     atoms = _records(table[:, :3], *table[:, 3:].T)
     atoms.setflags(write=False)  # handed over: the gas keeps it without a copy
     return GasConfiguration(
@@ -688,13 +698,7 @@ def configuration_from_dict(data: dict) -> GasConfiguration:
     """The gas of a parsed gas.json document, by the slow path that names the first bad atom and key."""
     if not isinstance(data, dict) or not isinstance(data.get("atoms"), list):
         raise ValueError("a gas configuration is an object with an 'atoms' list")
-    table = np.empty((len(data["atoms"]), 7))
-    for i, entry in enumerate(data["atoms"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"atom {i} must be an object, got {entry!r}")
-        entry = {"delta_e": 0.0, **entry}
-        table[i] = [_json_number(entry, key, f"atom {i} ") for key in _JSON_KEYS]
-    return _configuration(data, table)
+    return _configuration(data)
 
 
 def save_configuration(config: GasConfiguration, path) -> None:

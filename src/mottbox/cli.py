@@ -33,13 +33,9 @@ _RANGE_ANGLES = 2**12
 SEEDS = (0, 2**64 - 1)  # the documented --seed U64; RngStream would alias a seed outside it
 
 
-class ConfigError(Exception):
-    """Invalid or incomplete run configuration."""
-
-
 def _need(config: dict, key: str):
     if key not in config:
-        raise ConfigError(f"key {key!r} is missing")
+        raise ValueError(f"key {key!r} is missing")
     return config[key]
 
 
@@ -47,7 +43,7 @@ def _read(config: dict, key, default=None, kind=(int, float), where: str = "key 
     # the number rule of a gas.json value, for a key that may fall back to a default
     if default is not None and key not in config:
         return default
-    return _domain(chamber._json_number, config, key, where, kind)
+    return chamber._json_number(config, key, where, kind)
 
 
 def _number(config: dict, key: str, default=None) -> float:
@@ -57,31 +53,24 @@ def _number(config: dict, key: str, default=None) -> float:
 def _integer(config: dict, key: str, default=None, bounds=None) -> int:
     value = _read(config, key, default, int)
     if bounds is not None and not bounds[0] <= value <= bounds[1]:
-        raise ConfigError(f"key '{key}' must lie in [{bounds[0]}, {bounds[1]}], got {value}")
+        raise ValueError(f"key '{key}' must lie in [{bounds[0]}, {bounds[1]}], got {value}")
     return value
 
 
 def _vector(config: dict, key: str, default=None) -> np.ndarray:
     value = config.get(key, default) if default is not None else _need(config, key)
     if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"key '{key}' must be a list of three numbers, got {value!r}")
+        raise ValueError(f"key '{key}' must be a list of three numbers, got {value!r}")
     items = dict(enumerate(value))
     return np.array([_read(items, i, where=f"key '{key}' item ") for i in range(3)], dtype=float)
 
 
 def _direction(config: dict, key: str) -> np.ndarray:
+    vector = _vector(config, key)
     try:
-        return unit(_vector(config, key))
+        return unit(vector)
     except ValueError as exc:
-        raise ConfigError(f"key '{key}': {exc}") from None
-
-
-def _domain(builder, *args, **kwargs):
-    # module preconditions surface as config errors, before any file is written
-    try:
-        return builder(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError(f"key '{key}': {exc}") from None
 
 
 def _csv_rows(start: int, stop: int, columns) -> str:
@@ -102,16 +91,16 @@ def _write_csv(path: Path, header: str, n_rows: int, columns) -> None:
 def _run_bell(config: dict, paths: dict[str, Path]) -> str:
     n = _integer(config, "n_trials")
     seed = _integer(config, "seed", bounds=SEEDS)
-    a = _domain(bell.ApparatusSetting, _direction(config, "a"))
-    b = _domain(bell.ApparatusSetting, _direction(config, "b"))
-    c = _domain(bell.ApparatusSetting, _direction(config, "c")) if "c" in config else None
+    a = bell.ApparatusSetting(_direction(config, "a"))
+    b = bell.ApparatusSetting(_direction(config, "b"))
+    c = bell.ApparatusSetting(_direction(config, "c")) if "c" in config else None
     rng = RngStream(seed)
     stream_ids = itertools.count(1)
     estimates = []
 
     def correlation(x: bell.ApparatusSetting, y: bell.ApparatusSetting):
         # an n_trials outside [1, MAX_TRIALS] raises before anything is drawn
-        est = _domain(bell.correlation_mc, x, y, n, rng.substream(next(stream_ids)))
+        est = bell.correlation_mc(x, y, n, rng.substream(next(stream_ids)))
         estimates.append((x, y, est))
         return est
 
@@ -137,7 +126,7 @@ def _species(config: dict, width: str = "width", delta_e: float = 0.0) -> dict:
 
 def _build_context(config: dict) -> mott.ScatteringContext:
     k, delta_e = _number(config, "k"), _number(config, "delta_e", 0.0)
-    return _domain(mott.ScatteringContext.from_wavenumber, k, delta_e)
+    return mott.ScatteringContext.from_wavenumber(k, delta_e)
 
 
 def _run_scatter(config: dict, paths: dict[str, Path]) -> str:
@@ -146,10 +135,10 @@ def _run_scatter(config: dict, paths: dict[str, Path]) -> str:
         position = _vector(config, "position")
     else:
         position = np.array([0.0, 0.0, _number(config, "distance")])
-    atom = _domain(mott.atom, position, **_species(config, "s"))
+    atom = mott.atom(position, **_species(config, "s"))
     n_theta = _integer(config, "n_theta", 181, bounds=(2, MAX_ANGLES))
-    _domain(mott.quadrature_convergence_check, ctx, atom["width"], atom["g0"], atom["g1"])
-    c2 = _domain(mott.normalization_c2, ctx, atom)  # couplings whose intensity overflows raise
+    mott.quadrature_convergence_check(ctx, atom["width"], atom["g0"], atom["g1"])
+    c2 = mott.normalization_c2(ctx, atom)  # couplings whose intensity overflows raise
     total = mott.flux_total(ctx, atom)
     thetas = np.linspace(0.0, math.pi, n_theta)
 
@@ -167,7 +156,7 @@ def _run_scatter(config: dict, paths: dict[str, Path]) -> str:
 
 def _gas(config: dict) -> tuple:
     # the sampling keys of a gas, in the argument order of sample_gas
-    species = _domain(chamber.AtomSpecies, **_species(config))
+    species = chamber.AtomSpecies(**_species(config))
     density, inner, outer = (_number(config, key) for key in ("density", "inner_radius", "chamber_radius"))
     return density, inner, outer, species, RngStream(_integer(config, "seed", bounds=SEEDS))
 
@@ -181,22 +170,25 @@ def _run_track(config: dict, paths: dict[str, Path]) -> str:
         try:
             gas = chamber.load_configuration(Path(config["gas_file"]))  # open() reads ints as fds
         except (OSError, TypeError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot load gas_file {config['gas_file']!r}: {exc}") from None
+            raise ValueError(f"cannot load gas_file {config['gas_file']!r}: {exc}") from None
     else:
-        gas = _domain(chamber.sample_gas, *_gas(config))
+        gas = chamber.sample_gas(*_gas(config))
     atoms = gas.atoms
-    _domain(mott.quadrature_convergence_check, ctx, atoms["width"], atoms["g0"], atoms["g1"])
+    mott.quadrature_convergence_check(ctx, atoms["width"], atoms["g0"], atoms["g1"])
     # before any file: a gas too narrow for a forward cone, or couplings whose
     # intensity overflows in |C|^2, raise here
-    track = _domain(chamber.select_track, gas, ctx)
+    track = chamber.select_track(gas, ctx)
     chamber.save_configuration(gas, paths["gas_output"])
     _write_csv(paths["output"], _TRACK_HEADER, 0 if track is None else 1,
                lambda _: (*track.direction[:, None], [track.chain.n], [track.flux_ratio]))
     if track is None:
         return "no track (empty configuration)"
-    if logger.isEnabledFor(logging.INFO):  # one |C|^2 per atom, only for a line someone reads
-        off_chain = chamber.off_chain_c2_product(gas, ctx, track.chain)
-        logger.info("off-chain |C|^2 product: %r over %d atoms", off_chain, gas.n_atoms - track.chain.n)
+    if logger.isEnabledFor(logging.INFO):  # one |C|^2 per atom, only for a line someone reads: never fails a run
+        try:
+            off_chain = chamber.off_chain_c2_product(gas, ctx, track.chain)
+            logger.info("off-chain |C|^2 product: %r over %d atoms", off_chain, gas.n_atoms - track.chain.n)
+        except ValueError as exc:  # an off-chain coupling whose intensity overflows
+            logger.info("off-chain |C|^2 product is not finite: %s", exc)
     return f"track N={track.chain.n} flux_ratio={track.flux_ratio:.4f}"
 
 
@@ -204,10 +196,11 @@ def _run_isotropy(config: dict, paths: dict[str, Path]) -> str:
     ctx = _build_context(config)
     n_configs = _integer(config, "n_configs")
     density, inner, outer, species, rng = _gas(config)
-    _domain(mott.quadrature_convergence_check, ctx, species.width, species.g0, species.g1)
+    mott.quadrature_convergence_check(ctx, species.width, species.g0, species.g1)
     with text_sink(paths["tracks_output"], _TRACK_HEADER) as write:  # chunk rows, formatted where selected
-        result = _domain(chamber.isotropy_experiment, n_configs, density, inner, outer, species, ctx, rng, write,
-                         lambda d, n, ratios: _csv_rows(0, len(ratios), lambda b: (*d[b].T, n[b], ratios[b])))
+        result = chamber.isotropy_experiment(
+            n_configs, density, inner, outer, species, ctx, rng, write,
+            lambda d, n, ratios: _csv_rows(0, len(ratios), lambda b: (*d[b].T, n[b], ratios[b])))
     _write_csv(paths["output"], "bin,count", len(result.counts), lambda _: zip(*enumerate(result.counts)))
     return f"isotropy n={n_configs} chi2={result.chi_square:.2f} p={result.p_value:.4f}"
 
@@ -215,21 +208,20 @@ def _run_isotropy(config: dict, paths: dict[str, Path]) -> str:
 def _run_render(config: dict, paths: dict[str, Path]) -> str:
     ctx = _build_context(config)
     plane_cfg = _need(config, "plane")  # an object, as run() checked
-    plane = _domain(
-        render.PlaneSpec,
+    plane = render.PlaneSpec(
         origin=_vector(plane_cfg, "origin", [0.0, 0.0, 0.0]),
         u_axis=_direction(plane_cfg, "u_axis"),
         v_axis=_direction(plane_cfg, "v_axis"),
         half_extent=_number(plane_cfg, "half_extent"),
         resolution=_integer(plane_cfg, "resolution"),
     )
-    scale = _domain(render.check_modulus_scale, _number(config, "modulus_scale"))  # before sampling
+    scale = render.check_modulus_scale(_number(config, "modulus_scale"))  # before sampling
     atom = None
     if "obstacle" in config:
         ob = config["obstacle"]
-        atom = _domain(mott.atom, _vector(ob, "position"), **_species(ob, delta_e=ctx.delta_e))
-        _domain(mott.quadrature_convergence_check, ctx, atom["width"], atom["g0"], atom["g1"])
-        _domain(mott.normalization_c2, ctx, atom)  # couplings whose intensity overflows raise
+        atom = mott.atom(_vector(ob, "position"), **_species(ob, delta_e=ctx.delta_e))
+        mott.quadrature_convergence_check(ctx, atom["width"], atom["g0"], atom["g1"])
+        mott.normalization_c2(ctx, atom)  # couplings whose intensity overflows raise
     image = render.render_plane(lambda p: mott.wave_field(ctx, atom, p), plane, scale, paths.get("grid_csv"))
     render.write_ppm(image, paths["output"])
     return f"render wrote {paths['output'].name} {image.width}x{image.height}"
@@ -260,29 +252,29 @@ def _output_paths(config: dict, out_dir: Path, defaults: dict) -> dict[str, Path
             continue
         name = config.get(key, default)
         if not isinstance(name, str):
-            raise ConfigError(f"key '{key}' must be a file name, got {name!r}")
+            raise ValueError(f"key '{key}' must be a file name, got {name!r}")
         path = out_dir / name
         try:
             real, is_dir, in_dir = path.resolve(), path.is_dir(), path.parent.is_dir()
         except (OSError, RuntimeError, ValueError) as exc:  # NUL bytes, lone surrogates, too long, loops
-            raise ConfigError(f"key '{key}': cannot use {name!r} as a file name: {exc}") from None
+            raise ValueError(f"key '{key}': cannot use {name!r} as a file name: {exc}") from None
         if not real.is_relative_to(root):
-            raise ConfigError(f"key '{key}': {name!r} resolves outside --out-dir {str(out_dir)!r}")
+            raise ValueError(f"key '{key}': {name!r} resolves outside --out-dir {str(out_dir)!r}")
         if is_dir:
-            raise ConfigError(f"key '{key}': {str(path)!r} is a directory")
+            raise ValueError(f"key '{key}': {str(path)!r} is a directory")
         if not in_dir:
-            raise ConfigError(f"key '{key}': directory {str(path.parent)!r} does not exist")
+            raise ValueError(f"key '{key}': directory {str(path.parent)!r} does not exist")
         if real in keys:
-            raise ConfigError(f"keys '{keys[real]}' and '{key}' name the same file {str(real)!r}")
+            raise ValueError(f"keys '{keys[real]}' and '{key}' name the same file {str(real)!r}")
         paths[key], keys[real] = path, key
     return paths
 
 
 def run(config: dict, out_dir: Path) -> str:
-    """Dispatch one experiment config; returns the summary line."""
+    """Dispatch one experiment config; returns the summary line, or raises ValueError for invalid input."""
     experiment = _need(config, "experiment")
     if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
-        raise ConfigError(
+        raise ValueError(
             f"unknown experiment {experiment!r}; valid names: {', '.join(_EXPERIMENTS)}"
         )
     runner, outputs, keys = _EXPERIMENTS[experiment]
@@ -290,15 +282,15 @@ def run(config: dict, out_dir: Path) -> str:
     for where, section, known in sections:  # the first key that the run would not read exits 2
         for key, value in section.items():
             if key not in known:
-                raise ConfigError(f"unknown key {key!r}{where}; valid keys: {', '.join(known)}")
+                raise ValueError(f"unknown key {key!r}{where}; valid keys: {', '.join(known)}")
             if key in _SUB_KEYS:
                 if not isinstance(value, dict):
-                    raise ConfigError(f"key {key!r} must be an object")
+                    raise ValueError(f"key {key!r} must be an object")
                 sections.append((f" in {key!r}", value, _SUB_KEYS[key].split()))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission
-        raise ConfigError(f"cannot create --out-dir {str(out_dir)!r}: {exc}") from None
+        raise ValueError(f"cannot create --out-dir {str(out_dir)!r}: {exc}") from None
     return runner(config, _output_paths(config, out_dir, outputs))
 
 
@@ -316,18 +308,18 @@ def main(argv=None) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
+            raise ValueError(f"cannot read config {args.config!r}: {exc}") from None
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-            raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from None
+            raise ValueError(f"config {args.config!r} is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object")
+            raise ValueError("config must be a JSON object")
         if args.seed is not None:
             config["seed"] = args.seed
             _integer(config, "seed", bounds=SEEDS)
         with warnings.catch_warnings():  # a model warning is one line, not a package source location
             warnings.showwarning = lambda message, *_: print(f"mottbox: warning: {message}", file=sys.stderr)
             summary = run(config, Path(args.out_dir))
-    except ConfigError as exc:
+    except ValueError as exc:  # invalid input: the config's, or a model check's
         print(f"mottbox: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surface runtime failures as exit 1

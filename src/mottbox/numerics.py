@@ -263,16 +263,16 @@ def cpus() -> int:
 
 
 def _worker(ranges, work, read, write) -> None:
-    # a fork pickles the list of each range's items, or its ValueError's text, until a write fails.  It
-    # ends in os._exit: never in the caller's stack, inherited stdio unflushed
+    # a fork pickles the list of each range's items, its ValueError's text or another exception's (type name,
+    # text), until a write fails.  It ends in os._exit: never in the caller's stack, inherited stdio unflushed
     try:
         os.close(read)
         pipe = os.fdopen(write, "wb")
         for span in ranges:
             try:
                 message = list(work(span))
-            except ValueError as exc:
-                message = str(exc)
+            except Exception as exc:  # noqa: BLE001 - raised again by the caller, in range order
+                message = str(exc) if isinstance(exc, ValueError) else (type(exc).__name__, str(exc))
             pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
             pipe.flush()
     finally:
@@ -286,6 +286,8 @@ def _received(pipe, lost: str) -> list:
         raise RuntimeError(lost) from None
     if isinstance(message, str):
         raise ValueError(message)
+    if isinstance(message, tuple):
+        raise RuntimeError(f"{lost}: {message[0]}: {message[1]}")
     return message
 
 
@@ -294,8 +296,9 @@ def ordered_ranges(ranges: list, work, emit, lost: str) -> None:
 
     Range r runs in process r mod W, W = min(cpus(), len(ranges)): 0 is the caller, which emits items
     as ``work`` yields them, the others are forks, which send each range's items down a pipe.  A
-    worker's ValueError is raised again in order, with its text; one that ends without a whole message
-    raises ``RuntimeError(lost)``.  No worker outlives the call.
+    worker's ValueError is raised again in order, with its text; any other exception of a worker raises
+    ``RuntimeError(f"{lost}: {type name}: {text}")`` in its place, and a worker that ends without a whole
+    message raises ``RuntimeError(lost)``.  No worker outlives the call.
     """
     n_procs, workers = min(cpus(), len(ranges)), [None]  # worker w: (pid, read end of its pipe)
     if n_procs > 1:

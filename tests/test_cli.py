@@ -68,6 +68,19 @@ def test_oversized_number_is_config_error(tmp_path, capsys):
     assert "key 'k' must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, message", [
+    ([1, 0], "key 'a' must be a list of three numbers, got [1, 0]"),
+    ([1, 0, "x"], "key 'a' item 2 must be a finite number, got 'x'"),
+    ([0, 0, 0], "key 'a': cannot normalize vector with norm 0.0"),
+], ids=["two_items", "a_string", "zero"])
+def test_direction_error_names_its_key_once(tmp_path, capsys, value, message):
+    # only unit()'s message gets the key prefix; the list and number rules name the key themselves
+    out = tmp_path / "out"
+    assert main([bell_config(tmp_path, a=value), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"mottbox: error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_invalid_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -380,6 +393,20 @@ def test_isotropy_worker_that_exits_without_its_tracks_exits_1(tmp_path, capsys,
     assert_no_child_left()
 
 
+def test_isotropy_worker_exception_exits_1_and_names_it(tmp_path, capsys, monkeypatch):
+    def fail(i0):
+        raise MemoryError(f"no memory for the range from configuration {i0}")
+
+    isotropy_on_cpus(monkeypatch, 2, fail)
+    out = tmp_path / "out"
+    payload = _readme("isotropy", n_configs=2500)
+    assert main([write_config(tmp_path, "config.json", payload), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == ("mottbox: runtime error: an isotropy worker ended without sending its tracks: "
+                                       "MemoryError: no memory for the range from configuration 151\n")
+    assert not any(out.iterdir())
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("range_angles", [7, 300])
 def test_scatter_angular_csv_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, range_angles):
     # 1000 angles in one range, then in 143 ranges of 6-7 angles or 4 of 250, in one to three processes
@@ -547,6 +574,30 @@ def test_track_skips_off_chain_product_when_info_is_off(tmp_path, capsys, monkey
     assert capsys.readouterr().out.startswith("track N=")
 
 
+def test_off_chain_product_that_overflows_changes_no_exit_code_or_byte(tmp_path, capsys, caplog):
+    # the README shell gas on RngStream(0, 0), whose track has N = 2, replayed with g0 = 1e200 on its first
+    # atom off the chain: |C|^2 of that atom overflows, and only the INFO diagnostic computes it
+    ctx = ScatteringContext.from_wavenumber(10.0, 0.01)
+    gas = chamber.sample_gas(1e-3, 12.0, 40.0, chamber.AtomSpecies(1.0, 0.5, 0.5, 0.01), numerics.RngStream(0, 0))
+    track = chamber.select_track(gas, ctx)
+    assert track.chain.n == 2
+    chamber.save_configuration(gas, tmp_path / "gas.json")
+    data = json.loads((tmp_path / "gas.json").read_text())
+    data["atoms"][min(set(range(gas.n_atoms)) - set(track.chain.indices))]["g0"] = 1e200
+    replay = _replay_config(tmp_path, data)
+    outputs = []
+    for level in (logging.WARNING, logging.INFO):
+        caplog.set_level(level, logger="mottbox.cli")
+        out = tmp_path / logging.getLevelName(level)
+        assert main([replay, "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("track N=2 ")
+        outputs.append([(out / name).read_bytes() for name in ("gas.json", "track.csv")])
+    assert outputs[0] == outputs[1]
+    (record,) = [r for r in caplog.records if r.msg.startswith("off-chain")]
+    assert record.levelno == logging.INFO
+    assert record.getMessage().startswith("off-chain |C|^2 product is not finite: integrand returned non-finite")
+
+
 def test_atom_guard_exits_2_without_sampling(tmp_path, capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("a gas was sampled above the atom guard")
@@ -618,23 +669,36 @@ def test_render_run_with_obstacle(tmp_path, capsys, caplog):
         "masked 1 singular pixel(s), first few: [(192, 192)]"]
 
 
-def test_render_that_fails_after_grid_csv_opens_exits_1_and_removes_it(tmp_path, capsys, monkeypatch):
-    # at 256^2 a block is 32 lattice rows: grid.csv holds two blocks' rows when the third raises
-    wave_field, calls = mott.wave_field, []
+def _render_whose_third_block_raises(tmp_path, monkeypatch, error):
+    # at 256^2 a block is 32 lattice rows: grid.csv holds two blocks' rows when the third raises error;
+    # returns the exit status, the wave_field calls and the output directory
+    wave_field, calls, out = mott.wave_field, [], tmp_path / "out"
 
     def third_block_raises(*args):
         calls.append(args)
         if len(calls) == 3:
             assert (out / "grid.csv").read_text().startswith("u,v,re,im\n")
-            raise RuntimeError("injected failure")
+            raise error
         return wave_field(*args)
 
     monkeypatch.setattr(mott, "wave_field", third_block_raises)
     payload = readme("render", grid_csv="grid.csv")
     payload["plane"]["resolution"] = 256
-    out = tmp_path / "out"
-    assert main([write_config(tmp_path, "render.json", payload), "--out-dir", str(out)]) == 1
+    return main([write_config(tmp_path, "render.json", payload), "--out-dir", str(out)]), calls, out
+
+
+def test_render_that_fails_after_grid_csv_opens_exits_1_and_removes_it(tmp_path, capsys, monkeypatch):
+    status, calls, out = _render_whose_third_block_raises(tmp_path, monkeypatch, RuntimeError("injected failure"))
+    assert status == 1
     assert "injected failure" in capsys.readouterr().err
+    assert len(calls) == 3 and not any(out.iterdir())
+
+
+def test_render_whose_model_check_fails_after_grid_csv_opens_exits_2_and_removes_it(tmp_path, capsys, monkeypatch):
+    # a ValueError is invalid input, as a model check's is: exit 2, which leaves no file
+    status, calls, out = _render_whose_third_block_raises(tmp_path, monkeypatch, ValueError("injected model check"))
+    assert status == 2
+    assert capsys.readouterr().err == "mottbox: error: injected model check\n"
     assert len(calls) == 3 and not any(out.iterdir())
 
 
@@ -853,10 +917,12 @@ vector_values = st.lists(json_scalars, min_size=3, max_size=3) | json_values
 def test_malformed_vectors_exit_2(build, value):
     # any value of a vector, number, integer or output-name key is either
     # accepted (exit 0) or a config error (exit 2); a runtime error (exit 1)
-    # means validation missed it
+    # means validation missed it.  An exit 2 leaves no file beside the config
     with tempfile.TemporaryDirectory() as tmp:
         config = write_config(Path(tmp), "config.json", build(value))
-        assert main([config, "--out-dir", tmp]) in (0, 2)
+        status = main([config, "--out-dir", tmp])
+        assert status in (0, 2)
+        assert status == 0 or os.listdir(tmp) == ["config.json"]
 
 
 @pytest.mark.parametrize("build, value", [
@@ -1013,6 +1079,38 @@ def test_gas_file_that_is_not_a_path_exits_2(tmp_path, capsys, value):
                           {"experiment": "track", "k": 10.0, "delta_e": 0.01, "gas_file": value})
     assert main([config, "--out-dir", str(tmp_path)]) == 2
     assert "cannot load gas_file" in capsys.readouterr().err
+
+
+def test_gas_file_above_the_replay_guard_exits_2_before_any_file(tmp_path, capsys, monkeypatch):
+    # the guard is MAX_EXPECTED_ATOMS + 10 isqrt(MAX_EXPECTED_ATOMS) atoms, here 100 + 10 * 10 = 200
+    gas = chamber.sample_gas(1e-3, 12.0, 40.0, chamber.AtomSpecies(1.0, 0.5, 0.5, 0.01), numerics.RngStream(0, 0))
+    assert gas.n_atoms > 201
+    monkeypatch.setattr(chamber, "MAX_EXPECTED_ATOMS", 100)
+
+    def replay(n_atoms):
+        # the gas of the first n_atoms atoms, stored, and the config that replays it
+        stored = tmp_path / f"gas-{n_atoms}.json"
+        chamber.save_configuration(chamber.GasConfiguration(gas.atoms[:n_atoms], 40.0, 12.0, 0), stored)
+        return stored, write_config(tmp_path, f"replay-{n_atoms}.json",
+                                    {"experiment": "track", "k": 10.0, "delta_e": 0.01, "gas_file": str(stored)})
+
+    stored, config = replay(200)
+    assert main([config, "--out-dir", str(tmp_path / "out-200")]) == 0
+    assert capsys.readouterr().out.startswith("track N=")
+    assert (tmp_path / "out-200" / "gas.json").read_bytes() == stored.read_bytes()
+    stored, config = replay(201)
+    out = tmp_path / "out-201"
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"mottbox: error: cannot load gas_file {str(stored)!r}: atom count 201 exceeds replay guard 200\n")
+    assert list(out.iterdir()) == []
+    # the value-by-value parse, which a non-number sends the document to, refuses it before any atom's check
+    data = json.loads(stored.read_text())
+    data["atoms"][0] = "not an atom"
+    stored.write_text(json.dumps(data), encoding="utf-8")
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert "atom count 201 exceeds replay guard 200" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70 - 1])

@@ -321,6 +321,18 @@ def test_ordered_ranges_worker_that_ends_part_way_through_a_message_raises_runti
     assert_no_child_left()
 
 
+def test_ordered_ranges_names_a_workers_other_exception(monkeypatch):
+    # range 1 runs in the fork and divides by zero; the caller has emitted range 0's items by then
+    on_cpus(monkeypatch, 2)
+    emitted = []
+    with pytest.raises(RuntimeError,
+                       match="^a worker ended without sending its items: ZeroDivisionError: division by zero$"):
+        ordered_ranges(list(range(4)), lambda span: [span, 1 / (span - 1)], emitted.append,
+                       "a worker ended without sending its items")
+    assert emitted == [0, -1.0]
+    assert_no_child_left()
+
+
 def _first_zero(f, lo, hi):
     # the smallest float x in (lo, hi] at which f(x) is 0, with f(lo) > 0 and f(hi) == 0
     assert f(lo) > 0.0 and f(hi) == 0.0
