@@ -54,13 +54,13 @@ __all__ = [
     "load_configuration",
 ]
 
-# largest mean atom count sample_gas accepts.  select_track on 10^5 atoms, one
-# thread of a 2-vCPU Xeon VM with AVX-512: 1.7 s and 86 MB max RSS for the README
-# gas (k s = 10), 38 s and 531 MB at the widest cone that lists candidates
-# (k s = 1.94); wider cones list every atom farther out, in O(n^2) time and
-# O(n) memory (335 s and 82 MB at k s = 1.9).  A track run replaying the README
-# gas's gas.json there peaks at 86 MB, as sampling it does (116 MB while the
-# parse built a dict per atom)
+# largest mean atom count sample_gas accepts.  select_track on 99,532 atoms, one
+# thread of a 2-vCPU Xeon VM with AVX-512: 0.87 s and 67 MB max RSS for the
+# README gas (k s = 10), 14 s and 72 MB at the widest cone that lists
+# candidates (k s = 1.94); wider cones list every atom farther out, in O(n^2)
+# time (335 s and 82 MB at k s = 1.9).  No candidate list of the whole gas is
+# held, so memory grows with the atoms alone.  A track run replaying the README
+# gas's gas.json peaks at 67.5 MB, as sampling it does
 MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  The README gas ran 10^6 in 40 s on one CPU and 23-26 s
@@ -291,9 +291,10 @@ class TrackResult(Frozen):
 
 
 # atom pairs tested at once when listing chain candidates, and candidates of
-# the chains grown at once: enough that numpy's per-call cost stays small,
-# few enough that the arrays (about 1 MB) stay below a track run's peak memory
-CANDIDATE_PAIRS = 2**14
+# the chains grown at once: enough that numpy's per-call cost stays small, few
+# enough that a batch's arrays (about 0.3 MB) stay far below a track run's
+# peak memory.  Heads are listed four batches of window pairs at a time
+CANDIDATE_PAIRS = 2**12
 
 # the candidate cone is wider than the chain cone by this much in cos: more
 # than the rounding of the chain predicate and of the direction dot product for
@@ -306,60 +307,100 @@ def _gas_of_atoms(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
-def _cone_candidates(
-    radii: np.ndarray, dirs: np.ndarray, gas: np.ndarray, cos_m: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each atom with the atoms of its gas that may join a chain it heads.
+def _cone_candidates(radii: np.ndarray, dirs: np.ndarray, offsets: np.ndarray, cos_m: float):
+    """Each head's chain candidates, listed on demand from windows around it.
 
-    ``gas`` numbers the gas of each atom, in ascending order.  Atom j is a
-    candidate of head h when it belongs to the same gas, lies no nearer, its
-    direction is within arccos(cos_m) of h's, and so is the step h -> j that
-    the two radii and that cosine give, up to 1e-6 outer radii (ten times
-    its rounding).  The lists come as CSR arrays: members[start[h]:end[h]]
-    holds h and its candidates in ascending index, 8 bytes per pair.  No
-    component of d_j - d_h then exceeds the chord ``reach`` of that angle,
-    so once the atoms are sorted by (gas, z band ``reach`` wide, x), atom i
-    pairs only with those after it in its band and those in the band above,
-    within ``reach`` of its x.  The pairs are tested CANDIDATE_PAIRS at a
-    time from the inner atom (both ways at equal radii), with no BLAS call.
+    Gas j owns rows offsets[j]:offsets[j + 1].  Atom j is a candidate of
+    head h when it belongs to the same gas, lies no nearer, its direction is
+    within arccos(cos_m) of h's, and so is the step h -> j that the two radii
+    and that cosine c give, up to 1e-6 outer radii (ten times its rounding);
+    h is its own candidate.  Returns the atoms outward (equal radii and
+    gases in any order), the atom pairs in the windows of each, in that
+    order, and ``rows(at)``: for the atoms at positions ``at`` of that
+    order, the candidate count of each and their candidates, head by head.
+    ``rows`` tests CANDIDATE_PAIRS pairs at a time, with no BLAS call.
+
+    The windows.  Let theta_m = arccos(cos_m) and R the largest radius of
+    any atom.  In exact arithmetic on r_h, r_j and c <= 1, the step test
+    holds with 2e-6 R in place of 1e-6 r_j, since its rounding moves either
+    side by under 1e-7 r_j.  Its left side less cos_m times the step length
+    grows by at least 1 - cos_m per unit that the apex moves back from h
+    along d_h, so j lies in the exact cone of half-angle theta_m whose apex
+    is rho d_h, rho = r_h - 2e-6 R / (1 - cos_m).  If rho > 0, the law of
+    sines in the triangle of emitter, apex and j puts d_j within theta_m -
+    arcsin(rho sin(theta_m) / r_j) of d_h, a bound that grows with the
+    step's angle and with r_j <= R; else the cosine test alone bounds that
+    angle by theta_m.  So c >= cos(phi_h), phi_h = theta_m - arcsin(max(rho,
+    0) sin(theta_m) / R), and no component of d_j - d_h exceeds the chord
+    2 sin(phi_h / 2) by more than 4e-8 (the rounding of c and of the unit
+    vectors).  That chord is at most the cone's own, ``reach`` less 1e-7.
+    So once the atoms are sorted by (gas, z band ``reach`` high, x), j lies
+    in h's band or one next to it, and within half = 2 sin(phi_h / 2) +
+    1e-7 of h's x and z; twice the key's spacing more covers the rounding of
+    the key.  A window is a run of rows in that order: in h's own band it is
+    row h alone unless the row before or after lies within half, and a band
+    next to it is searched only if z -+ half reaches it, as the band of a z
+    is monotone in z.  Pairs with c below cos(phi_h) - 1e-12 are dropped
+    before the exact tests.
     """
-    n = len(dirs)
-    # the 1e-7 covers the rounding of the dot product inside the square root
-    # and of the key, which stays below 2^26 for 64 gases at any cone
+    n, theta_m, outer = len(dirs), math.acos(cos_m), float(radii.max())
     reach = math.sqrt(2.0 * (1.0 - cos_m)) + 1e-7
     n_bands = int(2.0 / reach)
-    band = np.minimum(((dirs[:, 2] + 1.0) * (0.5 * n_bands)).astype(np.intp), n_bands - 1)
+
+    def band_of(z):  # monotone in z
+        return np.minimum(((z + 1.0) * (0.5 * n_bands)).astype(np.intp), n_bands - 1)
+
     # bands lie 4 apart on the key and x spans 2; each gas ends in an empty band
-    key = 4.0 * (gas * (n_bands + 1) + band) + dirs[:, 0]
+    key = 4.0 * (_gas_of_atoms(offsets) * (n_bands + 1) + band_of(dirs[:, 2])) + dirs[:, 0]
     by_key = np.argsort(key)
-    key, r, (x, y, z) = key[by_key], radii[by_key], dirs[by_key].T  # atoms in key order
-    # range k = 2 i + (0, 1) of atom i: pairs (i, shift[k] + p), ends[k] - count[k] <= p < ends[k]
-    shift = np.stack([np.arange(1, n + 1), np.searchsorted(key, key + (4.0 - reach))], 1).ravel()
-    count = np.searchsorted(key, key[:, None] + [reach, 4.0 + reach], "right").ravel() - shift
-    ends = np.cumsum(count)
-    shift += count - ends
-    cuts = np.searchsorted(ends, np.arange(0, ends[-1], CANDIDATE_PAIRS), "right").tolist()
-    cuts = [*dict.fromkeys(cuts), len(ends)]  # a range longer than a batch is a batch
-    keys = [np.arange(n) * (n + 1)]  # every head is its own candidate
-    for k0, k1 in zip(cuts, cuts[1:]):
-        each = count[k0:k1]
-        i = np.repeat(np.arange(k0, k1) >> 1, each)
-        j = np.repeat(shift[k0:k1], each) + np.arange(ends[k0] - each[0], ends[k1 - 1])
-        cos = x[i] * x[j] + y[i] * y[j] + z[i] * z[j]
-        near = np.flatnonzero(cos >= cos_m)
-        i, j, cos = i[near], j[near], cos[near]
-        inner, outer = np.minimum(r[i], r[j]), np.maximum(r[i], r[j])
-        step2 = np.maximum(inner * inner + outer * (outer - 2.0 * inner * cos), 0.0)
-        near = np.flatnonzero(outer * cos - inner >= cos_m * np.sqrt(step2) - 1e-6 * outer)
-        i, j = i[near], j[near]
-        outward, tie = r[i] <= r[j], np.flatnonzero(r[i] == r[j])
-        heads = by_key[np.concatenate([np.where(outward, i, j), j[tie]])]
-        keys.append(heads * n + by_key[np.concatenate([np.where(outward, j, i), i[tie]])])
-    keys = np.concatenate(keys)
-    keys.sort()  # by head, then by candidate index
-    bounds = np.searchsorted(keys, np.arange(n + 1) * n)
-    keys %= n
-    return keys, bounds[:-1], bounds[1:]
+    key, r, (x, y, z) = key[by_key], radii[by_key], (col[by_key] for col in dirs.T)  # atoms in key order
+
+    def angle(r):  # phi_h of heads at radii r
+        rho = np.maximum(r - 2e-6 * outer / (1.0 - cos_m), 0.0)
+        return theta_m - np.arcsin(rho * (math.sin(theta_m) / outer))
+
+    half = 2.0 * np.sin(0.5 * angle(r)) + (1e-7 + 2.0 * float(np.spacing(key[-1] + 8.0)))
+    # the windows of key row i in bands -1, 0 and +1 of its own: count[b, i] rows from row
+    # lo[b, i], searched in key order (so going up the key) where they need a search
+    lo, count = np.zeros((2, 3, n), dtype=np.int32)
+    lo[1], count[1] = np.arange(n), 1
+    crowded = np.append(False, np.diff(key) <= half[1:])  # the row before lies within half
+    crowded[:-1] |= np.diff(key) <= half[:-1]  # the row after does
+    band = band_of(z)
+    for b, shift, searched in ((0, -4.0, band_of(z - half) < band), (1, 0.0, crowded),
+                               (2, 4.0, band_of(z + half) > band)):
+        searched = np.flatnonzero(searched)
+        lo[b, searched] = np.searchsorted(key, key[searched] + (shift - half[searched]))
+        count[b, searched] = np.searchsorted(key, key[searched] + (shift + half[searched]), "right") - lo[b, searched]
+    del key, half, crowded, band, searched
+    visit = np.argsort(r)  # key rows outward
+    lo, count = lo[:, visit], count[:, visit]
+    visit = by_key[visit]
+
+    def rows(at):
+        heads, first, size = visit[at], lo[:, at].T.ravel(), count[:, at].T.ravel()
+        ends = np.cumsum(size)
+        first = first - (ends - size)  # pair p of window w: the atom first[w] + p rows down in key order
+        r_h, (x_h, y_h, z_h) = radii[heads], (col[heads] for col in dirs.T)
+        least = np.cos(angle(r_h)) - 1e-12  # below c of every candidate
+        near = []
+        for p0 in range(0, int(ends[-1]), CANDIDATE_PAIRS):
+            p1 = min(p0 + CANDIDATE_PAIRS, int(ends[-1]))
+            w0, w1 = np.searchsorted(ends, [p0, p1 - 1], "right").tolist()  # the windows of pairs p0:p1
+            each = np.minimum(ends[w0:w1 + 1], p1) - np.maximum(ends[w0:w1 + 1] - size[w0:w1 + 1], p0)
+            w = np.repeat(np.arange(w0, w1 + 1), each)
+            h, j = w // 3, first[w] + np.arange(p0, p1)
+            cos = x_h[h] * x[j] + y_h[h] * y[j] + z_h[h] * z[j]
+            keep = np.flatnonzero(cos >= least[h])
+            near.append((h[keep], j[keep], cos[keep]))
+        h, j, cos = (np.concatenate(part) for part in zip(*near))
+        inner, out = r_h[h], r[j]
+        step2 = np.maximum(inner * inner + out * (out - 2.0 * inner * cos), 0.0)
+        keep = (cos >= cos_m) & (out >= inner) & (out * cos - inner >= cos_m * np.sqrt(step2) - 1e-6 * out)
+        keep = np.flatnonzero(keep)
+        return np.bincount(h[keep], minlength=len(heads)), by_key[j[keep]]
+
+    return visit, count[0] + count[1] + count[2], rows
 
 
 def _chains(
@@ -371,50 +412,69 @@ def _chains(
     one atom.  Chains follow the rules of ``build_chains`` within each gas,
     and no step calls BLAS.  Returns the atom directions, the chain heads in
     index order (so gas by gas), the chain lengths, and the members of each
-    chain longer than one atom, keyed by head.  Only the growers, the heads
-    that have a candidate besides themselves, need the visiting order: they
-    are sorted by (gas, radius, index) and grow in ``_grow`` in batches,
-    consecutive in that order with up to CANDIDATE_PAIRS candidates (a
-    longer list alone).  No chain reads what others absorbed, so each
-    batch's chains are then taken in visiting order; one whose head an
-    earlier chain absorbed is dropped.
+    chain longer than one atom, keyed by head.
+
+    Heads are taken outward, a range at a time: up to 4 CANDIDATE_PAIRS
+    atom pairs in the windows of ``_cone_candidates`` (one head alone if
+    more), or above WIDE_CONE_ANGLE in (gas, radius, index) order up to 4
+    CANDIDATE_PAIRS atoms farther out in the same gas.  A head absorbs only
+    atoms strictly farther out in its own gas, so the order of equal radii
+    and of gases changes no chain.  A head that an earlier chain absorbed,
+    or whose windows hold itself alone, lists nothing.  The growers, the
+    heads with a candidate besides themselves, wait until their candidates
+    reach CANDIDATE_PAIRS and then grow at once in ``_grow``.  No chain
+    reads what others absorbed, so those chains are then taken in order;
+    one whose head an earlier chain absorbed is dropped.  So no list of all
+    the candidates is ever held.
     """
     n = len(pos)
-    gas = _gas_of_atoms(offsets)
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     dirs = pos / radii[:, None]
     cos_c = math.cos(theta_c)
     if theta_c <= WIDE_CONE_ANGLE:
-        members, start, end = _cone_candidates(radii, dirs, gas, cos_c - CANDIDATE_COS_SLACK)
-    else:  # each atom and every atom after it in visiting order
-        order = np.lexsort((radii, gas))
-        members, start, end = order, np.argsort(order), offsets[gas + 1]
-    growers = np.flatnonzero(end - start > 1)
-    growers = growers[np.lexsort((radii[growers], gas[growers]))]  # a stable sort: ties by index
-    rows = np.cumsum(np.append(0, end[growers] - start[growers]))
+        visit, pairs, rows = _cone_candidates(radii, dirs, offsets, cos_c - CANDIDATE_COS_SLACK)
+    else:  # each atom and every atom after it in (gas, radius, index) order
+        gas = _gas_of_atoms(offsets)
+        visit = np.lexsort((radii, gas))  # gas g keeps rows offsets[g]:offsets[g + 1]
+        pairs = offsets[gas + 1] - np.arange(n)
+
+        def rows(at):
+            size = pairs[at]
+            return size, visit[np.repeat(at - np.cumsum(size) + size, size) + np.arange(size.sum())]
+
+    ends = np.cumsum(pairs)
     absorbed = np.zeros(n, dtype=bool)
-    length = np.ones(n, dtype=int)  # of the chain each atom heads
     grown: dict[int, list[int]] = {}
-    done = 0
-    while done < len(growers):
-        stop = max(done + 1, int(np.searchsorted(rows, rows[done] + CANDIDATE_PAIRS, "right")) - 1)
-        batch, done = growers[done:stop], stop
-        batch = batch[~absorbed[batch]]
-        for head, chain in zip(batch.tolist(), _grow(pos, radii, dirs, members, start, end, batch, cos_c)):
-            if len(chain) > 1 and not absorbed[head]:
-                grown[head], length[head] = chain, len(chain)
-                absorbed[chain[1:]] = True
-    heads = np.flatnonzero(~absorbed)
-    return dirs, heads, length[heads], grown
+    held, n_held = [], 0  # the heads, candidate counts and candidates of growers not grown yet
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - pairs[start] + 4 * CANDIDATE_PAIRS, "right")))
+        at = start + np.flatnonzero(~absorbed[visit[start:stop]] & (pairs[start:stop] > 1))
+        start = stop
+        if len(at):
+            size, idx = rows(at)
+            grows = size > 1
+            held.append((visit[at[grows]], size[grows], idx[np.repeat(grows, size)]))
+            n_held += len(held[-1][2])
+        if n_held >= CANDIDATE_PAIRS or (held and start == n):
+            heads, size, idx = (np.concatenate(parts) for parts in zip(*held))
+            held, n_held = [], 0
+            for head, chain in zip(heads.tolist(), _grow(pos, radii, dirs, heads, size, idx, cos_c)):
+                if len(chain) > 1 and not absorbed[head]:
+                    grown[head] = chain
+                    absorbed[chain[1:]] = True
+    heads = np.flatnonzero(~absorbed)  # a head that grew is never absorbed: others lie no nearer
+    lengths = np.ones(len(heads), dtype=int)
+    lengths[np.searchsorted(heads, list(grown))] = list(map(len, grown.values()))
+    return dirs, heads, lengths, grown
 
 
-def _grow(pos, radii, dirs, members, start, end, heads, cos_c) -> list[list[int]]:
-    # the greedy chains of many heads, one array step per member over the rows
-    # of their CSR lists (row r: atom idx[r] of chain seg[r]); a step keeps
-    # the rows farther out than their chain's end, as no others can qualify
-    size = end[heads] - start[heads]
+def _grow(pos, radii, dirs, heads, size, idx, cos_c) -> list[list[int]]:
+    # the greedy chains of many heads, one array step per member over their
+    # candidates: size[i] rows of idx for heads[i], in turn (row r: atom
+    # idx[r] of chain seg[r]), in any order within a head.  A step keeps the
+    # rows farther out than their chain's end, as no others can qualify
     seg = np.repeat(np.arange(len(heads)), size)
-    idx = members[np.repeat(start[heads] - np.cumsum(size) + size, size) + np.arange(len(seg))]
     (x, y, z), (ax, ay, az) = pos.T, dirs[heads].T
     (cx, cy, cz), cr = pos[heads].T, radii[heads]  # each chain's end; cr = inf once it stops
     chains = [[head] for head in heads.tolist()]
@@ -451,11 +511,13 @@ def build_chains(
 
     The cone test is (rel . axis) / |rel| of the step rel as a three-term
     sum, so no chain depends on the BLAS kernel.  Up to ``WIDE_CONE_ANGLE``
-    the cone is convex, so every member lies in the cone at its head, and
-    each head's candidates in a slightly wider cone are listed for all
-    heads from one sort of the directions; a wider cone lists every atom
-    farther out.  Many chains grow at once, one array step over all their
-    lists per member.  The chains come in the visiting order of their heads.
+    the cone is convex, so every member lies in the cone at its head.  Each
+    head then lists its candidates in a slightly wider cone from windows of
+    one sort of the directions, a range of heads at a time, just before
+    they grow, so no list of all the candidates is held; a wider cone lists
+    every atom farther out.  Many chains grow at once, one array step over
+    all their lists per member.  The chains come in the visiting order of
+    their heads.
     """
     n = config.n_atoms
     if n == 0:
@@ -586,7 +648,7 @@ class IsotropyResult(Frozen):
 # isotropy_experiment samples and selects each range of consecutive configurations in one array pass.  A
 # range holds _CHUNK_BUDGET // (1 + expected atoms) configurations, at least one, so its configurations plus
 # its atoms come to about this budget: 151 README configurations, 4096 empty ones or one dense gas.  A README
-# range peaks at about 1.05 MB of traced arrays, and with its tracks.csv text pickles to about 12 KB
+# range peaks at about 0.87 MB of traced arrays, and with its tracks.csv text pickles to about 12 KB
 _CHUNK_BUDGET = 2**12
 
 

@@ -13,7 +13,7 @@ largest max RSS of the child and the workers it reaped, not their sum, so the
 bound covers the largest single process.  Every case but a track forks on two
 CPUs or more; under ``taskset -c 0`` none does, and the same pins and bounds
 hold.  A replay case runs a track on the gas.json of an earlier case, and must
-write every file of that case again, byte for byte.
+write every file of that case again, byte for byte, as well as its own pins.
 
 Usage: python3 tests/long_runs.py   (no arguments; exits 1 if any case fails)
        taskset -c 0 python3 tests/long_runs.py   (the same cases in one process each)
@@ -40,7 +40,8 @@ def main() -> int:
         for i, (name, case) in enumerate(LONG_RUNS.items()):
             config, pins = case.config, case.sha256
             if case.replays:
-                config, pins = {**config, "gas_file": str(outs[case.replays] / "gas.json")}, written[case.replays]
+                config = {**config, "gas_file": str(outs[case.replays] / "gas.json")}
+                pins = {**written[case.replays], **pins}
             path, outs[name] = Path(tmp, f"{i}.json"), Path(tmp, str(i))
             path.write_text(json.dumps(config), encoding="utf-8")
             child = subprocess.Popen([sys.executable, "-m", "mottbox", *case.argv(path, outs[name])],

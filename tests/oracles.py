@@ -13,11 +13,15 @@ import numpy as np
 
 from mottbox.bell import _plus_threshold
 from mottbox.chamber import (
+    CANDIDATE_COS_SLACK,
     N_PHI_SECTORS,
     N_Z_BANDS,
+    WIDE_CONE_ANGLE,
     AlignmentChain,
     IsotropyResult,
     TrackResult,
+    _gas_of_atoms,
+    _grow,
     cone_half_angle,
     sample_gas,
     select_track,
@@ -306,6 +310,97 @@ def cone_candidates_scan(pos, gas, cos_m) -> list:
         )
         lists.append(np.flatnonzero(listed).tolist())
     return lists
+
+
+def cone_candidates_listing(radii, dirs, gas, cos_m):
+    """The whole-gas candidate list that ``chamber._cone_candidates`` streams, as CSR arrays.
+
+    members[start[h]:end[h]] holds h and its candidates in ascending index,
+    by the tests of ``cone_candidates_scan``.  No component of d_j - d_h
+    exceeds the chord ``reach`` of arccos(cos_m), so once the atoms are
+    sorted by (gas, z band ``reach`` wide, x), atom i pairs only with those
+    after it in its band and those in the band above, within ``reach`` of
+    its x.  The pairs are tested 2^14 at a time from the inner atom (both
+    ways at equal radii), with no BLAS call.
+    """
+    n = len(dirs)
+    # the 1e-7 covers the rounding of the dot product inside the square root
+    # and of the key, which stays below 2^26 for 64 gases at any cone
+    reach = math.sqrt(2.0 * (1.0 - cos_m)) + 1e-7
+    n_bands = int(2.0 / reach)
+    band = np.minimum(((dirs[:, 2] + 1.0) * (0.5 * n_bands)).astype(np.intp), n_bands - 1)
+    # bands lie 4 apart on the key and x spans 2; each gas ends in an empty band
+    key = 4.0 * (gas * (n_bands + 1) + band) + dirs[:, 0]
+    by_key = np.argsort(key)
+    key, r, (x, y, z) = key[by_key], radii[by_key], dirs[by_key].T  # atoms in key order
+    # range k = 2 i + (0, 1) of atom i: pairs (i, shift[k] + p), ends[k] - count[k] <= p < ends[k]
+    shift = np.stack([np.arange(1, n + 1), np.searchsorted(key, key + (4.0 - reach))], 1).ravel()
+    count = np.searchsorted(key, key[:, None] + [reach, 4.0 + reach], "right").ravel() - shift
+    ends = np.cumsum(count)
+    shift += count - ends
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1], 2**14), "right").tolist()
+    cuts = [*dict.fromkeys(cuts), len(ends)]  # a range longer than a batch is a batch
+    keys = [np.arange(n) * (n + 1)]  # every head is its own candidate
+    for k0, k1 in zip(cuts, cuts[1:]):
+        each = count[k0:k1]
+        i = np.repeat(np.arange(k0, k1) >> 1, each)
+        j = np.repeat(shift[k0:k1], each) + np.arange(ends[k0] - each[0], ends[k1 - 1])
+        cos = x[i] * x[j] + y[i] * y[j] + z[i] * z[j]
+        near = np.flatnonzero(cos >= cos_m)
+        i, j, cos = i[near], j[near], cos[near]
+        inner, outer = np.minimum(r[i], r[j]), np.maximum(r[i], r[j])
+        step2 = np.maximum(inner * inner + outer * (outer - 2.0 * inner * cos), 0.0)
+        near = np.flatnonzero(outer * cos - inner >= cos_m * np.sqrt(step2) - 1e-6 * outer)
+        i, j = i[near], j[near]
+        outward, tie = r[i] <= r[j], np.flatnonzero(r[i] == r[j])
+        heads = by_key[np.concatenate([np.where(outward, i, j), j[tie]])]
+        keys.append(heads * n + by_key[np.concatenate([np.where(outward, j, i), i[tie]])])
+    keys = np.concatenate(keys)
+    keys.sort()  # by head, then by candidate index
+    bounds = np.searchsorted(keys, np.arange(n + 1) * n)
+    keys %= n
+    return keys, bounds[:-1], bounds[1:]
+
+
+def chains_listing(pos, offsets, theta_c):
+    """``chamber._chains`` over the whole-gas list of ``cone_candidates_listing``.
+
+    Every head's candidates are listed before any chain grows (below
+    ``WIDE_CONE_ANGLE``; above it, every atom farther out).  The growers are
+    sorted by (gas, radius, index) and grow in ``chamber._grow`` in batches
+    of up to 2^14 candidates (a longer list alone); a batch's chains are
+    taken in visiting order, and one whose head an earlier chain absorbed
+    is dropped.
+    """
+    n = len(pos)
+    gas = _gas_of_atoms(offsets)
+    radii = np.sqrt(np.sum(pos * pos, axis=1))
+    dirs = pos / radii[:, None]
+    cos_c = math.cos(theta_c)
+    if theta_c <= WIDE_CONE_ANGLE:
+        members, start, end = cone_candidates_listing(radii, dirs, gas, cos_c - CANDIDATE_COS_SLACK)
+    else:  # each atom and every atom after it in visiting order
+        order = np.lexsort((radii, gas))
+        members, start, end = order, np.argsort(order), offsets[gas + 1]
+    growers = np.flatnonzero(end - start > 1)
+    growers = growers[np.lexsort((radii[growers], gas[growers]))]  # a stable sort: ties by index
+    rows = np.cumsum(np.append(0, end[growers] - start[growers]))
+    absorbed = np.zeros(n, dtype=bool)
+    length = np.ones(n, dtype=int)
+    grown = {}
+    done = 0
+    while done < len(growers):
+        stop = max(done + 1, int(np.searchsorted(rows, rows[done] + 2**14, "right")) - 1)
+        batch, done = growers[done:stop], stop
+        batch = batch[~absorbed[batch]]
+        size = end[batch] - start[batch]
+        idx = members[np.repeat(start[batch] - np.cumsum(size) + size, size) + np.arange(size.sum())]
+        for head, chain in zip(batch.tolist(), _grow(pos, radii, dirs, batch, size, idx, cos_c)):
+            if len(chain) > 1 and not absorbed[head]:
+                grown[head], length[head] = chain, len(chain)
+                absorbed[chain[1:]] = True
+    heads = np.flatnonzero(~absorbed)
+    return dirs, heads, length[heads], grown
 
 
 def select_track_scan(config, ctx, envelope_drop=0.5):

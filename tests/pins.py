@@ -2,11 +2,12 @@
 
 A case is a README JSON config block with named changes (``readme``), the ``--seed``
 it runs with (None: the config's own), and, for each output it pins, that file's
-SHA-256 with the commit that first pinned it (``git log -S<digest> --reverse``).  A
-long-run case also holds the max-RSS bound of its process in MB, and a replay the name
-of the case whose gas.json it replays and whose files it must write again, byte for
-byte.  ``test_pins.py`` runs the ``TIER1`` cases through ``cli.main``;
-``long_runs.py`` runs the ``LONG_RUNS`` cases as ``python -m mottbox``.
+SHA-256 with the commit that first pinned it (``git log -S<digest> --reverse``), or
+the earlier commit it was taken on.  A long-run case also holds the max-RSS bound of
+its process in MB, and a replay the name of the case whose gas.json it replays and
+whose files it must write again, byte for byte.  ``test_pins.py`` runs the ``TIER1``
+cases through ``cli.main``; ``long_runs.py`` runs the ``LONG_RUNS`` cases as
+``python -m mottbox``.
 
 Every pin holds on an x86-64 host where numpy dispatches its AVX512 paths and OpenBLAS
 picks its SkylakeX kernel (``host_features()``).  With the AVX512 paths off, or
@@ -165,17 +166,25 @@ LONG_RUNS = {
     "isotropy-300-at-2e-2": Case("isotropy", {"n_configs": 300, "density": 2e-2}, None, {
         "isotropy.csv": ("7174d7ed7dbd4cae1a38f765a410bc9dcccae109dfa244b1f75edde66226fc5d", "b73868d"),
         "tracks.csv": ("7181de5d31482d4efb017c32b1fdc29985d52d2a0803823648da8f1c05beb44a", "b73868d")}, 52.0),
-    # about 99k atoms, sampled and then replayed from its gas.json; a replay peaks where
-    # sampling does, at about 87 MB (116 MB while the parse built a dict per atom). The
-    # replay's config keeps k and delta_e, and long_runs.py adds its gas_file
-    "track-at-0.38": Case("track", {"density": 0.38}, None, {}, 100.0),
+    # 99,532 atoms, sampled and then replayed from its gas.json; a replay peaks where
+    # sampling does, at about 67.5 MB (84 MB while the chain search listed every candidate
+    # before any chain grew, 116 MB while the parse built a dict per atom). The replay's
+    # config keeps k and delta_e, and long_runs.py adds its gas_file. Taken on 9660af0,
+    # while the chain search listed every candidate first
+    "track-at-0.38": Case("track", {"density": 0.38}, None, {
+        "gas.json": ("0c1d10a5070f4260b238ec8ee8f3ad39b74f8d1e38971d508eabae02044dc62c", "9660af0"),
+        "track.csv": ("265f1ea41260b9bc0670987def20c10f1cccfd55e3dd80d0a7e52d12243a630e", "9660af0")}, 81.0),
     "replay-of-track-at-0.38": Case("track", dict.fromkeys(
-        ["density", "inner_radius", "chamber_radius", "width", "g0", "g1", "seed"]), None, {}, 100.0, "track-at-0.38"),
-    # the widest cone that lists candidates, 20,192 atoms, about 63 MB. Pinned while the
-    # chain search tested steps near the cone edge with BLAS products
+        ["density", "inner_radius", "chamber_radius", "width", "g0", "g1", "seed"]), None, {
+        "gas.json": ("0c1d10a5070f4260b238ec8ee8f3ad39b74f8d1e38971d508eabae02044dc62c", "9660af0"),
+        "track.csv": ("265f1ea41260b9bc0670987def20c10f1cccfd55e3dd80d0a7e52d12243a630e", "9660af0")},
+        81.0, "track-at-0.38"),
+    # the widest cone that lists candidates, 20,192 atoms, about 44 MB (63 MB while every
+    # candidate was listed before any chain grew). Pinned while the chain search tested
+    # steps near the cone edge with BLAS products
     "track-k1.94-at-0.0767": Case("track", {"k": 1.94, "density": 0.0767}, None, {
         "gas.json": ("8313a3b022f3a4c47cd104a8f5f0f6218308b532342667b2050e0a267a7f20e9", "0c70f08"),
-        "track.csv": ("c81cc977d4fa95b5c7cc183420f21f466d47b4e794380e1b8422eb552116a9e9", "0c70f08")}, 80.0),
+        "track.csv": ("c81cc977d4fa95b5c7cc183420f21f466d47b4e794380e1b8422eb552116a9e9", "0c70f08")}, 53.0),
     # about 47 MB in each process; pinned when each angle was computed on its own
     "scatter-1e6": Case("scatter", {"n_theta": 1_000_000}, None, {
         "angular.csv": ("f6b6483ecb2f8545002197967e7c2cc87df32993b99ffc80ed54f79a0d338832", "e4c28c1")}, 52.0),

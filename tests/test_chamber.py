@@ -37,7 +37,9 @@ from mottbox.numerics import RngStream, chi2_sf, unit
 from forks import assert_no_child_left, on_cpus
 from oracles import (
     build_chains_scan,
+    chains_listing,
     chi2_sf_mpmath,
+    cone_candidates_listing,
     cone_candidates_scan,
     configuration_to_dict,
     direction_bin_scalar,
@@ -366,14 +368,21 @@ def test_build_chains_lists_candidates_only_up_to_wide_cone(monkeypatch):
 
 
 def assert_candidates_match_scan(pos, offsets, theta_c):
-    # every head's candidate list against the all-atoms test; returns the lists
-    pos = np.ascontiguousarray(pos)
-    gas = chamber._gas_of_atoms(np.asarray(offsets))
+    # every head's candidates from its windows, in ascending index, against the
+    # all-atoms test and the whole-gas list; returns the lists
+    pos, offsets = np.ascontiguousarray(pos), np.asarray(offsets)
+    gas = chamber._gas_of_atoms(offsets)
     radii = np.sqrt(np.sum(pos * pos, axis=1))
+    dirs = pos / radii[:, None]
     cos_m = math.cos(theta_c) - chamber.CANDIDATE_COS_SLACK
-    members, start, end = chamber._cone_candidates(radii, pos / radii[:, None], gas, cos_m)
-    lists = [members[lo:hi].tolist() for lo, hi in zip(start, end)]
+    visit, _, rows = chamber._cone_candidates(radii, dirs, offsets, cos_m)
+    size, idx = rows(np.arange(len(pos)))
+    lists = [[] for _ in range(len(pos))]
+    for head, listed in zip(visit.tolist(), np.split(idx, np.cumsum(size)[:-1])):
+        lists[head] = sorted(listed.tolist())
     assert lists == cone_candidates_scan(pos, gas, cos_m)
+    members, start, end = cone_candidates_listing(radii, dirs, gas, cos_m)
+    assert lists == [members[lo:hi].tolist() for lo, hi in zip(start, end)]
     return lists
 
 
@@ -573,6 +582,114 @@ def segmented_chains(gases, theta_c):
     return chains
 
 
+def assert_chains_match_listing(gases, theta_c):
+    # _chains over the gases at once against the whole-gas listing that it
+    # streams, array for array and chain for chain, and each gas's
+    # build_chains against a scan; returns the chains longer than one atom
+    offsets = np.cumsum([0] + [gas.n_atoms for gas in gases])
+    pos = np.ascontiguousarray(np.concatenate([gas.atoms["position"] for gas in gases]))
+    dirs, heads, lengths, grown = chamber._chains(pos, offsets, theta_c)
+    listed = chains_listing(pos, offsets, theta_c)
+    assert dirs.tobytes() == listed[0].tobytes()
+    assert (heads.tolist(), lengths.tolist(), grown) == (listed[1].tolist(), listed[2].tolist(), listed[3])
+    for gas in gases:
+        assert_chains_match_scan(gas, theta_c)
+    return grown
+
+
+def thin_shell_gas():
+    """A gas in the shell [12, 12.01], where the windows of the outer heads
+    shrink to the margin of the step test: sampled atoms, plus atoms a step
+    from twelve heads on the cone edge and far outside it at 1e-6 radii."""
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    gas = sample_gas(150.0, 12.0, 12.01, SPECIES, RngStream(4253, 0))
+    heads = gas.atoms["position"][:12]
+    pos = []
+    for head in heads:
+        axis = head / np.linalg.norm(head)
+        side = unit(np.cross(axis, [0.0, 0.0, 1.0]))
+        room = 12.01 - np.linalg.norm(head)
+        for angle, length in ((theta_c, 0.5 * room), (0.5 * theta_c, room), (1.4, 1e-6 * 12.0)):
+            pos.append(head + length * (math.cos(angle) * axis + math.sin(angle) * side))
+    atoms = np.concatenate([gas.atoms, SPECIES.records(pos)])
+    return GasConfiguration(atoms=atoms, chamber_radius=12.01, inner_radius=12.0, seed=4253)
+
+
+def tied_radii_gas():
+    """A README gas with each atom at (x, y, z) repeated at (-x, y, z),
+    (x, -y, z) and (y, x, z), all at the same radius to the bit, and pairs
+    (a, a + d, c), (a + d, a, c) of one radius, 7e-7 radii apart, which list
+    each other."""
+    draw = RngStream(4254, 0)
+    base = sample_gas(1e-3, 12.0, 40.0, SPECIES, draw).atoms["position"]
+    x, y, z = base.T
+    pos = [base, np.column_stack([-x, y, z]), np.column_stack([x, -y, z]), np.column_stack([y, x, z])]
+    turn, r = 2.0 * math.pi * draw.uniform(size=40), 13.0 + 26.0 * draw.uniform(size=40)
+    a, c = r * np.cos(turn) / math.sqrt(2.0), r * np.sin(turn)  # (a, a, c) is r from the emitter
+    pos += [np.column_stack([a, a + 5e-7 * r, c]), np.column_stack([a + 5e-7 * r, a, c])]
+    return GasConfiguration(atoms=SPECIES.records(np.concatenate(pos)), chamber_radius=40.0, inner_radius=12.0, seed=0)
+
+
+def test_chains_match_the_listing_on_cone_edges_and_an_isotropy_range():
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    edges = [gas for _, _, gas in cone_edge_gases(theta_c)]
+    assert 100 < len(assert_chains_match_listing(edges, theta_c)) < 300
+    (i0, i1), *_ = isotropy_ranges(200, 1e-4, 12.0, 40.0, SPECIES, CTX, RngStream(4255, 0))
+    chunk = [sample_gas(1e-4, 12.0, 40.0, SPECIES, RngStream(4255, 1 + i)) for i in range(i0, i1)]
+    assert len(chunk) == 151 and assert_chains_match_listing(chunk, theta_c)
+
+
+def test_chains_match_the_listing_at_the_widest_listed_cone():
+    # k s = 1.94, just inside WIDE_CONE_ANGLE: 84,817 listed candidates on 5281 atoms
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        theta_c = cone_half_angle(ScatteringContext.from_wavenumber(1.94, 0.01), SPECIES.width)
+    gas = sample_gas(2e-2, 12.0, 40.0, SPECIES, RngStream(4256, 0))
+    assert math.degrees(theta_c) == pytest.approx(29.9, abs=0.05) and gas.n_atoms > 5000
+    assert max(map(len, assert_chains_match_listing([gas], theta_c).values())) > 5
+    pos = gas.atoms["position"]
+    radii = np.sqrt(np.sum(pos * pos, axis=1))
+    members, _, _ = cone_candidates_listing(radii, pos / radii[:, None], np.zeros(gas.n_atoms, dtype=int),
+                                            math.cos(theta_c) - chamber.CANDIDATE_COS_SLACK)
+    assert len(members) > 80_000
+
+
+def test_chains_match_the_listing_in_a_thin_shell_and_with_tied_radii():
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    thin, tied = thin_shell_gas(), tied_radii_gas()
+    assert_chains_match_listing([thin], theta_c)
+    lists = assert_candidates_match_scan(thin.atoms["position"], [0, thin.n_atoms], theta_c)
+    assert all(len(lists[h]) == 4 and lists[h][-1] == thin.n_atoms - 36 + 3 * h + 2 for h in range(12))
+    assert assert_chains_match_listing([tied], theta_c)
+    lists = assert_candidates_match_scan(tied.atoms["position"], [0, tied.n_atoms], theta_c)
+    n = tied.n_atoms
+    assert all({h, h + 40} <= set(lists[h]) & set(lists[h + 40]) for h in range(n - 80, n - 40))
+
+
+def test_windows_as_wide_as_the_cone_where_the_step_margin_reaches_the_emitter():
+    # the window bound has two branches.  Atoms at radii 12-14 and one at 10^5:
+    # the step test's margin, 2e-6 of the largest radius over 1 - cos(theta),
+    # exceeds every head's radius, so each window is as wide as the cone's
+    # chord.  Without the far atom the same heads have narrower windows
+    theta_c = cone_half_angle(CTX, SPECIES.width)
+    draw = RngStream(4257, 0)
+    near = np.array([unit(draw.standard_normal(3)) for _ in range(3000)])
+    near *= 12.0 + 2.0 * draw.uniform(size=3000)[:, None]
+    far = GasConfiguration(atoms=SPECIES.records(np.concatenate([near, [[0.0, 0.0, 1e5]]])),
+                           chamber_radius=1e5, inner_radius=12.0, seed=0)
+    close = GasConfiguration(atoms=SPECIES.records(near), chamber_radius=14.0, inner_radius=12.0, seed=0)
+    pairs = []
+    for gas in (far, close):
+        pos = gas.atoms["position"]
+        radii = np.sqrt(np.sum(pos * pos, axis=1))
+        _, windows, _ = chamber._cone_candidates(radii, pos / radii[:, None], np.array([0, gas.n_atoms]),
+                                                 math.cos(theta_c) - chamber.CANDIDATE_COS_SLACK)
+        pairs.append(int(windows.sum()))
+        assert_candidates_match_scan(pos, [0, gas.n_atoms], theta_c)
+        assert len(assert_chains_match_listing([gas], theta_c)) > 20
+    assert pairs[0] > 1.5 * pairs[1]
+
+
 def test_segmented_chains_on_cone_edges_grow_in_one_batch(monkeypatch):
     # every head of the 300 cone-edge gases grows in one batch, so the edge
     # steps of many chains share each array step
@@ -580,7 +697,7 @@ def test_segmented_chains_on_cone_edges_grow_in_one_batch(monkeypatch):
     edges = list(cone_edge_gases(theta_c))
     batches = []
     grow = chamber._grow
-    monkeypatch.setattr(chamber, "_grow", lambda *args: batches.append(len(args[6])) or grow(*args))
+    monkeypatch.setattr(chamber, "_grow", lambda *args: batches.append(len(args[3])) or grow(*args))
     chains = segmented_chains([gas for _, _, gas in edges], theta_c)
     assert len(batches) == 1 and batches[0] >= 300
     assert chains == [[c.indices for c in build_chains_scan(gas, CTX, theta_c)] for _, _, gas in edges]
@@ -628,12 +745,34 @@ def test_head_absorbed_within_its_batch_starts_no_chain(monkeypatch):
     gas = GasConfiguration(atoms=SPECIES.records([d, b, a]), chamber_radius=40.0, inner_radius=10.0, seed=0)
     batches = []
     grow = chamber._grow
-    monkeypatch.setattr(chamber, "_grow", lambda *args: batches.append(args[6].tolist()) or grow(*args))
+    monkeypatch.setattr(chamber, "_grow", lambda *args: batches.append(args[3].tolist()) or grow(*args))
     chains = assert_chains_match_scan(gas, theta_c)
     assert batches == [[2, 1]]
     assert [c.indices for c in chains] == [(2, 1), (0,)]
     alone = GasConfiguration(atoms=SPECIES.records([d, b]), chamber_radius=40.0, inner_radius=10.0, seed=0)
     assert [c.indices for c in build_chains(alone, CTX, theta_c)] == [(1, 0)]
+
+
+@pytest.mark.parametrize("k", [10.0, 1.94])
+def test_select_track_memory_is_bytes_per_atom_not_per_candidate(k):
+    # each range of heads lists its candidates just before it grows, so the
+    # chain search holds a few arrays per atom, one range's windows and the
+    # grown chains, never the candidate list.  On these 20,279 atoms the
+    # peak was 4.66 MB in the README gas (60,756 candidates) and 5.27 MB at
+    # k s = 1.94 (1,213,400 candidates; 23.1 MB while they were all listed
+    # before any chain grew).  The bound is 300 bytes an atom and 0.5 MB
+    ctx = ScatteringContext.from_wavenumber(k, 0.01)
+    gas = sample_gas(0.0767, 12.0, 40.0, SPECIES, RngStream(3, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        select_track(sample_gas(2e-3, 12.0, 40.0, SPECIES, RngStream(3, 1)), ctx)  # numpy's first-call caches
+        tracemalloc.start()
+        try:
+            select_track(gas, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert gas.n_atoms == 20_279 and peak < 300 * gas.n_atoms + 0.5e6
 
 
 def test_select_track_empty_configuration():
