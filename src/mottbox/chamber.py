@@ -56,18 +56,19 @@ __all__ = [
 
 # largest mean atom count sample_gas accepts.  select_track on 99,532 atoms, one
 # thread of a 2-vCPU Xeon VM with AVX-512: 0.87 s and 67 MB max RSS for the
-# README gas (k s = 10), 14 s and 72 MB at the widest cone that lists
-# candidates (k s = 1.94); wider cones list every atom farther out, in O(n^2)
-# time (335 s and 82 MB at k s = 1.9).  No candidate list of the whole gas is
-# held, so memory grows with the atoms alone.  A track run replaying the README
-# gas's gas.json peaks at 67.5 MB, as sampling it does
+# README gas (k s = 10), 14-17 s and 72 MB at k s = 1.94 and 1.9.  A cone wider
+# than pi/2 (k s below 1/sqrt(2)) lists every pair of atoms, in O(n^2) time:
+# 251 s and 66 MB at k s = 0.6 on 50,296 atoms.  No candidate list of the whole
+# gas is held, so memory grows with the atoms alone.  A track run replaying the
+# README gas's gas.json peaks at 67.5 MB, as sampling it does
 MAX_EXPECTED_ATOMS = 100_000
 
 # most configurations isotropy_experiment accepts.  The README gas ran 10^6 in 40 s on one CPU and 23-26 s
 # on both of a 2-vCPU Xeon VM (17 and 10 s on a quieter day), 39 MB max RSS per process: time sets the guard
 MAX_CONFIGS = 1_000_000
 
-# cone wider than pi/6 means the forward peak is no longer narrow
+# cone wider than pi/6 means the forward peak is no longer narrow: cone_half_angle
+# warns above it, and the chain search takes every cone alike
 WIDE_CONE_ANGLE = math.pi / 6.0
 
 # chained far-field form needs the atoms many widths apart
@@ -341,11 +342,14 @@ def _cone_candidates(radii: np.ndarray, dirs: np.ndarray, offsets: np.ndarray, c
     row h alone unless the row before or after lies within half, and a band
     next to it is searched only if z -+ half reaches it, as the band of a z
     is monotone in z.  Pairs with c below cos(phi_h) - 1e-12 are dropped
-    before the exact tests.
+    before the exact tests.  None of this needs the cone to be narrow.  A
+    cos_m below -1 (theta_m = pi, one band) puts every direction in each
+    window and passes both exact tests for every pair no nearer, even one
+    whose rounded c lies below -1, as an antipode's can.
     """
-    n, theta_m, outer = len(dirs), math.acos(cos_m), float(radii.max())
+    n, theta_m, outer = len(dirs), math.acos(max(cos_m, -1.0)), float(radii.max())
     reach = math.sqrt(2.0 * (1.0 - cos_m)) + 1e-7
-    n_bands = int(2.0 / reach)
+    n_bands = max(1, int(2.0 / reach))
 
     def band_of(z):  # monotone in z
         return np.minimum(((z + 1.0) * (0.5 * n_bands)).astype(np.intp), n_bands - 1)
@@ -416,8 +420,9 @@ def _chains(
 
     Heads are taken outward, a range at a time: up to 4 CANDIDATE_PAIRS
     atom pairs in the windows of ``_cone_candidates`` (one head alone if
-    more), or above WIDE_CONE_ANGLE in (gas, radius, index) order up to 4
-    CANDIDATE_PAIRS atoms farther out in the same gas.  A head absorbs only
+    more).  A convex cone (theta_c up to pi/2) holds every member of a
+    chain, so its heads list in it, 1e-10 wider in cos; a wider cone lists
+    with a cosine below -1, so every atom no nearer.  A head absorbs only
     atoms strictly farther out in its own gas, so the order of equal radii
     and of gases changes no chain.  A head that an earlier chain absorbed,
     or whose windows hold itself alone, lists nothing.  The growers, the
@@ -431,17 +436,7 @@ def _chains(
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     dirs = pos / radii[:, None]
     cos_c = math.cos(theta_c)
-    if theta_c <= WIDE_CONE_ANGLE:
-        visit, pairs, rows = _cone_candidates(radii, dirs, offsets, cos_c - CANDIDATE_COS_SLACK)
-    else:  # each atom and every atom after it in (gas, radius, index) order
-        gas = _gas_of_atoms(offsets)
-        visit = np.lexsort((radii, gas))  # gas g keeps rows offsets[g]:offsets[g + 1]
-        pairs = offsets[gas + 1] - np.arange(n)
-
-        def rows(at):
-            size = pairs[at]
-            return size, visit[np.repeat(at - np.cumsum(size) + size, size) + np.arange(size.sum())]
-
+    visit, pairs, rows = _cone_candidates(radii, dirs, offsets, cos_c - CANDIDATE_COS_SLACK if cos_c > 0.0 else -2.0)
     ends = np.cumsum(pairs)
     absorbed = np.zeros(n, dtype=bool)
     grown: dict[int, list[int]] = {}
@@ -510,14 +505,14 @@ def build_chains(
     start their own, so the returned chains are the maximal ones.
 
     The cone test is (rel . axis) / |rel| of the step rel as a three-term
-    sum, so no chain depends on the BLAS kernel.  Up to ``WIDE_CONE_ANGLE``
-    the cone is convex, so every member lies in the cone at its head.  Each
+    sum, so no chain depends on the BLAS kernel.  Up to theta_c = pi/2 the
+    cone is convex, so every member lies in the cone at its head.  Each
     head then lists its candidates in a slightly wider cone from windows of
     one sort of the directions, a range of heads at a time, just before
-    they grow, so no list of all the candidates is held; a wider cone lists
-    every atom farther out.  Many chains grow at once, one array step over
-    all their lists per member.  The chains come in the visiting order of
-    their heads.
+    they grow, so no list of all the candidates is held; a cone that is not
+    convex lists every atom farther out from the same windows.  Many chains
+    grow at once, one array step over all their lists per member.  The
+    chains come in the visiting order of their heads.
     """
     n = config.n_atoms
     if n == 0:

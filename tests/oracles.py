@@ -16,7 +16,6 @@ from mottbox.chamber import (
     CANDIDATE_COS_SLACK,
     N_PHI_SECTORS,
     N_Z_BANDS,
-    WIDE_CONE_ANGLE,
     AlignmentChain,
     IsotropyResult,
     TrackResult,
@@ -365,19 +364,19 @@ def cone_candidates_listing(radii, dirs, gas, cos_m):
 def chains_listing(pos, offsets, theta_c):
     """``chamber._chains`` over the whole-gas list of ``cone_candidates_listing``.
 
-    Every head's candidates are listed before any chain grows (below
-    ``WIDE_CONE_ANGLE``; above it, every atom farther out).  The growers are
-    sorted by (gas, radius, index) and grow in ``chamber._grow`` in batches
-    of up to 2^14 candidates (a longer list alone); a batch's chains are
-    taken in visiting order, and one whose head an earlier chain absorbed
-    is dropped.
+    Every head's candidates are listed before any chain grows (for a convex
+    cone, of half-angle up to pi/2; for a wider one, every atom farther
+    out).  The growers are sorted by (gas, radius, index) and grow in
+    ``chamber._grow`` in batches of up to 2^14 candidates (a longer list
+    alone); a batch's chains are taken in visiting order, and one whose
+    head an earlier chain absorbed is dropped.
     """
     n = len(pos)
     gas = _gas_of_atoms(offsets)
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     dirs = pos / radii[:, None]
     cos_c = math.cos(theta_c)
-    if theta_c <= WIDE_CONE_ANGLE:
+    if cos_c > 0.0:
         members, start, end = cone_candidates_listing(radii, dirs, gas, cos_c - CANDIDATE_COS_SLACK)
     else:  # each atom and every atom after it in visiting order
         order = np.lexsort((radii, gas))

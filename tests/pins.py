@@ -185,6 +185,14 @@ LONG_RUNS = {
     "track-k1.94-at-0.0767": Case("track", {"k": 1.94, "density": 0.0767}, None, {
         "gas.json": ("8313a3b022f3a4c47cd104a8f5f0f6218308b532342667b2050e0a267a7f20e9", "0c70f08"),
         "track.csv": ("c81cc977d4fa95b5c7cc183420f21f466d47b4e794380e1b8422eb552116a9e9", "0c70f08")}, 53.0),
+    # the same gas at k s = 1.9 (about 44 MB), and a cone wider than pi/2 on 5.3k atoms (about
+    # 40 MB). Taken on 126c00e, while every cone wider than pi/6 listed every atom farther out
+    "track-k1.9-at-0.0767": Case("track", {"k": 1.9, "density": 0.0767}, None, {
+        "gas.json": ("8313a3b022f3a4c47cd104a8f5f0f6218308b532342667b2050e0a267a7f20e9", "126c00e"),
+        "track.csv": ("9e7aca8c9ff3bbd402c72089883b61b83e1e6c955b1f1cc3c162de47e55c866c", "126c00e")}, 53.0),
+    "track-k0.6-at-2e-2": Case("track", {"k": 0.6, "density": 2e-2}, None, {
+        "gas.json": ("2138d12f7d70015fe0a9101a133e0d4b81fb28f0f52419391133c32409c7f9e9", "126c00e"),
+        "track.csv": ("006f05fd35669ca040d14edef054032b9e24656db937fbd01119ac4a53837abc", "126c00e")}, 48.0),
     # about 47 MB in each process; pinned when each angle was computed on its own
     "scatter-1e6": Case("scatter", {"n_theta": 1_000_000}, None, {
         "angular.csv": ("f6b6483ecb2f8545002197967e7c2cc87df32993b99ffc80ed54f79a0d338832", "e4c28c1")}, 52.0),

@@ -340,49 +340,89 @@ def test_build_chains_matches_scan_on_sampled_gases():
 
 
 def test_build_chains_matches_scan_in_wide_cone():
-    # k s = 0.6 puts the cone edge beyond pi/2, where it is no longer convex;
-    # k s = 1 (pi/3) and 1.94 (just inside WIDE_CONE_ANGLE) sit either side
-    # of the switch to scanning every atom
+    # k s = 0.51, 0.6 and 0.7 put the cone edge beyond pi/2, where it is no
+    # longer convex, and 0.72 just inside it; k s = 1.9 and 1.94 sit either
+    # side of WIDE_CONE_ANGLE, which only sets the warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the wide-cone warning
         cones = {
             k: cone_half_angle(ScatteringContext.from_wavenumber(k), SPECIES.width)
-            for k in (0.6, 1.0, 1.94)
+            for k in (0.51, 0.6, 0.7, 0.72, 1.0, 1.3, 1.9, 1.94)
         }
-    assert cones[0.6] > math.pi / 2 and cones[1.94] <= chamber.WIDE_CONE_ANGLE < cones[1.0]
-    for k, density in ((0.6, 2e-3), (1.0, 2e-3), (1.94, 5e-3)):
+    assert cones[0.72] <= math.pi / 2 < cones[0.7] and cones[1.94] <= chamber.WIDE_CONE_ANGLE < cones[1.9]
+    for k, density in ((0.51, 2e-3), (0.6, 2e-3), (0.7, 2e-3), (0.72, 2e-3), (1.0, 2e-3), (1.3, 2e-3),
+                       (1.9, 5e-3), (1.94, 5e-3)):
         for stream in range(3):
             gas = sample_gas(density, 12.0, 40.0, SPECIES, RngStream(4243, stream))
             assert max(c.n for c in assert_chains_match_scan(gas, cones[k])) > 1
 
 
-def test_build_chains_lists_candidates_only_up_to_wide_cone(monkeypatch):
+def test_build_chains_keeps_an_antipode_whose_cosine_rounds_below_minus_one():
+    # k s = 0.51, a cone of 2.745 rad.  Each gas is a head at 13 d, an atom at
+    # 14 e with e normal to d, and one at -30 d: the step from the head to its
+    # antipode lies outside the cone, but the step from e does not, so the
+    # chain is all three.  The directions of head and antipode have a rounded
+    # cosine below -1, so a listing cut at a cosine of -1 would drop the antipode
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        theta_c = cone_half_angle(ScatteringContext.from_wavenumber(0.51), SPECIES.width)
+    assert theta_c == pytest.approx(2.745, abs=5e-4)
+    draw, n_gases = RngStream(4260, 0), 0
+    while n_gases < 40:
+        d = unit(draw.standard_normal(3))
+        pos = np.array([13.0 * d, 14.0 * unit(np.cross(d, draw.standard_normal(3))), -30.0 * d])
+        (hx, hy, hz), _, (jx, jy, jz) = (pos / np.sqrt(np.sum(pos * pos, axis=1))[:, None]).tolist()
+        if hx * jx + hy * jy + hz * jz < -1.0:  # the cosine as _cone_candidates rounds it
+            gas = GasConfiguration(atoms=SPECIES.records(pos), chamber_radius=40.0, inner_radius=12.0, seed=0)
+            assert [c.indices for c in assert_chains_match_scan(gas, theta_c)] == [(0, 1, 2)]
+            n_gases += 1
+
+
+def test_build_chains_lists_candidates_in_windows_for_every_cone(monkeypatch):
+    # one window listing per build_chains on either side of WIDE_CONE_ANGLE,
+    # which only sets the warning, and of pi/2, where the cone stops being
+    # convex: a convex cone lists in a cone 1e-10 wider in cos, a wider one
+    # with a cosine below -1, which every pair of directions passes
     calls = []
     listing = chamber._cone_candidates
-    monkeypatch.setattr(chamber, "_cone_candidates", lambda *args: calls.append(args) or listing(*args))
+    monkeypatch.setattr(chamber, "_cone_candidates", lambda *args: calls.append(args[3]) or listing(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        widest = cone_half_angle(ScatteringContext.from_wavenumber(0.6), SPECIES.width)
+    cones = [chamber.WIDE_CONE_ANGLE, math.nextafter(chamber.WIDE_CONE_ANGLE, 1.0),
+             math.nextafter(math.pi / 2, 0.0), math.nextafter(math.pi / 2, 4.0), widest]
+    assert math.cos(cones[2]) > 0.0 > math.cos(cones[3])
     gas = sample_gas(2e-3, 12.0, 40.0, SPECIES, RngStream(4243, 0))
-    build_chains(gas, CTX, chamber.WIDE_CONE_ANGLE)
-    assert len(calls) == 1
-    build_chains(gas, CTX, math.nextafter(chamber.WIDE_CONE_ANGLE, 1.0))
-    assert len(calls) == 1
+    for n_calls, theta_c in enumerate(cones, 1):
+        assert_chains_match_scan(gas, theta_c)
+        assert len(calls) == n_calls
+    assert calls[:3] == [math.cos(theta_c) - chamber.CANDIDATE_COS_SLACK for theta_c in cones[:3]]
+    assert all(cos_m < -1.0 for cos_m in calls[3:])
+
+
+def listing_cosine(theta_c):
+    # the cosine that _chains lists a cone's candidates with
+    cos_c = math.cos(theta_c)
+    return cos_c - chamber.CANDIDATE_COS_SLACK if cos_c > 0.0 else -2.0
 
 
 def assert_candidates_match_scan(pos, offsets, theta_c):
     # every head's candidates from its windows, in ascending index, against the
-    # all-atoms test and the whole-gas list; returns the lists
+    # all-atoms test and, for a convex cone, the whole-gas list; returns the lists
     pos, offsets = np.ascontiguousarray(pos), np.asarray(offsets)
     gas = chamber._gas_of_atoms(offsets)
     radii = np.sqrt(np.sum(pos * pos, axis=1))
     dirs = pos / radii[:, None]
-    cos_m = math.cos(theta_c) - chamber.CANDIDATE_COS_SLACK
+    cos_m = listing_cosine(theta_c)
     visit, _, rows = chamber._cone_candidates(radii, dirs, offsets, cos_m)
     size, idx = rows(np.arange(len(pos)))
     lists = [[] for _ in range(len(pos))]
     for head, listed in zip(visit.tolist(), np.split(idx, np.cumsum(size)[:-1])):
         lists[head] = sorted(listed.tolist())
     assert lists == cone_candidates_scan(pos, gas, cos_m)
-    members, start, end = cone_candidates_listing(radii, dirs, gas, cos_m)
-    assert lists == [members[lo:hi].tolist() for lo, hi in zip(start, end)]
+    if cos_m > 0.0:  # the whole-gas list bands the directions by the cone's chord: narrower than pi/2 only
+        members, start, end = cone_candidates_listing(radii, dirs, gas, cos_m)
+        assert lists == [members[lo:hi].tolist() for lo, hi in zip(start, end)]
     return lists
 
 
@@ -394,6 +434,22 @@ def test_cone_candidates_match_scan_on_one_gas(k, density):
     gas = sample_gas(density, 12.0, 40.0, SPECIES, RngStream(4245, 0))
     lists = assert_candidates_match_scan(gas.atoms["position"], [0, gas.n_atoms], theta_c)
     assert gas.n_atoms > 1000 and sum(map(len, lists)) > 1.2 * gas.n_atoms
+
+
+def test_cone_candidates_of_a_cone_that_is_not_convex_are_every_atom_no_nearer():
+    # k s = 0.6, over sampled gases, empty ones and a gas of bit-equal radii:
+    # each head lists every atom of its gas at its radius or farther out
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        theta_c = cone_half_angle(ScatteringContext.from_wavenumber(0.6, 0.01), SPECIES.width)
+    gases = [sample_gas(density, 12.0, 40.0, SPECIES, RngStream(4261, i))
+             for i, density in enumerate((2e-3, 0.0, 1e-4, 0.0))] + [tied_radii_gas()]
+    offsets = np.cumsum([0] + [gas.n_atoms for gas in gases])
+    pos = np.concatenate([gas.atoms["position"] for gas in gases])
+    lists = assert_candidates_match_scan(pos, offsets, theta_c)
+    gas, radii = chamber._gas_of_atoms(offsets), np.sqrt(np.sum(pos * pos, axis=1))
+    assert lists == [np.flatnonzero((gas == gas[h]) & (radii >= radii[h])).tolist() for h in range(len(pos))]
+    assert theta_c > math.pi / 2 and len(np.unique(radii)) < len(radii)
 
 
 def test_cone_candidates_match_scan_across_gases_with_empty_ones():
@@ -640,7 +696,8 @@ def test_chains_match_the_listing_on_cone_edges_and_an_isotropy_range():
 
 
 def test_chains_match_the_listing_at_the_widest_listed_cone():
-    # k s = 1.94, just inside WIDE_CONE_ANGLE: 84,817 listed candidates on 5281 atoms
+    # k s = 1.94, just inside WIDE_CONE_ANGLE (which sets only the warning):
+    # 84,817 listed candidates on 5281 atoms
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the wide-cone warning
         theta_c = cone_half_angle(ScatteringContext.from_wavenumber(1.94, 0.01), SPECIES.width)
@@ -652,6 +709,21 @@ def test_chains_match_the_listing_at_the_widest_listed_cone():
     members, _, _ = cone_candidates_listing(radii, pos / radii[:, None], np.zeros(gas.n_atoms, dtype=int),
                                             math.cos(theta_c) - chamber.CANDIDATE_COS_SLACK)
     assert len(members) > 80_000
+
+
+def test_chains_match_the_listing_either_side_of_a_convex_cone():
+    # k s = 0.72 (1.535 rad) keeps the cone convex and 0.7 (1.591 rad) does
+    # not, over sampled gases with an empty one between them: the windows
+    # against the whole-gas list, and against every atom farther out
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the wide-cone warning
+        cones = [cone_half_angle(ScatteringContext.from_wavenumber(k, 0.01), SPECIES.width) for k in (0.72, 0.7)]
+    assert cones[0] <= math.pi / 2 < cones[1]
+    empty = GasConfiguration(atoms=(), chamber_radius=40.0, inner_radius=12.0, seed=0)
+    gases = [sample_gas(density, 12.0, 40.0, SPECIES, RngStream(4262, i))
+             for i, density in enumerate((2e-3, 1e-4))]
+    for theta_c in cones:
+        assert max(map(len, assert_chains_match_listing([gases[0], empty, gases[1]], theta_c).values())) > 5
 
 
 def test_chains_match_the_listing_in_a_thin_shell_and_with_tied_radii():
@@ -709,11 +781,13 @@ def test_segmented_chains_on_cone_edges_grow_in_one_batch(monkeypatch):
 def test_chains_do_not_depend_on_the_batch_size(monkeypatch, pairs):
     # a batch per head, or one batch for every head (candidate listing
     # included), against the default batches: a dense README gas, a whole
-    # isotropy range and a gas at k s = 1.9, which lists every atom
+    # isotropy range and gases at k s = 1.9 and 0.6, the latter a cone wider
+    # than pi/2, whose windows hold every atom
     wide = ScatteringContext.from_wavenumber(1.9, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the wide-cone warning
         wide_cone = cone_half_angle(wide, SPECIES.width)
+        widest = cone_half_angle(ScatteringContext.from_wavenumber(0.6, 0.01), SPECIES.width)
     theta_c = cone_half_angle(CTX, SPECIES.width)
     (i0, i1), *_ = isotropy_ranges(200, 3e-4, 12.0, 40.0, SPECIES, CTX, RngStream(4250, 0))
     chunk = [sample_gas(3e-4, 12.0, 40.0, SPECIES, RngStream(4250, 1 + i)) for i in range(i0, i1)]
@@ -721,6 +795,7 @@ def test_chains_do_not_depend_on_the_batch_size(monkeypatch, pairs):
         ([sample_gas(2e-2, 12.0, 40.0, SPECIES, RngStream(4250, 1))], theta_c),
         (chunk, theta_c),
         ([sample_gas(2e-3, 12.0, 40.0, SPECIES, RngStream(4250, 2))], wide_cone),
+        ([sample_gas(3e-4, 12.0, 40.0, SPECIES, RngStream(4250, 3))], widest),
     ]
     expected = [segmented_chains(*case) for case in cases]
     monkeypatch.setattr(chamber, "CANDIDATE_PAIRS", pairs)
@@ -731,6 +806,8 @@ def test_chains_do_not_depend_on_the_batch_size(monkeypatch, pairs):
     assert max(len(c) for per_gas in expected for chains in per_gas for c in chains) > 3
     assert wide_cone > chamber.WIDE_CONE_ANGLE
     assert expected[2] == [[c.indices for c in build_chains_scan(cases[2][0][0], CTX, wide_cone)]]
+    assert widest > math.pi / 2
+    assert expected[3] == [[c.indices for c in build_chains_scan(cases[3][0][0], CTX, widest)]]
 
 
 def test_head_absorbed_within_its_batch_starts_no_chain(monkeypatch):
