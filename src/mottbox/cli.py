@@ -118,10 +118,9 @@ def _run_bell(config: dict, paths: dict[str, Path]) -> str:
     return summary
 
 
-def _species(config: dict, width: str = "width", delta_e: float = 0.0) -> dict:
-    # the fields of an ATOM_DTYPE record besides its position
-    return {"width": _number(config, width), "g0": _number(config, "g0"), "g1": _number(config, "g1"),
-            "delta_e": _number(config, "delta_e", delta_e)}
+def _species(config: dict, width: str = "width") -> dict:
+    # the couplings of an ATOM_DTYPE record; its delta_e is the context's
+    return {"width": _number(config, width), "g0": _number(config, "g0"), "g1": _number(config, "g1")}
 
 
 def _build_context(config: dict) -> mott.ScatteringContext:
@@ -131,11 +130,7 @@ def _build_context(config: dict) -> mott.ScatteringContext:
 
 def _run_scatter(config: dict, paths: dict[str, Path]) -> str:
     ctx = _build_context(config)
-    if "position" in config:
-        position = _vector(config, "position")
-    else:
-        position = np.array([0.0, 0.0, _number(config, "distance")])
-    atom = mott.atom(position, **_species(config, "s"))
+    atom = mott.atom([0.0, 0.0, _number(config, "distance")], **_species(config, "s"), delta_e=ctx.delta_e)
     n_theta = _integer(config, "n_theta", 181, bounds=(2, MAX_ANGLES))
     mott.quadrature_convergence_check(ctx, atom["width"], atom["g0"], atom["g1"])
     c2 = mott.normalization_c2(ctx, atom)  # couplings whose intensity overflows raise
@@ -154,9 +149,9 @@ def _run_scatter(config: dict, paths: dict[str, Path]) -> str:
     return f"|C|^2={c2:.6f} flux_total={total:.6f} flux_free={mott.flux_free(ctx):.6f}"
 
 
-def _gas(config: dict) -> tuple:
+def _gas(config: dict, ctx: mott.ScatteringContext) -> tuple:
     # the sampling keys of a gas, in the argument order of sample_gas
-    species = chamber.AtomSpecies(**_species(config))
+    species = chamber.AtomSpecies(**_species(config), delta_e=ctx.delta_e)
     density, inner, outer = (_number(config, key) for key in ("density", "inner_radius", "chamber_radius"))
     return density, inner, outer, species, RngStream(_integer(config, "seed", bounds=SEEDS))
 
@@ -172,7 +167,7 @@ def _run_track(config: dict, paths: dict[str, Path]) -> str:
         except (OSError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"cannot load gas_file {config['gas_file']!r}: {exc}") from None
     else:
-        gas = chamber.sample_gas(*_gas(config))
+        gas = chamber.sample_gas(*_gas(config, ctx))
     atoms = gas.atoms
     mott.quadrature_convergence_check(ctx, atoms["width"], atoms["g0"], atoms["g1"])
     # before any file: a gas too narrow for a forward cone, or couplings whose
@@ -195,7 +190,7 @@ def _run_track(config: dict, paths: dict[str, Path]) -> str:
 def _run_isotropy(config: dict, paths: dict[str, Path]) -> str:
     ctx = _build_context(config)
     n_configs = _integer(config, "n_configs")
-    density, inner, outer, species, rng = _gas(config)
+    density, inner, outer, species, rng = _gas(config, ctx)
     mott.quadrature_convergence_check(ctx, species.width, species.g0, species.g1)
     with text_sink(paths["tracks_output"], _TRACK_HEADER) as write:  # chunk rows, formatted where selected
         result = chamber.isotropy_experiment(
@@ -219,7 +214,7 @@ def _run_render(config: dict, paths: dict[str, Path]) -> str:
     atom = None
     if "obstacle" in config:
         ob = config["obstacle"]
-        atom = mott.atom(_vector(ob, "position"), **_species(ob, delta_e=ctx.delta_e))
+        atom = mott.atom(_vector(ob, "position"), **_species(ob), delta_e=ctx.delta_e)
         mott.quadrature_convergence_check(ctx, atom["width"], atom["g0"], atom["g1"])
         mott.normalization_c2(ctx, atom)  # couplings whose intensity overflows raise
     image = render.render_plane(lambda p: mott.wave_field(ctx, atom, p), plane, scale, paths.get("grid_csv"))
@@ -229,19 +224,19 @@ def _run_render(config: dict, paths: dict[str, Path]) -> str:
 
 # each experiment's runner, its output keys with their default file names, in
 # the order they are checked (None: written only when given), and the other
-# keys it reads.  Every config may hold a seed: --seed writes one into any
+# keys it reads in each mode: those of the first mode key the config holds,
+# else those of None.  Every config may hold a seed: --seed writes one into any
 _EXPERIMENTS = {
-    "bell": (_run_bell, {"output": "bell.csv"}, "n_trials a b c"),
-    "scatter": (_run_scatter, {"output": "angular.csv"}, "k delta_e position distance s g0 g1 n_theta"),
-    "track": (_run_track, {"gas_output": "gas.json", "output": "track.csv"},
-              "k delta_e gas_file density inner_radius chamber_radius width g0 g1"),
+    "bell": (_run_bell, {"output": "bell.csv"}, {None: "n_trials a b c"}),
+    "scatter": (_run_scatter, {"output": "angular.csv"}, {None: "k delta_e distance s g0 g1 n_theta"}),
+    "track": (_run_track, {"gas_output": "gas.json", "output": "track.csv"}, {
+        "gas_file": "k delta_e gas_file", None: "k delta_e density inner_radius chamber_radius width g0 g1"}),
     "isotropy": (_run_isotropy, {"output": "isotropy.csv", "tracks_output": "tracks.csv"},
-                 "k delta_e n_configs density inner_radius chamber_radius width g0 g1"),
+                 {None: "k delta_e n_configs density inner_radius chamber_radius width g0 g1"}),
     "render": (_run_render, {"output": "field.ppm", "grid_csv": None},
-               "k delta_e plane modulus_scale obstacle"),
+               {"obstacle": "k delta_e plane modulus_scale obstacle", None: "k plane modulus_scale"}),
 }
-_SUB_KEYS = {"plane": "origin u_axis v_axis half_extent resolution",
-             "obstacle": "position width g0 g1 delta_e"}
+_SUB_KEYS = {"plane": "origin u_axis v_axis half_extent resolution", "obstacle": "position width g0 g1"}
 
 
 def _output_paths(config: dict, out_dir: Path, defaults: dict) -> dict[str, Path]:
@@ -277,7 +272,8 @@ def run(config: dict, out_dir: Path) -> str:
         raise ValueError(
             f"unknown experiment {experiment!r}; valid names: {', '.join(_EXPERIMENTS)}"
         )
-    runner, outputs, keys = _EXPERIMENTS[experiment]
+    runner, outputs, modes = _EXPERIMENTS[experiment]
+    keys = next(keys for mode, keys in modes.items() if mode is None or mode in config)
     sections = [("", config, ["experiment", "seed", *keys.split(), *outputs])]
     for where, section, known in sections:  # the first key that the run would not read exits 2
         for key, value in section.items():

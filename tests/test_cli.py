@@ -232,11 +232,56 @@ def test_keys_of_one_experiment_are_unknown_to_another(tmp_path, capsys):
         config = write_config(tmp_path, "config.json", {**config, key: 1})
         assert main([config, "--out-dir", str(tmp_path)]) == 2
         assert f"unknown key {key!r}; valid keys: experiment, seed" in capsys.readouterr().err
-    # a seed is read by bell, track and isotropy only, and --seed writes one into any config
+    # a seed is read by bell and by a sampled track or isotropy only, and --seed writes one into any config
     for config in (_readme("scatter"), _small_render()):
         config = write_config(tmp_path, "config.json", {**config, "seed": 5})
         assert main([config, "--out-dir", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["angular.csv", "config.json", "field.ppm"]
+
+
+SAMPLING_KEYS = ("density", "inner_radius", "chamber_radius", "width", "g0", "g1")
+
+
+def _inert_key_config(mode: str, key: str, directory: Path) -> dict:
+    # a config of ``mode`` that also holds ``key``, which nothing of its run would read
+    if mode == "replay":  # the atoms and their couplings come from gas_file
+        return {**json.loads(Path(_replay_config(directory, SMALL_GAS)).read_text()), key: _readme("track")[key]}
+    if mode.startswith("scatter"):  # the atom sits at (0, 0, distance), and only its distance acts
+        config = {**_scatter(), "position": [0.0, -6.0, 8.0]}
+        if mode == "scatter":
+            del config["distance"]
+        return config
+    if mode == "obstacle":  # |C|^2 takes k' from the context, never from the obstacle
+        config = _small_render()
+        config["obstacle"]["delta_e"] = 0.9
+        return config
+    return {**_free_render(), "delta_e": 0.01}  # the free wave reads k alone
+
+
+@pytest.mark.parametrize("mode, key", [
+    *(("replay", key) for key in SAMPLING_KEYS), ("scatter", "position"), ("scatter beside distance", "position"),
+    ("obstacle", "delta_e"), ("free render", "delta_e"),
+])
+def test_key_that_cannot_act_on_its_run_exits_2_before_any_file(tmp_path, capsys, mode, key):
+    # each of these once ran with exit 0 and moved no output byte
+    out = tmp_path / "out"
+    config = write_config(tmp_path, "config.json", _inert_key_config(mode, key, tmp_path))
+    assert main([config, "--out-dir", str(out)]) == 2
+    assert f"mottbox: error: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["replay", "scatter", "free render"])
+def test_seed_option_runs_where_no_seed_is_read_and_moves_no_byte(tmp_path, capsys, mode):
+    if mode == "replay":
+        config = _replay_config(tmp_path, SMALL_GAS)
+    else:
+        config = write_config(tmp_path, "config.json", _scatter() if mode == "scatter" else _free_render())
+    outs = tmp_path / "plain", tmp_path / "seeded"
+    assert main([config, "--out-dir", str(outs[0])]) == 0
+    assert main([config, "--seed", "5", "--out-dir", str(outs[1])]) == 0
+    capsys.readouterr()
+    assert {p.name: p.read_bytes() for p in outs[1].iterdir()} == {p.name: p.read_bytes() for p in outs[0].iterdir()}
 
 
 def test_readme_scatter_at_1e5_angles_prints_its_c2(tmp_path, capsys):
@@ -774,6 +819,10 @@ def _small_render():
     return readme("render", modulus_scale=0.1, plane={"resolution": 16})
 
 
+def _free_render():
+    return readme("render", delta_e=None, obstacle=None, modulus_scale=0.1, plane={"resolution": 16})
+
+
 def _scaled_directions(experiment):
     # the bell config at 1000 trials and the small render, then each with directions
     # whose squared norms underflow ([1e-200, 0, 0]) or overflow (1e200 times a direction)
@@ -839,7 +888,6 @@ def _wide_finite_render():
     return payload
 
 
-_scatter_with = _slot(_scatter, "position")
 _render_with_origin = _slot(_small_render, "plane.origin")
 _render_with_half_extent = _slot(_small_render, "plane.half_extent")
 _wide_render_with_origin = _slot(_wide_render, "plane.origin")
@@ -901,14 +949,13 @@ vector_values = st.lists(json_scalars, min_size=3, max_size=3) | json_values
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from([_scatter_with, _render_with_origin, _render_with_obstacle_at, *VALUE_SLOTS]),
-       vector_values)
-@example(_scatter_with, "abc")
+@given(st.sampled_from([_render_with_origin, _render_with_obstacle_at, *VALUE_SLOTS]), vector_values)
+@example(_render_with_obstacle_at, "abc")
 @example(_render_with_origin, [0, 0])
 @example(_render_with_origin, [0, 0, "nan"])
 @example(_render_with_obstacle_at, [1e308, 1e308, 0.0])
 @example(_render_with_origin, [1e308, 1e308, 0.0])
-@example(_scatter_with, [10**400, 0, 0])
+@example(_render_with_obstacle_at, [10**400, 0, 0])
 @example(_render_with_half_extent, 5.992310449541053e+306)
 @example(_wide_render_with_origin, [1.7e308, 0.0, 0.0])
 @example(_wide_finite_render_with_origin, [1.79e308, 0.0, 0.0])
@@ -945,7 +992,7 @@ def test_plane_whose_lattice_overflows_exits_2_before_any_file(tmp_path, capsys,
     (_slot(_scatter, "k"), "k"),
     (_slot(_track, "seed"), "seed"),
     (_slot(_small_render, "plane.resolution"), "resolution"),
-    (_scatter_with, "position"),
+    (_render_with_obstacle_at, "position"),
 ])
 def test_value_that_is_not_a_number_exits_2_naming_its_key(tmp_path, capsys, build, key, value):
     # strings, booleans and null are not numbers, and a vector holds three numbers
